@@ -1,10 +1,11 @@
 """Band-restricted online gradient descent and the two-stage learning loop.
 
 Stage one runs N independent descent trials from the zero vector through a
-short epoch ladder and picks a candidate by empirical risk on a fresh labeled
-sample. Stage two continues the ladder from that warm start down to the
-target proximity scale. Every label the run consumes passes through
-oracles.query_label, so the ledger count is exact.
+short epoch ladder, all N in lockstep as one (N, d) block, and picks a
+candidate by empirical risk on a fresh labeled sample. Stage two continues the
+ladder from that warm start down to the target proximity scale, one epoch at
+a time. Every label the run consumes passes through oracles.query_label or
+oracles.query_labels, so the ledger count is exact.
 """
 
 import math
@@ -13,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dists
-from .errors import InvalidInputError, NumericalError
+from .errors import BandTooThinError, InvalidInputError, NumericalError
 from .geometry import angle, hard_threshold, normalize
 from .oracles import (
     BandSampler,
     GroundTruth,
+    LockstepBandSampler,
     NoiseModel,
     QueryLedger,
     halfspace_labels,
     make_ground_truth,
     query_label,
+    query_labels,
 )
 from .schedules import PROFILES, Profile, proximity, schedule_for
 from .sparse import SparseConstraint, bregman_step, mirror_p, project_intersection
@@ -159,36 +162,166 @@ def optimize(
     return sign * snaps[tau]
 
 
+def _projected_step(W1, r, alpha, sparse_s):
+    """Start block and update rule of optimize's epoch, row by row over a (K, d) block.
+
+    Returns (W, step) with step(W, y, X) -> (new W, largest feasibility gap of
+    the step). Dense rows clip back into ball2(W1[k], 4r); sparse rows take
+    bregman_step inside their own l2/l1 intersection, as optimize does.
+    """
+    radius = 4.0 * r
+    if sparse_s is None:
+        rad_sq = radius * radius
+
+        def ball_step(W, y, X):
+            W = W + (alpha * y)[:, None] * X
+            diff = W - W1
+            dd = np.einsum("ij,ij->i", diff, diff)
+            out = dd > rad_sq
+            if not out.any():
+                return W, 0.0
+            clipped = W1 + (radius / np.sqrt(np.maximum(dd, rad_sq)))[:, None] * diff
+            moved = clipped - W1
+            gap = np.sqrt(np.einsum("ij,ij->i", moved, moved)) - radius
+            return np.where(out[:, None], clipped, W), float(np.max(gap, where=out, initial=0.0))
+
+        return W1.copy(), ball_step
+
+    p = mirror_p(W1.shape[1])
+    constraints = [
+        SparseConstraint(
+            center2=w1,
+            radius2=radius,
+            center1=hard_threshold(w1, sparse_s),
+            radius1=8.0 * r * math.sqrt(2.0 * sparse_s),
+        )
+        for w1 in W1
+    ]
+
+    def mirror_step(W, y, X):
+        W = np.array(
+            [bregman_step(w, -yk * x, alpha, c, c.center1, p)
+             for w, yk, x, c in zip(W, y, X, constraints)]
+        )
+        return W, max(c.violation(w) for w, c in zip(W, constraints))
+
+    return np.array([project_intersection(w1, c) for w1, c in zip(W1, constraints)]), mirror_step
+
+
+def optimize_block(
+    W1,
+    r,
+    b,
+    T,
+    agg,
+    dist,
+    noise,
+    truth,
+    streams,
+    ledger,
+    delta,
+    profile,
+    sparse_s=None,
+    max_attempts=None,
+    monitor=None,
+):
+    """K descent epochs in lockstep: row k runs optimize's epoch from W1[k] on streams[k].
+
+    Each step makes one band draw per row (LockstepBandSampler), one vector label
+    query and one projected update of the (K, d) iterate block. Row k reads
+    randomness only from streams[k], so its output is the same for any K. The
+    ledger is charged as if the K epochs ran step-major, trial-minor: a draw
+    that overruns the attempt budget raises BandTooThinError after the labels
+    of the rows before it in that step.
+    """
+    W1 = np.asarray(W1, dtype=float)
+    K, d = W1.shape
+    if len(streams) != K:
+        raise InvalidInputError("optimize_block needs one stream per row of W1")
+    if not 0.0 < r <= 0.25 + 1e-12:
+        raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
+    if not 0.0 < b <= dist.R / 2.0 + 1e-12:
+        raise InvalidInputError("bandwidth b must lie in (0, R/2]")
+    T = int(T)
+    if T < 1:
+        raise InvalidInputError("iteration count T must be at least 1")
+    if agg not in AGGREGATIONS:
+        raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
+
+    alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
+    if agg == "random":  # which step's iterate each row returns, and its sign
+        pick = np.array([g.integers(T) for g in streams])
+        sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
+    sampler = LockstepBandSampler(dist, b, streams, ledger, T, max_attempts=max_attempts)
+    W, step = _projected_step(W1, r, alpha, sparse_s)
+    out = np.zeros((K, d))
+    max_gap = 0.0
+    for t in range(T):
+        nw = np.sqrt(np.einsum("ij,ij->i", W, W))
+        zero = nw == 0.0
+        W_hat = W / np.where(zero, 1.0, nw)[:, None]
+        W_hat[zero, 0] = 1.0
+        if agg == "average":
+            out += W_hat
+        else:
+            hit = pick == t
+            out[hit] = W_hat[hit]
+        X, u, drawn = sampler.draw(W_hat)
+        if drawn < K:
+            query_labels(noise, truth, X[:drawn], u[:drawn], ledger)
+            raise BandTooThinError(sampler.b, sampler.max_attempts)
+        W, gap = step(W, query_labels(noise, truth, X, u, ledger), X)
+        if gap > max_gap:
+            max_gap = gap
+
+    if monitor is not None:
+        prev = monitor.get("max_feasibility_gap", 0.0)
+        monitor["max_feasibility_gap"] = max(prev, max_gap)
+    return out / T if agg == "average" else sign[:, None] * out
+
+
+def warm_start_trials(
+    schedule, dist, noise, truth, streams, ledger, monitor=None, max_attempts=None
+):
+    """The warm start's descent trials from zero, one per stream, run in lockstep.
+
+    Returns the (K, d) block of candidates, row k from streams[k].
+    """
+    V = np.zeros((len(streams), dist.d))
+    for j in range(schedule.k0 + 1):
+        V = optimize_block(
+            V,
+            proximity(j),
+            schedule.bandwidths[j],
+            schedule.iterations[j],
+            "random" if j == 0 else "average",
+            dist,
+            noise,
+            truth,
+            streams,
+            ledger,
+            schedule.delta,
+            schedule.profile,
+            sparse_s=schedule.sparse_s,
+            max_attempts=max_attempts,
+            monitor=monitor,
+        )
+    return V
+
+
 def initialize(schedule, dist, noise, truth, rng, ledger, monitor=None, max_attempts=None):
-    """Warm start: N descent trials from zero, then empirical risk selection."""
-    candidates = []
-    for _ in range(schedule.N):
-        v = np.zeros(dist.d)
-        for j in range(schedule.k0 + 1):
-            agg = "random" if j == 0 else "average"
-            v = optimize(
-                v,
-                proximity(j),
-                schedule.bandwidths[j],
-                schedule.iterations[j],
-                agg,
-                dist,
-                noise,
-                truth,
-                rng,
-                ledger,
-                schedule.delta,
-                schedule.profile,
-                sparse_s=schedule.sparse_s,
-                max_attempts=max_attempts,
-                monitor=monitor,
-            )
-        candidates.append(v)
+    """Warm start: N descent trials from zero, then empirical risk selection.
+
+    Trial k draws from child k of rng.spawn(N); the selection sample and its
+    labels come from rng itself.
+    """
+    streams = rng.spawn(schedule.N)
+    candidates = warm_start_trials(
+        schedule, dist, noise, truth, streams, ledger, monitor, max_attempts
+    )
     X = dists.sample(dist, rng, schedule.m)
     ledger.ex_calls += schedule.m
-    y = np.empty(schedule.m)
-    for i in range(schedule.m):
-        y[i] = query_label(noise, truth, X[i], rng, ledger)
+    y = query_labels(noise, truth, X, rng.random(schedule.m), ledger)
     return normalize(erm_select(candidates, X, y))
 
 

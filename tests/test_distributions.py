@@ -171,6 +171,20 @@ def test_certify_parameters_defaults_pass():
         assert {"projected-density-lower", "tail-bound"} <= names
 
 
+def test_certify_isotropy_family_wise_level():
+    # the five KS tests share the 1% level (Bonferroni), so over 300 seeds a
+    # correct sampler fails the check about 3 times, and 8 is far out in the tail
+    dist = hb.make_distribution("gaussian", 10)
+    failures = 0
+    for s in range(300):
+        report = hb.certify_parameters(dist, np.random.default_rng((77, s)), samples=2000)
+        (iso,) = [c for c in report["checks"] if c["check"] == "isotropy-ks"]
+        failures += not iso["passed"]
+    assert iso["detail"]["significance"] == 0.01
+    assert iso["detail"]["per_test_significance"] == pytest.approx(0.002)
+    assert failures <= 8
+
+
 def test_certify_flags_doubled_density_floor():
     import dataclasses
 

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 import halfband as hb
-from halfband.errors import InvalidInputError
-from halfband.learner import erm_select, step_size
+from halfband.errors import BandTooThinError, InvalidInputError
+from halfband.learner import (
+    _projected_step,
+    erm_select,
+    optimize_block,
+    step_size,
+    warm_start_trials,
+)
 from halfband.oracles import halfspace_labels
 from halfband.schedules import PROFILES, bandwidth, iteration_count
 
@@ -181,6 +187,96 @@ def test_initialize_output_unit_and_ledger():
     u0 = hb.initialize(sched, GAUSS5, NOISE, truth, rng, ledger)
     assert float(np.linalg.norm(u0)) == pytest.approx(1.0, rel=1e-12)
     assert ledger.label_calls == sched.init_label_total()
+
+
+def test_warm_start_trial_same_alone_as_in_block():
+    # trial k reads only child k of the spawned streams, so batch size cannot move it
+    sched = hb.make_schedule("MNC", GAUSS5, 0.3, 0.05, DESK, eta=0.1)
+    truth = hb.make_ground_truth(5, np.random.default_rng(34))
+
+    def streams():
+        return np.random.default_rng(35).spawn(sched.N)
+
+    ledger = hb.QueryLedger()
+    block = warm_start_trials(sched, GAUSS5, NOISE, truth, streams(), ledger)
+    assert block.shape == (sched.N, 5)
+    assert ledger.label_calls == sched.N * sched.per_trial_init_labels()
+    for k in (0, 17, sched.N - 1):
+        alone_ledger = hb.QueryLedger()
+        alone = warm_start_trials(sched, GAUSS5, NOISE, truth, [streams()[k]], alone_ledger)
+        assert float(np.max(np.abs(alone[0] - block[k]))) <= 1e-12
+        assert alone_ledger.label_calls == sched.per_trial_init_labels()
+
+
+def test_initialize_attempt_budget_charges_labels_as_answered():
+    # with one attempt per draw the first band miss raises; the labels of the
+    # trials drawn before it in that step are charged, plus the one failed EX call
+    sched = hb.make_schedule("MNC", GAUSS5, 0.3, 0.05, DESK, eta=0.1)
+    rng = np.random.default_rng(36)
+    truth = hb.make_ground_truth(5, rng)
+    ledger = hb.QueryLedger()
+    with pytest.raises(BandTooThinError) as err:
+        hb.initialize(sched, GAUSS5, NOISE, truth, rng, ledger, max_attempts=1)
+    assert err.value.attempts == 1
+    assert ledger.ex_calls == ledger.label_calls + 1
+    assert 0 < ledger.label_calls < sched.N  # part of the first step, not a whole block
+
+
+def test_optimize_block_sparse_rows_exact_and_feasible():
+    d, s, T, K = 12, 3, 3, 2
+    dist = hb.make_distribution("gaussian", d)
+    rng = np.random.default_rng((52, 0))
+    truth = hb.make_ground_truth(d, rng, s=s)
+    r = 1.0 / 16.0
+    W1 = np.array([make_start(truth, r, rng) for _ in range(K)])
+    ledger = hb.QueryLedger()
+    monitor = {}
+    out = optimize_block(W1, r, 0.05, T, "average", dist, hb.massart(0.1), truth,
+                         rng.spawn(K), ledger, 0.05, DESK, sparse_s=s, monitor=monitor)
+    assert ledger.label_calls == K * T
+    assert ledger.ex_calls >= K * T
+    assert monitor["max_feasibility_gap"] <= 1e-6
+    assert np.all(np.linalg.norm(out, axis=1) <= 1.0 + 1e-12)
+
+
+def test_ball_step_matches_rowwise_projection():
+    # the block update is optimize's w + alpha*y*x projected into ball2(w1, 4r), per row
+    rng = np.random.default_rng(37)
+    r, alpha = 1.0 / 16.0, 0.2
+    W1 = rng.standard_normal((16, 5))
+    W, step = _projected_step(W1, r, alpha, None)
+    assert np.array_equal(W, W1)
+    W = W1 + 0.2 * rng.standard_normal((16, 5))
+    y = rng.choice([-1.0, 1.0], size=16)
+    X = rng.standard_normal((16, 5))
+    new, gap = step(W, y, X)
+    for k in range(16):
+        ref = hb.project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
+        assert np.allclose(new[k], ref, rtol=0.0, atol=1e-12)
+    assert 0.0 <= gap <= 1e-12
+
+
+def test_optimize_block_random_aggregation_unit_rows():
+    rng = np.random.default_rng(38)
+    truth = hb.make_ground_truth(5, rng)
+    W1 = np.array([make_start(truth, 1 / 16, rng) for _ in range(3)])
+    ledger = hb.QueryLedger()
+    out = optimize_block(W1, 1 / 16, 0.1, 7, "random", GAUSS5, NOISE, truth, rng.spawn(3),
+                         ledger, 0.05, DESK)
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-12)
+    assert ledger.label_calls == 21
+
+
+def test_optimize_block_validation():
+    rng = np.random.default_rng(39)
+    truth = hb.make_ground_truth(5, rng)
+    W1 = np.array([make_start(truth, 1 / 16, rng) for _ in range(2)])
+    with pytest.raises(InvalidInputError):
+        optimize_block(W1, 1 / 16, 0.1, 4, "average", GAUSS5, NOISE, truth, rng.spawn(3),
+                       hb.QueryLedger(), 0.05, DESK)  # one stream per row
+    with pytest.raises(InvalidInputError):
+        optimize_block(W1, 1 / 16, 0.6, 4, "average", GAUSS5, NOISE, truth, rng.spawn(2),
+                       hb.QueryLedger(), 0.05, DESK)  # b > R/2
 
 
 def test_learn_small_run_accounting_and_trace():

@@ -196,6 +196,80 @@ def test_band_sampler_direction_scale_bit_exact():
     assert np.array_equal(out[0], out[1])
 
 
+def test_query_labels_rowwise_rule_and_accounting():
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
+    model = hb.massart_band(0.3, 1.0)
+    X = np.array([[2.0, 0.0], [-0.5, 1.0], [0.0, 3.0], [0.5, -1.0], [-3.0, 0.0]])
+    u = np.array([0.1, 0.1, 0.5, 0.29, 0.0])
+    ledger = hb.QueryLedger()
+    y = oracles.query_labels(model, truth, X, u, ledger)
+    # clean outside the margin band; inside it, flipped exactly when u < eta
+    assert y.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0]
+    assert ledger.label_calls == 5
+
+
+def test_lockstep_sampler_law_and_accounting():
+    # 1500 steps span three pre-draw blocks; every row keeps the rejection law
+    b, K, n = 0.3, 4, 1500
+    W_hat = np.array([hb.normalize(v) for v in np.random.default_rng(14).standard_normal((K, 5))])
+    ledger = hb.QueryLedger()
+    sampler = oracles.LockstepBandSampler(
+        GAUSS, b, np.random.default_rng(15).spawn(K), ledger, steps=n)
+    margins, flips = [], []
+    for _ in range(n):
+        X, u, drawn = sampler.draw(W_hat)
+        assert drawn == K
+        margins.append(np.einsum("ij,ij->i", X, W_hat))
+        flips.append(u)
+    margins = np.concatenate(margins)
+    assert float(np.max(np.abs(margins))) <= b + 1e-12
+    p = hb.band_probability(GAUSS, b)
+    se = math.sqrt((1 - p) / p**2 / (n * K))
+    assert ledger.ex_calls / (n * K) == pytest.approx(1.0 / p, abs=3 * se)
+    z = 2.0 * norm.cdf(b) - 1.0
+    assert kstest(margins, lambda x: (norm.cdf(np.clip(x, -b, b)) - norm.cdf(-b)) / z).pvalue > 0.01
+    assert kstest(np.concatenate(flips), "uniform").pvalue > 0.01
+    with pytest.raises(InvalidInputError):
+        sampler.draw(W_hat)  # past its step count
+
+
+def test_lockstep_sampler_row_independent_of_other_rows():
+    K, n = 5, 600
+    W_hat = np.array([hb.normalize(v) for v in np.random.default_rng(16).standard_normal((K, 5))])
+    ball = hb.make_distribution("uniform_ball", 5)
+    for dist in (GAUSS, ball):
+        block = oracles.LockstepBandSampler(
+            dist, 0.2, np.random.default_rng(17).spawn(K), hb.QueryLedger(), steps=n)
+        alone = oracles.LockstepBandSampler(
+            dist, 0.2, [np.random.default_rng(17).spawn(K)[3]], hb.QueryLedger(), steps=n)
+        for _ in range(n):
+            X, u, _ = block.draw(W_hat)
+            X3, u3, _ = alone.draw(W_hat[3:4])
+            assert np.allclose(X3[0], X[3], rtol=0.0, atol=1e-12)
+            assert u3[0] == u[3]
+            assert abs(float(X[3] @ W_hat[3])) <= 0.2 + 1e-12
+
+
+def test_lockstep_sampler_overrun_and_literal_band():
+    W_hat = np.tile(np.eye(5)[0], (3, 1))
+    ledger = hb.QueryLedger()
+    sampler = oracles.LockstepBandSampler(
+        GAUSS, 1e-9, np.random.default_rng(18).spawn(3), ledger, steps=4, max_attempts=50)
+    _, _, drawn = sampler.draw(W_hat)
+    assert drawn == 0
+    assert ledger.ex_calls == 50
+    # a Gaussian band this wide is drawn by literal rejection, still one row per trial
+    wide = hb.make_distribution("gaussian", 5, params=(0.01, 20.0, 0.2, 1.0))
+    ledger = hb.QueryLedger()
+    sampler = oracles.LockstepBandSampler(
+        wide, 7.0, np.random.default_rng(19).spawn(3), ledger, steps=100)
+    for _ in range(100):
+        X, _, drawn = sampler.draw(W_hat)
+        assert drawn == 3
+        assert np.all(np.abs(X[:, 0]) <= 7.0)
+    assert ledger.ex_calls >= 300
+
+
 def test_effective_tsybakov_a_values():
     assert hb.effective_tsybakov_A(1.0, 0.5, GAUSS) == pytest.approx(0.6366197723675814, rel=1e-12)
     assert hb.effective_tsybakov_A(1.0, 0.5, GAUSS) == pytest.approx(4.0 * GAUSS.U, rel=1e-12)

@@ -16,8 +16,6 @@ from halfband.sparse import (
     project_l1_ball,
 )
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def random_constraint(rng, d):
     center2 = rng.standard_normal(d)
@@ -30,7 +28,7 @@ def random_constraint(rng, d):
     )
 
 
-def cvxpy_bregman(u_t, g, alpha, constraint, u1, p):
+def cvxpy_bregman(cvxpy, u_t, g, alpha, constraint, u1, p):
     w = cvxpy.Variable(u_t.shape[0])
     breg = (cvxpy.pnorm(w - u1, p) ** 2 - cvxpy.norm(u_t - u1, p) ** 2
             - 2.0 * (pnorm_sq_grad(u_t - u1, p) @ (w - u_t))) / (2.0 * (p - 1.0))
@@ -84,6 +82,7 @@ def test_l1_projection_lands_on_sphere_and_is_optimal():
 
 
 def test_l1_projection_matches_solver():
+    cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(43)
     for _ in range(5):
         d = int(rng.integers(3, 10))
@@ -118,6 +117,7 @@ def test_intersection_projection_feasible_and_fixed_point():
 
 
 def test_intersection_projection_matches_solver():
+    cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(45)
     for _ in range(3):
         d = 8
@@ -185,6 +185,7 @@ def test_bregman_step_output_feasible():
 
 
 def test_bregman_step_matches_solver():
+    cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(49)
     worst = 0.0
     for k in range(25):
@@ -197,7 +198,7 @@ def test_bregman_step_matches_solver():
         g = rng.standard_normal(d)
         alpha = float(rng.uniform(0.01, 0.5))
         out = bregman_step(u_t, g, alpha, constraint, u1, p)
-        ref = cvxpy_bregman(u_t, g, alpha, constraint, u1, p)
+        ref = cvxpy_bregman(cvxpy, u_t, g, alpha, constraint, u1, p)
         worst = max(worst, float(np.linalg.norm(out - ref)))
     assert worst <= 1e-4
 
