@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     UnsupportedRegimeError,
 )
-from .geometry import angle, hard_threshold, normalize, project_l2_ball, tilde_angle
+from .geometry import angle, hard_threshold, normalize, project_l2_ball
 from .learner import (
     LearnerConfig,
     LearnResult,
@@ -36,8 +36,6 @@ from .oracles import (
     GroundTruth,
     NoiseModel,
     QueryLedger,
-    effective_tsybakov_A,
-    eta,
     eta_of_margin,
     exact_tsybakov_A,
     geometric_tsybakov,
@@ -45,7 +43,6 @@ from .oracles import (
     massart,
     massart_band,
     query_label,
-    rejection_sample_band,
 )
 from .schedules import PROFILES, Profile, Schedule, make_schedule, schedule_for
 from .sparse import bregman_step, project_intersection, project_l1_ball
@@ -70,10 +67,8 @@ __all__ = [
     "band_probability",
     "bregman_step",
     "certify_parameters",
-    "effective_tsybakov_A",
     "erm_select",
     "estimate_psi",
-    "eta",
     "eta_of_margin",
     "exact_disagreement",
     "exact_tsybakov_A",
@@ -93,10 +88,8 @@ __all__ = [
     "project_l1_ball",
     "project_l2_ball",
     "query_label",
-    "rejection_sample_band",
     "sample",
     "schedule_for",
-    "tilde_angle",
     "verify_lemma_suite",
 ]
 

@@ -16,6 +16,7 @@ from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle, normalize
 from .oracles import (
     NoiseModel,
+    _complete_band_points,
     eta_of_margin,
     exact_tsybakov_A,
     geometric_tsybakov,
@@ -32,17 +33,10 @@ class PsiEstimate:
 
 def _band_batch(dist, w_hat, b, rng, n):
     """n points from the band law around unit w_hat, bypassing the ledger."""
-    d = dist.d
     m = dists.truncated_margin(dist, b, 2.0 * rng.random(n) - 1.0)
-    Z = rng.standard_normal((n, d))
-    if dist.family == "gaussian":
-        return Z + (m - Z @ w_hat)[:, None] * w_hat
-    rho = dist.radius
-    V = rng.random(n)
-    P = Z - (Z @ w_hat)[:, None] * w_hat
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
-    rad = np.sqrt(rho * rho - m * m) * V ** (1.0 / (d - 1))
-    return m[:, None] * w_hat + rad[:, None] * P
+    Z = rng.standard_normal((n, dist.d))
+    V = rng.random(n) if dist.family == "uniform_ball" else None
+    return _complete_band_points(dist, np.broadcast_to(w_hat, Z.shape), m, Z, V)
 
 
 def estimate_psi(w, b, dist, noise, truth, n, rng):

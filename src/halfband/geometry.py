@@ -34,12 +34,6 @@ def angle(u, v):
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def tilde_angle(u, v):
-    """Sign-insensitive angle min(theta, pi - theta) in [0, pi/2]."""
-    th = angle(u, v)
-    return min(th, np.pi - th)
-
-
 def project_l2_ball(w, center, radius):
     """Euclidean projection of w onto the ball {x: ||x - center|| <= radius}."""
     if not radius > 0.0:

@@ -51,6 +51,58 @@ def erm_select(candidates, X, y):
     return candidates[int(np.argmin(errs))]
 
 
+def _check_epoch(r, b, T, agg, dist):
+    """Validate one epoch's arguments; returns T as an int."""
+    if not 0.0 < r <= 0.25 + 1e-12:
+        raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
+    if not 0.0 < b <= dist.R / 2.0 + 1e-12:
+        raise InvalidInputError("bandwidth b must lie in (0, R/2]")
+    T = int(T)
+    if T < 1:
+        raise InvalidInputError("iteration count T must be at least 1")
+    if agg not in AGGREGATIONS:
+        raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
+    return T
+
+
+def _row_step(w1, r, alpha, sparse_s):
+    """Start point and update rule of one epoch from w1.
+
+    Returns (start, step) with step(w, y, x) -> (new iterate, feasibility gap).
+    Dense mode takes the gradient step and clips back into ball2(w1, 4r);
+    sparse mode takes bregman_step inside ball2(w1, 4r) and
+    ball1(HT_s(w1), 8r*sqrt(2s)).
+    """
+    radius = 4.0 * r
+    if sparse_s is None:
+        rad_sq = radius * radius
+
+        def ball_step(w, y, x):
+            w = w + (alpha * y) * x
+            diff = w - w1
+            dd = float(diff @ diff)
+            if dd > rad_sq:
+                w = w1 + (radius / math.sqrt(dd)) * diff
+                return w, math.sqrt(float((w - w1) @ (w - w1))) - radius
+            return w, 0.0
+
+        return w1.copy(), ball_step
+
+    p = mirror_p(w1.shape[0])
+    c = SparseConstraint(
+        center2=w1,
+        radius2=radius,
+        center1=hard_threshold(w1, sparse_s),
+        radius1=8.0 * r * math.sqrt(2.0 * sparse_s),
+    )
+
+    def mirror_step(w, y, x):
+        w = bregman_step(w, -y * x, alpha, c, c.center1, p)
+        return w, c.violation(w)
+
+    return project_intersection(w1, c), mirror_step
+
+
 def optimize(
     w1,
     r,
@@ -79,78 +131,32 @@ def optimize(
     """
     w1 = np.asarray(w1, dtype=float)
     d = w1.shape[0]
-    if not 0.0 < r <= 0.25 + 1e-12:
-        raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
-    if not 0.0 < b <= dist.R / 2.0 + 1e-12:
-        raise InvalidInputError("bandwidth b must lie in (0, R/2]")
-    T = int(T)
-    if T < 1:
-        raise InvalidInputError("iteration count T must be at least 1")
-    if agg not in AGGREGATIONS:
-        raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
+    T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
-    radius = 4.0 * r
     sampler = BandSampler(dist, b, rng, ledger, max_attempts=max_attempts)
+    w, step = _row_step(w1, r, alpha, sparse_s)
     acc = np.zeros(d)
     snaps = [] if agg == "random" else None
     max_gap = 0.0
-
-    if sparse_s is None:
-        rad_sq = radius * radius
-        w = w1.copy()
-        for t in range(T):
-            nw = math.sqrt(float(w @ w))
-            if nw == 0.0:
-                w_hat = np.zeros(d)
-                w_hat[0] = 1.0
-            else:
-                w_hat = w / nw
-            if iterate_hook is not None:
-                iterate_hook(t, w.copy())
-            if snaps is None:
-                acc += w_hat
-            else:
-                snaps.append(w_hat)
-            x = sampler.draw(w_hat)
-            y = query_label(noise, truth, x, rng, ledger)
-            w = w + (alpha * y) * x
-            diff = w - w1
-            dd = float(diff @ diff)
-            if dd > rad_sq:
-                w = w1 + (radius / math.sqrt(dd)) * diff
-                gap = math.sqrt(float((w - w1) @ (w - w1))) - radius
-                if gap > max_gap:
-                    max_gap = gap
-    else:
-        p = mirror_p(d)
-        u1 = hard_threshold(w1, sparse_s)
-        constraint = SparseConstraint(
-            center2=w1,
-            radius2=radius,
-            center1=u1,
-            radius1=8.0 * r * math.sqrt(2.0 * sparse_s),
-        )
-        w = project_intersection(w1, constraint)
-        for t in range(T):
-            nw = math.sqrt(float(w @ w))
-            if nw == 0.0:
-                w_hat = np.zeros(d)
-                w_hat[0] = 1.0
-            else:
-                w_hat = w / nw
-            if iterate_hook is not None:
-                iterate_hook(t, w.copy())
-            if snaps is None:
-                acc += w_hat
-            else:
-                snaps.append(w_hat)
-            x = sampler.draw(w_hat)
-            y = query_label(noise, truth, x, rng, ledger)
-            w = bregman_step(w, -y * x, alpha, constraint, u1, p)
-            gap = constraint.violation(w)
-            if gap > max_gap:
-                max_gap = gap
+    for t in range(T):
+        nw = math.sqrt(float(w @ w))
+        if nw == 0.0:
+            w_hat = np.zeros(d)
+            w_hat[0] = 1.0
+        else:
+            w_hat = w / nw
+        if iterate_hook is not None:
+            iterate_hook(t, w.copy())
+        if snaps is None:
+            acc += w_hat
+        else:
+            snaps.append(w_hat)
+        x = sampler.draw(w_hat)
+        y = query_label(noise, truth, x, rng, ledger)
+        w, gap = step(w, y, x)
+        if gap > max_gap:
+            max_gap = gap
 
     if monitor is not None:
         prev = monitor.get("max_feasibility_gap", 0.0)
@@ -166,11 +172,11 @@ def _projected_step(W1, r, alpha, sparse_s):
     """Start block and update rule of optimize's epoch, row by row over a (K, d) block.
 
     Returns (W, step) with step(W, y, X) -> (new W, largest feasibility gap of
-    the step). Dense rows clip back into ball2(W1[k], 4r); sparse rows take
-    bregman_step inside their own l2/l1 intersection, as optimize does.
+    the step). Dense rows clip back into ball2(W1[k], 4r) in one vectorized
+    update; sparse rows take _row_step's mirror step one row at a time.
     """
-    radius = 4.0 * r
     if sparse_s is None:
+        radius = 4.0 * r
         rad_sq = radius * radius
 
         def ball_step(W, y, X):
@@ -187,25 +193,13 @@ def _projected_step(W1, r, alpha, sparse_s):
 
         return W1.copy(), ball_step
 
-    p = mirror_p(W1.shape[1])
-    constraints = [
-        SparseConstraint(
-            center2=w1,
-            radius2=radius,
-            center1=hard_threshold(w1, sparse_s),
-            radius1=8.0 * r * math.sqrt(2.0 * sparse_s),
-        )
-        for w1 in W1
-    ]
+    rows = [_row_step(w1, r, alpha, sparse_s) for w1 in W1]
 
     def mirror_step(W, y, X):
-        W = np.array(
-            [bregman_step(w, -yk * x, alpha, c, c.center1, p)
-             for w, yk, x, c in zip(W, y, X, constraints)]
-        )
-        return W, max(c.violation(w) for w, c in zip(W, constraints))
+        stepped = [step(w, yk, x) for (_, step), w, yk, x in zip(rows, W, y, X)]
+        return np.array([w for w, _ in stepped]), max(gap for _, gap in stepped)
 
-    return np.array([project_intersection(w1, c) for w1, c in zip(W1, constraints)]), mirror_step
+    return np.array([start for start, _ in rows]), mirror_step
 
 
 def optimize_block(
@@ -238,15 +232,7 @@ def optimize_block(
     K, d = W1.shape
     if len(streams) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")
-    if not 0.0 < r <= 0.25 + 1e-12:
-        raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
-    if not 0.0 < b <= dist.R / 2.0 + 1e-12:
-        raise InvalidInputError("bandwidth b must lie in (0, R/2]")
-    T = int(T)
-    if T < 1:
-        raise InvalidInputError("iteration count T must be at least 1")
-    if agg not in AGGREGATIONS:
-        raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
+    T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
     if agg == "random":  # which step's iterate each row returns, and its sign

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dists
 from .errors import BandTooThinError, InvalidInputError
@@ -102,11 +101,6 @@ def eta_of_margin(model, m):
     raise InvalidInputError(f"unknown noise kind {model.kind!r}")
 
 
-def eta(model, truth, x):
-    """Flip rate at a single point x."""
-    return float(eta_of_margin(model, np.dot(truth.w_star, np.asarray(x, dtype=float))))
-
-
 def query_label(model, truth, x, rng, ledger):
     """One labeling-oracle call: sign(<w*,x>) flipped with probability eta(x).
 
@@ -175,47 +169,15 @@ def _complete_band_points(dist, W_hat, m, Z, V):
     return m[:, None] * W_hat + radial[:, None] * Z_perp
 
 
-def rejection_sample_band(dist, w_hat, b, rng, ledger, max_attempts=None):
-    """Draw x ~ D conditioned on |<w_hat,x>| <= b, charging EX calls per attempt.
-
-    Law-exact equivalent of querying EX until a point lands in the band.
-    Raises BandTooThinError (carrying b) once a draw would exceed the attempt
-    budget, with the budget's worth of EX calls charged, exactly as a literal
-    loop would have.
-    """
-    if not b > 0:
-        raise InvalidInputError("rejection_sample_band: b must be positive")
-    w_hat = np.asarray(w_hat, dtype=float)
-    p = dists.band_probability(dist, b)
-    if max_attempts is None:
-        max_attempts = default_max_attempts(p)
-    if dist.family == "gaussian" and special.ndtr(b) >= 1.0 - 1e-9:
-        # inverse CDF is numerically degenerate this far out; the band is nearly
-        # the whole space, so literal rejection is cheap and exact
-        for _ in range(max_attempts):
-            x = dists.sample(dist, rng)
-            ledger.ex_calls += 1
-            if abs(x @ w_hat) <= b:
-                return x
-        raise BandTooThinError(b, max_attempts)
-    g = int(_geometric_attempts(p, rng.random())[()])
-    if g > max_attempts:
-        ledger.ex_calls += max_attempts
-        raise BandTooThinError(b, max_attempts)
-    ledger.ex_calls += g
-    m = float(dists.truncated_margin(dist, b, 2.0 * rng.random() - 1.0))
-    z = rng.standard_normal(dist.d)
-    v = rng.random() if dist.family == "uniform_ball" else 0.0
-    return _complete_band_point(dist, w_hat, m, z, v)
-
-
 class BandSampler:
     """Band-conditional draws around a per-call unit direction, block-buffered.
 
     Margins, attempt counts, and the isotropic completion variables are
     pre-drawn in blocks (they are i.i.d. and independent of the direction),
-    which keeps the per-draw law identical to rejection_sample_band while
-    amortizing generator overhead across an optimization loop.
+    which keeps the per-draw law that of literal rejection (module docstring)
+    while amortizing generator overhead across an optimization loop. A draw
+    past the attempt budget charges the budget's worth of EX calls and raises
+    BandTooThinError, exactly as a literal loop would have.
     """
 
     def __init__(self, dist, b, rng, ledger=None, max_attempts=None, block=8192):
@@ -230,7 +192,6 @@ class BandSampler:
             default_max_attempts(self.p) if max_attempts is None else int(max_attempts)
         )
         self.block = int(block)
-        self.literal = dist.family == "gaussian" and special.ndtr(b) >= 1.0 - 1e-9
         self.pos = self.block  # force a refill on first draw
 
     def _refill(self):
@@ -242,11 +203,6 @@ class BandSampler:
         self.pos = 0
 
     def draw(self, w_hat):
-        if self.literal:
-            ledger = self.ledger if self.ledger is not None else QueryLedger()
-            return rejection_sample_band(
-                self.dist, w_hat, self.b, self.rng, ledger, self.max_attempts
-            )
         if self.pos >= self.block:
             self._refill()
         i = self.pos
@@ -270,8 +226,8 @@ class LockstepBandSampler:
     completions and label-flip uniforms are pre-drawn as in BandSampler._refill,
     in blocks of at most BLOCK steps laid out by the epoch length alone, so
     trial k's draws do not depend on the other trials or on K. Each row has the
-    law of rejection_sample_band, and the EX charges are those of the K draws
-    made one after another.
+    law of BandSampler.draw, and the EX charges are those of the K draws made
+    one after another.
     """
 
     # steps pre-drawn at a time; whole-epoch pre-draws took the peak RSS of one
@@ -290,7 +246,6 @@ class LockstepBandSampler:
             default_max_attempts(self.p) if max_attempts is None else int(max_attempts)
         )
         self.left = int(steps)  # steps not yet pre-drawn
-        self.literal = dist.family == "gaussian" and special.ndtr(b) >= 1.0 - 1e-9
         self.pos = self.n = 0
 
     def _refill(self):
@@ -302,23 +257,20 @@ class LockstepBandSampler:
         # per trial: attempt, margin, radius (uniform ball only) and flip uniforms;
         # trial-major rows, so each stream fills its own slots in its own order
         U = np.zeros((4, K, n))
-        Z = None if self.literal else np.empty((K, n, self.dist.d))
+        self.Z = np.empty((K, n, self.dist.d))
         for k, g in enumerate(self.streams):
-            if not self.literal:  # literal bands draw margins by rejection in draw()
-                g.random(out=U[0, k])
-                g.random(out=U[1, k])
-                g.standard_normal(out=Z[k])
-                if self.dist.family == "uniform_ball":
-                    g.random(out=U[2, k])
+            g.random(out=U[0, k])
+            g.random(out=U[1, k])
+            g.standard_normal(out=self.Z[k])
+            if self.dist.family == "uniform_ball":
+                g.random(out=U[2, k])
             g.random(out=U[3, k])
         self.V, self.flips = U[2], U[3]
-        if not self.literal:
-            self.Z = Z
-            self.attempts = _geometric_attempts(self.p, U[0])
-            self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * U[1] - 1.0)
-            self.step_ex = self.attempts.sum(axis=0).tolist()
-            over = (self.attempts > self.max_attempts).any(axis=0)
-            self.overrun = int(np.argmax(over)) if over.any() else n  # first step over budget
+        self.attempts = _geometric_attempts(self.p, U[0])
+        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * U[1] - 1.0)
+        self.step_ex = self.attempts.sum(axis=0).tolist()
+        over = (self.attempts > self.max_attempts).any(axis=0)
+        self.overrun = int(np.argmax(over)) if over.any() else n  # first step over budget
         self.left -= n
         self.n = n
         self.pos = 0
@@ -334,16 +286,6 @@ class LockstepBandSampler:
             self._refill()
         i = self.pos
         self.pos += 1
-        if self.literal:
-            X = np.empty_like(W_hat)
-            for k, g in enumerate(self.streams):
-                try:
-                    X[k] = rejection_sample_band(
-                        self.dist, W_hat[k], self.b, g, self.ledger, self.max_attempts
-                    )
-                except BandTooThinError:
-                    return X, self.flips[:, i], k
-            return X, self.flips[:, i], len(self.streams)
         drawn = len(self.streams)
         if i == self.overrun:
             g = self.attempts[:, i]
@@ -355,22 +297,6 @@ class LockstepBandSampler:
             self.dist, W_hat, self.margins[:, i], self.Z[:, i], self.V[:, i]
         )
         return X, self.flips[:, i], drawn
-
-
-def effective_tsybakov_A(B, alpha, dist):
-    """Coefficient 4 U beta (1/B)^{alpha/(1-alpha)}.
-
-    Reported (A, alpha) that a geometric noise generator justifies for
-    plain-Tsybakov schedules, valid up to a logarithmic factor in the tail
-    bound. alpha = 1 degenerates to bounded (Massart-like) noise: returns 0.
-    """
-    if not B > 0:
-        raise InvalidInputError("effective_tsybakov_A: B must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError("effective_tsybakov_A: alpha must lie in (0, 1]")
-    if alpha == 1.0:
-        return 0.0
-    return 4.0 * dist.U * dist.beta * (1.0 / B) ** (alpha / (1.0 - alpha))
 
 
 def exact_tsybakov_A(B, alpha, dist):

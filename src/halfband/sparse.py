@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidInputError, NumericalError
+from .geometry import project_l2_ball
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,6 @@ def project_l1_ball(v, center, radius):
     return center + np.sign(z) * np.maximum(a - theta, 0.0)
 
 
-def _project_l2(v, center, radius):
-    diff = v - center
-    dist = float(np.linalg.norm(diff))
-    if dist <= radius:
-        return v.copy()
-    return center + (radius / dist) * diff
-
-
 def project_intersection(v, constraint, tol=1e-12, max_iter=1000):
     """Dykstra projection onto the l2/l1 intersection."""
     x = np.asarray(v, dtype=float).copy()
@@ -65,7 +58,7 @@ def project_intersection(v, constraint, tol=1e-12, max_iter=1000):
     q_inc = np.zeros_like(x)
     scale = 1.0 + float(np.linalg.norm(x))
     for _ in range(max_iter):
-        y = _project_l2(x + p_inc, constraint.center2, constraint.radius2)
+        y = project_l2_ball(x + p_inc, constraint.center2, constraint.radius2)
         p_inc = x + p_inc - y
         x_new = project_l1_ball(y + q_inc, constraint.center1, constraint.radius1)
         q_inc = y + q_inc - x_new
@@ -195,7 +188,7 @@ def bregman_step(u_t, g, alpha, constraint, u1, p, tol=1e-8, max_iter=10**4):
         vbar = 0.5 * ((z1 - y1) + (z2 - y2))
         w, s_warm = _pnorm_linear_prox(lin, u1, vbar, rho, p, s_warm=s_warm)
         z1_new = project_l1_ball(w + y1, constraint.center1, constraint.radius1)
-        z2_new = _project_l2(w + y2, constraint.center2, constraint.radius2)
+        z2_new = project_l2_ball(w + y2, constraint.center2, constraint.radius2)
         y1 += w - z1_new
         y2 += w - z2_new
         r_prim = math.sqrt(

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from halfband import cli
 from halfband.cli import CSV_COLUMNS, main
+from halfband.errors import NumericalError
 
 TINY = {
     "seed": 404,
@@ -191,6 +193,44 @@ def test_unknown_noise_kind_exits_2(tmp_path, capsys):
     cfg = dict(TINY, noise={"kind": "salt_and_pepper", "eta": 0.1})
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     assert "noise" in capsys.readouterr().err
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"noise": {"kind": "massart"}},  # missing eta
+        {"multipliers": {"c_Q": 1.0}},
+        {"seed": "x"},
+        {"seed": -1},
+        {"replicates": 0},
+    ],
+    ids=["missing-eta", "unknown-multiplier", "string-seed", "negative-seed", "zero-replicates"],
+)
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, change):
+    cfg = dict(TINY, out=str(tmp_path / "out"), **change)
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_numerical_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
+    learn = cli.learn
+
+    def failing_first(config):
+        if config.seed[1] == 0:
+            raise NumericalError("mirror step failed to converge")
+        return learn(config)
+
+    monkeypatch.setattr(cli, "learn", failing_first)
+    cfg = dict(TINY, replicates=2, out=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = read_rows(tmp_path / "out")
+    assert rows[0]["error"] == "mirror step failed to converge"
+    assert rows[1]["error"] == ""
+    assert int(rows[1]["label_calls"]) == int(rows[1]["init_labels"]) + int(rows[1]["main_labels"])
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failures"] == 1
+
 
 def test_unknown_dist_param_exits_2(tmp_path):
     cfg = dict(TINY)

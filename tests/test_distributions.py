@@ -124,6 +124,17 @@ def test_truncated_margin_matches_conditional_law():
         assert kstest(m, cdf).pvalue > 0.01
 
 
+def test_truncated_margin_gaussian_wide_band_stays_finite():
+    # ndtr(b) rounds to 1 for b >~ 8.3, where u = -1 used to map to -inf
+    dist = hb.make_distribution("gaussian", 5)
+    u = np.concatenate([[-1.0, -1.0 + 1e-16, 0.0, 1.0 - 1e-16],
+                        2.0 * np.random.default_rng(16).random(1000) - 1.0])
+    for b in (7.0, 9.0, 20.0):
+        m = dists.truncated_margin(dist, b, u)
+        assert np.all(np.isfinite(m))
+        assert float(np.max(np.abs(m))) <= b
+
+
 def test_exact_disagreement_examples():
     dist = hb.make_distribution("gaussian", 2)
     u = np.array([1.0, 0.0])

@@ -56,14 +56,6 @@ def test_angle_rejects_zero_vector():
         hb.angle(np.zeros(3), np.ones(3))
 
 
-def test_tilde_angle_folds_at_pi_half():
-    e1, e2 = np.eye(2)
-    assert hb.tilde_angle(e1, -e1) == pytest.approx(0.0, abs=1e-12)
-    v = unit([1.0, 0.2])
-    assert hb.tilde_angle(e1, -v) == pytest.approx(hb.angle(e1, v), abs=1e-12)
-    assert hb.tilde_angle(e1, e2) == pytest.approx(math.pi / 2, rel=1e-12)
-
-
 def test_angle_l2_inequalities_zero_violations():
     # (i) ||normalize(w) - u|| <= 2||w - u||, (ii) angle(w,u) <= pi ||w - u||,
     # (iii) unit w: ||w - u|| <= angle(w,u); u unit throughout

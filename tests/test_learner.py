@@ -1,5 +1,6 @@
 """Epoch optimizer, initialization, full learner: contracts and accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -315,6 +316,28 @@ def test_learn_rerun_is_bit_identical():
         return hb.learn(config)
 
     a, b = one(), one()
+    assert a.v.tobytes() == b.v.tobytes()
+    assert a.ledger == b.ledger
+    assert a.trace == b.trace
+
+
+def test_learn_uniform_ball_end_to_end():
+    def one():
+        config = hb.LearnerConfig(
+            dist=hb.make_distribution("uniform_ball", 5),
+            noise=hb.massart(0.2),
+            epsilon=0.3,
+            delta=0.05,
+            seed=(11, 0),
+            profile=dataclasses.replace(DESK, c_T=0.002, c_S=4.0),
+            trace_angles=True,
+        )
+        return hb.learn(config)
+
+    a, b = one(), one()
+    assert a.ledger.label_calls == a.schedule.total_label_budget()
+    assert a.max_feasibility_gap <= 1e-9
+    assert float(np.linalg.norm(a.v)) == pytest.approx(1.0, rel=1e-12)
     assert a.v.tobytes() == b.v.tobytes()
     assert a.ledger == b.ledger
     assert a.trace == b.trace

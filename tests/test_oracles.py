@@ -1,4 +1,4 @@
-"""Label oracle, noise models, ground truth, band rejection sampling, ledger."""
+"""Label oracle, noise models, ground truth, band sampling, ledger."""
 
 import math
 
@@ -19,7 +19,7 @@ def test_massart_eta_is_constant():
     model = hb.massart(0.2)
     truth = hb.make_ground_truth(5, np.random.default_rng(0))
     for x in np.random.default_rng(1).standard_normal((10, 5)):
-        assert hb.eta(model, truth, x) == 0.2
+        assert hb.eta_of_margin(model, x @ truth.w_star) == 0.2
 
 
 def test_massart_validation():
@@ -105,50 +105,13 @@ def test_query_label_flip_rate_binomial():
     assert ledger.label_calls == n
 
 
-def test_rejection_sample_band_acceptance_predicate():
-    rng = np.random.default_rng(7)
-    ledger = hb.QueryLedger()
-    w_hat = hb.normalize(rng.standard_normal(5))
-    for _ in range(2000):
-        x = hb.rejection_sample_band(GAUSS, w_hat, 0.25, rng, ledger)
-        assert abs(float(x @ w_hat)) <= 0.25 + 1e-12
-
-
-def test_rejection_sample_band_mean_attempts():
-    rng = np.random.default_rng(8)
-    ledger = hb.QueryLedger()
-    w_hat = np.zeros(5)
-    w_hat[0] = 1.0
-    n = 10**4
-    for _ in range(n):
-        hb.rejection_sample_band(GAUSS, w_hat, 0.5, rng, ledger)
-    mean_attempts = ledger.ex_calls / n
-    assert mean_attempts == pytest.approx(1.0 / 0.38292492254802624, rel=0.05)
-
-
-def test_rejection_sample_band_margin_law():
-    rng = np.random.default_rng(9)
-    ledger = hb.QueryLedger()
-    w_hat = hb.normalize(np.ones(5))
-    b = 0.5
-    m = np.array([float(hb.rejection_sample_band(GAUSS, w_hat, b, rng, ledger) @ w_hat)
-                  for _ in range(10**4)])
-    z = 2.0 * norm.cdf(b) - 1.0
-
-    def cdf(x):
-        return (norm.cdf(np.clip(x, -b, b)) - norm.cdf(-b)) / z
-
-    assert kstest(m, cdf).pvalue > 0.01
-
-
 def test_rejection_sample_band_orthogonal_coordinate_law():
-    # conditioning on the band leaves orthogonal directions standard normal
-    rng = np.random.default_rng(10)
-    ledger = hb.QueryLedger()
+    # conditioning on the band leaves orthogonal directions standard normal; BandSampler
+    # draws have the law of literal rejection sampling (oracles module docstring)
     w_hat = np.zeros(5)
     w_hat[0] = 1.0
-    X = np.array([hb.rejection_sample_band(GAUSS, w_hat, 0.5, rng, ledger)
-                  for _ in range(10**5)])
+    sampler = hb.BandSampler(GAUSS, 0.5, np.random.default_rng(10), ledger=hb.QueryLedger())
+    X = np.array([sampler.draw(w_hat) for _ in range(10**5)])
     assert kstest(X[:, 1], lambda t: norm.cdf(t)).pvalue > 0.01
     assert kstest(X[:, 4], lambda t: norm.cdf(t)).pvalue > 0.01
 
@@ -158,8 +121,9 @@ def test_band_too_thin_charges_cap_and_raises():
     ledger = hb.QueryLedger()
     w_hat = np.zeros(5)
     w_hat[0] = 1.0
+    sampler = hb.BandSampler(GAUSS, 1e-9, rng, ledger=ledger, max_attempts=50)
     with pytest.raises(BandTooThinError) as err:
-        hb.rejection_sample_band(GAUSS, w_hat, 1e-9, rng, ledger, max_attempts=50)
+        sampler.draw(w_hat)
     assert err.value.attempts == 50
     assert err.value.b == pytest.approx(1e-9)
     assert ledger.ex_calls == 50
@@ -258,7 +222,8 @@ def test_lockstep_sampler_overrun_and_literal_band():
     _, _, drawn = sampler.draw(W_hat)
     assert drawn == 0
     assert ledger.ex_calls == 50
-    # a Gaussian band this wide is drawn by literal rejection, still one row per trial
+    # a Gaussian band this wide has ndtr(b) within 1e-11 of 1; the inverse CDF
+    # still keeps every row inside it, one row per trial
     wide = hb.make_distribution("gaussian", 5, params=(0.01, 20.0, 0.2, 1.0))
     ledger = hb.QueryLedger()
     sampler = oracles.LockstepBandSampler(
@@ -268,12 +233,6 @@ def test_lockstep_sampler_overrun_and_literal_band():
         assert drawn == 3
         assert np.all(np.abs(X[:, 0]) <= 7.0)
     assert ledger.ex_calls >= 300
-
-
-def test_effective_tsybakov_a_values():
-    assert hb.effective_tsybakov_A(1.0, 0.5, GAUSS) == pytest.approx(0.6366197723675814, rel=1e-12)
-    assert hb.effective_tsybakov_A(1.0, 0.5, GAUSS) == pytest.approx(4.0 * GAUSS.U, rel=1e-12)
-    assert hb.effective_tsybakov_A(2.0, 1.0, GAUSS) == 0.0
 
 
 def test_exact_tsybakov_a_gaussian():
