@@ -19,11 +19,12 @@ import numpy as np
 from . import distributions as dists
 from . import schedules
 from .diagnostics import excess_error, verify_lemma_suite
-from .errors import BandTooThinError, InvalidInputError, NumericalError
+from .errors import BandTooThinError, InvalidInputError, InvariantError, NumericalError
 from .geometry import angle
 from .learner import LearnerConfig, learn
 from .oracles import geometric_tsybakov, make_ground_truth, massart, massart_band
-from .schedules import PROFILES, iteration_count, schedule_for
+from .schedules import PROFILES, REGIMES, Profile, iteration_count
+from .schedules import schedule_for  # noqa: F401  unused; perfbench/layertrace.py patches it here
 
 CSV_COLUMNS = [
     "seed",
@@ -68,7 +69,15 @@ SWEEP_COLUMNS = [
     "eps0",
 ]
 
-SWEEP_AXES = ("eta", "epsilon", "alpha", "B", "d", "s")
+# sweep axis -> (config section it edits, None for top level; key)
+SWEEP_AXES = {
+    "eta": ("noise", "eta"),
+    "epsilon": (None, "epsilon"),
+    "alpha": ("noise", "alpha"),
+    "B": ("noise", "B"),
+    "d": ("dist", "d"),
+    "s": (None, "sparse_s"),
+}
 
 # noise kind -> (constructor, its config fields in argument order)
 NOISE_KINDS = {
@@ -77,48 +86,170 @@ NOISE_KINDS = {
     "geometric_tsybakov": (geometric_tsybakov, ("B", "alpha")),
 }
 
+# every top-level key a config may hold
+CONFIG_KEYS = (
+    "seed", "dist", "noise", "epsilon", "delta", "profile", "multipliers", "replicates",
+    "sparse_s", "regime", "tsybakov_A", "trace", "excess_mc_samples", "max_attempts", "out",
+    "sweep", "certify_samples", "verify_samples",
+)
+
+REQUIRED = object()  # _get default for a key that must be present and non-null
+
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "true or false", dict: "an object", list: "a list"}
+
+
+def _read(value, kind, name, lo=None, hi=None):
+    """value checked as `kind` and within [lo, hi]; errors name the dotted key `name`."""
+    if isinstance(value, bool) != (kind is bool):
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise InvalidInputError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if lo is not None and value < lo:
+        raise InvalidInputError(f"{name} must be at least {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise InvalidInputError(f"{name} must be at most {hi}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _get(section, key, kind, default=None, lo=None, hi=None, where=""):
+    """section[key] read as `kind`; null or absent means default."""
+    value = section.get(key)
+    if value is None:
+        if default is REQUIRED:
+            raise InvalidInputError(f"config needs {where}{key}")
+        return default
+    return _read(value, kind, where + key, lo, hi)
+
+
+def _known(section, keys, where=""):
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise InvalidInputError(f"unknown config keys {[where + k for k in unknown]}")
+
 
 def noise_from_config(raw):
-    kind = raw.get("kind")
+    kind = _get(raw, "kind", str, REQUIRED, where="noise.")
     if kind not in NOISE_KINDS:
-        raise InvalidInputError(f"unknown noise kind {kind!r}")
+        raise InvalidInputError(f"unknown noise kind {kind!r}; choose from {sorted(NOISE_KINDS)}")
     make, fields = NOISE_KINDS[kind]
-    missing = [f for f in fields if f not in raw]
-    if missing:
-        raise InvalidInputError(f"noise kind {kind!r} needs field(s) {missing}")
-    return make(*(float(raw[f]) for f in fields))
+    _known(raw, ("kind", *fields), "noise.")
+    return make(*(_get(raw, f, float, REQUIRED, where="noise.") for f in fields))
 
 
 def dist_from_config(raw):
-    family = raw.get("family", "gaussian")
-    d = int(raw.get("d", 0))
-    params = raw.get("params")
+    _known(raw, ("family", "d", "params"), "dist.")
+    family = _get(raw, "family", str, "gaussian", where="dist.")
+    # 2^53: the schedules and uniform_ball constants take d as a float
+    d = _get(raw, "d", int, REQUIRED, lo=2, hi=2**53, where="dist.")
+    params = _get(raw, "params", dict, where="dist.")
     if params is not None:
         # named overrides merged onto the family defaults, canonical order
-        base = dict(zip(("L", "R", "U", "beta"), dists.default_params(family, d)))
-        unknown = set(params) - set(base)
-        if unknown:
-            raise InvalidInputError(f"unknown dist params {sorted(unknown)}")
-        base.update({k: float(v) for k, v in params.items()})
-        params = (base["L"], base["R"], base["U"], base["beta"])
+        names = ("L", "R", "U", "beta")
+        _known(params, names, "dist.params.")
+        defaults = dists.default_params(family, d)
+        params = tuple(
+            _get(params, k, float, v, where="dist.params.") for k, v in zip(names, defaults)
+        )
     return dists.make_distribution(family, d, params=params)
 
 
 def profile_from_config(cfg):
-    name = cfg.get("profile", "desk")
+    name = _get(cfg, "profile", str, "desk")
     if name not in PROFILES:
         raise InvalidInputError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
-    profile = PROFILES[name]
-    override = cfg.get("multipliers")
-    if override:
-        unknown = set(override) - {f.name for f in dataclasses.fields(profile)}
-        if unknown:
-            raise InvalidInputError(f"unknown multipliers {sorted(unknown)}")
-        profile = dataclasses.replace(profile, **{k: float(v) for k, v in override.items()})
-    return name, profile
+    override = _get(cfg, "multipliers", dict, {})
+    _known(override, [f.name for f in dataclasses.fields(Profile)], "multipliers.")
+    values = {k: _get(override, k, float, where="multipliers.") for k in override}
+    values = {k: v for k, v in values.items() if v is not None}
+    for k, v in values.items():
+        if not v > 0:
+            raise InvalidInputError(f"multipliers.{k} must be positive, got {v!r}")
+    return name, dataclasses.replace(PROFILES[name], **values)
+
+
+def sweep_from_config(raw, noise):
+    """(axis, values) of a sweep section; the swept noise field must belong to the noise kind."""
+    _known(raw, ("axis", "values"), "sweep.")
+    axis = _get(raw, "axis", str, REQUIRED, where="sweep.")
+    if axis not in SWEEP_AXES:
+        raise InvalidInputError(f"sweep.axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+    section, key = SWEEP_AXES[axis]
+    if section == "noise" and key not in NOISE_KINDS[noise.kind][1]:
+        raise InvalidInputError(f"sweep.axis {axis!r} is not a field of noise kind {noise.kind!r}")
+    values = _get(raw, "values", list, REQUIRED, where="sweep.")
+    if not values:
+        raise InvalidInputError("sweep.values must be a nonempty list")
+    kind = int if axis in ("d", "s") else float
+    for i, value in enumerate(values):
+        _read(value, kind, f"sweep.values[{i}]")
+    return axis, tuple(values)
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """One checked config; subcommands read it instead of the JSON."""
+
+    raw: dict  # the merged JSON, for the CSV noise columns and sweep points
+    learner: LearnerConfig  # at the base seed
+    replicates: int
+    profile_name: str
+    out: str | None
+    excess_mc_samples: int
+    certify_samples: int
+    verify_samples: int
+    sweep: tuple | None  # (axis, values), for the sweep command only
+
+    def replicate(self, r):
+        """Learner config of replicate r, on the substream (seed, r)."""
+        return dataclasses.replace(self.learner, seed=(self.learner.seed, r))
+
+
+def parse_spec(cfg, command):
+    """Check every value of a merged config once; InvalidInputError names the bad key."""
+    _known(cfg, CONFIG_KEYS)
+    seed = _get(cfg, "seed", int, REQUIRED, lo=0)
+    dist = dist_from_config(_get(cfg, "dist", dict, REQUIRED))
+    noise = _get(cfg, "noise", dict, None if command == "verify" else REQUIRED)
+    noise = None if noise is None else noise_from_config(noise)
+    profile_name, profile = profile_from_config(cfg)
+    regime = _get(cfg, "regime", str)
+    if regime is not None and regime not in REGIMES:
+        raise InvalidInputError(f"regime must be one of {REGIMES}, got {regime!r}")
+    learner = LearnerConfig(
+        dist=dist,
+        noise=noise,
+        epsilon=_get(cfg, "epsilon", float, 0.1),
+        delta=_get(cfg, "delta", float, 0.05),
+        seed=seed,
+        sparse_s=_get(cfg, "sparse_s", int, lo=1),
+        regime=regime,
+        # plain-Tsybakov schedules need an explicit coefficient; default 1.0
+        A=_get(cfg, "tsybakov_A", float, 1.0 if regime == "TNC" else None),
+        profile=profile,
+        trace_angles=_get(cfg, "trace", bool, False),
+        max_attempts=_get(cfg, "max_attempts", int, lo=1),
+    )
+    sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
+    return RunSpec(
+        raw=cfg,
+        learner=learner,
+        replicates=_get(cfg, "replicates", int, 1, lo=1),
+        profile_name=profile_name,
+        out=_get(cfg, "out", str) or None,
+        excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1),
+        certify_samples=_get(cfg, "certify_samples", int, 10**5, lo=1),
+        verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=1),
+        sweep=sweep_from_config(sweep, noise) if command == "sweep" else None,
+    )
 
 
 def load_config(path, overrides):
+    """The config file's JSON object with the non-null command-line overrides merged in."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -129,61 +260,25 @@ def load_config(path, overrides):
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    if "dist" not in cfg or "noise" not in cfg:
-        raise InvalidInputError("config needs 'dist' and 'noise' sections")
-    if "seed" not in cfg or cfg["seed"] is None:
-        raise InvalidInputError("a seed is mandatory; pass --seed or set it in the config")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
-        raise InvalidInputError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
-    replicates = cfg.get("replicates", 1)
-    if not _is_int(replicates) or replicates < 1:
-        raise InvalidInputError(f"replicates must be an integer >= 1, got {replicates!r}")
     return cfg
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def tsybakov_A_for(cfg, noise, dist):
-    # plain-Tsybakov schedules need an explicit coefficient; default 1.0
-    if cfg.get("regime") == "TNC" and cfg.get("tsybakov_A") is None:
-        return 1.0
-    value = cfg.get("tsybakov_A")
-    return None if value is None else float(value)
-
-
 def learner_config(cfg, replicate):
-    dist = dist_from_config(cfg["dist"])
-    noise = noise_from_config(cfg["noise"])
-    _, profile = profile_from_config(cfg)
-    return LearnerConfig(
-        dist=dist,
-        noise=noise,
-        epsilon=float(cfg.get("epsilon", 0.1)),
-        delta=float(cfg.get("delta", 0.05)),
-        seed=(int(cfg["seed"]), int(replicate)),
-        sparse_s=None if cfg.get("sparse_s") is None else int(cfg["sparse_s"]),
-        regime=cfg.get("regime"),
-        A=tsybakov_A_for(cfg, noise, dist),
-        profile=profile,
-        trace_angles=bool(cfg.get("trace", False)),
-        max_attempts=None if cfg.get("max_attempts") is None else int(cfg["max_attempts"]),
-    )
+    return parse_spec(cfg, "run").replicate(replicate)
 
 
-def run_one(cfg, replicate):
-    config = learner_config(cfg, replicate)
-    profile_name, _ = profile_from_config(cfg)
-    noise_raw = cfg["noise"]
+def run_one(spec, replicate):
+    config = spec.replicate(replicate)
+    seed = spec.learner.seed
+    noise_raw = spec.raw["noise"]
     row = {col: "" for col in CSV_COLUMNS}
     row.update(
-        seed=int(cfg["seed"]),
-        replicate=int(replicate),
+        seed=seed,
+        replicate=replicate,
         family=config.dist.family,
         d=config.dist.d,
         s="" if config.sparse_s is None else config.sparse_s,
-        noise_kind=noise_raw["kind"],
+        noise_kind=config.noise.kind,
         eta=noise_raw.get("eta", ""),
         tau=noise_raw.get("tau", ""),
         B=noise_raw.get("B", ""),
@@ -191,26 +286,25 @@ def run_one(cfg, replicate):
         A="" if config.A is None else config.A,
         epsilon=config.epsilon,
         delta=config.delta,
-        profile=profile_name,
+        profile=spec.profile_name,
     )
     start = time.perf_counter()
     try:
         result = learn(config)
     except (BandTooThinError, NumericalError) as exc:
         row["error"] = str(exc)
-        row["regime"] = cfg.get("regime") or schedules.regime_for_noise(config.noise)
+        row["regime"] = config.regime or schedules.regime_for_noise(config.noise)
         row["wall_time_s"] = time.perf_counter() - start
         return row, []
     row["wall_time_s"] = time.perf_counter() - start
-    mc_rng = np.random.default_rng((int(cfg["seed"]), int(replicate), 907))
-    mc_n = int(cfg.get("excess_mc_samples", 200000))
+    mc_rng = np.random.default_rng((seed, replicate, 907))
     excess = excess_error(
         result.v,
         config.dist,
         config.noise,
         result.truth,
         rng=mc_rng,
-        n=mc_n,
+        n=spec.excess_mc_samples,
         method="auto",
     )
     row.update(
@@ -224,10 +318,8 @@ def run_one(cfg, replicate):
         feasibility_gap=result.max_feasibility_gap,
     )
     if result.max_feasibility_gap > 1e-9:
-        raise InvalidInputError(
-            f"iterate feasibility violated by {result.max_feasibility_gap:g}"
-        )
-    trace_lines = [dict(entry, replicate=int(replicate)) for entry in result.trace]
+        raise InvariantError(f"iterate feasibility violated by {result.max_feasibility_gap:g}")
+    trace_lines = [dict(entry, replicate=replicate) for entry in result.trace]
     return row, trace_lines
 
 
@@ -242,11 +334,11 @@ def _quantiles(values):
     }
 
 
-def cmd_run(cfg, out_dir):
-    replicates = int(cfg.get("replicates", 1))
+def cmd_run(spec, out_dir):
+    replicates = spec.replicates
     rows, traces = [], []
     for rep in range(replicates):
-        row, trace_lines = run_one(cfg, rep)
+        row, trace_lines = run_one(spec, rep)
         rows.append(row)
         traces.extend(trace_lines)
         status = "failed: " + row["error"] if row["error"] else (
@@ -271,7 +363,7 @@ def cmd_run(cfg, out_dir):
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if cfg.get("trace"):
+    if spec.learner.trace_angles:
         with open(out_dir / "trace.jsonl", "w") as fh:
             for line in traces:
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
@@ -279,46 +371,17 @@ def cmd_run(cfg, out_dir):
     return 0
 
 
-def _sweep_point_config(cfg, axis, value):
-    point = json.loads(json.dumps(cfg))  # deep copy of plain JSON data
-    if axis == "eta":
-        point["noise"]["eta"] = value
-    elif axis == "epsilon":
-        point["epsilon"] = value
-    elif axis == "alpha":
-        point["noise"]["alpha"] = value
-    elif axis == "B":
-        point["noise"]["B"] = value
-    elif axis == "d":
-        point["dist"]["d"] = int(value)
+def _sweep_point_config(raw, axis, value):
+    point = json.loads(json.dumps(raw))  # deep copy of plain JSON data
+    section, key = SWEEP_AXES[axis]
+    (point if section is None else point[section])[key] = value
+    if axis == "d":
         point["dist"].pop("params", None)  # defaults are dimension dependent
-    elif axis == "s":
-        point["sparse_s"] = int(value)
-    else:
-        raise InvalidInputError(f"sweep axis must be one of {SWEEP_AXES}")
     return point
 
 
-def _schedule_for_cfg(point, sparse_s="keep"):
-    dist = dist_from_config(point["dist"])
-    noise = noise_from_config(point["noise"])
-    _, profile = profile_from_config(point)
-    s = point.get("sparse_s") if sparse_s == "keep" else sparse_s
-    return schedule_for(
-        noise,
-        dist,
-        float(point.get("epsilon", 0.1)),
-        float(point.get("delta", 0.05)),
-        profile,
-        sparse_s=None if s is None else int(s),
-        regime=point.get("regime"),
-        A=tsybakov_A_for(point, noise, dist),
-    )
-
-
-def _normalized_rate(point, sched):
+def _normalized_rate(dist, sched):
     """Per-epoch label count at proximity scale epsilon over its d-polylog factor."""
-    dist = dist_from_config(point["dist"])
     eps, delta, dim = sched.epsilon, sched.delta, sched.dim_factor
     T = iteration_count(sched.regime, eps, dist, delta, sched.profile, dim, **sched.params)
     return T / (dim * math.log(1.0 / (delta * eps)) ** 3)
@@ -333,35 +396,29 @@ def _linear_fit(x, y):
     return float(coef[0]), float(coef[1]), r2
 
 
-def cmd_sweep(cfg, out_dir):
-    sweep = cfg.get("sweep") or {}
-    axis = sweep.get("axis")
-    values = sweep.get("values") or []
-    if axis not in SWEEP_AXES:
-        raise InvalidInputError(f"sweep axis must be one of {SWEEP_AXES}")
-    if not values:
-        raise InvalidInputError("sweep needs a nonempty values grid")
+def cmd_sweep(spec, out_dir):
+    axis, values = spec.sweep
     rows = []
     for value in values:
-        point = _sweep_point_config(cfg, axis, value)
-        sched = _schedule_for_cfg(point)
+        point = parse_spec(_sweep_point_config(spec.raw, axis, value), "sweep").learner
+        sched = point.schedule()
         if axis == "eta":
-            x = 1.0 / (1.0 - 2.0 * float(value))
+            x = 1.0 / (1.0 - 2.0 * value)
         elif axis == "epsilon":
-            x = 1.0 / float(value)
+            x = 1.0 / value
         elif axis == "d":
-            x = math.log(float(value))
+            x = math.log(value)
         else:
             x = float(value)
         dense_total = ""
-        if point.get("sparse_s") is not None:
-            dense_total = _schedule_for_cfg(point, sparse_s=None).total_label_budget()
+        if point.sparse_s is not None:
+            dense_total = dataclasses.replace(point, sparse_s=None).schedule().total_label_budget()
         rows.append(
             {
                 "axis": axis,
                 "value": value,
                 "x": x,
-                "rate": _normalized_rate(point, sched),
+                "rate": _normalized_rate(point.dist, sched),
                 "init_labels": sched.init_label_total(),
                 "main_labels": sched.main_label_total(),
                 "total_labels": sched.total_label_budget(),
@@ -409,14 +466,13 @@ def cmd_sweep(cfg, out_dir):
     return 0
 
 
-def cmd_verify(cfg, out_dir):
-    dist = dist_from_config(cfg["dist"])
-    noise = noise_from_config(cfg["noise"]) if cfg.get("noise") else None
-    rng = np.random.default_rng(int(cfg["seed"]))
-    certify = dists.certify_parameters(dist, rng, samples=int(cfg.get("certify_samples", 10**5)))
-    truth = make_ground_truth(dist.d, rng, s=cfg.get("sparse_s"))
+def cmd_verify(spec, out_dir):
+    dist = spec.learner.dist
+    rng = np.random.default_rng(spec.learner.seed)
+    certify = dists.certify_parameters(dist, rng, samples=spec.certify_samples)
+    truth = make_ground_truth(dist.d, rng, s=spec.learner.sparse_s)
     lemmas = verify_lemma_suite(
-        dist, truth, rng, noise=noise, samples=int(cfg.get("verify_samples", 10**6))
+        dist, truth, rng, noise=spec.learner.noise, samples=spec.verify_samples
     )
     report = {
         "passed": bool(certify["passed"] and lemmas["passed"]),
@@ -437,8 +493,8 @@ def cmd_verify(cfg, out_dir):
     return 0 if report["passed"] else 1
 
 
-def cmd_preview(cfg, out_dir):
-    sched = _schedule_for_cfg(cfg)
+def cmd_preview(spec, out_dir):
+    sched = spec.learner.schedule()
     payload = sched.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out_dir is not None:
@@ -477,18 +533,21 @@ def main(argv=None):
         "out": args.out,
     }
     try:
-        cfg = load_config(args.config, overrides)
-        out_dir = Path(cfg.get("out") or "runs")
+        spec = parse_spec(load_config(args.config, overrides), args.command)
+        out_dir = Path(spec.out or "runs")
         if args.command == "run":
-            return cmd_run(cfg, out_dir)
+            return cmd_run(spec, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
+            return cmd_sweep(spec, out_dir)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        return cmd_preview(cfg, out_dir if cfg.get("out") else None)
+            return cmd_verify(spec, out_dir)
+        return cmd_preview(spec, out_dir if spec.out else None)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,8 +20,12 @@ class BandTooThinError(RuntimeError):
         )
 
 
-class UnsupportedRegimeError(ValueError):
+class UnsupportedRegimeError(InvalidInputError):
     """Parameters fall outside the range where a guarantee (or closed form) is valid."""
+
+
+class InvariantError(RuntimeError):
+    """A result breaks a property the learner guarantees: a bug, not bad input."""
 
 
 class NumericalError(RuntimeError):

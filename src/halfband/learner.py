@@ -325,6 +325,19 @@ class LearnerConfig:
     trace_angles: bool = True
     max_attempts: int | None = None
 
+    def schedule(self):
+        """The epoch schedule this run follows."""
+        return schedule_for(
+            self.noise,
+            self.dist,
+            self.epsilon,
+            self.delta,
+            self.profile,
+            sparse_s=self.sparse_s,
+            regime=self.regime,
+            A=self.A,
+        )
+
 
 @dataclass
 class LearnResult:
@@ -341,16 +354,7 @@ def learn(config, truth=None):
     rng = np.random.default_rng(config.seed)
     if truth is None:
         truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
-    schedule = schedule_for(
-        config.noise,
-        config.dist,
-        config.epsilon,
-        config.delta,
-        config.profile,
-        sparse_s=config.sparse_s,
-        regime=config.regime,
-        A=config.A,
-    )
+    schedule = config.schedule()
     ledger = QueryLedger()
     monitor = {"max_feasibility_gap": 0.0}
     trace = []

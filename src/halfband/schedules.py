@@ -109,6 +109,8 @@ def initial_target(regime, dist, profile, eta=None, A=None, alpha=None, B=None):
     elif regime == "TNC":
         eps0 = profile.c_eps * (1.0 / (2.0 * A)) ** ((1.0 - alpha) / alpha) * P ** (1.0 / alpha)
     elif regime == "GTNC":
+        if not P < 9.0:
+            raise InvalidInputError("GTNC schedule needs L R^2 < 36, so that log(9/P) > 0")
         eps0 = (
             profile.c_eps
             * B
@@ -214,21 +216,31 @@ def make_schedule(
             raise InvalidInputError("sparse schedules need d >= 3")
 
     U, beta = dist.U, dist.beta
-    r_eps = epsilon / (32.0 * U * beta**2 * math.log(12.0 / epsilon) ** 2)
-    k_eps = math.ceil(math.log(1.0 / r_eps, 4.0))
-    eps0 = initial_target(regime, dist, profile, **params)
-    r0 = eps0 / (64.0 * U * beta**2 * math.log(24.0 / eps0) ** 2)
-    k0 = math.ceil(math.log(1.0 / r0, 4.0))
-    N = math.ceil(10.0 * math.log(4.0 / delta))
-    m = math.ceil(profile.c_S * math.log(N / delta) / eps0**2)
+    # extreme constants or multipliers overflow a count to inf (math.ceil raises) or
+    # underflow a scale to 0 (division or log raises); both are bad input
+    try:
+        r_eps = epsilon / (32.0 * U * beta**2 * math.log(12.0 / epsilon) ** 2)
+        k_eps = math.ceil(math.log(1.0 / r_eps, 4.0))
+        eps0 = initial_target(regime, dist, profile, **params)
+        r0 = eps0 / (64.0 * U * beta**2 * math.log(24.0 / eps0) ** 2)
+        k0 = math.ceil(math.log(1.0 / r0, 4.0))
+        N = math.ceil(10.0 * math.log(4.0 / delta))
+        m = math.ceil(profile.c_S * math.log(N / delta) / eps0**2)
 
-    dim = sparse_s * math.log(dist.d) if sparse_s else dist.d
-    top = max(k0, k_eps)
-    bws, its = [], []
-    for j in range(top + 1):
-        r = proximity(j)
-        bws.append(bandwidth(regime, r, dist, profile, **params))
-        its.append(iteration_count(regime, r, dist, delta, profile, dim, **params))
+        dim = sparse_s * math.log(dist.d) if sparse_s else dist.d
+        bws, its = [], []
+        for j in range(max(k0, k_eps) + 1):
+            r = proximity(j)
+            bws.append(bandwidth(regime, r, dist, profile, **params))
+            its.append(iteration_count(regime, r, dist, delta, profile, dim, **params))
+    except InvalidInputError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise InvalidInputError(
+            f"{regime} schedule arithmetic fails at these parameters: {exc}"
+        ) from exc
+    if not all(math.isfinite(b) for b in bws):
+        raise InvalidInputError(f"{regime} schedule has a bandwidth that is not finite")
     return Schedule(
         regime=regime,
         d=dist.d,
@@ -258,26 +270,24 @@ def regime_for_noise(noise):
     raise InvalidInputError(f"unknown noise kind {noise.kind!r}")
 
 
+# regime -> (noise kinds it applies to, its make_schedule parameters from (noise, A))
+REGIME_PARAMS = {
+    "MNC": (("massart", "massart_band"), lambda noise, A: {"eta": noise.eta}),
+    "TNC": (("geometric_tsybakov",), lambda noise, A: {"A": A, "alpha": noise.alpha}),
+    "GTNC": (("geometric_tsybakov",), lambda noise, A: {"B": noise.B, "alpha": noise.alpha}),
+}
+
+
 def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None, A=None):
     """Schedule for a noise model; regime override needs A for plain-Tsybakov runs."""
     regime = regime or regime_for_noise(noise)
-    if regime == "MNC":
-        if noise.kind not in ("massart", "massart_band"):
-            raise InvalidInputError("MNC schedule needs a Massart noise model")
-        return make_schedule(
-            regime, dist, epsilon, delta, profile, eta=noise.eta, sparse_s=sparse_s
+    if regime not in REGIME_PARAMS:
+        raise InvalidInputError(f"unknown regime {regime!r}; choose from {REGIMES}")
+    kinds, params = REGIME_PARAMS[regime]
+    if noise.kind not in kinds:
+        raise InvalidInputError(
+            f"{regime} schedule needs noise of kind {' or '.join(kinds)}, got {noise.kind!r}"
         )
-    if regime == "TNC":
-        if A is None:
-            raise InvalidInputError("TNC schedule needs an explicit A")
-        alpha = noise.alpha if noise.kind == "geometric_tsybakov" else None
-        if alpha is None:
-            raise InvalidInputError("TNC schedule needs alpha from a Tsybakov noise model")
-        return make_schedule(
-            regime, dist, epsilon, delta, profile, A=A, alpha=alpha, sparse_s=sparse_s
-        )
-    if noise.kind != "geometric_tsybakov":
-        raise InvalidInputError("GTNC schedule needs a geometric Tsybakov noise model")
     return make_schedule(
-        regime, dist, epsilon, delta, profile, B=noise.B, alpha=noise.alpha, sparse_s=sparse_s
+        regime, dist, epsilon, delta, profile, sparse_s=sparse_s, **params(noise, A)
     )

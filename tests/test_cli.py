@@ -1,13 +1,20 @@
 """Command-line driver: runs, sweeps, verification, previews, exit codes."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from halfband import cli
 from halfband.cli import CSV_COLUMNS, main
+from halfband.distributions import FAMILIES
 from halfband.errors import NumericalError
+from halfband.schedules import PROFILES, REGIMES
 
 TINY = {
     "seed": 404,
@@ -194,23 +201,74 @@ def test_unknown_noise_kind_exits_2(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     assert "noise" in capsys.readouterr().err
 
+SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
+
+
 @pytest.mark.parametrize(
-    "change",
+    "command, change",
     [
-        {"noise": {"kind": "massart"}},  # missing eta
-        {"multipliers": {"c_Q": 1.0}},
-        {"seed": "x"},
-        {"seed": -1},
-        {"replicates": 0},
+        ("run", {"noise": {"kind": "massart"}}),  # missing eta
+        ("run", {"multipliers": {"c_Q": 1.0}}),
+        ("run", {"seed": "x"}),
+        ("run", {"seed": -1}),
+        ("run", {"replicates": 0}),
+        ("preview-schedule", {"noise": {"kind": "massart", "eta": "x"}}),
+        ("preview-schedule", {"dist": {"family": "gaussian", "d": "ten"}}),
+        ("preview-schedule", {"dist": "gaussian"}),
+        ("preview-schedule", {"noise": {"kind": "massart", "eta": None}}),
+        ("preview-schedule", {"sparse_s": "x"}),
+        ("preview-schedule", {"out": 5}),
+        ("preview-schedule", {"multipliers": {"c_T": 1e308}}),
+        ("preview-schedule", {"noise": {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.4},
+                              "regime": "TNC"}),
+        ("sweep", {"sweep": "eta"}),
+        ("sweep", {"sweep": {"axis": "eta", "values": 5}}),
+        ("preview-schedule", {"epsilion": 0.01}),
+        ("preview-schedule", {"regime": "XYZ"}),
+        ("preview-schedule", {"dist": {"d": 5.5}}),
+        ("preview-schedule", {"multipliers": {"c_T": -1}}),
     ],
-    ids=["missing-eta", "unknown-multiplier", "string-seed", "negative-seed", "zero-replicates"],
+    ids=[
+        "missing-eta",
+        "unknown-multiplier",
+        "string-seed",
+        "negative-seed",
+        "zero-replicates",
+        "string-eta",
+        "string-d",
+        "string-dist",
+        "null-eta",
+        "string-sparse-s",
+        "number-out",
+        "overflowing-c_T",
+        "tnc-alpha-0.4",
+        "string-sweep",
+        "number-sweep-values",
+        "unknown-key",
+        "unknown-regime",
+        "fractional-d",
+        "negative-c_T",
+    ],
 )
-def test_config_errors_exit_2_with_one_line(tmp_path, capsys, change):
-    cfg = dict(TINY, out=str(tmp_path / "out"), **change)
-    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, change):
+    cfg = {**TINY, "out": str(tmp_path / "out"), "sweep": SWEEP, **change}
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    if change.get("regime") == "XYZ":  # exited 2 before, but blamed the GTNC noise check
+        assert "regime" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
+    learn = cli.learn
+    monkeypatch.setattr(
+        cli, "learn", lambda config: dataclasses.replace(learn(config), max_feasibility_gap=1e-6)
+    )
+    cfg = dict(TINY, out=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "feasibility" in err[0]
 
 
 def test_numerical_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
@@ -250,3 +308,93 @@ def test_seed_override_changes_stream(tmp_path):
     assert second["seed"] == "405"
     assert first["final_angle"] != second["final_angle"]
     assert first["label_calls"] == second["label_calls"]  # schedule is seed-free
+
+
+# Fuzzed configs start from a valid sweep config and edit up to six keys,
+# top-level, one section deep or inside dist.params, so most draws get past
+# the first check. Strings avoid "/" and "." because "out" names a directory.
+FUZZ_BASES = [
+    {
+        "seed": 1,
+        "dist": {"family": "gaussian", "d": 10},
+        "noise": {"kind": "massart", "eta": 0.2},
+        "sweep": {"axis": "eta", "values": [0.1, 0.2, 0.3]},
+    },
+    {
+        "seed": 2,
+        "dist": {"family": "uniform_ball", "d": 6, "params": {"L": 0.05}},
+        "noise": {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.75},
+        "regime": "TNC",
+        "sweep": {"axis": "alpha", "values": [0.6, 0.8, 1.0]},
+    },
+    {
+        "seed": 3,
+        "dist": {"family": "gaussian", "d": 50},
+        "noise": {"kind": "massart_band", "eta": 0.1, "tau": 0.5},
+        "sparse_s": 5,
+        "sweep": {"axis": "d", "values": [50, 100, 200]},
+    },
+]
+SUBKEYS = ["family", "d", "params", "kind", "eta", "tau", "B", "alpha", "c_b", "c_T",
+           "c_alpha", "c_eps", "c_S", "axis", "values", "typo"]
+NAMES = sorted({*cli.CONFIG_KEYS, *cli.NOISE_KINDS, *cli.SWEEP_AXES, *FAMILIES, *REGIMES,
+                *PROFILES, *SUBKEYS})
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(0, 300),
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.sampled_from(NAMES),
+    st.text("abXY09", max_size=3),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(NAMES), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+PATHS = st.one_of(
+    st.tuples(st.sampled_from([*cli.CONFIG_KEYS, "epsilion"])),
+    st.tuples(st.sampled_from(["dist", "noise", "multipliers", "sweep"]),
+              st.sampled_from(SUBKEYS)),
+    st.tuples(st.just("dist"), st.just("params"), st.sampled_from(["L", "R", "U", "beta", "Q"])),
+)
+DELETE = object()
+
+
+def _apply(cfg, path, value):
+    *parents, key = path
+    for part in parents:
+        cfg = cfg.get(part)
+        if not isinstance(cfg, dict):
+            return
+    if value is DELETE:
+        cfg.pop(key, None)
+    else:
+        cfg[key] = value
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["preview-schedule", "sweep"]),
+    base=st.sampled_from(FUZZ_BASES),
+    edits=st.lists(st.tuples(PATHS, st.one_of(st.just(DELETE), VALUES)), max_size=6),
+)
+def test_no_config_produces_a_traceback(tmp_path, monkeypatch, command, base, edits):
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(json.dumps(base))
+    for path, value in edits:
+        _apply(cfg, path, value)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -203,6 +203,35 @@ def test_schedule_for_regime_override():
                         regime="GTNC")
 
 
+def test_schedule_for_names_the_regime_it_rejects():
+    with pytest.raises(InvalidInputError, match="unknown regime 'XYZ'"):
+        hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"], regime="XYZ")
+    with pytest.raises(InvalidInputError, match="TNC schedule needs noise of kind"):
+        hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"],
+                        regime="TNC", A=1.0)
+    assert issubclass(UnsupportedRegimeError, InvalidInputError)
+
+
+@pytest.mark.parametrize(
+    "profile, dist",
+    [
+        (Profile(c_T=1e308), GAUSS5),  # iteration counts overflow to inf
+        (Profile(c_S=1e308, c_eps=1e-300), GAUSS5),  # selection size m overflows
+        (PROFILES["desk"], hb.make_distribution("gaussian", 5, (1e-301, 1.0, 1e-300, 1e-10))),
+    ],
+    ids=["c_T", "m", "tiny-constants"],
+)
+def test_schedule_overflow_is_invalid_input(profile, dist):
+    with pytest.raises(InvalidInputError, match="schedule arithmetic fails"):
+        hb.make_schedule("MNC", dist, 0.1, 0.05, profile, eta=0.2)
+
+
+def test_gtnc_target_needs_log_argument_above_one():
+    wide = hb.make_distribution("gaussian", 5, params=(0.05, 30.0, 0.2, 1.0))  # L R^2 = 45
+    with pytest.raises(InvalidInputError, match="L R\\^2 < 36"):
+        hb.make_schedule("GTNC", wide, 0.1, 0.05, PROFILES["desk"], B=1.0, alpha=0.75)
+
+
 def test_sparse_dim_factor_replaces_d():
     d, s = 100, 5
     dist = hb.make_distribution("gaussian", d)
