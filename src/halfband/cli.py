@@ -89,8 +89,8 @@ NOISE_KINDS = {
 # every top-level key a config may hold
 CONFIG_KEYS = (
     "seed", "dist", "noise", "epsilon", "delta", "profile", "multipliers", "replicates",
-    "sparse_s", "regime", "tsybakov_A", "trace", "excess_mc_samples", "max_attempts", "out",
-    "sweep", "certify_samples", "verify_samples",
+    "sparse_s", "regime", "tsybakov_A", "trace", "excess_mc_samples", "out", "sweep",
+    "certify_samples", "verify_samples",
 )
 
 REQUIRED = object()  # _get default for a key that must be present and non-null
@@ -232,7 +232,6 @@ def parse_spec(cfg, command):
         A=_get(cfg, "tsybakov_A", float, 1.0 if regime == "TNC" else None),
         profile=profile,
         trace_angles=_get(cfg, "trace", bool, False),
-        max_attempts=_get(cfg, "max_attempts", int, lo=1),
     )
     sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
     return RunSpec(
@@ -438,7 +437,7 @@ def cmd_sweep(spec, out_dir):
         writer.writerows(rows)
 
     summary = {"axis": axis, "points": len(rows)}
-    if len(rows) < 3:
+    if len({r["x"] for r in rows}) < 3:  # a repeated value adds no point to the fit
         summary["warning"] = "need at least 3 grid points for a slope fit; slope omitted"
     elif axis in ("eta", "epsilon"):
         # label-rate exponent: log-log fit of the normalized per-epoch rate

@@ -110,7 +110,7 @@ def band_probability(dist, b):
     if dist.family == "gaussian":
         return float(2.0 * special.ndtr(b) - 1.0)
     if dist.family == "uniform_ball":
-        u = min(1.0, (b / dist.radius) ** 2)
+        u = min(1.0, b / dist.radius) ** 2  # clip first: (b / radius) ** 2 can overflow
         return float(special.betainc(0.5, (dist.d + 1) / 2.0, u))
     raise InvalidInputError(f"unknown family {dist.family!r}")
 
@@ -127,10 +127,9 @@ def truncated_margin(dist, b, u):
         # the clip keeps every value in the band and leaves in-band values as they are
         return np.clip(special.ndtri(0.5 + u * (special.ndtr(b) - 0.5)), -b, b)
     if dist.family == "uniform_ball":
-        rho = dist.radius
-        q = special.betainc(0.5, (dist.d + 1) / 2.0, min(1.0, (b / rho) ** 2))
+        q = band_probability(dist, b)
         frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
-        return np.sign(u) * rho * np.sqrt(frac)
+        return np.sign(u) * dist.radius * np.sqrt(frac)
     raise InvalidInputError(f"unknown family {dist.family!r}")
 
 

@@ -6,17 +6,19 @@ class InvalidInputError(ValueError):
 
 
 class BandTooThinError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget.
+    """A band too thin to sample, found when its sampler is built, before any draw.
 
-    Carries the attempted bandwidth; usually signals a mis-tuned
-    schedule constant rather than bad luck.
+    Its probability p is 0, or so small that the attempt counts of a
+    simulated rejection loop would overflow int64. Carries the bandwidth b
+    and p; usually signals a mis-tuned schedule constant.
     """
 
-    def __init__(self, b, attempts):
+    def __init__(self, b, p):
         self.b = float(b)
-        self.attempts = int(attempts)
+        self.p = float(p)
         super().__init__(
-            f"no sample accepted within {self.attempts} attempts at bandwidth b={self.b:g}"
+            f"band at bandwidth b={self.b:g} is too thin to sample: its probability"
+            f" {self.p:g} puts attempt counts past int64"
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dists
-from .errors import BandTooThinError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .geometry import angle, hard_threshold, normalize
 from .oracles import (
     BandSampler,
@@ -117,7 +117,6 @@ def optimize(
     delta,
     profile,
     sparse_s=None,
-    max_attempts=None,
     monitor=None,
     iterate_hook=None,
 ):
@@ -134,7 +133,7 @@ def optimize(
     T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
-    sampler = BandSampler(dist, b, rng, ledger, max_attempts=max_attempts)
+    sampler = BandSampler(dist, b, rng, ledger)
     w, step = _row_step(w1, r, alpha, sparse_s)
     acc = np.zeros(d)
     snaps = [] if agg == "random" else None
@@ -216,17 +215,13 @@ def optimize_block(
     delta,
     profile,
     sparse_s=None,
-    max_attempts=None,
     monitor=None,
 ):
     """K descent epochs in lockstep: row k runs optimize's epoch from W1[k] on streams[k].
 
     Each step makes one band draw per row (LockstepBandSampler), one vector label
     query and one projected update of the (K, d) iterate block. Row k reads
-    randomness only from streams[k], so its output is the same for any K. The
-    ledger is charged as if the K epochs ran step-major, trial-minor: a draw
-    that overruns the attempt budget raises BandTooThinError after the labels
-    of the rows before it in that step.
+    randomness only from streams[k], so its output is the same for any K.
     """
     W1 = np.asarray(W1, dtype=float)
     K, d = W1.shape
@@ -238,7 +233,7 @@ def optimize_block(
     if agg == "random":  # which step's iterate each row returns, and its sign
         pick = np.array([g.integers(T) for g in streams])
         sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
-    sampler = LockstepBandSampler(dist, b, streams, ledger, T, max_attempts=max_attempts)
+    sampler = LockstepBandSampler(dist, b, streams, ledger, T)
     W, step = _projected_step(W1, r, alpha, sparse_s)
     out = np.zeros((K, d))
     max_gap = 0.0
@@ -252,10 +247,7 @@ def optimize_block(
         else:
             hit = pick == t
             out[hit] = W_hat[hit]
-        X, u, drawn = sampler.draw(W_hat)
-        if drawn < K:
-            query_labels(noise, truth, X[:drawn], u[:drawn], ledger)
-            raise BandTooThinError(sampler.b, sampler.max_attempts)
+        X, u = sampler.draw(W_hat)
         W, gap = step(W, query_labels(noise, truth, X, u, ledger), X)
         if gap > max_gap:
             max_gap = gap
@@ -266,9 +258,7 @@ def optimize_block(
     return out / T if agg == "average" else sign[:, None] * out
 
 
-def warm_start_trials(
-    schedule, dist, noise, truth, streams, ledger, monitor=None, max_attempts=None
-):
+def warm_start_trials(schedule, dist, noise, truth, streams, ledger, monitor=None):
     """The warm start's descent trials from zero, one per stream, run in lockstep.
 
     Returns the (K, d) block of candidates, row k from streams[k].
@@ -289,22 +279,19 @@ def warm_start_trials(
             schedule.delta,
             schedule.profile,
             sparse_s=schedule.sparse_s,
-            max_attempts=max_attempts,
             monitor=monitor,
         )
     return V
 
 
-def initialize(schedule, dist, noise, truth, rng, ledger, monitor=None, max_attempts=None):
+def initialize(schedule, dist, noise, truth, rng, ledger, monitor=None):
     """Warm start: N descent trials from zero, then empirical risk selection.
 
     Trial k draws from child k of rng.spawn(N); the selection sample and its
     labels come from rng itself.
     """
     streams = rng.spawn(schedule.N)
-    candidates = warm_start_trials(
-        schedule, dist, noise, truth, streams, ledger, monitor, max_attempts
-    )
+    candidates = warm_start_trials(schedule, dist, noise, truth, streams, ledger, monitor)
     X = dists.sample(dist, rng, schedule.m)
     ledger.ex_calls += schedule.m
     y = query_labels(noise, truth, X, rng.random(schedule.m), ledger)
@@ -323,7 +310,6 @@ class LearnerConfig:
     A: float | None = None  # plain-Tsybakov coefficient, for regime="TNC"
     profile: Profile = PROFILES["desk"]
     trace_angles: bool = True
-    max_attempts: int | None = None
 
     def schedule(self):
         """The epoch schedule this run follows."""
@@ -359,9 +345,7 @@ def learn(config, truth=None):
     monitor = {"max_feasibility_gap": 0.0}
     trace = []
 
-    v = initialize(
-        schedule, config.dist, config.noise, truth, rng, ledger, monitor, config.max_attempts
-    )
+    v = initialize(schedule, config.dist, config.noise, truth, rng, ledger, monitor)
     entry = {
         "stage": "init",
         "j": schedule.k0,
@@ -387,7 +371,6 @@ def learn(config, truth=None):
             schedule.delta,
             schedule.profile,
             sparse_s=config.sparse_s,
-            max_attempts=config.max_attempts,
             monitor=monitor,
         )
         entry = {

@@ -5,7 +5,10 @@ label count is exactly the label complexity. Band sampling is implemented by
 inverse-CDF sampling of the margin coordinate plus a geometric attempt count;
 the joint law of (returned point, EX calls consumed) is identical to literal
 keep-trying rejection sampling because the accepted point of a rejection loop
-is independent of how many proposals it burned.
+is independent of how many proposals it burned. No loop runs, so no draw can
+exhaust a budget: a band is checked once, when its sampler is built, and one
+too thin to sample (probability 0, or attempt counts past int64) raises
+BandTooThinError before any draw.
 """
 
 import math
@@ -134,16 +137,33 @@ def halfspace_labels(X, w):
     return np.where(X @ w >= 0.0, 1.0, -1.0)
 
 
-def default_max_attempts(p):
-    """Attempt budget: failure probability < e^-50 per draw when p is honest."""
-    return max(10**4, math.ceil(50.0 / p))
-
-
 def _geometric_attempts(p, u):
     """Map u ~ Unif[0,1) to the attempt count of a success-probability-p loop."""
     if p >= 1.0:
         return np.ones_like(np.asarray(u), dtype=np.int64)
     return (np.floor(np.log1p(-np.asarray(u)) / math.log1p(-p))).astype(np.int64) + 1
+
+
+# the largest float Generator.random returns, where _geometric_attempts peaks
+U_MAX = 1.0 - 2.0**-53
+
+
+def _checked_band_probability(dist, b, rows):
+    """band_probability(dist, b) for a sampler that draws `rows` points per step.
+
+    Raises BandTooThinError when p is 0, or when the largest attempt count
+    _geometric_attempts can return, times `rows`, does not fit int64: the
+    ledger then could not hold the step's EX calls exactly.
+    """
+    if not b > 0:
+        raise InvalidInputError("band sampler: b must be positive")
+    p = dists.band_probability(dist, b)
+    if p < 1.0:
+        with np.errstate(divide="ignore", over="ignore"):  # p = 0 or tiny gives inf
+            floor = float(np.floor(np.log1p(-U_MAX) / math.log1p(-p)))
+        if not (math.isfinite(floor) and (int(floor) + 1) * rows <= np.iinfo(np.int64).max):
+            raise BandTooThinError(b, p)
+    return p
 
 
 def _complete_band_point(dist, w_hat, m, z, v):
@@ -169,33 +189,30 @@ def _complete_band_points(dist, W_hat, m, Z, V):
     return m[:, None] * W_hat + radial[:, None] * Z_perp
 
 
+# draws BandSampler generates at a time
+DRAW_BLOCK = 8192
+
+
 class BandSampler:
     """Band-conditional draws around a per-call unit direction, block-buffered.
 
     Margins, attempt counts, and the isotropic completion variables are
-    pre-drawn in blocks (they are i.i.d. and independent of the direction),
+    generated in blocks (they are i.i.d. and independent of the direction),
     which keeps the per-draw law that of literal rejection (module docstring)
-    while amortizing generator overhead across an optimization loop. A draw
-    past the attempt budget charges the budget's worth of EX calls and raises
-    BandTooThinError, exactly as a literal loop would have.
+    while amortizing generator overhead across an optimization loop. Each
+    draw charges its attempt count to ledger.ex_calls.
     """
 
-    def __init__(self, dist, b, rng, ledger=None, max_attempts=None, block=8192):
-        if not b > 0:
-            raise InvalidInputError("BandSampler: b must be positive")
+    def __init__(self, dist, b, rng, ledger):
+        self.p = _checked_band_probability(dist, b, 1)
         self.dist = dist
         self.b = float(b)
         self.rng = rng
         self.ledger = ledger
-        self.p = dists.band_probability(dist, b)
-        self.max_attempts = (
-            default_max_attempts(self.p) if max_attempts is None else int(max_attempts)
-        )
-        self.block = int(block)
-        self.pos = self.block  # force a refill on first draw
+        self.pos = DRAW_BLOCK  # force a refill on first draw
 
     def _refill(self):
-        n = self.block
+        n = DRAW_BLOCK
         self.attempts = _geometric_attempts(self.p, self.rng.random(n))
         self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * self.rng.random(n) - 1.0)
         self.Z = self.rng.standard_normal((n, self.dist.d))
@@ -203,17 +220,11 @@ class BandSampler:
         self.pos = 0
 
     def draw(self, w_hat):
-        if self.pos >= self.block:
+        if self.pos >= DRAW_BLOCK:
             self._refill()
         i = self.pos
         self.pos += 1
-        g = int(self.attempts[i])
-        if g > self.max_attempts:
-            if self.ledger is not None:
-                self.ledger.ex_calls += self.max_attempts
-            raise BandTooThinError(self.b, self.max_attempts)
-        if self.ledger is not None:
-            self.ledger.ex_calls += g
+        self.ledger.ex_calls += int(self.attempts[i])
         return _complete_band_point(
             self.dist, w_hat, float(self.margins[i]), self.Z[i], float(self.V[i])
         )
@@ -223,35 +234,30 @@ class LockstepBandSampler:
     """One band-conditional draw per trial and step for K trials run side by side.
 
     Trial k draws only from streams[k]. Its attempt counts, margins, isotropic
-    completions and label-flip uniforms are pre-drawn as in BandSampler._refill,
+    completions and label-flip uniforms are generated as in BandSampler._refill,
     in blocks of at most BLOCK steps laid out by the epoch length alone, so
     trial k's draws do not depend on the other trials or on K. Each row has the
     law of BandSampler.draw, and the EX charges are those of the K draws made
     one after another.
     """
 
-    # steps pre-drawn at a time; whole-epoch pre-draws took the peak RSS of one
+    # steps generated at a time; generating whole epochs took the peak RSS of one
     # criterion-3 learn (Gaussian d=10, N=44) from 104 MB to 142 MB
     BLOCK = 512
 
-    def __init__(self, dist, b, streams, ledger, steps, max_attempts=None):
-        if not b > 0:
-            raise InvalidInputError("LockstepBandSampler: b must be positive")
+    def __init__(self, dist, b, streams, ledger, steps):
+        self.streams = list(streams)
+        self.p = _checked_band_probability(dist, b, len(self.streams))
         self.dist = dist
         self.b = float(b)
-        self.streams = list(streams)
         self.ledger = ledger
-        self.p = dists.band_probability(dist, b)
-        self.max_attempts = (
-            default_max_attempts(self.p) if max_attempts is None else int(max_attempts)
-        )
-        self.left = int(steps)  # steps not yet pre-drawn
+        self.left = int(steps)  # steps not yet generated
         self.pos = self.n = 0
 
     def _refill(self):
         n = min(self.BLOCK, self.left)
         if n < 1:
-            raise InvalidInputError("LockstepBandSampler: drawn past its step count")
+            raise InvalidInputError("LockstepBandSampler: more draws than its step count")
         K = len(self.streams)
         self.Z = self.margins = self.attempts = None  # free the spent block first
         # per trial: attempt, margin, radius (uniform ball only) and flip uniforms;
@@ -269,34 +275,21 @@ class LockstepBandSampler:
         self.attempts = _geometric_attempts(self.p, U[0])
         self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * U[1] - 1.0)
         self.step_ex = self.attempts.sum(axis=0).tolist()
-        over = (self.attempts > self.max_attempts).any(axis=0)
-        self.overrun = int(np.argmax(over)) if over.any() else n  # first step over budget
         self.left -= n
         self.n = n
         self.pos = 0
 
     def draw(self, W_hat):
-        """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform.
-
-        Returns (X, u, drawn). drawn < K means row `drawn` overran the attempt
-        budget: the EX calls of rows 0..drawn-1 and the budget are charged, and
-        only those rows of X are valid.
-        """
+        """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform: (X, u)."""
         if self.pos >= self.n:
             self._refill()
         i = self.pos
         self.pos += 1
-        drawn = len(self.streams)
-        if i == self.overrun:
-            g = self.attempts[:, i]
-            drawn = int(np.argmax(g > self.max_attempts))
-            self.ledger.ex_calls += int(g[:drawn].sum()) + self.max_attempts
-        else:
-            self.ledger.ex_calls += self.step_ex[i]
+        self.ledger.ex_calls += self.step_ex[i]
         X = _complete_band_points(
             self.dist, W_hat, self.margins[:, i], self.Z[:, i], self.V[:, i]
         )
-        return X, self.flips[:, i], drawn
+        return X, self.flips[:, i]
 
 
 def exact_tsybakov_A(B, alpha, dist):

@@ -241,6 +241,9 @@ def make_schedule(
         ) from exc
     if not all(math.isfinite(b) for b in bws):
         raise InvalidInputError(f"{regime} schedule has a bandwidth that is not finite")
+    # the learner draws step indices below T_j and sample sizes as int64
+    if max(*its, N, m) > 2**63 - 1:
+        raise InvalidInputError(f"{regime} schedule has a count (T_j, N or m) past 2^63 - 1")
     return Schedule(
         regime=regime,
         d=dist.d,

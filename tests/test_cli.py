@@ -123,17 +123,21 @@ def test_sweep_eta_grid_recovers_quadratic_rate(tmp_path):
 
 
 def test_sweep_two_points_warns_without_slope(tmp_path):
-    cfg = {
-        "seed": 1,
-        "dist": {"family": "gaussian", "d": 5},
-        "noise": {"kind": "massart", "eta": 0.2},
-        "delta": 0.05,
-        "sweep": {"axis": "epsilon", "values": [0.2, 0.1]},
-        "out": str(tmp_path / "sweep"),
-    }
-    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-    summary = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
-    assert "warning" in summary and "slope" not in summary
+    # a short grid, and a grid whose points repeat one value, have no slope to fit
+    for axis, values in (("epsilon", [0.2, 0.1]), ("eta", [0.1, 0.1, 0.1])):
+        out = tmp_path / axis
+        cfg = {
+            "seed": 1,
+            "dist": {"family": "gaussian", "d": 5},
+            "noise": {"kind": "massart", "eta": 0.2},
+            "delta": 0.05,
+            "sweep": {"axis": axis, "values": values},
+            "out": str(out),
+        }
+        assert main(["sweep", "--config", write_config(tmp_path, cfg, f"{axis}.json")]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["points"] == len(values)
+        assert "warning" in summary and "slope" not in summary
 
 
 def test_sweep_bad_axis_exits_2(tmp_path, capsys):
@@ -227,6 +231,8 @@ SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
         ("preview-schedule", {"regime": "XYZ"}),
         ("preview-schedule", {"dist": {"d": 5.5}}),
         ("preview-schedule", {"multipliers": {"c_T": -1}}),
+        # T_j near 1e37: the learner draws step indices as int64
+        ("preview-schedule", {"noise": {"kind": "massart", "eta": 0.49999999999999994}}),
     ],
     ids=[
         "missing-eta",
@@ -248,6 +254,7 @@ SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
         "unknown-regime",
         "fractional-d",
         "negative-c_T",
+        "int64-overflowing-T",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, change):
@@ -288,6 +295,32 @@ def test_numerical_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
     assert int(rows[1]["label_calls"]) == int(rows[1]["init_labels"]) + int(rows[1]["main_labels"])
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["failures"] == 1
+
+
+@pytest.mark.parametrize(
+    "dist, c_b",
+    [("uniform_ball", 1e-16), ("gaussian", 1e-17)],
+    ids=["ball-counts-past-int64", "gaussian-probability-zero"],
+)
+def test_band_too_thin_is_an_error_row(tmp_path, dist, c_b):
+    # the uniform-ball band's attempt counts overflow int64; the Gaussian's p rounds to 0
+    cfg = {
+        "seed": 1,
+        "dist": {"family": dist, "d": 5},
+        "noise": {"kind": "massart", "eta": 0.2},
+        "epsilon": 0.3,
+        "multipliers": {"c_T": 0.002, "c_S": 4, "c_b": c_b},
+        "replicates": 2,
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = read_rows(tmp_path / "out")
+    assert len(rows) == 2
+    for row in rows:
+        assert "too thin to sample" in row["error"]
+        assert row["ex_calls"] == ""
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failures"] == 2
 
 
 def test_unknown_dist_param_exits_2(tmp_path):

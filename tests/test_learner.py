@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import halfband as hb
-from halfband.errors import BandTooThinError, InvalidInputError
+from halfband.errors import InvalidInputError
 from halfband.learner import (
     _projected_step,
     erm_select,
@@ -207,20 +207,6 @@ def test_warm_start_trial_same_alone_as_in_block():
         alone = warm_start_trials(sched, GAUSS5, NOISE, truth, [streams()[k]], alone_ledger)
         assert float(np.max(np.abs(alone[0] - block[k]))) <= 1e-12
         assert alone_ledger.label_calls == sched.per_trial_init_labels()
-
-
-def test_initialize_attempt_budget_charges_labels_as_answered():
-    # with one attempt per draw the first band miss raises; the labels of the
-    # trials drawn before it in that step are charged, plus the one failed EX call
-    sched = hb.make_schedule("MNC", GAUSS5, 0.3, 0.05, DESK, eta=0.1)
-    rng = np.random.default_rng(36)
-    truth = hb.make_ground_truth(5, rng)
-    ledger = hb.QueryLedger()
-    with pytest.raises(BandTooThinError) as err:
-        hb.initialize(sched, GAUSS5, NOISE, truth, rng, ledger, max_attempts=1)
-    assert err.value.attempts == 1
-    assert ledger.ex_calls == ledger.label_calls + 1
-    assert 0 < ledger.label_calls < sched.N  # part of the first step, not a whole block
 
 
 def test_optimize_block_sparse_rows_exact_and_feasible():

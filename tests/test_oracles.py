@@ -116,22 +116,78 @@ def test_rejection_sample_band_orthogonal_coordinate_law():
     assert kstest(X[:, 4], lambda t: norm.cdf(t)).pvalue > 0.01
 
 
-def test_band_too_thin_charges_cap_and_raises():
-    rng = np.random.default_rng(11)
+def test_band_too_thin_raises_when_sampler_is_built():
+    # p rounds to 0 on the Gaussian at b = 1e-17; on the ball at b = 1.2e-17, p is
+    # about 8.5e-18: one draw's attempt count fits int64, a 44-row step's sum does not
+    ball = hb.make_distribution("uniform_ball", 5)
     ledger = hb.QueryLedger()
-    w_hat = np.zeros(5)
-    w_hat[0] = 1.0
-    sampler = hb.BandSampler(GAUSS, 1e-9, rng, ledger=ledger, max_attempts=50)
-    with pytest.raises(BandTooThinError) as err:
-        sampler.draw(w_hat)
-    assert err.value.attempts == 50
-    assert err.value.b == pytest.approx(1e-9)
-    assert ledger.ex_calls == 50
+    for build in (
+        lambda: hb.BandSampler(GAUSS, 1e-17, np.random.default_rng(11), ledger),
+        lambda: oracles.LockstepBandSampler(
+            GAUSS, 1e-17, np.random.default_rng(11).spawn(3), ledger, steps=4),
+        lambda: oracles.LockstepBandSampler(
+            ball, 1.2e-17, np.random.default_rng(11).spawn(44), ledger, steps=4),
+    ):
+        with pytest.raises(BandTooThinError) as err:
+            build()
+        assert err.value.b in (1e-17, 1.2e-17)
+        assert err.value.p < 1e-17
+    assert ledger == hb.QueryLedger()
+    sampler = hb.BandSampler(ball, 1.2e-17, np.random.default_rng(11), ledger)
+    assert abs(float(sampler.draw(np.eye(5)[0])[0])) <= 1.2e-17
+    assert ledger.ex_calls >= 1
+    with pytest.raises(InvalidInputError):
+        hb.BandSampler(GAUSS, 0.0, np.random.default_rng(11), ledger)
 
 
-def test_default_max_attempts_floor():
-    assert oracles.default_max_attempts(0.5) == 10**4
-    assert oracles.default_max_attempts(1e-4) == math.ceil(50 / 1e-4)
+def _exact_attempts(p, u):
+    """_geometric_attempts in Python integers, which cannot wrap."""
+    if p >= 1.0:
+        return len(u)
+    return sum(int(f) + 1 for f in np.floor(np.log1p(-u) / math.log1p(-p)))
+
+
+@given(
+    family=st.sampled_from(["gaussian", "uniform_ball"]),
+    d=st.integers(2, 60),
+    b=st.one_of(
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+        st.floats(-324.0, 308.0).map(lambda e: 10.0**e).filter(lambda b: b > 0.0),
+        st.floats(1e-19, 1e-14),  # where the int64 bound starts to bind
+    ),
+    K=st.sampled_from([1, 44]),
+)
+@settings(max_examples=150, deadline=None)
+def test_band_sampler_built_or_too_thin(family, d, b, K):
+    # building a sampler either raises BandTooThinError, or its draws are finite,
+    # inside the band, and charge exactly the attempt counts of their uniforms
+    dist = hb.make_distribution(family, d)
+    w_hat = hb.normalize(np.arange(1.0, d + 1.0))
+    ledger = hb.QueryLedger()
+    steps = 3
+    try:
+        if K == 1:
+            sampler = hb.BandSampler(dist, b, np.random.default_rng(20), ledger)
+            X = np.array([sampler.draw(w_hat) for _ in range(steps)])
+        else:
+            sampler = oracles.LockstepBandSampler(
+                dist, b, np.random.default_rng(20).spawn(K), ledger, steps)
+            X = np.concatenate([sampler.draw(np.tile(w_hat, (K, 1)))[0] for _ in range(steps)])
+    except BandTooThinError as err:
+        assert err.b == b and ledger == hb.QueryLedger()
+        return
+    assert np.all(np.isfinite(X))
+    assert float(np.max(np.abs(X @ w_hat))) <= b + 1e-12
+    # each stream's first uniforms are its attempt uniforms (BandSampler._refill)
+    if K == 1:
+        u = np.random.default_rng(20).random(oracles.DRAW_BLOCK)[:steps]
+    else:
+        u = np.concatenate([g.random(steps) for g in np.random.default_rng(20).spawn(K)])
+    assert ledger.ex_calls == _exact_attempts(sampler.p, u) >= K * steps
+    # the largest count, at the largest uniform, is exact and fits int64 K times over
+    most = _exact_attempts(sampler.p, np.array([oracles.U_MAX]))
+    assert oracles._geometric_attempts(sampler.p, np.array([oracles.U_MAX]))[0] == most
+    assert K * most <= np.iinfo(np.int64).max
 
 
 def test_band_sampler_matches_sequential_accounting_and_law():
@@ -181,8 +237,7 @@ def test_lockstep_sampler_law_and_accounting():
         GAUSS, b, np.random.default_rng(15).spawn(K), ledger, steps=n)
     margins, flips = [], []
     for _ in range(n):
-        X, u, drawn = sampler.draw(W_hat)
-        assert drawn == K
+        X, u = sampler.draw(W_hat)
         margins.append(np.einsum("ij,ij->i", X, W_hat))
         flips.append(u)
     margins = np.concatenate(margins)
@@ -207,30 +262,23 @@ def test_lockstep_sampler_row_independent_of_other_rows():
         alone = oracles.LockstepBandSampler(
             dist, 0.2, [np.random.default_rng(17).spawn(K)[3]], hb.QueryLedger(), steps=n)
         for _ in range(n):
-            X, u, _ = block.draw(W_hat)
-            X3, u3, _ = alone.draw(W_hat[3:4])
+            X, u = block.draw(W_hat)
+            X3, u3 = alone.draw(W_hat[3:4])
             assert np.allclose(X3[0], X[3], rtol=0.0, atol=1e-12)
             assert u3[0] == u[3]
             assert abs(float(X[3] @ W_hat[3])) <= 0.2 + 1e-12
 
 
-def test_lockstep_sampler_overrun_and_literal_band():
-    W_hat = np.tile(np.eye(5)[0], (3, 1))
-    ledger = hb.QueryLedger()
-    sampler = oracles.LockstepBandSampler(
-        GAUSS, 1e-9, np.random.default_rng(18).spawn(3), ledger, steps=4, max_attempts=50)
-    _, _, drawn = sampler.draw(W_hat)
-    assert drawn == 0
-    assert ledger.ex_calls == 50
+def test_lockstep_sampler_wide_gaussian_band():
     # a Gaussian band this wide has ndtr(b) within 1e-11 of 1; the inverse CDF
     # still keeps every row inside it, one row per trial
+    W_hat = np.tile(np.eye(5)[0], (3, 1))
     wide = hb.make_distribution("gaussian", 5, params=(0.01, 20.0, 0.2, 1.0))
     ledger = hb.QueryLedger()
     sampler = oracles.LockstepBandSampler(
         wide, 7.0, np.random.default_rng(19).spawn(3), ledger, steps=100)
     for _ in range(100):
-        X, _, drawn = sampler.draw(W_hat)
-        assert drawn == 3
+        X, _ = sampler.draw(W_hat)
         assert np.all(np.abs(X[:, 0]) <= 7.0)
     assert ledger.ex_calls >= 300
 
