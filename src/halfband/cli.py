@@ -172,8 +172,8 @@ def profile_from_config(cfg):
     return name, dataclasses.replace(PROFILES[name], **values)
 
 
-def sweep_from_config(raw, noise):
-    """(axis, values) of a sweep section; the swept noise field must belong to the noise kind."""
+def sweep_from_config(raw, noise, cfg):
+    """(axis, ((value, RunSpec, its schedule without sparse_s or None), ...)) of cfg's sweep."""
     _known(raw, ("axis", "values"), "sweep.")
     axis = _get(raw, "axis", str, REQUIRED, where="sweep.")
     if axis not in SWEEP_AXES:
@@ -187,14 +187,17 @@ def sweep_from_config(raw, noise):
     kind = int if axis in ("d", "s") else float
     for i, value in enumerate(values):
         _read(value, kind, f"sweep.values[{i}]")
-    return axis, tuple(values)
+    points = [parse_spec(_sweep_point_config(cfg, axis, v), "preview-schedule") for v in values]
+    dense = [p.learner.sparse_s and dataclasses.replace(p.learner, sparse_s=None).schedule()
+             for p in points]
+    return axis, tuple(zip(values, points, dense))
 
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """One checked config; subcommands read it instead of the JSON."""
 
-    raw: dict  # the merged JSON, for the CSV noise columns and sweep points
+    raw: dict  # the merged JSON, for the CSV noise columns
     learner: LearnerConfig  # at the base seed
     replicates: int
     profile_name: str
@@ -202,7 +205,8 @@ class RunSpec:
     excess_mc_samples: int
     certify_samples: int
     verify_samples: int
-    sweep: tuple | None  # (axis, values), for the sweep command only
+    schedule: object  # the epoch schedule, for run and preview-schedule only
+    sweep: tuple | None  # sweep_from_config's (axis, points), for the sweep command only
 
     def replicate(self, r):
         """Learner config of replicate r, on the substream (seed, r)."""
@@ -210,7 +214,7 @@ class RunSpec:
 
 
 def parse_spec(cfg, command):
-    """Check every value of a merged config once; InvalidInputError names the bad key."""
+    """Check a merged config and build its schedules, once; InvalidInputError names the bad key."""
     _known(cfg, CONFIG_KEYS)
     seed = _get(cfg, "seed", int, REQUIRED, lo=0)
     dist = dist_from_config(_get(cfg, "dist", dict, REQUIRED))
@@ -243,7 +247,8 @@ def parse_spec(cfg, command):
         excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1),
         certify_samples=_get(cfg, "certify_samples", int, 10**5, lo=1),
         verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=1),
-        sweep=sweep_from_config(sweep, noise) if command == "sweep" else None,
+        schedule=learner.schedule() if command in ("run", "preview-schedule") else None,
+        sweep=sweep_from_config(sweep, noise, cfg) if command == "sweep" else None,
     )
 
 
@@ -252,8 +257,10 @@ def load_config(path, overrides):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"config {path} must hold a JSON object")
     for key, value in overrides.items():
@@ -345,7 +352,6 @@ def cmd_run(spec, out_dir):
             f"excess={row['final_excess']:.3e}"
         )
         print(f"replicate {rep}: {status}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
@@ -396,11 +402,10 @@ def _linear_fit(x, y):
 
 
 def cmd_sweep(spec, out_dir):
-    axis, values = spec.sweep
+    axis, points = spec.sweep
     rows = []
-    for value in values:
-        point = parse_spec(_sweep_point_config(spec.raw, axis, value), "sweep").learner
-        sched = point.schedule()
+    for value, point_spec, dense in points:
+        point, sched = point_spec.learner, point_spec.schedule
         if axis == "eta":
             x = 1.0 / (1.0 - 2.0 * value)
         elif axis == "epsilon":
@@ -409,9 +414,6 @@ def cmd_sweep(spec, out_dir):
             x = math.log(value)
         else:
             x = float(value)
-        dense_total = ""
-        if point.sparse_s is not None:
-            dense_total = dataclasses.replace(point, sparse_s=None).schedule().total_label_budget()
         rows.append(
             {
                 "axis": axis,
@@ -421,7 +423,7 @@ def cmd_sweep(spec, out_dir):
                 "init_labels": sched.init_label_total(),
                 "main_labels": sched.main_label_total(),
                 "total_labels": sched.total_label_budget(),
-                "dense_total_labels": dense_total,
+                "dense_total_labels": "" if dense is None else dense.total_label_budget(),
                 "k0": sched.k0,
                 "k_eps": sched.k_eps,
                 "N": sched.N,
@@ -429,7 +431,6 @@ def cmd_sweep(spec, out_dir):
                 "eps0": sched.eps0,
             }
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -478,7 +479,6 @@ def cmd_verify(spec, out_dir):
         "certify": certify,
         "lemmas": lemmas,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "verify_report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -493,11 +493,9 @@ def cmd_verify(spec, out_dir):
 
 
 def cmd_preview(spec, out_dir):
-    sched = spec.learner.schedule()
-    payload = sched.to_dict()
+    payload = spec.schedule.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "preview_schedule.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -534,6 +532,11 @@ def main(argv=None):
     try:
         spec = parse_spec(load_config(args.config, overrides), args.command)
         out_dir = Path(spec.out or "runs")
+        try:
+            if spec.out or args.command != "preview-schedule":  # a bare preview only prints
+                out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot create output directory {out_dir}: {exc.strerror}")
         if args.command == "run":
             return cmd_run(spec, out_dir)
         if args.command == "sweep":

@@ -117,8 +117,6 @@ def optimize(
     delta,
     profile,
     sparse_s=None,
-    monitor=None,
-    iterate_hook=None,
 ):
     """One descent epoch: T labeled band queries around the running iterate.
 
@@ -126,7 +124,8 @@ def optimize(
     ball1(HT_s(w1), 8r*sqrt(2s)), with updates taken in the p-norm mirror
     geometry. Returns the aggregated direction: the mean of the per-step unit
     iterates ("average", norm at most 1) or a sign-flipped uniformly chosen
-    one ("random", unit norm).
+    one ("random", unit norm). The epoch's largest feasibility gap is recorded
+    on the ledger.
     """
     w1 = np.asarray(w1, dtype=float)
     d = w1.shape[0]
@@ -138,15 +137,13 @@ def optimize(
     acc = np.zeros(d)
     snaps = [] if agg == "random" else None
     max_gap = 0.0
-    for t in range(T):
+    for _ in range(T):
         nw = math.sqrt(float(w @ w))
         if nw == 0.0:
             w_hat = np.zeros(d)
             w_hat[0] = 1.0
         else:
             w_hat = w / nw
-        if iterate_hook is not None:
-            iterate_hook(t, w.copy())
         if snaps is None:
             acc += w_hat
         else:
@@ -157,9 +154,7 @@ def optimize(
         if gap > max_gap:
             max_gap = gap
 
-    if monitor is not None:
-        prev = monitor.get("max_feasibility_gap", 0.0)
-        monitor["max_feasibility_gap"] = max(prev, max_gap)
+    ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
     if agg == "average":
         return acc / T
     tau = int(rng.integers(T))
@@ -215,7 +210,6 @@ def optimize_block(
     delta,
     profile,
     sparse_s=None,
-    monitor=None,
 ):
     """K descent epochs in lockstep: row k runs optimize's epoch from W1[k] on streams[k].
 
@@ -252,13 +246,11 @@ def optimize_block(
         if gap > max_gap:
             max_gap = gap
 
-    if monitor is not None:
-        prev = monitor.get("max_feasibility_gap", 0.0)
-        monitor["max_feasibility_gap"] = max(prev, max_gap)
+    ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
     return out / T if agg == "average" else sign[:, None] * out
 
 
-def warm_start_trials(schedule, dist, noise, truth, streams, ledger, monitor=None):
+def warm_start_trials(schedule, dist, noise, truth, streams, ledger):
     """The warm start's descent trials from zero, one per stream, run in lockstep.
 
     Returns the (K, d) block of candidates, row k from streams[k].
@@ -279,19 +271,18 @@ def warm_start_trials(schedule, dist, noise, truth, streams, ledger, monitor=Non
             schedule.delta,
             schedule.profile,
             sparse_s=schedule.sparse_s,
-            monitor=monitor,
         )
     return V
 
 
-def initialize(schedule, dist, noise, truth, rng, ledger, monitor=None):
+def initialize(schedule, dist, noise, truth, rng, ledger):
     """Warm start: N descent trials from zero, then empirical risk selection.
 
     Trial k draws from child k of rng.spawn(N); the selection sample and its
     labels come from rng itself.
     """
     streams = rng.spawn(schedule.N)
-    candidates = warm_start_trials(schedule, dist, noise, truth, streams, ledger, monitor)
+    candidates = warm_start_trials(schedule, dist, noise, truth, streams, ledger)
     X = dists.sample(dist, rng, schedule.m)
     ledger.ex_calls += schedule.m
     y = query_labels(noise, truth, X, rng.random(schedule.m), ledger)
@@ -332,7 +323,7 @@ class LearnResult:
     schedule: object
     truth: GroundTruth
     trace: list
-    max_feasibility_gap: float
+    max_feasibility_gap: float  # ledger.max_feasibility_gap, repeated
 
 
 def learn(config, truth=None):
@@ -342,10 +333,9 @@ def learn(config, truth=None):
         truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
     schedule = config.schedule()
     ledger = QueryLedger()
-    monitor = {"max_feasibility_gap": 0.0}
     trace = []
 
-    v = initialize(schedule, config.dist, config.noise, truth, rng, ledger, monitor)
+    v = initialize(schedule, config.dist, config.noise, truth, rng, ledger)
     entry = {
         "stage": "init",
         "j": schedule.k0,
@@ -371,7 +361,6 @@ def learn(config, truth=None):
             schedule.delta,
             schedule.profile,
             sparse_s=config.sparse_s,
-            monitor=monitor,
         )
         entry = {
             "stage": "main",
@@ -397,5 +386,5 @@ def learn(config, truth=None):
         schedule=schedule,
         truth=truth,
         trace=trace,
-        max_feasibility_gap=monitor["max_feasibility_gap"],
+        max_feasibility_gap=ledger.max_feasibility_gap,
     )

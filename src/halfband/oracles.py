@@ -23,8 +23,11 @@ from .geometry import normalize
 
 @dataclass
 class QueryLedger:
+    """Exact oracle call counts, and the largest feasibility gap any descent epoch reported."""
+
     ex_calls: int = 0
     label_calls: int = 0
+    max_feasibility_gap: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -210,8 +210,8 @@ def make_schedule(
         params = {"B": float(B), "alpha": float(alpha)}
     if sparse_s is not None:
         sparse_s = int(sparse_s)
-        if sparse_s < 1:
-            raise InvalidInputError("sparse_s must be at least 1")
+        if not 1 <= sparse_s <= dist.d:
+            raise InvalidInputError(f"sparse_s must lie in [1, d = {dist.d}], got {sparse_s}")
         if dist.d < 3:
             raise InvalidInputError("sparse schedules need d >= 3")
 

@@ -43,6 +43,8 @@ def project_l1_ball(v, center, radius):
     a = np.abs(z)
     if a.sum() <= radius:
         return np.asarray(v, dtype=float).copy()
+    if radius == 0:  # the ball is the single point center
+        return np.array(center, dtype=float)
     # soft threshold at the level where the shrunk mass equals the radius
     u = np.sort(a)[::-1]
     css = np.cumsum(u)

@@ -198,6 +198,9 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+    path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_noise_kind_exits_2(tmp_path, capsys):
@@ -206,6 +209,7 @@ def test_unknown_noise_kind_exits_2(tmp_path, capsys):
     assert "noise" in capsys.readouterr().err
 
 SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
+NO_CONFIG = None  # a change that leaves the --config path without a file
 
 
 @pytest.mark.parametrize(
@@ -233,6 +237,14 @@ SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
         ("preview-schedule", {"multipliers": {"c_T": -1}}),
         # T_j near 1e37: the learner draws step indices as int64
         ("preview-schedule", {"noise": {"kind": "massart", "eta": 0.49999999999999994}}),
+        ("preview-schedule", {"sparse_s": 4}),  # TINY has d = 3
+        ("sweep", {"sweep": {"axis": "s", "values": [1, 2, 4]}}),
+        # sparse points fit int64, but their dense comparison schedules do not
+        ("sweep", {"dist": {"family": "gaussian", "d": 2**53}, "epsilon": 0.001, "sparse_s": 1,
+                   "noise": {"kind": "massart", "eta": 0.4999},
+                   "sweep": {"axis": "s", "values": [1, 2, 3]}}),
+        ("run", NO_CONFIG),
+        ("run", {"out": "config.json"}),  # relative to tmp_path: the config file itself
     ],
     ids=[
         "missing-eta",
@@ -255,14 +267,23 @@ SWEEP = {"axis": "eta", "values": [0.1, 0.2, 0.3]}
         "fractional-d",
         "negative-c_T",
         "int64-overflowing-T",
+        "sparse-s-above-d",
+        "sweep-s-above-d",
+        "sweep-dense-twin-overflows",
+        "missing-config-file",
+        "out-is-a-file",
     ],
 )
-def test_config_errors_exit_2_with_one_line(tmp_path, capsys, command, change):
-    cfg = {**TINY, "out": str(tmp_path / "out"), "sweep": SWEEP, **change}
-    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, change):
+    monkeypatch.chdir(tmp_path)
+    cfg = {**TINY, "out": str(tmp_path / "out"), "sweep": SWEEP, **(change or {})}
+    path = write_config(tmp_path, cfg)
+    if change is NO_CONFIG:
+        path = str(tmp_path / "missing.json")
+    assert main([command, "--config", path]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    if change.get("regime") == "XYZ":  # exited 2 before, but blamed the GTNC noise check
+    if cfg.get("regime") == "XYZ":  # exited 2 before, but blamed the GTNC noise check
         assert "regime" in err[0]
     assert not (tmp_path / "out").exists()
 

@@ -53,38 +53,50 @@ def test_optimize_single_step_average_is_normalized_start():
     assert ledger.label_calls == 1
 
 
-def test_optimize_exact_label_count_and_feasibility():
+def record_directions(monkeypatch):
+    """List that collects the unit direction of every BandSampler.draw, in order.
+
+    optimize samples around, aggregates and returns exactly these directions.
+    """
+    seen = []
+    draw = hb.BandSampler.draw
+
+    def recording_draw(self, w_hat):
+        seen.append(w_hat.copy())
+        return draw(self, w_hat)
+
+    monkeypatch.setattr(hb.BandSampler, "draw", recording_draw)
+    return seen
+
+
+def test_optimize_exact_label_count_and_feasibility(monkeypatch):
     rng = np.random.default_rng(22)
     truth = hb.make_ground_truth(5, rng)
     r = 1 / 16
     w1 = make_start(truth, r, rng)
     ledger = hb.QueryLedger()
-    monitor = {}
-    seen = []
-    hb.optimize(w1, r, 0.1, 64, "average", GAUSS5, NOISE, truth, rng, ledger, 0.05, DESK,
-                monitor=monitor, iterate_hook=lambda t, w: seen.append((t, w)))
+    seen = record_directions(monkeypatch)
+    hb.optimize(w1, r, 0.1, 64, "average", GAUSS5, NOISE, truth, rng, ledger, 0.05, DESK)
     assert ledger.label_calls == 64
     assert ledger.ex_calls >= 64
-    assert monitor["max_feasibility_gap"] <= 1e-9
+    assert ledger.max_feasibility_gap <= 1e-9
     assert len(seen) == 64
-    for _, w in seen:
-        assert float(np.linalg.norm(w - w1)) <= 4 * r + 1e-9
+    # an iterate inside ball2(w1, 4r) points within asin(4r/|w1|) of w1
+    cone = math.asin(4 * r / float(np.linalg.norm(w1)))
+    for w_hat in seen:
+        assert hb.angle(w_hat, w1) <= cone + 1e-9
 
 
-def test_optimize_random_aggregation_returns_signed_iterate():
+def test_optimize_random_aggregation_returns_signed_iterate(monkeypatch):
     rng = np.random.default_rng(23)
     truth = hb.make_ground_truth(5, rng)
     r = 1 / 16
     w1 = make_start(truth, r, rng)
-    seen = []
+    seen = record_directions(monkeypatch)
     out = hb.optimize(w1, r, 0.1, 5, "random", GAUSS5, NOISE, truth,
-                      np.random.default_rng(23), hb.QueryLedger(), 0.05, DESK,
-                      iterate_hook=lambda t, w: seen.append(w))
-    match = any(
-        np.allclose(out, sign * hb.normalize(w), atol=1e-12)
-        for w in seen for sign in (1.0, -1.0)
-    )
-    assert match
+                      np.random.default_rng(23), hb.QueryLedger(), 0.05, DESK)
+    assert len(seen) == 5
+    assert any(np.array_equal(out, sign * w_hat) for w_hat in seen for sign in (1.0, -1.0))
     assert float(np.linalg.norm(out)) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -158,8 +170,10 @@ def test_band_draw_depends_only_on_direction():
     assert np.array_equal(draws[0], draws[1])
 
 
-def test_optimize_descent_in_band_potential():
-    # thinned Monte Carlo of (1/T) sum psi(w_t) against psi(w1), 50 seeds
+def test_optimize_descent_in_band_potential(monkeypatch):
+    # thinned Monte Carlo of (1/T) sum psi(w_t) against psi(w1), 50 seeds;
+    # psi depends on w only through its direction
+    seen = record_directions(monkeypatch)
     r = 1.0 / 16.0
     b = bandwidth("MNC", r, GAUSS5, DESK, eta=0.1)
     T = iteration_count("MNC", r, GAUSS5, 0.05, DESK, GAUSS5.d, eta=0.1)
@@ -168,10 +182,10 @@ def test_optimize_descent_in_band_potential():
         rng = np.random.default_rng((31, seed))
         truth = hb.make_ground_truth(5, rng)
         w1 = make_start(truth, r, rng)
-        iterates = []
+        seen.clear()
         hb.optimize(w1, r, b, T, "average", GAUSS5, NOISE, truth, rng, hb.QueryLedger(),
-                    0.05, DESK,
-                    iterate_hook=lambda t, w: iterates.append(w) if t % 16 == 0 else None)
+                    0.05, DESK)
+        iterates = seen[::16]
         psi_rng = np.random.default_rng((32, seed))
         start = hb.estimate_psi(w1, b, GAUSS5, NOISE, truth, 2000, psi_rng).value
         along = [hb.estimate_psi(w, b, GAUSS5, NOISE, truth, 2000, psi_rng).value
@@ -217,12 +231,11 @@ def test_optimize_block_sparse_rows_exact_and_feasible():
     r = 1.0 / 16.0
     W1 = np.array([make_start(truth, r, rng) for _ in range(K)])
     ledger = hb.QueryLedger()
-    monitor = {}
     out = optimize_block(W1, r, 0.05, T, "average", dist, hb.massart(0.1), truth,
-                         rng.spawn(K), ledger, 0.05, DESK, sparse_s=s, monitor=monitor)
+                         rng.spawn(K), ledger, 0.05, DESK, sparse_s=s)
     assert ledger.label_calls == K * T
     assert ledger.ex_calls >= K * T
-    assert monitor["max_feasibility_gap"] <= 1e-6
+    assert ledger.max_feasibility_gap <= 1e-6
     assert np.all(np.linalg.norm(out, axis=1) <= 1.0 + 1e-12)
 
 

@@ -252,6 +252,13 @@ def test_sparse_requires_d_at_least_three():
                          PROFILES["desk"], eta=0.1, sparse_s=1)
 
 
+def test_sparse_support_at_most_d():
+    dist = hb.make_distribution("gaussian", 5)
+    hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=5)
+    with pytest.raises(InvalidInputError, match="sparse_s"):
+        hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=6)
+
+
 @given(st.floats(0.01, 0.45), st.sampled_from([0.1, 0.2, 0.3, 0.4]), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_mnc_bandwidth_positive_and_clipped(eps, eta, j):
