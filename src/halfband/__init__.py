@@ -18,6 +18,7 @@ from .distributions import (
 )
 from .errors import (
     BandTooThinError,
+    EmptyConstraintError,
     InvalidInputError,
     NumericalError,
     UnsupportedRegimeError,
@@ -50,6 +51,7 @@ from .sparse import bregman_step, project_intersection, project_l1_ball
 __all__ = [
     "BandSampler",
     "BandTooThinError",
+    "EmptyConstraintError",
     "GroundTruth",
     "InvalidInputError",
     "LearnResult",

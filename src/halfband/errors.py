@@ -36,3 +36,19 @@ class NumericalError(RuntimeError):
     def __init__(self, message, residuals=None):
         self.residuals = residuals
         super().__init__(message)
+
+
+class EmptyConstraintError(NumericalError):
+    """The sparse step's constraint set, an l2 ball intersected with an l1 ball, is empty.
+
+    Shown in closed form: the smallest l1 distance from the l1 center to any
+    point of the l2 ball exceeds the l1 radius. Carries both numbers.
+    """
+
+    def __init__(self, distance, radius1):
+        self.distance = float(distance)
+        self.radius1 = float(radius1)
+        super().__init__(
+            f"empty constraint set: the l2 ball lies at l1 distance {self.distance:.6g} from"
+            f" the l1 center, beyond the l1 radius {self.radius1:.6g}"
+        )

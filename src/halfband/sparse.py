@@ -2,25 +2,65 @@
 
 The regularizer is R(w) = ||w - u1||_p^2 / (2(p-1)) with p = ln d/(ln d - 1),
 requiring d >= 3. Each step minimizes the linearized loss plus the Bregman
-divergence of R over the intersection of an l2 ball (iterate proximity) and
-an l1 ball (sparsity). The minimization runs consensus ADMM: the p-norm
-piece has an exact prox (separable once one scalar is fixed), and each ball
-projects in closed form. Euclidean projected gradient is a poor fit here:
-the active l1 ball parks coordinates of w - u1 at zero, where the p-norm
-curvature is unbounded for p < 2 and line searches stall.
+divergence of R over K, the intersection of an l2 ball (iterate proximity)
+and an l1 ball (sparsity). In z = w - u1 that is
+
+    minimize <lin, z> + ||z||_p^2/(2(p-1))
+    subject to ||z - a||_2 <= r2 and ||z - b||_1 <= r1,
+
+with a and b the ball centers less u1. The step solves the KKT conditions
+exactly, by which balls bind:
+
+- neither: the closed-form p-norm dual-map step (Gentile 2003);
+- only the l2 ball: a monotone 1-D search for its multiplier mu;
+- the l1 ball: a monotone search for its multiplier lam, each trial holding
+  mu at its own root, which makes the 2-D search in (lam, mu).
+
+At fixed (lam, mu) the problem separates once the scalar
+S = ||z||_p^(2-p)/(p-1) is fixed: coordinate i sits at the l1 kink b_i or
+solves S sign(z)|z|^(p-1) + mu*z = tau_i, a convex scalar equation in a
+suitable power of |z_i|. S must then reproduce itself; in log S that
+equation is monotone with slope between min(1, 1/(p-1)) and max(1, 1/(p-1)),
+so a safeguarded Newton finds it to rounding. The multiplier searches take
+Newton steps whose slopes come from differentiating the same equations, a
+system diagonal in z and bordered by S, solved in O(d).
+
+The Euclidean projection onto K is the p = 2, lin = 0 case of the same
+solver. K itself can be empty; the smallest l1 distance from the l1 center
+to the l2 ball has a closed form, and a larger one than the l1 radius
+raises EmptyConstraintError before any search starts.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import InvalidInputError, NumericalError
-from .geometry import project_l2_ball
+from .errors import EmptyConstraintError, InvalidInputError, NumericalError
+
+EPS = float(np.finfo(float).eps)
+ROOT_STEPS = 200  # safeguarded Newton converges long before this; reaching it is a fault
 
 
-@dataclass(frozen=True)
+def _l1_distance_to_ball2(v, radius):
+    """min ||v - x||_1 over ||x||_2 <= radius, in closed form.
+
+    The minimizer clips v to [-theta, theta] coordinatewise at the level
+    theta where the clipped part has l2 norm radius; the distance is the
+    l1 norm of what is cut off, soft-threshold(v, theta).
+    """
+    u = np.sort(np.abs(v))
+    sq = u * u
+    before = np.concatenate(([0.0], np.cumsum(sq)[:-1]))
+    # clipping at u[i] leaves squared norm before[i] + (d - i) u[i]^2, increasing in i
+    k = int(np.count_nonzero(before + (len(u) - np.arange(len(u))) * sq <= radius * radius))
+    if k == len(u):
+        return 0.0
+    theta = math.sqrt((radius * radius - before[k]) / (len(u) - k))
+    return float(np.sum(u[k:] - theta))
+
+
+@dataclasses.dataclass(frozen=True)
 class SparseConstraint:
     """Intersection of ball2(center2, radius2) and ball1(center1, radius1)."""
 
@@ -33,6 +73,12 @@ class SparseConstraint:
         g2 = float(np.linalg.norm(w - self.center2)) - self.radius2
         g1 = float(np.abs(w - self.center1).sum()) - self.radius1
         return max(g2, g1, 0.0)
+
+    def check_nonempty(self):
+        """Raise EmptyConstraintError when no point lies in both balls."""
+        distance = _l1_distance_to_ball2(self.center1 - self.center2, self.radius2)
+        if distance > self.radius1:
+            raise EmptyConstraintError(distance, self.radius1)
 
 
 def project_l1_ball(v, center, radius):
@@ -53,24 +99,6 @@ def project_l1_ball(v, center, radius):
     return center + np.sign(z) * np.maximum(a - theta, 0.0)
 
 
-def project_intersection(v, constraint, tol=1e-12, max_iter=1000):
-    """Dykstra projection onto the l2/l1 intersection."""
-    x = np.asarray(v, dtype=float).copy()
-    p_inc = np.zeros_like(x)
-    q_inc = np.zeros_like(x)
-    scale = 1.0 + float(np.linalg.norm(x))
-    for _ in range(max_iter):
-        y = project_l2_ball(x + p_inc, constraint.center2, constraint.radius2)
-        p_inc = x + p_inc - y
-        x_new = project_l1_ball(y + q_inc, constraint.center1, constraint.radius1)
-        q_inc = y + q_inc - x_new
-        done = np.linalg.norm(x_new - x) <= tol * scale
-        x = x_new
-        if done:
-            break
-    return x
-
-
 def pnorm_sq_grad(z, p):
     """Gradient of ||z||_p^2 / 2, zero at z = 0."""
     nrm = float(np.linalg.norm(z, ord=p))
@@ -86,87 +114,297 @@ def mirror_p(d):
     return math.log(d) / (math.log(d) - 1.0)
 
 
-def _magnitudes_for(S, m, e, rho2):
-    """Coordinatewise solve of S*t + rho2*t^e = m for t >= 0, returning t^e.
+def _magnitudes(lin_coef, pow_coef, gamma, target, y):
+    """Elementwise root y >= 0 of lin_coef*y + pow_coef*y^gamma = target, gamma >= 1.
 
-    In the prox stationarity equations t stands for |z_i|^(p-1) and e is
-    1/(p-1), so t^e recovers |z_i|. Monotone in t; safeguarded vectorized
-    Newton inside a sign bracket.
+    The left side is convex and increasing in y, so a Newton step from any
+    start lands at or above the root and the steps then fall to it
+    monotonically. Starts at the warm guess y (None for none), capped by
+    the root's upper bound. Returns (y, y^(gamma-1)).
     """
-    if S > 0.0:
-        t_hi = np.minimum(m / S, (m / rho2) ** (1.0 / e))
+    if gamma == 1.0:
+        return target / (lin_coef + pow_coef), np.ones_like(target)
+    with np.errstate(divide="ignore"):
+        cap = target / lin_coef if lin_coef > 0.0 else np.full_like(target, np.inf)
+        if pow_coef > 0.0:
+            cap = np.minimum(cap, (target / pow_coef) ** (1.0 / gamma))
+    if lin_coef == 0.0 or pow_coef == 0.0:
+        y = cap
     else:
-        t_hi = (m / rho2) ** (1.0 / e)
-    lo = np.zeros_like(m)
-    hi = t_hi
-    t = 0.5 * t_hi
-    for _ in range(80):
-        val = S * t + rho2 * t**e - m
-        lo = np.where(val < 0.0, t, lo)
-        hi = np.where(val > 0.0, t, hi)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cand = t - val / (S + rho2 * e * t ** (e - 1.0))
-        mid = 0.5 * (lo + hi)
-        t_new = np.where((cand > lo) & (cand < hi) & np.isfinite(cand), cand, mid)
-        if float(np.max(np.abs(t_new - t))) <= 1e-16 * (1.0 + float(np.max(t_new))):
-            t = t_new
-            break
-        t = t_new
-    return t**e
-
-
-def _pnorm_linear_prox(lin, u1, vbar, rho, p, s_warm=None):
-    """argmin_w <lin, w> + ||w - u1||_p^2/(2(p-1)) + rho ||w - vbar||^2, exact.
-
-    Stationarity is separable once the scalar S = ||w - u1||_p^(2-p)/(p-1)
-    is fixed; the objective is strictly convex, so the scalar consistency
-    equation h(S) = 0 has exactly one root. Returns (w, S) so callers can
-    warm-start the next bracket.
-    """
-    c = lin + 2.0 * rho * (u1 - vbar)
-    m = np.abs(c)
-    if not np.any(m > 0.0):
-        return u1.copy(), 0.0
-    sgn = -np.sign(c)
-    inv = 1.0 / (p - 1.0)
-    e = inv
-    rho2 = 2.0 * rho
-    if p == 2.0:
-        return u1 + sgn * (m / (inv + rho2)), inv
-
-    def h(S):
-        a = _magnitudes_for(S, m, e, rho2)
-        return inv * float(np.linalg.norm(a, ord=p)) ** (2.0 - p) - S
-
-    # bracket the root: h(0) > 0 and h is eventually negative (sublinear growth)
-    s_hi = None
-    if s_warm is not None and s_warm > 0.0:
-        lo_guess, hi_guess = 0.5 * s_warm, 2.0 * s_warm
-        if h(hi_guess) <= 0.0:
-            s_hi = hi_guess
-            s_lo = lo_guess if h(lo_guess) > 0.0 else 0.0
-    if s_hi is None:
-        s_lo = 0.0
-        s_hi = max(h(0.0), 1e-12)
-        for _ in range(200):
-            if h(s_hi) <= 0.0:
+        y = cap if y is None else np.minimum(y, cap)
+        for _ in range(ROOT_STEPS):
+            yg1 = y ** (gamma - 1.0)
+            step = (lin_coef * y + pow_coef * y * yg1 - target) / (
+                lin_coef + (pow_coef * gamma) * yg1)
+            y_new = np.minimum(y - step, cap)
+            if np.all(np.abs(y_new - y) <= 4.0 * EPS * y_new):
+                y = y_new
                 break
-            s_lo = s_hi
-            s_hi *= 4.0
+            y = y_new
         else:
-            raise NumericalError("prox bracket for the p-norm scalar did not close")
-    s_star = brentq(h, s_lo, s_hi, xtol=1e-14 * (1.0 + s_hi), rtol=8.9e-16)
-    return u1 + sgn * _magnitudes_for(s_star, m, e, rho2), s_star
+            raise NumericalError("coordinate magnitudes of the mirror step did not settle")
+    return y, y ** (gamma - 1.0)
 
 
-def bregman_step(u_t, g, alpha, constraint, u1, p, tol=1e-8, max_iter=10**4):
+@dataclasses.dataclass
+class _Point:
+    """The exact minimizer z at fixed multipliers, with what its slopes need."""
+
+    lam: float
+    mu: float
+    z: np.ndarray
+    free: np.ndarray | None  # coordinates off the l1 kink; None when all are
+    sigma: np.ndarray  # sign of the l1 subgradient on free coordinates
+    t: np.ndarray  # |z_i|^(p-1), zero on the kink
+    r: np.ndarray  # d z_i / d tau_i at fixed S, zero on the kink
+    sgn: np.ndarray  # sign of z_i
+    kappa: float  # d S / d(sum_i sign(z_i) t_i dz_i)
+    border: float  # 1 + kappa * sum_i r_i t_i^2, the Schur complement of the bordered system
+
+
+class _Step:
+    """KKT system of one step in z = w - u1: exact solves at fixed multipliers and their slopes."""
+
+    def __init__(self, lin, a, b, r2, r1, p):
+        self.lin, self.a, self.b, self.r2, self.r1, self.p = lin, a, b, r2, r1, p
+        self.inv = 1.0 / (p - 1.0)
+        self.gamma = max(self.inv, p - 1.0)
+        self.small_p = p < 2.0
+        self.shifted = bool(np.any(b))  # the l1 center differs from u1
+        if self.shifted:
+            ab = np.abs(b)
+            self.b_grad = np.sign(b) * ab ** (p - 1.0)
+            self.b_pow = ab**p
+        self.slope_lo = min(1.0, self.inv)  # bounds the slope of the log S equation
+        self.log_s = 0.0 if p == 2.0 else None
+        self.y = None
+
+    def _coords(self, S, lam, mu, c_hat):
+        """Coordinatewise minimizer at fixed S: (z, free, sigma, m, t, y^(gamma-1)).
+
+        h_i is the derivative of coordinate i's smooth part at the kink b_i;
+        the coordinate stays on the kink while |h_i| <= lam, and otherwise
+        its target tau_i moves with lam in the direction sigma_i = sign(h_i).
+        """
+        h = c_hat + S * self.b_grad + mu * self.b if self.shifted else c_hat
+        sigma = np.sign(h)
+        if lam > 0.0:
+            free = np.abs(h) > lam
+            tau = np.where(free, lam * sigma - c_hat, 0.0)
+        else:
+            free = None
+            tau = -c_hat
+        lin_coef, pow_coef = (S, mu) if self.small_p else (mu, S)
+        y, yg1 = _magnitudes(lin_coef, pow_coef, self.gamma, np.abs(tau), self.y)
+        self.y = y
+        m, t = (y * yg1, y) if self.small_p else (y, y * yg1)
+        z = np.sign(tau) * m
+        if free is not None and self.shifted:
+            z = np.where(free, z, self.b)
+        return z, free, sigma, m, t, yg1
+
+    def solve(self, lam, mu):
+        """The minimizer at multipliers (lam, mu), with S found by safeguarded Newton in log S."""
+        c_hat = self.lin - mu * self.a if mu else self.lin
+        if self.log_s is None:  # first call: S of the dual-map step on the unpinned targets
+            theta = np.abs(c_hat)
+            q = self.p * self.inv
+            nrm = float(np.sum(theta**q)) ** (1.0 / q)
+            self.log_s = math.log(self.inv) + (2.0 - self.p) * math.log(
+                (self.p - 1.0) * nrm) if nrm > 0.0 else math.log(self.inv)
+        s, lo, hi = self.log_s, -math.inf, math.inf
+        p = self.p
+        for it in range(ROOT_STEPS):
+            S = math.exp(s)
+            z, free, sigma, m, t, yg1 = self._coords(S, lam, mu, c_hat)
+            mt = m * t
+            n_sum = float(np.sum(mt))
+            if free is not None and self.shifted:
+                n_sum = float(np.sum(np.where(free, mt, self.b_pow)))
+            if n_sum == 0.0 and p != 2.0:  # z = 0, where S is immaterial
+                r = np.zeros_like(z)
+                return _Point(lam, mu, z, free, sigma, t, r, np.sign(z), 0.0, 1.0)
+            if self.small_p:
+                r = yg1 / (S * (p - 1.0) + mu * yg1)
+            else:
+                with np.errstate(divide="ignore"):
+                    r = 1.0 / (S * (p - 1.0) * yg1 + mu)
+            if free is not None:
+                r = np.where(free, r, 0.0)
+            if p == 2.0:  # S = 1/(p-1) whatever z is
+                kappa, border, rho = 0.0, 1.0, s
+            else:
+                kappa = S * (2.0 - p) / n_sum
+                with np.errstate(invalid="ignore"):
+                    border = 1.0 + kappa * float(np.sum(r * t * t))
+                rho = s - math.log(self.inv) - (2.0 - p) / p * math.log(n_sum)
+            if rho == 0.0:
+                break
+            if rho > 0.0:
+                hi = s
+            else:
+                lo = s
+            if it == 0:  # the slope is at least slope_lo, which bounds the root
+                reach = 1.01 * rho / self.slope_lo
+                lo, hi = (s - reach, hi) if rho > 0.0 else (lo, s - reach)
+            step = rho / border if border > 0.0 and math.isfinite(border) else math.nan
+            resolution = 4.0 * EPS * max(1.0, abs(s))
+            if abs(step) <= resolution or hi - lo <= resolution:
+                break
+            s -= step
+            if not lo < s < hi:
+                s = 0.5 * (lo + hi)
+        else:
+            raise NumericalError("the p-norm scalar of the mirror step did not settle")
+        self.log_s = s
+        return _Point(lam, mu, z, free, sigma, t, r, np.sign(z), kappa, border)
+
+    def dz(self, pt, v):
+        """Derivative of z when the free targets tau move by v, S following (O(d))."""
+        u = pt.sgn * pt.t * pt.r
+        dS = pt.kappa * float(u @ v) / pt.border
+        return pt.r * v - u * dS
+
+    def dz_dmu(self, pt):
+        return self.dz(pt, self.a - pt.z)
+
+    def g2(self, z):
+        """Gap of the l2 constraint at z, and its unit normal there."""
+        diff = z - self.a
+        nrm = float(np.linalg.norm(diff))
+        return nrm - self.r2, diff / nrm if nrm > 0.0 else diff
+
+    def g1(self, z):
+        """Gap of the l1 constraint at z, and its subgradient off the kinks."""
+        diff = z - self.b
+        return float(np.sum(np.abs(diff))) - self.r1, np.sign(diff)
+
+    def ball2(self, lam, mu_guess):
+        """Point at multiplier lam with mu at the root of the l2 constraint (0 when slack)."""
+        pt = self.solve(lam, 0.0)
+        gap, normal = self.g2(pt.z)
+        if gap <= 0.0:
+            return pt
+
+        def at(mu):
+            pt = self.solve(lam, mu)
+            gap, normal = self.g2(pt.z)
+            return gap, float(normal @ self.dz_dmu(pt)), pt
+
+        ftol = 8.0 * EPS * (self.r2 + float(np.linalg.norm(self.a)))
+        start = (0.0, gap, float(normal @ self.dz_dmu(pt)), pt)
+        return self._root(at, start, mu_guess, ftol, self.g2)
+
+    def both(self, start):
+        """Point with lam at the root of the l1 constraint, mu following as in ball2."""
+
+        def slope(pt, sign):
+            dz = self.dz(pt, pt.sigma)
+            if pt.mu > 0.0:  # mu moves along with lam to keep the l2 ball tight
+                _, normal = self.g2(pt.z)
+                dz_mu = self.dz_dmu(pt)
+                along = float(normal @ dz_mu)
+                if along == 0.0:
+                    return math.nan
+                dz = dz - (float(normal @ dz) / along) * dz_mu
+            return float(sign @ dz)
+
+        def at(lam):
+            pt = self.ball2(lam, last[0])
+            last[0] = pt.mu or None
+            gap, sign = self.g1(pt.z)
+            return gap, slope(pt, sign), pt
+
+        last = [start.mu or None]
+        gap, sign = self.g1(start.z)
+        ftol = 8.0 * EPS * (self.r1 + float(np.sum(np.abs(self.b))))
+        return self._root(at, (0.0, gap, slope(start, sign), start), None, ftol, self.g1)
+
+    @staticmethod
+    def _root(at, start, guess, ftol, gap):
+        """Multiplier x > x0 where the constraint gap f(x) is 0, by safeguarded Newton.
+
+        f is nonincreasing with f(x0) > 0. at(x) -> (f(x), f'(x), point);
+        start = (x0, f(x0), f'(x0), point). Newton steps that leave the bracket
+        become bisections, or doublings while no point with f <= 0 is known.
+        Returns the point once |f| <= ftol. When the bracket or the step
+        reaches rounding first, f can still jump between its ends: for p > 2,
+        |z_i| grows like |tau_i|^(1/(p-1)), steep where tau_i crosses 0. Both
+        end points are then stationary to rounding, and the point returned is
+        the one on the segment between them where gap(z) is 0.
+        """
+        lo, f, slope, at_lo = start
+        x, hi, at_hi = lo, math.inf, None
+        cand = guess
+        for _ in range(ROOT_STEPS):
+            if cand is None:
+                cand = x - f / slope if slope < 0.0 and math.isfinite(slope) else math.nan
+            if not lo < cand < hi:
+                cand = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo if lo > 0.0 else 1.0)
+            moved = abs(cand - x)
+            x = cand
+            f, slope, pt = at(x)
+            if f > 0.0:
+                lo, at_lo = x, pt
+            else:
+                hi, at_hi = x, pt
+            if abs(f) <= ftol:
+                return pt
+            if at_hi is None:
+                if moved <= 4.0 * EPS * x:
+                    return pt
+            elif moved <= 4.0 * EPS * x or hi - lo <= 4.0 * EPS * hi:
+                return _blend(at_lo, at_hi, gap)
+            cand = None
+        raise NumericalError("multiplier search of the mirror step did not converge")
+
+
+def _blend(pos, neg, gap):
+    """The point between pos (gap > 0) and neg (gap <= 0) where gap is 0; gap is convex."""
+    lo, hi = 0.0, 1.0  # fraction of the way from neg to pos
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if gap(neg.z + mid * (pos.z - neg.z))[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    # on the kink are the coordinates on it at both ends, where both hold z_i = b_i
+    free = None if pos.free is None or neg.free is None else pos.free | neg.free
+    return dataclasses.replace(neg, z=neg.z + lo * (pos.z - neg.z), free=free)
+
+
+def _solve(lin, u1, p, constraint):
+    """argmin over K of <lin, w - u1> + ||w - u1||_p^2/(2(p-1)), exactly.
+
+    Returns (w, mu, lam): the minimizer and the multipliers of the l2 and
+    the l1 constraint, which certify it through the KKT conditions.
+    """
+    constraint.check_nonempty()
+    b = constraint.center1 - u1
+    step = _Step(lin, constraint.center2 - u1, b, constraint.radius2, constraint.radius1, p)
+    pt = step.ball2(0.0, None)  # the dual-map step when its l2 gap is <= 0
+    if step.g1(pt.z)[0] > 0.0:
+        pt = step.both(pt)
+    w = u1 + pt.z
+    if pt.free is not None:  # kink coordinates sit exactly on the l1 center
+        w = np.where(pt.free, w, constraint.center1)
+    return w, pt.mu, pt.lam
+
+
+def project_intersection(v, constraint):
+    """Euclidean projection of v onto K: the mirror step at p = 2 with no linear term.
+
+    Raises EmptyConstraintError when K is empty.
+    """
+    v = np.asarray(v, dtype=float)
+    return _solve(np.zeros_like(v), v, 2.0, constraint)[0]
+
+
+def bregman_step(u_t, g, alpha, constraint, u1, p):
     """argmin_{w in K} alpha*<g, w> + D_R(w, u_t) for R(w) = ||w-u1||_p^2/(2(p-1)).
 
-    Consensus ADMM: one copy per ball, exact prox of the smooth piece, scaled
-    duals, residual-balanced penalty. Stops when the primal and dual KKT
-    residuals fall below tol (relative); the returned point is projected to
-    be feasible. Raises NumericalError with the residuals attached if the
-    iteration cap is reached first.
+    Exact up to rounding: the KKT point over K's active balls (module
+    docstring). Raises EmptyConstraintError when K is empty.
     """
     if not p > 1.0:
         raise InvalidInputError("mirror exponent p must exceed 1")
@@ -176,44 +414,5 @@ def bregman_step(u_t, g, alpha, constraint, u1, p, tol=1e-8, max_iter=10**4):
     step_dir = alpha * g
     if not np.any(step_dir) and constraint.violation(u_t) == 0.0:
         return u_t.copy()
-    inv = 1.0 / (p - 1.0)
-    lin = step_dir - inv * pnorm_sq_grad(u_t - u1, p)
-
-    w = project_intersection(u_t, constraint)
-    z1 = w.copy()
-    z2 = w.copy()
-    y1 = np.zeros_like(w)
-    y2 = np.zeros_like(w)
-    rho = 1.0
-    s_warm = None
-    for it in range(max_iter):
-        vbar = 0.5 * ((z1 - y1) + (z2 - y2))
-        w, s_warm = _pnorm_linear_prox(lin, u1, vbar, rho, p, s_warm=s_warm)
-        z1_new = project_l1_ball(w + y1, constraint.center1, constraint.radius1)
-        z2_new = project_l2_ball(w + y2, constraint.center2, constraint.radius2)
-        y1 += w - z1_new
-        y2 += w - z2_new
-        r_prim = math.sqrt(
-            float(np.sum((w - z1_new) ** 2)) + float(np.sum((w - z2_new) ** 2))
-        )
-        r_dual = rho * math.sqrt(
-            float(np.sum((z1_new - z1) ** 2)) + float(np.sum((z2_new - z2) ** 2))
-        )
-        z1, z2 = z1_new, z2_new
-        scale = 1.0 + float(np.linalg.norm(w))
-        if r_prim <= tol * scale and r_dual <= tol * scale:
-            return project_intersection(w, constraint)
-        # residual balancing keeps both residuals shrinking at similar rates
-        if it % 10 == 9:
-            if r_prim > 10.0 * r_dual:
-                rho *= 2.0
-                y1 *= 0.5
-                y2 *= 0.5
-            elif r_dual > 10.0 * r_prim:
-                rho *= 0.5
-                y1 *= 2.0
-                y2 *= 2.0
-    raise NumericalError(
-        "mirror step failed to converge",
-        residuals={"primal": r_prim, "dual": r_dual},
-    )
+    lin = step_dir - pnorm_sq_grad(u_t - u1, p) / (p - 1.0)
+    return _solve(lin, u1, p, constraint)[0]

@@ -318,6 +318,28 @@ def test_numerical_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
     assert summary["failures"] == 1
 
 
+def test_sparse_run_with_empty_constraint_set_is_an_error_row(tmp_path):
+    # replicate 0, seed (7, 0): a warm-start row of epoch j=1 has an empty constraint set
+    cfg = {
+        "seed": 7,
+        "dist": {"family": "gaussian", "d": 10},
+        "noise": {"kind": "massart", "eta": 0.2},
+        "epsilon": 0.3,
+        "delta": 0.05,
+        "sparse_s": 2,
+        "multipliers": {"c_T": 0.002, "c_S": 4},
+        "out": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    rows = read_rows(tmp_path / "out")
+    assert len(rows) == 1
+    assert rows[0]["error"].startswith("empty constraint set: the l2 ball lies at l1 distance")
+    assert rows[0]["s"] == "2" and rows[0]["label_calls"] == ""
+    assert float(rows[0]["wall_time_s"]) < 30.0  # seconds; the failing step used to take minutes
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["failures"] == 1
+
+
 @pytest.mark.parametrize(
     "dist, c_b",
     [("uniform_ball", 1e-16), ("gaussian", 1e-17)],
