@@ -16,6 +16,7 @@ from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle, normalize
 from .oracles import (
     NoiseModel,
+    _ball_radial,
     _complete_band_points,
     eta_of_margin,
     exact_tsybakov_A,
@@ -35,8 +36,8 @@ def _band_batch(dist, w_hat, b, rng, n):
     """n points from the band law around unit w_hat, bypassing the ledger."""
     m = dists.truncated_margin(dist, b, 2.0 * rng.random(n) - 1.0)
     Z = rng.standard_normal((n, dist.d))
-    V = rng.random(n) if dist.family == "uniform_ball" else None
-    return _complete_band_points(dist, np.broadcast_to(w_hat, Z.shape), m, Z, V)
+    radial = _ball_radial(dist, m, rng.random(n)) if dist.family == "uniform_ball" else None
+    return _complete_band_points(np.broadcast_to(w_hat, Z.shape), m, Z, radial)
 
 
 def estimate_psi(w, b, dist, noise, truth, n, rng):

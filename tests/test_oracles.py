@@ -92,6 +92,36 @@ def test_query_label_sign_zero_is_positive():
     assert y == 1
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        hb.massart(0.2),
+        hb.massart_band(0.2, 0.3),
+        hb.geometric_tsybakov(0.3, 1.0),  # exponent (1 - alpha)/alpha = 0
+        hb.geometric_tsybakov(1.0, 0.75),  # 1/3
+        hb.geometric_tsybakov(2.0, 0.3),  # 7/3
+    ],
+    ids=lambda model: f"{model.kind}-{model.alpha}",
+)
+def test_scalar_flip_rate_equals_eta_of_margin_exactly(model):
+    # query_label's flip rate is built from Python floats; it must be eta_of_margin's
+    # value to the bit, at the band edge, at the Tsybakov knee B|m|^e = 1/2, at tiny
+    # margins and where |m|^e overflows
+    expo = (1.0 - model.alpha) / model.alpha
+    edges = [model.tau] if model.kind == "massart_band" else []
+    if model.kind == "geometric_tsybakov" and expo > 0.0:
+        edges.append((0.5 / model.B) ** (1.0 / expo))
+    margins = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, 1e3, -1e3, 1e300, -1e300, math.inf]
+    for edge in edges:
+        for m in (edge, -edge):
+            margins += [m, math.nextafter(m, math.inf), math.nextafter(m, -math.inf)]
+    margins += (np.random.default_rng(7).standard_normal(2000) * 3.0).tolist()
+    for m in margins:
+        with np.errstate(over="ignore"):
+            expected = float(hb.eta_of_margin(model, m))
+        assert oracles._flip_rate(model, m) == expected, m
+
+
 def test_query_label_flip_rate_binomial():
     truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
     model = hb.massart(0.3)
