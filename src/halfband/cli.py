@@ -550,6 +550,10 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a dist.d that fits int64 but not in memory
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this config{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ tail P(|<w,x>| >= t) <= exp(1 - t/beta).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle
@@ -172,6 +172,9 @@ def certify_parameters(dist, rng=None, samples=10**5):
     Returns a report dict (never raises on failure). Density checks use the
     closed-form projected density, so they need no estimation allowance.
     """
+    # scipy.stats costs most of the package's import time; only this check needs it
+    from scipy import stats
+
     rng = np.random.default_rng(0) if rng is None else rng
     checks = []
 

@@ -299,6 +299,20 @@ def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("error:") and "feasibility" in err[0]
 
 
+@pytest.mark.parametrize("command,target", [("run", "learn"), ("verify", "verify_lemma_suite")])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    # stands in for a dist.d that fits int64 but not memory; nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    cfg = dict(TINY, certify_samples=2000, out=str(tmp_path / "out"))
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "memory" in err[0] and "8.00 TiB" in err[0]
+
+
 def test_numerical_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
     learn = cli.learn
 

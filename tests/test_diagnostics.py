@@ -168,3 +168,32 @@ def test_suite_respects_supplied_noise():
     report = hb.verify_lemma_suite(GAUSS5, truth, np.random.default_rng(28),
                                    noise=hb.massart(0.35), samples=10**4)
     assert report["passed"]
+
+
+def test_suite_excess_lower_mnc_is_exact_for_constant_eta():
+    truth = fixed_truth(5, seed=29)
+    report = hb.verify_lemma_suite(GAUSS5, truth, np.random.default_rng(30),
+                                   noise=hb.massart(0.35), samples=10**4)
+    assert len(report["checks"]) == 41
+    mnc = [c for c in report["checks"] if c["check"] == "excess-lower-mnc"]
+    assert len(mnc) == 3
+    for c in mnc:
+        q = c["setting"]["disagreement"]
+        assert c["measured"] == c["bound"] == (1.0 - 2.0 * 0.35) * q
+        assert c["std_error"] == 0.0
+        assert c["margin_sigmas"] is None
+        assert c["passed"]
+
+
+def test_suite_excess_lower_mnc_stays_monte_carlo_for_band_noise():
+    truth = fixed_truth(5, seed=31)
+    report = hb.verify_lemma_suite(GAUSS5, truth, np.random.default_rng(32),
+                                   noise=hb.massart_band(0.3, 0.5), samples=10**4)
+    assert len(report["checks"]) == 41
+    mnc = [c for c in report["checks"] if c["check"] == "excess-lower-mnc"]
+    assert len(mnc) == 3
+    for c in mnc:
+        assert c["std_error"] > 0.0
+        assert c["margin_sigmas"] is not None
+        assert c["measured"] != c["bound"]
+        assert c["passed"]

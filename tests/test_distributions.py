@@ -1,6 +1,11 @@
 """Distribution families, certified density constants, band mass, disagreement."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ import halfband as hb
 from halfband import distributions as dists
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
 
+ROOT = Path(__file__).resolve().parent.parent
 GAUSS_U = 1.0 / (2.0 * math.pi)
 GAUSS_L = GAUSS_U * math.exp(-0.5)
 
@@ -180,6 +186,39 @@ def test_certify_parameters_defaults_pass():
         assert report["passed"], report
         names = {c["check"] for c in report["checks"]}
         assert {"projected-density-lower", "tail-bound"} <= names
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import halfband, halfband.cli
+heavy = ("scipy.stats", "scipy.optimize")
+at_import = sorted(m for m in sys.modules if m.startswith(heavy))
+report = halfband.certify_parameters(
+    halfband.make_distribution("gaussian", 3), np.random.default_rng(5), samples=2000
+)
+checks = [c["check"] for c in report["checks"]]
+print(json.dumps({"at_import": at_import, "passed": report["passed"], "checks": checks,
+                  "stats_loaded": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_import_loads_no_scipy_stats_and_certify_still_runs():
+    # a fresh interpreter: the test process itself has scipy.stats loaded already
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    assert out["at_import"] == []
+    assert out["passed"]
+    assert "isotropy-ks" in out["checks"]
+    assert out["stats_loaded"]
 
 
 def test_certify_isotropy_family_wise_level():
