@@ -23,6 +23,7 @@ from .oracles import (
     geometric_tsybakov,
     massart,
 )
+from .schedules import regime_for_noise
 
 
 @dataclass(frozen=True)
@@ -70,17 +71,15 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     """Excess misclassification risk of sign(<v, .>) over the optimal halfspace.
 
     "exact" uses the closed form (1 - 2*eta) * angle/pi, valid only for
-    constant flip rate under the supported spherically symmetric families;
+    constant flip rate (every family is spherically symmetric);
     "mc" averages (1 - 2*eta(x)) over the disagreement region.
     """
-    exact_ok = noise.kind == "massart" and dist.family in dists.FAMILIES
+    exact_ok = noise.kind == "massart"
     if method == "auto":
         method = "exact" if exact_ok else "mc"
     if method == "exact":
         if not exact_ok:
-            raise UnsupportedRegimeError(
-                "closed-form excess needs constant flip rate and a symmetric family"
-            )
+            raise UnsupportedRegimeError("closed-form excess needs a constant flip rate")
         return (1.0 - 2.0 * noise.eta) * angle(v, truth.w_star) / math.pi
     if method != "mc":
         raise InvalidInputError(f"unknown excess method {method!r}")
@@ -154,14 +153,9 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     L, R, U, beta = dist.L, dist.R, dist.U, dist.beta
     w_star = truth.w_star
 
-    if noise is not None and noise.kind in ("massart", "massart_band"):
-        mnc = noise
-    else:
-        mnc = massart(0.2)
-    if noise is not None and noise.kind == "geometric_tsybakov":
-        gt = noise
-    else:
-        gt = geometric_tsybakov(1.0, 0.75)
+    regime = None if noise is None else regime_for_noise(noise)
+    mnc = noise if regime == "MNC" else massart(0.2)
+    gt = noise if regime == "GTNC" else geometric_tsybakov(1.0, 0.75)
     tnc = gt if 0.5 < gt.alpha < 1.0 else geometric_tsybakov(1.0, 0.75)
     A_exact = exact_tsybakov_A(tnc.B, tnc.alpha, dist)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidInputError, UnsupportedRegimeError
+from .errors import InvalidInputError
 from .geometry import angle
 
 FAMILIES = ("gaussian", "uniform_ball")
@@ -32,6 +32,10 @@ class WellBehavedDistribution:
     R: float
     U: float
     beta: float
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise InvalidInputError(f"unknown family {self.family!r}")
 
     @property
     def radius(self):
@@ -80,13 +84,11 @@ def sample(dist, rng, n=None):
     m = 1 if n is None else int(n)
     if dist.family == "gaussian":
         x = rng.standard_normal((m, dist.d))
-    elif dist.family == "uniform_ball":
+    else:
         z = rng.standard_normal((m, dist.d))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         radii = dist.radius * rng.random(m) ** (1.0 / dist.d)
         x = z * radii[:, None]
-    else:
-        raise InvalidInputError(f"unknown family {dist.family!r}")
     return x[0] if n is None else x
 
 
@@ -95,12 +97,9 @@ def margin_cdf(dist, t):
     t = np.asarray(t, dtype=float)
     if dist.family == "gaussian":
         return special.ndtr(t)
-    if dist.family == "uniform_ball":
-        rho = dist.radius
-        u = np.clip(np.abs(t) / rho, 0.0, 1.0)
-        half = 0.5 * special.betainc(0.5, (dist.d + 1) / 2.0, u**2)
-        return 0.5 + np.sign(t) * half
-    raise InvalidInputError(f"unknown family {dist.family!r}")
+    u = np.clip(np.abs(t) / dist.radius, 0.0, 1.0)
+    half = 0.5 * special.betainc(0.5, (dist.d + 1) / 2.0, u**2)
+    return 0.5 + np.sign(t) * half
 
 
 def band_probability(dist, b):
@@ -109,10 +108,8 @@ def band_probability(dist, b):
         raise InvalidInputError("band_probability: b must be positive")
     if dist.family == "gaussian":
         return float(2.0 * special.ndtr(b) - 1.0)
-    if dist.family == "uniform_ball":
-        u = min(1.0, b / dist.radius) ** 2  # clip first: (b / radius) ** 2 can overflow
-        return float(special.betainc(0.5, (dist.d + 1) / 2.0, u))
-    raise InvalidInputError(f"unknown family {dist.family!r}")
+    u = min(1.0, b / dist.radius) ** 2  # clip first: (b / radius) ** 2 can overflow
+    return float(special.betainc(0.5, (dist.d + 1) / 2.0, u))
 
 
 def truncated_margin(dist, b, u):
@@ -126,11 +123,9 @@ def truncated_margin(dist, b, u):
         # once ndtr(b) rounds to 1 (b >~ 8.3), u = -1 maps to ndtri(0) = -inf;
         # the clip keeps every value in the band and leaves in-band values as they are
         return np.clip(special.ndtri(0.5 + u * (special.ndtr(b) - 0.5)), -b, b)
-    if dist.family == "uniform_ball":
-        q = band_probability(dist, b)
-        frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
-        return np.sign(u) * dist.radius * np.sqrt(frac)
-    raise InvalidInputError(f"unknown family {dist.family!r}")
+    q = band_probability(dist, b)
+    frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
+    return np.sign(u) * dist.radius * np.sqrt(frac)
 
 
 def projected_density_2d(dist, z):
@@ -139,30 +134,22 @@ def projected_density_2d(dist, z):
     r2 = np.sum(z**2, axis=-1)
     if dist.family == "gaussian":
         return np.exp(-0.5 * r2) / (2.0 * np.pi)
-    if dist.family == "uniform_ball":
-        rho2 = dist.radius**2
-        inside = np.clip(1.0 - r2 / rho2, 0.0, None)
-        return dist.d / (2.0 * np.pi * rho2) * inside ** ((dist.d - 2) / 2.0)
-    raise InvalidInputError(f"unknown family {dist.family!r}")
+    rho2 = dist.radius**2
+    inside = np.clip(1.0 - r2 / rho2, 0.0, None)
+    return dist.d / (2.0 * np.pi * rho2) * inside ** ((dist.d - 2) / 2.0)
 
 
 def margin_density_at_zero(dist):
     """Peak density of the 1-d margin <w,x>; P(|<w,x>| <= z) <= 2 * peak * z."""
     if dist.family == "gaussian":
         return float(1.0 / np.sqrt(2.0 * np.pi))
-    if dist.family == "uniform_ball":
-        d = dist.d
-        c = special.gamma(d / 2.0 + 1.0) / (np.sqrt(np.pi) * special.gamma((d + 1) / 2.0))
-        return float(c / dist.radius)
-    raise InvalidInputError(f"unknown family {dist.family!r}")
+    d = dist.d
+    c = special.gamma(d / 2.0 + 1.0) / (np.sqrt(np.pi) * special.gamma((d + 1) / 2.0))
+    return float(c / dist.radius)
 
 
 def exact_disagreement(dist, u, v):
-    """P(sign<u,x> != sign<v,x>) = angle(u,v)/pi for spherically symmetric families."""
-    if dist.family not in FAMILIES:
-        raise UnsupportedRegimeError(
-            f"exact_disagreement needs a spherically symmetric family, got {dist.family!r}"
-        )
+    """P(sign<u,x> != sign<v,x>) = angle(u,v)/pi; every family is spherically symmetric."""
     return angle(u, v) / np.pi
 
 

@@ -341,16 +341,15 @@ def learn(config, truth=None):
     ledger = QueryLedger()
     trace = []
 
+    def record(v, stage, j, **epoch):
+        entry = {"stage": stage, "j": j, **epoch,
+                 "labels": ledger.label_calls, "ex_calls": ledger.ex_calls}
+        if config.trace_angles:
+            entry["angle"] = angle(v, truth.w_star)
+        trace.append(entry)
+
     v = initialize(schedule, config.dist, config.noise, truth, rng, ledger)
-    entry = {
-        "stage": "init",
-        "j": schedule.k0,
-        "labels": ledger.label_calls,
-        "ex_calls": ledger.ex_calls,
-    }
-    if config.trace_angles:
-        entry["angle"] = angle(v, truth.w_star)
-    trace.append(entry)
+    record(v, "init", schedule.k0)
 
     for j in range(1, schedule.k_eps + 1):
         v = optimize(
@@ -368,18 +367,7 @@ def learn(config, truth=None):
             schedule.profile,
             sparse_s=config.sparse_s,
         )
-        entry = {
-            "stage": "main",
-            "j": j,
-            "r": proximity(j),
-            "b": schedule.bandwidths[j],
-            "T": schedule.iterations[j],
-            "labels": ledger.label_calls,
-            "ex_calls": ledger.ex_calls,
-        }
-        if config.trace_angles:
-            entry["angle"] = angle(v, truth.w_star)
-        trace.append(entry)
+        record(v, "main", j, r=proximity(j), b=schedule.bandwidths[j], T=schedule.iterations[j])
 
     expected = schedule.total_label_budget()
     if ledger.label_calls != expected:

@@ -63,6 +63,21 @@ def make_ground_truth(d, rng, s=None):
     return GroundTruth(w, s=s)
 
 
+# noise kind -> (its fields, in constructor order; the schedule regime it defaults to)
+NOISE_KINDS = {
+    "massart": (("eta",), "MNC"),
+    "massart_band": (("eta", "tau"), "MNC"),
+    "geometric_tsybakov": (("B", "alpha"), "GTNC"),
+}
+
+
+def noise_fields(kind):
+    """Fields of noise kind `kind`, in constructor order; InvalidInputError on an unknown kind."""
+    if kind not in NOISE_KINDS:
+        raise InvalidInputError(f"unknown noise kind {kind!r}; choose from {sorted(NOISE_KINDS)}")
+    return NOISE_KINDS[kind][0]
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Conditional flip rate eta(x); every kind keeps eta(x) <= 1/2.
@@ -72,6 +87,10 @@ class NoiseModel:
     decision boundary at a rate set by B and alpha; the hardest generator
     compatible with the pointwise margin condition
     1/2 - eta(x) >= min(1/2, B |<w*,x>|^{(1-alpha)/alpha}), met with equality).
+
+    Construction, dataclasses.replace included, rejects an unknown kind and a
+    field of the kind outside its range (eta in [0, 1/2), tau > 0, B > 0,
+    alpha in (0, 1]), so eta(x) <= 1/2 holds for every model that exists.
     """
 
     kind: str
@@ -80,26 +99,27 @@ class NoiseModel:
     B: float = 0.0
     alpha: float = 1.0
 
+    def __post_init__(self):
+        fields = noise_fields(self.kind)
+        if "eta" in fields and not 0.0 <= self.eta < 0.5:
+            raise InvalidInputError(f"{self.kind}: eta must lie in [0, 1/2)")
+        if "tau" in fields and not self.tau > 0:
+            raise InvalidInputError(f"{self.kind}: tau must be positive")
+        if "B" in fields and not self.B > 0:
+            raise InvalidInputError(f"{self.kind}: B must be positive")
+        if "alpha" in fields and not 0.0 < self.alpha <= 1.0:
+            raise InvalidInputError(f"{self.kind}: alpha must lie in (0, 1]")
+
 
 def massart(eta):
-    if not 0.0 <= eta < 0.5:
-        raise InvalidInputError("massart: eta must lie in [0, 1/2)")
     return NoiseModel("massart", eta=float(eta))
 
 
 def massart_band(eta, tau):
-    if not 0.0 <= eta < 0.5:
-        raise InvalidInputError("massart_band: eta must lie in [0, 1/2)")
-    if not tau > 0:
-        raise InvalidInputError("massart_band: tau must be positive")
     return NoiseModel("massart_band", eta=float(eta), tau=float(tau))
 
 
 def geometric_tsybakov(B, alpha):
-    if not B > 0:
-        raise InvalidInputError("geometric_tsybakov: B must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError("geometric_tsybakov: alpha must lie in (0, 1]")
     return NoiseModel("geometric_tsybakov", B=float(B), alpha=float(alpha))
 
 
@@ -110,10 +130,8 @@ def eta_of_margin(model, m):
         return np.full_like(m, model.eta)
     if model.kind == "massart_band":
         return np.where(np.abs(m) <= model.tau, model.eta, 0.0)
-    if model.kind == "geometric_tsybakov":
-        expo = (1.0 - model.alpha) / model.alpha
-        return 0.5 - np.minimum(0.5, model.B * np.abs(m) ** expo)
-    raise InvalidInputError(f"unknown noise kind {model.kind!r}")
+    expo = (1.0 - model.alpha) / model.alpha
+    return 0.5 - np.minimum(0.5, model.B * np.abs(m) ** expo)
 
 
 def _flip_rate(model, m):
@@ -127,13 +145,11 @@ def _flip_rate(model, m):
         return model.eta
     if model.kind == "massart_band":
         return model.eta if abs(m) <= model.tau else 0.0
-    if model.kind == "geometric_tsybakov":
-        expo = (1.0 - model.alpha) / model.alpha
-        try:
-            return 0.5 - min(model.B * abs(m) ** expo, 0.5)  # NaN stays NaN, as in numpy
-        except OverflowError:  # numpy's power overflows to inf, where the rate is 0
-            return 0.0
-    return float(eta_of_margin(model, m))  # raises on an unknown kind
+    expo = (1.0 - model.alpha) / model.alpha
+    try:
+        return 0.5 - min(model.B * abs(m) ** expo, 0.5)  # NaN stays NaN, as in numpy
+    except OverflowError:  # numpy's power overflows to inf, where the rate is 0
+        return 0.0
 
 
 def query_label(model, truth, x, rng, ledger):

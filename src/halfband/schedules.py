@@ -7,9 +7,10 @@ initialization target eps0 to 1/2.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError, UnsupportedRegimeError
+from .oracles import NOISE_KINDS
 
 REGIMES = ("MNC", "TNC", "GTNC")
 
@@ -22,7 +23,7 @@ class Profile:
     size, c_eps the initialization target, c_S the selection sample size.
     c_S defaults to 4 (the selection stage's sample bound carries no other
     pinned constant); the rest default to 1, i.e. the analysis expressions
-    verbatim.
+    verbatim. Every multiplier must be positive, dataclasses.replace included.
     """
 
     c_b: float = 1.0
@@ -30,6 +31,12 @@ class Profile:
     c_alpha: float = 1.0
     c_eps: float = 1.0
     c_S: float = 4.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:
+                raise InvalidInputError(f"multipliers.{f.name} must be positive, got {value!r}")
 
 
 # "desk" is calibrated so the per-epoch contraction contract holds at desk
@@ -266,31 +273,26 @@ def make_schedule(
 
 def regime_for_noise(noise):
     """Default schedule regime implied by a noise model."""
-    if noise.kind in ("massart", "massart_band"):
-        return "MNC"
-    if noise.kind == "geometric_tsybakov":
-        return "GTNC"
-    raise InvalidInputError(f"unknown noise kind {noise.kind!r}")
+    return NOISE_KINDS[noise.kind][1]
 
 
-# regime -> (noise kinds it applies to, its make_schedule parameters from (noise, A))
-REGIME_PARAMS = {
-    "MNC": (("massart", "massart_band"), lambda noise, A: {"eta": noise.eta}),
-    "TNC": (("geometric_tsybakov",), lambda noise, A: {"A": A, "alpha": noise.alpha}),
-    "GTNC": (("geometric_tsybakov",), lambda noise, A: {"B": noise.B, "alpha": noise.alpha}),
-}
+# regime -> the noise fields its make_schedule parameters read (TNC also takes A);
+# a regime applies to the noise kinds that have all of them
+REGIME_FIELDS = {"MNC": ("eta",), "TNC": ("alpha",), "GTNC": ("B", "alpha")}
 
 
 def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None, A=None):
     """Schedule for a noise model; regime override needs A for plain-Tsybakov runs."""
     regime = regime or regime_for_noise(noise)
-    if regime not in REGIME_PARAMS:
+    if regime not in REGIME_FIELDS:
         raise InvalidInputError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    kinds, params = REGIME_PARAMS[regime]
+    needs = REGIME_FIELDS[regime]
+    kinds = [k for k, (k_fields, _) in NOISE_KINDS.items() if set(needs) <= set(k_fields)]
     if noise.kind not in kinds:
         raise InvalidInputError(
             f"{regime} schedule needs noise of kind {' or '.join(kinds)}, got {noise.kind!r}"
         )
-    return make_schedule(
-        regime, dist, epsilon, delta, profile, sparse_s=sparse_s, **params(noise, A)
-    )
+    params = {f: getattr(noise, f) for f in needs}
+    if regime == "TNC":
+        params["A"] = A
+    return make_schedule(regime, dist, epsilon, delta, profile, sparse_s=sparse_s, **params)

@@ -14,6 +14,7 @@ from halfband import cli
 from halfband.cli import CSV_COLUMNS, main
 from halfband.distributions import FAMILIES
 from halfband.errors import InvalidInputError, NumericalError
+from halfband.oracles import NOISE_KINDS
 from halfband.schedules import PROFILES, REGIMES
 
 TINY = {
@@ -427,7 +428,7 @@ FUZZ_BASES = [
 ]
 SUBKEYS = ["family", "d", "params", "kind", "eta", "tau", "B", "alpha", "c_b", "c_T",
            "c_alpha", "c_eps", "c_S", "axis", "values", "typo"]
-NAMES = sorted({*cli.CONFIG_KEYS, *cli.NOISE_KINDS, *cli.SWEEP_AXES, *FAMILIES, *REGIMES,
+NAMES = sorted({*cli.CONFIG_KEYS, *NOISE_KINDS, *cli.SWEEP_AXES, *FAMILIES, *REGIMES,
                 *PROFILES, *SUBKEYS})
 SCALARS = st.one_of(
     st.none(),

@@ -16,7 +16,7 @@ from scipy.stats import kstest
 
 import halfband as hb
 from halfband import distributions as dists
-from halfband.errors import InvalidInputError, UnsupportedRegimeError
+from halfband.errors import InvalidInputError
 
 ROOT = Path(__file__).resolve().parent.parent
 GAUSS_U = 1.0 / (2.0 * math.pi)
@@ -47,6 +47,8 @@ def test_default_params_uniform_ball():
 def test_make_distribution_validation():
     with pytest.raises(InvalidInputError):
         hb.make_distribution("triangle", 3)
+    with pytest.raises(InvalidInputError, match="unknown family 'laplace'"):
+        hb.make_distribution("laplace", 5, params=(0.05, 1.0, 0.16, 1.0))
     with pytest.raises(InvalidInputError):
         hb.make_distribution("gaussian", 0)
 
@@ -260,10 +262,10 @@ def test_certify_flags_overtight_tail_scale():
 def test_exact_disagreement_requires_symmetric_family():
     import dataclasses
 
+    # every family is spherically symmetric, and no other family can be built
     dist = hb.make_distribution("gaussian", 3)
-    crooked = dataclasses.replace(dist, family="crooked")
-    with pytest.raises(UnsupportedRegimeError):
-        hb.exact_disagreement(crooked, np.ones(3), np.ones(3))
+    with pytest.raises(InvalidInputError, match="unknown family 'crooked'"):
+        dataclasses.replace(dist, family="crooked")
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 3.0))

@@ -1,5 +1,6 @@
 """Label oracle, noise models, ground truth, band sampling, ledger."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,15 @@ def test_massart_validation():
         hb.geometric_tsybakov(1.0, 1.5)
     with pytest.raises(InvalidInputError):
         hb.massart_band(0.3, -1.0)
+    # the model itself checks, however it is built
+    with pytest.raises(InvalidInputError, match="massart: eta must lie in"):
+        hb.NoiseModel("massart", eta=0.7)
+    with pytest.raises(InvalidInputError, match="unknown noise kind 'salt'"):
+        hb.NoiseModel("salt")
+    with pytest.raises(InvalidInputError, match="massart: eta must lie in"):
+        dataclasses.replace(hb.massart(0.1), eta=0.7)
+    with pytest.raises(InvalidInputError, match="massart_band: tau must be positive"):
+        dataclasses.replace(hb.massart_band(0.1, 1.0), tau=0.0)
 
 
 def test_geometric_tsybakov_pointwise_values():

@@ -1,5 +1,6 @@
 """Deterministic schedule arithmetic: bandwidths, iteration counts, stage sizes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,13 @@ def test_profiles_frozen_values():
     paper = PROFILES["paper-constants"]
     assert (paper.c_b, paper.c_T, paper.c_alpha, paper.c_eps, paper.c_S) == (
         1.0, 1.0, 1.0, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("field, value", [("c_S", 0.0), ("c_T", -1.0), ("c_b", math.nan)])
+def test_profile_multipliers_must_be_positive(field, value):
+    # c_S = 0 would give a selection sample of 0 points and NaN candidate risks
+    with pytest.raises(InvalidInputError, match=f"multipliers.{field} must be positive"):
+        dataclasses.replace(PROFILES["desk"], **{field: value})
 
 
 def test_mnc_bandwidth_frozen_example():
