@@ -15,7 +15,6 @@ from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle, normalize
 from .oracles import (
-    NoiseModel,
     _ball_radial,
     _complete_band_points,
     eta_of_margin,

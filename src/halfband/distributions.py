@@ -13,6 +13,7 @@ of radius R and <= U everywhere, and every 1-d margin has sub-exponential
 tail P(|<w,x>| >= t) <= exp(1 - t/beta).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,14 @@ from .errors import InvalidInputError
 from .geometry import angle
 
 FAMILIES = ("gaussian", "uniform_ball")
+
+
+def _check_family_and_d(family, d):
+    """InvalidInputError unless family is known and d is an integer >= 2."""
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown family {family!r}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 2:
+        raise InvalidInputError(f"dimension must be an integer at least 2, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,7 @@ class WellBehavedDistribution:
     beta: float
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown family {self.family!r}")
+        _check_family_and_d(self.family, self.d)
 
     @property
     def radius(self):
@@ -54,23 +62,18 @@ def default_params(family, d):
     (d / (2 pi rho^2)) (1 - |z|^2/rho^2)^{(d-2)/2}, evaluated the same way.
     beta = 1 satisfies the tail bound for both (certified numerically).
     """
+    _check_family_and_d(family, d)
     if family == "gaussian":
         U = 1.0 / (2.0 * np.pi)
         return (U * np.exp(-0.5), 1.0, U, 1.0)
-    if family == "uniform_ball":
-        if d < 2:
-            raise InvalidInputError("uniform_ball: d must be at least 2")
-        rho2 = d + 2.0
-        U = d / (2.0 * np.pi * rho2)
-        L = U * (1.0 - 1.0 / rho2) ** ((d - 2) / 2.0)
-        return (L, 1.0, U, 1.0)
-    raise InvalidInputError(f"unknown family {family!r}")
+    rho2 = d + 2.0
+    U = d / (2.0 * np.pi * rho2)
+    L = U * (1.0 - 1.0 / rho2) ** ((d - 2) / 2.0)
+    return (L, 1.0, U, 1.0)
 
 
 def make_distribution(family, d, params=None):
     d = int(d)
-    if d < 2:
-        raise InvalidInputError("dimension must be at least 2")
     if params is None:
         params = default_params(family, d)
     L, R, U, beta = (float(v) for v in params)

@@ -127,40 +127,40 @@ def optimize(
     iterates ("average", norm at most 1) or a sign-flipped uniformly chosen
     one ("random", unit norm). The epoch's largest feasibility gap is recorded
     on the ledger.
+
+    It reads rng as optimize_block(w1[None], ..., [rng], ...) reads its one
+    stream: the random pick and sign first, then the sampler's blocks.
     """
     w1 = np.asarray(w1, dtype=float)
     d = w1.shape[0]
     T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
-    sampler = BandSampler(dist, b, rng, ledger)
+    if agg == "random":  # which step's iterate to return, and its sign
+        pick = int(rng.integers(T))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+    sampler = BandSampler(dist, b, rng, ledger, steps=T)
     w, step = _row_step(w1, r, alpha, sparse_s)
-    acc = np.zeros(d)
-    snaps = [] if agg == "random" else None
+    out = np.zeros(d)
     max_gap = 0.0
-    for _ in range(T):
+    for t in range(T):
         nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             w_hat = np.zeros(d)
             w_hat[0] = 1.0
         else:
             w_hat = w / nw
-        if snaps is None:
-            acc += w_hat
-        else:
-            snaps.append(w_hat)
-        x = sampler.draw(w_hat)
-        y = query_label(noise, truth, x, rng, ledger)
-        w, gap = step(w, y, x)
+        if agg == "average":
+            out += w_hat
+        elif t == pick:
+            out = sign * w_hat
+        x, u = sampler.draw(w_hat)
+        w, gap = step(w, query_label(noise, truth, x, u, ledger), x)
         if gap > max_gap:
             max_gap = gap
 
     ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
-    if agg == "average":
-        return acc / T
-    tau = int(rng.integers(T))
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * snaps[tau]
+    return out / T if agg == "average" else out
 
 
 def _projected_step(W1, r, alpha, sparse_s):

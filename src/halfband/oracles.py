@@ -12,16 +12,17 @@ BandTooThinError before any draw.
 
 A dense run is a long chain of draws and labels on 10- to 50-vectors, where a
 numpy call costs more than its arithmetic. So everything a draw needs that
-does not depend on the direction is made ahead of it: a sampler generates its
-attempt counts, margins and isotropic completions a block at a time, and keeps
-per-sampler constants (the uniform ball's squared radius and radial exponent).
-The lockstep sampler lays each block out step-major, so a step reads contiguous
-rows, and forms the uniform ball's radial factors once per block. Each value
-is the one the per-draw formula gives, bit for bit.
+does not depend on the direction is made ahead of it: the lockstep sampler
+generates the attempt counts, margins, isotropic completions, uniform-ball
+radial factors and label-flip uniforms of up to BLOCK steps at a time, laid
+out step-major so a step reads contiguous rows. BandSampler is its one-stream
+case, so a scalar epoch and a one-row lockstep epoch read the same values from
+their generator.
 """
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +89,10 @@ class NoiseModel:
     compatible with the pointwise margin condition
     1/2 - eta(x) >= min(1/2, B |<w*,x>|^{(1-alpha)/alpha}), met with equality).
 
-    Construction, dataclasses.replace included, rejects an unknown kind and a
-    field of the kind outside its range (eta in [0, 1/2), tau > 0, B > 0,
-    alpha in (0, 1]), so eta(x) <= 1/2 holds for every model that exists.
+    Construction, dataclasses.replace included, rejects an unknown kind, a
+    field that is not a real number (a bool included), and a field of the kind
+    outside its range (eta in [0, 1/2), tau > 0, B > 0, alpha in (0, 1]), so
+    eta(x) <= 1/2 holds for every model that exists.
     """
 
     kind: str
@@ -101,6 +103,10 @@ class NoiseModel:
 
     def __post_init__(self):
         fields = noise_fields(self.kind)
+        for name in ("eta", "tau", "B", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{self.kind}: {name} must be a real number, got {value!r}")
         if "eta" in fields and not 0.0 <= self.eta < 0.5:
             raise InvalidInputError(f"{self.kind}: eta must lie in [0, 1/2)")
         if "tau" in fields and not self.tau > 0:
@@ -152,16 +158,16 @@ def _flip_rate(model, m):
         return 0.0
 
 
-def query_label(model, truth, x, rng, ledger):
-    """One labeling-oracle call: sign(<w*,x>) flipped with probability eta(x).
+def query_label(model, truth, x, u, ledger):
+    """One labeling-oracle call: sign(<w*,x>) (sign(0) = +1), flipped when u < eta(x).
 
-    sign(0) is +1. Increments ledger.label_calls by exactly 1; this function
-    is the package's only label source.
+    A uniform u ~ Unif[0,1) gives the flip probability eta(x); BandSampler.draw
+    returns one with each point. Increments ledger.label_calls by exactly 1.
     """
     m = float(truth.w_star.dot(x))
     y = 1.0 if m >= 0.0 else -1.0
     ledger.label_calls += 1
-    if rng.random() < _flip_rate(model, m):
+    if u < _flip_rate(model, m):
         y = -y
     return y
 
@@ -203,8 +209,6 @@ def _checked_band_probability(dist, b, rows):
     _geometric_attempts can return, times `rows`, does not fit int64: the
     ledger then could not hold the step's EX calls exactly.
     """
-    if not b > 0:
-        raise InvalidInputError("band sampler: b must be positive")
     p = dists.band_probability(dist, b)
     if p < 1.0:
         with np.errstate(divide="ignore", over="ignore"):  # p = 0 or tiny gives inf
@@ -218,7 +222,7 @@ def _complete_band_point(w_hat, m, z, radial):
     """Assemble x with <w_hat,x> = m from isotropic z.
 
     radial is None for the Gaussian, else the uniform ball's length of the part
-    of x orthogonal to w_hat (_ball_radial, or its one-float form in BandSampler).
+    of x orthogonal to w_hat (_ball_radial).
     """
     zw = z.dot(w_hat)
     if radial is None:
@@ -241,75 +245,19 @@ def _complete_band_points(W_hat, m, Z, radial):
 
 
 def _ball_radial(dist, m, V):
-    """Uniform-ball radial factors of margins m from uniforms V, elementwise; numpy's power.
-
-    numpy's vector power differs from libm pow (Python's **) in the last bit on
-    about 6.5% of inputs: BandSampler's floats keep using **, arrays this.
-    """
+    """Uniform-ball radial factors of margins m from uniforms V, elementwise."""
     return np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
-
-
-# draws BandSampler generates at a time
-DRAW_BLOCK = 8192
-
-
-class BandSampler:
-    """Band-conditional draws around a per-call unit direction, block-buffered.
-
-    Margins, attempt counts, and the isotropic completion variables are
-    generated in blocks (they are i.i.d. and independent of the direction),
-    which keeps the per-draw law that of literal rejection (module docstring)
-    while amortizing generator overhead across an optimization loop. Each
-    draw charges its attempt count to ledger.ex_calls. A draw reads its
-    scalars from the block as Python numbers, and the uniform ball's squared
-    radius and radial exponent are fixed when the sampler is built; a block
-    gets no other per-row work, since a short epoch uses few of its rows.
-    """
-
-    def __init__(self, dist, b, rng, ledger):
-        self.p = _checked_band_probability(dist, b, 1)
-        self.dist = dist
-        self.b = float(b)
-        self.rng = rng
-        self.ledger = ledger
-        self.pos = DRAW_BLOCK  # force a refill on first draw
-        self.ball = dist.family == "uniform_ball"
-        if self.ball:
-            self.radius_sq = dist.radius**2
-            self.expo = 1.0 / (dist.d - 1)
-
-    def _refill(self):
-        n = DRAW_BLOCK
-        self.attempts = _geometric_attempts(self.p, self.rng.random(n))
-        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * self.rng.random(n) - 1.0)
-        self.Z = self.rng.standard_normal((n, self.dist.d))
-        if self.ball:
-            self.V = self.rng.random(n)
-        self.pos = 0
-
-    def draw(self, w_hat):
-        if self.pos >= DRAW_BLOCK:
-            self._refill()
-        i = self.pos
-        self.pos += 1
-        self.ledger.ex_calls += self.attempts.item(i)
-        m = self.margins.item(i)
-        radial = None
-        if self.ball:
-            # Python's ** (libm pow) on a float; _ball_radial's numpy power differs
-            radial = math.sqrt(self.radius_sq - m * m) * self.V.item(i) ** self.expo
-        return _complete_band_point(w_hat, m, self.Z[i], radial)
 
 
 class LockstepBandSampler:
     """One band-conditional draw per trial and step for K trials run side by side.
 
     Trial k draws only from streams[k]. Its attempt counts, margins, isotropic
-    completions and label-flip uniforms are generated as in BandSampler._refill,
-    in blocks of at most BLOCK steps laid out by the epoch length alone, so
-    trial k's draws do not depend on the other trials or on K. Each row has the
-    law of BandSampler.draw, and the EX charges are those of the K draws made
-    one after another.
+    completions and label-flip uniforms are generated in blocks of at most
+    BLOCK steps laid out by the step count alone (None: unbounded), so trial
+    k's draws do not depend on the other trials or on K. Each row has the law
+    of literal rejection sampling (module docstring), and the EX charges are
+    those of the K draws made one after another.
 
     A block is stored step-major, (steps, K) and (steps, K, d), so a step reads
     contiguous rows; each stream still fills its own values in its own order,
@@ -328,13 +276,13 @@ class LockstepBandSampler:
         self.dist = dist
         self.b = float(b)
         self.ledger = ledger
-        self.left = int(steps)  # steps not yet generated
+        self.left = math.inf if steps is None else int(steps)  # steps not yet generated
         self.pos = self.n = 0
 
     def _refill(self):
         n = min(self.BLOCK, self.left)
         if n < 1:
-            raise InvalidInputError("LockstepBandSampler: more draws than its step count")
+            raise InvalidInputError("band sampler: more draws than its step count")
         K, d = len(self.streams), self.dist.d
         ball = self.dist.family == "uniform_ball"
         self.Z = self.margins = self.radial = self.flips = None  # free the spent block first
@@ -359,16 +307,42 @@ class LockstepBandSampler:
         self.n = n
         self.pos = 0
 
-    def draw(self, W_hat):
-        """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform: (X, u)."""
+    def _next(self):
+        """Index of the next step in the current block, charging its EX calls."""
         if self.pos >= self.n:
             self._refill()
         i = self.pos
         self.pos += 1
         self.ledger.ex_calls += self.step_ex[i]
+        return i
+
+    def draw(self, W_hat):
+        """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform: (X, u)."""
+        i = self._next()
         radial = None if self.radial is None else self.radial[i]
         X = _complete_band_points(W_hat, self.margins[i], self.Z[i], radial)
         return X, self.flips[i]
+
+
+class BandSampler(LockstepBandSampler):
+    """LockstepBandSampler with one stream, drawing around one unit direction at a time.
+
+    Reads the same blocks, so an epoch drawing from BandSampler(dist, b, rng,
+    ledger, T) takes the values a one-row lockstep block on [rng] takes. Left
+    at None, `steps` is unbounded. A draw reads its scalars from the block as
+    Python numbers and completes the point on 1-d vectors, which costs less
+    than the lockstep draw's row operations on a single row.
+    """
+
+    def __init__(self, dist, b, rng, ledger, steps=None):
+        super().__init__(dist, b, [rng], ledger, steps)
+
+    def draw(self, w_hat):
+        """One point x ~ D given |<w_hat, x>| <= b, plus its flip uniform: (x, u)."""
+        i = self._next()
+        radial = None if self.radial is None else self.radial.item(i)
+        x = _complete_band_point(w_hat, self.margins.item(i), self.Z[i, 0], radial)
+        return x, self.flips.item(i)
 
 
 def exact_tsybakov_A(B, alpha, dist):

@@ -1,14 +1,13 @@
-"""Reference dense epochs for tests only: the per-label code before its overhead was cut.
+"""Reference lockstep epoch for tests only: the per-step code before its overhead was cut.
 
-optimize and optimize_block here take the same draws, labels and ball steps as
-the package's dense epochs, written as they were before the package read
-per-draw scalars unboxed, cached the uniform ball's radius, laid lockstep
-blocks out step-major and stopped calling eta_of_margin once per label. The
-tests require the package's epochs to return the same bits and ledger; nothing
-in the package imports this module. Sparse mode is not covered.
+optimize_block here takes the same draws, labels and ball steps as the
+package's lockstep epoch, written as it was before the package laid its
+blocks out step-major, formed the uniform ball's radial factors once per
+block and read Massart noise's flip rate without eta_of_margin. The tests
+require the package's epoch to return the same bits and ledger; nothing in
+the package imports this module. Sparse mode is not covered, and neither is
+the scalar epoch, which a test holds to the one-row lockstep epoch instead.
 """
-
-import math
 
 import numpy as np
 
@@ -16,17 +15,7 @@ from halfband import distributions as dists
 from halfband.learner import _check_epoch, step_size
 from halfband.oracles import _checked_band_probability, _geometric_attempts, eta_of_margin
 
-DRAW_BLOCK = 8192
 LOCKSTEP_BLOCK = 512
-
-
-def query_label(model, truth, x, rng, ledger):
-    m = float(np.dot(truth.w_star, x))
-    y = 1.0 if m >= 0.0 else -1.0
-    ledger.label_calls += 1
-    if rng.random() < float(eta_of_margin(model, m)):
-        y = -y
-    return y
 
 
 def query_labels(model, truth, X, u, ledger):
@@ -37,15 +26,6 @@ def query_labels(model, truth, X, u, ledger):
     return np.where(np.asarray(u) < eta_of_margin(model, m), -y, y)
 
 
-def _complete_band_point(dist, w_hat, m, z, v):
-    if dist.family == "gaussian":
-        return z + (m - z @ w_hat) * w_hat
-    z_perp = z - (z @ w_hat) * w_hat
-    z_perp /= np.linalg.norm(z_perp)
-    radial = math.sqrt(dist.radius**2 - m * m) * v ** (1.0 / (dist.d - 1))
-    return m * w_hat + radial * z_perp
-
-
 def _complete_band_points(dist, W_hat, m, Z, V):
     zw = np.einsum("ij,ij->i", Z, W_hat)
     if dist.family == "gaussian":
@@ -54,34 +34,6 @@ def _complete_band_points(dist, W_hat, m, Z, V):
     Z_perp /= np.sqrt(np.einsum("ij,ij->i", Z_perp, Z_perp))[:, None]
     radial = np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
     return m[:, None] * W_hat + radial[:, None] * Z_perp
-
-
-class BandSampler:
-    def __init__(self, dist, b, rng, ledger):
-        self.p = _checked_band_probability(dist, b, 1)
-        self.dist = dist
-        self.b = float(b)
-        self.rng = rng
-        self.ledger = ledger
-        self.pos = DRAW_BLOCK
-
-    def _refill(self):
-        n = DRAW_BLOCK
-        self.attempts = _geometric_attempts(self.p, self.rng.random(n))
-        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * self.rng.random(n) - 1.0)
-        self.Z = self.rng.standard_normal((n, self.dist.d))
-        self.V = self.rng.random(n) if self.dist.family == "uniform_ball" else np.zeros(n)
-        self.pos = 0
-
-    def draw(self, w_hat):
-        if self.pos >= DRAW_BLOCK:
-            self._refill()
-        i = self.pos
-        self.pos += 1
-        self.ledger.ex_calls += int(self.attempts[i])
-        return _complete_band_point(
-            self.dist, w_hat, float(self.margins[i]), self.Z[i], float(self.V[i])
-        )
 
 
 class LockstepBandSampler:
@@ -124,48 +76,6 @@ class LockstepBandSampler:
             self.dist, W_hat, self.margins[:, i], self.Z[:, i], self.V[:, i]
         )
         return X, self.flips[:, i]
-
-
-def optimize(w1, r, b, T, agg, dist, noise, truth, rng, ledger, delta, profile):
-    w1 = np.asarray(w1, dtype=float)
-    d = w1.shape[0]
-    T = _check_epoch(r, b, T, agg, dist)
-    alpha = step_size(r, b, T, d, dist, delta, profile)
-    sampler = BandSampler(dist, b, rng, ledger)
-    radius = 4.0 * r
-    rad_sq = radius * radius
-    w = w1.copy()
-    acc = np.zeros(d)
-    snaps = [] if agg == "random" else None
-    max_gap = 0.0
-    for _ in range(T):
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0:
-            w_hat = np.zeros(d)
-            w_hat[0] = 1.0
-        else:
-            w_hat = w / nw
-        if snaps is None:
-            acc += w_hat
-        else:
-            snaps.append(w_hat)
-        x = sampler.draw(w_hat)
-        y = query_label(noise, truth, x, rng, ledger)
-        w = w + (alpha * y) * x
-        diff = w - w1
-        dd = float(diff @ diff)
-        gap = 0.0
-        if dd > rad_sq:
-            w = w1 + (radius / math.sqrt(dd)) * diff
-            gap = math.sqrt(float((w - w1) @ (w - w1))) - radius
-        if gap > max_gap:
-            max_gap = gap
-    ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
-    if agg == "average":
-        return acc / T
-    tau = int(rng.integers(T))
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * snaps[tau]
 
 
 def optimize_block(W1, r, b, T, agg, dist, noise, truth, streams, ledger, delta, profile):

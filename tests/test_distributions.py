@@ -1,5 +1,6 @@
 """Distribution families, certified density constants, band mass, disagreement."""
 
+import dataclasses
 import json
 import math
 import os
@@ -49,8 +50,17 @@ def test_make_distribution_validation():
         hb.make_distribution("triangle", 3)
     with pytest.raises(InvalidInputError, match="unknown family 'laplace'"):
         hb.make_distribution("laplace", 5, params=(0.05, 1.0, 0.16, 1.0))
-    with pytest.raises(InvalidInputError):
-        hb.make_distribution("gaussian", 0)
+    for family, d in (("gaussian", 0), ("uniform_ball", 1), ("uniform_ball", -2)):
+        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+            hb.make_distribution(family, d)
+    # the type checks d itself, so dataclasses.replace cannot get round it
+    with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+        dataclasses.replace(hb.make_distribution("uniform_ball", 3), d=1)
+    with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+        dataclasses.replace(hb.make_distribution("gaussian", 3), d=0)
+    for d in (2.5, True, "3"):
+        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+            dataclasses.replace(hb.make_distribution("gaussian", 3), d=d)
 
 
 def test_gaussian_moments():

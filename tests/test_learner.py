@@ -16,7 +16,7 @@ from halfband.learner import (
     step_size,
     warm_start_trials,
 )
-from halfband.oracles import DRAW_BLOCK, LockstepBandSampler, halfspace_labels
+from halfband.oracles import LockstepBandSampler, halfspace_labels
 from halfband.schedules import PROFILES, bandwidth, iteration_count
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
@@ -159,18 +159,6 @@ def test_erm_select_tie_break_constructed():
     assert np.array_equal(pick, e1)
 
 
-def test_band_draw_depends_only_on_direction():
-    # identical random streams, w vs 2w: identical samples bit for bit
-    draws = []
-    for scale in (1.0, 2.0):
-        rng = np.random.default_rng(27)
-        ledger = hb.QueryLedger()
-        w = scale * np.array([3.0, -1.0, 0.5, 0.0, 2.0])
-        sampler = hb.BandSampler(GAUSS5, 0.15, rng, ledger=ledger)
-        draws.append(np.array([sampler.draw(hb.normalize(w)) for _ in range(64)]))
-    assert np.array_equal(draws[0], draws[1])
-
-
 def test_optimize_descent_in_band_potential(monkeypatch):
     # thinned Monte Carlo of (1/T) sum psi(w_t) against psi(w1), 50 seeds;
     # psi depends on w only through its direction
@@ -257,41 +245,57 @@ def test_ball_step_matches_rowwise_projection():
     assert 0.0 <= gap <= 1e-12
 
 
+EPOCH_NOISES = [hb.massart(0.2), hb.massart_band(0.2, 0.1), hb.geometric_tsybakov(1.0, 0.75)]
+# ten times the desk step size makes the ball clip fire on about a third of the steps
+STRONG = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)
+
+
 @pytest.mark.parametrize("agg", ["average", "random"])
-@pytest.mark.parametrize(
-    "noise",
-    [hb.massart(0.2), hb.massart_band(0.2, 0.1), hb.geometric_tsybakov(1.0, 0.75)],
-    ids=lambda noise: noise.kind,
-)
+@pytest.mark.parametrize("noise", EPOCH_NOISES, ids=lambda noise: noise.kind)
 @pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
 def test_dense_epochs_bit_identical_to_reference(family, noise, agg):
-    # tests/dense_reference.py keeps the per-label code these epochs replaced; the
-    # epochs cross a refill of each sampler's block, and ten times the desk step
-    # size makes the ball clip fire on about a third of the scalar steps
+    # tests/dense_reference.py keeps the per-step code the lockstep epoch replaced;
+    # the epoch crosses a refill of the sampler's block
     dist = hb.make_distribution(family, 6)
-    profile = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)
     truth = hb.make_ground_truth(6, np.random.default_rng(60))
     W1 = np.zeros((3, 6))  # a zero row takes the e_1 direction on its first step
     W1[1:] = 0.2 * np.random.default_rng(61).standard_normal((2, 6))
-    epochs = [
-        (hb.optimize, dense_reference.optimize, np.zeros(6), DRAW_BLOCK + 8,
-         lambda: np.random.default_rng(62)),
-        (optimize_block, dense_reference.optimize_block, W1, LockstepBandSampler.BLOCK + 88,
-         lambda: np.random.default_rng(63).spawn(3)),
-    ]
-    for new, ref, start, T, rngs in epochs:
-        runs = []
-        for epoch in (new, ref):
-            ledger = hb.QueryLedger()
-            rng = rngs()
-            out = epoch(start, 1 / 16, 0.3, T, agg, dist, noise, truth, rng, ledger, 0.05,
-                        profile)
-            states = [g.bit_generator.state for g in (rng if isinstance(rng, list) else [rng])]
-            runs.append((out, ledger, states))
-        (out, ledger, states), (ref_out, ref_ledger, ref_states) = runs
-        assert np.array_equal(out, ref_out) and out.tobytes() == ref_out.tobytes()
-        assert ledger == ref_ledger and ledger.label_calls == T * len(np.atleast_2d(start))
-        assert states == ref_states
+    T = LockstepBandSampler.BLOCK + 88
+    runs = []
+    for epoch in (optimize_block, dense_reference.optimize_block):
+        ledger = hb.QueryLedger()
+        streams = np.random.default_rng(63).spawn(3)
+        out = epoch(W1, 1 / 16, 0.3, T, agg, dist, noise, truth, streams, ledger, 0.05, STRONG)
+        runs.append((out, ledger, [g.bit_generator.state for g in streams]))
+    (out, ledger, states), (ref_out, ref_ledger, ref_states) = runs
+    assert np.array_equal(out, ref_out) and out.tobytes() == ref_out.tobytes()
+    assert ledger == ref_ledger and ledger.label_calls == 3 * T
+    assert states == ref_states
+
+
+@pytest.mark.parametrize("d", [6, 50])
+@pytest.mark.parametrize("agg", ["average", "random"])
+@pytest.mark.parametrize("noise", EPOCH_NOISES, ids=lambda noise: noise.kind)
+@pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
+def test_scalar_epoch_matches_one_row_block(family, noise, agg, d):
+    # optimize(w1, ..., rng) and optimize_block(w1[None], ..., [rng]) read the same
+    # values from rng; only their dot products may round differently
+    dist = hb.make_distribution(family, d)
+    truth = hb.make_ground_truth(d, np.random.default_rng(60))
+    T = LockstepBandSampler.BLOCK + 88
+    for w1 in (np.zeros(d), 0.2 * np.random.default_rng(61).standard_normal(d)):
+        scalar_ledger, block_ledger = hb.QueryLedger(), hb.QueryLedger()
+        scalar_rng, block_rng = np.random.default_rng(62), np.random.default_rng(62)
+        out = hb.optimize(w1, 1 / 16, 0.3, T, agg, dist, noise, truth, scalar_rng,
+                          scalar_ledger, 0.05, STRONG)
+        block = optimize_block(w1[None], 1 / 16, 0.3, T, agg, dist, noise, truth,
+                               [block_rng], block_ledger, 0.05, STRONG)
+        assert float(np.max(np.abs(out - block[0]))) <= 1e-12
+        assert scalar_ledger.label_calls == block_ledger.label_calls == T
+        assert scalar_ledger.ex_calls == block_ledger.ex_calls
+        assert scalar_rng.bit_generator.state == block_rng.bit_generator.state
+        gap = scalar_ledger.max_feasibility_gap
+        assert abs(gap - block_ledger.max_feasibility_gap) <= 1e-15
 
 
 def test_optimize_block_random_aggregation_unit_rows():

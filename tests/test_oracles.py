@@ -43,6 +43,13 @@ def test_massart_validation():
         dataclasses.replace(hb.massart(0.1), eta=0.7)
     with pytest.raises(InvalidInputError, match="massart_band: tau must be positive"):
         dataclasses.replace(hb.massart_band(0.1, 1.0), tau=0.0)
+    # every field must be a real number, a bool is not, and numpy scalars are
+    for fields in ({"eta": "0.1"}, {"eta": None}, {"eta": False}, {"eta": 0.1, "B": "x"}):
+        with pytest.raises(InvalidInputError, match="must be a real number"):
+            hb.NoiseModel("massart", **fields)
+    with pytest.raises(InvalidInputError, match="massart_band: tau must be a real number"):
+        hb.NoiseModel("massart_band", eta=0.1, tau=True)
+    assert hb.NoiseModel("massart", eta=np.float32(0.1)).eta == np.float32(0.1)
 
 
 def test_geometric_tsybakov_pointwise_values():
@@ -89,7 +96,7 @@ def test_query_label_noiseless_and_accounting():
     model = hb.massart(0.0)
     for _ in range(100):
         x = rng.standard_normal(2)
-        y = hb.query_label(model, truth, x, rng, ledger)
+        y = hb.query_label(model, truth, x, rng.random(), ledger)
         assert y == (1 if x[0] >= 0 else -1)
     assert ledger.label_calls == 100
 
@@ -97,8 +104,7 @@ def test_query_label_noiseless_and_accounting():
 def test_query_label_sign_zero_is_positive():
     truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
     ledger = hb.QueryLedger()
-    y = hb.query_label(hb.massart(0.0), truth, np.array([0.0, 3.0]),
-                       np.random.default_rng(5), ledger)
+    y = hb.query_label(hb.massart(0.0), truth, np.array([0.0, 3.0]), 0.0, ledger)
     assert y == 1
 
 
@@ -139,7 +145,7 @@ def test_query_label_flip_rate_binomial():
     ledger = hb.QueryLedger()
     x = np.array([2.0, 0.0])
     n = 10**5
-    flips = sum(hb.query_label(model, truth, x, rng, ledger) == -1 for _ in range(n))
+    flips = sum(hb.query_label(model, truth, x, rng.random(), ledger) == -1 for _ in range(n))
     se = math.sqrt(0.3 * 0.7 / n)
     assert abs(flips / n - 0.3) <= 3.0 * se
     assert ledger.label_calls == n
@@ -151,7 +157,7 @@ def test_rejection_sample_band_orthogonal_coordinate_law():
     w_hat = np.zeros(5)
     w_hat[0] = 1.0
     sampler = hb.BandSampler(GAUSS, 0.5, np.random.default_rng(10), ledger=hb.QueryLedger())
-    X = np.array([sampler.draw(w_hat) for _ in range(10**5)])
+    X = np.array([sampler.draw(w_hat)[0] for _ in range(10**5)])
     assert kstest(X[:, 1], lambda t: norm.cdf(t)).pvalue > 0.01
     assert kstest(X[:, 4], lambda t: norm.cdf(t)).pvalue > 0.01
 
@@ -174,7 +180,8 @@ def test_band_too_thin_raises_when_sampler_is_built():
         assert err.value.p < 1e-17
     assert ledger == hb.QueryLedger()
     sampler = hb.BandSampler(ball, 1.2e-17, np.random.default_rng(11), ledger)
-    assert abs(float(sampler.draw(np.eye(5)[0])[0])) <= 1.2e-17
+    x, _ = sampler.draw(np.eye(5)[0])
+    assert abs(float(x[0])) <= 1.2e-17
     assert ledger.ex_calls >= 1
     with pytest.raises(InvalidInputError):
         hb.BandSampler(GAUSS, 0.0, np.random.default_rng(11), ledger)
@@ -205,24 +212,24 @@ def test_band_sampler_built_or_too_thin(family, d, b, K):
     w_hat = hb.normalize(np.arange(1.0, d + 1.0))
     ledger = hb.QueryLedger()
     steps = 3
+
+    def streams():
+        return [np.random.default_rng(20)] if K == 1 else np.random.default_rng(20).spawn(K)
+
     try:
         if K == 1:
-            sampler = hb.BandSampler(dist, b, np.random.default_rng(20), ledger)
-            X = np.array([sampler.draw(w_hat) for _ in range(steps)])
+            sampler = hb.BandSampler(dist, b, streams()[0], ledger, steps)
+            X = np.array([sampler.draw(w_hat)[0] for _ in range(steps)])
         else:
-            sampler = oracles.LockstepBandSampler(
-                dist, b, np.random.default_rng(20).spawn(K), ledger, steps)
+            sampler = oracles.LockstepBandSampler(dist, b, streams(), ledger, steps)
             X = np.concatenate([sampler.draw(np.tile(w_hat, (K, 1)))[0] for _ in range(steps)])
     except BandTooThinError as err:
         assert err.b == b and ledger == hb.QueryLedger()
         return
     assert np.all(np.isfinite(X))
     assert float(np.max(np.abs(X @ w_hat))) <= b + 1e-12
-    # each stream's first uniforms are its attempt uniforms (BandSampler._refill)
-    if K == 1:
-        u = np.random.default_rng(20).random(oracles.DRAW_BLOCK)[:steps]
-    else:
-        u = np.concatenate([g.random(steps) for g in np.random.default_rng(20).spawn(K)])
+    # each stream's first uniforms are its attempt uniforms (LockstepBandSampler._refill)
+    u = np.concatenate([g.random(steps) for g in streams()])
     assert ledger.ex_calls == _exact_attempts(sampler.p, u) >= K * steps
     # the largest count, at the largest uniform, is exact and fits int64 K times over
     most = _exact_attempts(sampler.p, np.array([oracles.U_MAX]))
@@ -236,7 +243,7 @@ def test_band_sampler_matches_sequential_accounting_and_law():
     ledger = hb.QueryLedger()
     sampler = hb.BandSampler(GAUSS, b, np.random.default_rng(12), ledger=ledger)
     n = 2 * 10**4
-    draws = np.array([sampler.draw(w_hat) for _ in range(n)])
+    draws = np.array([sampler.draw(w_hat)[0] for _ in range(n)])
     margins = draws @ w_hat
     assert float(np.max(np.abs(margins))) <= b + 1e-12
     # ledger mean attempts follows the geometric law
@@ -248,12 +255,15 @@ def test_band_sampler_matches_sequential_accounting_and_law():
 
 
 def test_band_sampler_direction_scale_bit_exact():
-    w = np.random.default_rng(13).standard_normal(5)
-    out = []
-    for scale in (1.0, 2.0):
-        sampler = hb.BandSampler(GAUSS, 0.4, np.random.default_rng(99), ledger=hb.QueryLedger())
-        out.append(np.array([sampler.draw(hb.normalize(scale * w)) for _ in range(50)]))
-    assert np.array_equal(out[0], out[1])
+    # identical random streams, w vs 2w: identical points and flip uniforms bit for bit
+    w = np.array([3.0, -1.0, 0.5, 0.0, 2.0])
+    for dist in (GAUSS, hb.make_distribution("uniform_ball", 5)):
+        out = []
+        for scale in (1.0, 2.0):
+            sampler = hb.BandSampler(dist, 0.15, np.random.default_rng(99), hb.QueryLedger())
+            draws = [sampler.draw(hb.normalize(scale * w)) for _ in range(600)]  # two blocks
+            out.append((np.array([x for x, _ in draws]), [u for _, u in draws]))
+        assert np.array_equal(out[0][0], out[1][0]) and out[0][1] == out[1][1]
 
 
 def test_query_labels_rowwise_rule_and_accounting():
@@ -266,6 +276,9 @@ def test_query_labels_rowwise_rule_and_accounting():
     # clean outside the margin band; inside it, flipped exactly when u < eta
     assert y.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0]
     assert ledger.label_calls == 5
+    # query_label applies the same rule to one row and its uniform
+    assert [oracles.query_label(model, truth, x, uk, ledger) for x, uk in zip(X, u)] == y.tolist()
+    assert ledger.label_calls == 10
 
 
 def test_lockstep_sampler_law_and_accounting():
