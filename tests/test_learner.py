@@ -246,7 +246,7 @@ def test_ball_step_matches_rowwise_projection():
 
 
 EPOCH_NOISES = [hb.massart(0.2), hb.massart_band(0.2, 0.1), hb.geometric_tsybakov(1.0, 0.75)]
-# ten times the desk step size makes the ball clip fire on about a third of the steps
+# ten times the desk step size makes the ball clip fire, so feasibility gaps are compared too
 STRONG = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)
 
 
