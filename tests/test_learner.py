@@ -159,6 +159,20 @@ def test_erm_select_tie_break_constructed():
     assert np.array_equal(pick, e1)
 
 
+def test_band_draw_depends_only_on_direction():
+    # identical random streams, w vs 2w: identical samples and flip uniforms bit for bit
+    draws = []
+    for scale in (1.0, 2.0):
+        rng = np.random.default_rng(27)
+        ledger = hb.QueryLedger()
+        w = scale * np.array([3.0, -1.0, 0.5, 0.0, 2.0])
+        sampler = hb.BandSampler(GAUSS5, 0.15, rng, ledger=ledger)
+        pairs = [sampler.draw(hb.normalize(w)) for _ in range(64)]
+        draws.append((np.array([x for x, _ in pairs]), np.array([u for _, u in pairs])))
+    assert np.array_equal(draws[0][0], draws[1][0])
+    assert np.array_equal(draws[0][1], draws[1][1])
+
+
 def test_optimize_descent_in_band_potential(monkeypatch):
     # thinned Monte Carlo of (1/T) sum psi(w_t) against psi(w1), 50 seeds;
     # psi depends on w only through its direction
