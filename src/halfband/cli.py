@@ -233,7 +233,7 @@ def parse_spec(cfg, command):
         out=_get(cfg, "out", str) or None,
         excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1),
         certify_samples=_get(cfg, "certify_samples", int, 10**5, lo=1),
-        verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=1),
+        verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=2),
         schedule=learner.schedule() if command in ("run", "preview-schedule") else None,
         sweep=sweep_from_config(sweep, noise, cfg) if command == "sweep" else None,
     )

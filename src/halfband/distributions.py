@@ -72,13 +72,24 @@ def default_params(family, d):
     return (L, 1.0, U, 1.0)
 
 
+# The analysis bounds multiply up to three constants and take logs of such products,
+# as log(2 / (b U beta)) in every band-mass bound. Inside this range each product is
+# a normal float, so no bound overflows, divides by an underflowed zero or turns NaN.
+PARAM_RANGE = (1e-100, 1e100)
+
+
 def make_distribution(family, d, params=None):
     d = int(d)
     if params is None:
         params = default_params(family, d)
     L, R, U, beta = (float(v) for v in params)
-    if not (L > 0 and R > 0 and U > 0 and beta > 0 and L <= U):
-        raise InvalidInputError("params must satisfy 0 < L <= U, R > 0, beta > 0")
+    lo, hi = PARAM_RANGE
+    if not all(lo <= v <= hi for v in (L, R, U, beta)):
+        raise InvalidInputError(
+            f"params L, R, U, beta must each lie in [{lo:g}, {hi:g}], got {(L, R, U, beta)}"
+        )
+    if not L <= U:
+        raise InvalidInputError(f"params must satisfy L <= U, got L={L!r}, U={U!r}")
     return WellBehavedDistribution(family, d, L, R, U, beta)
 
 
@@ -200,7 +211,8 @@ def certify_parameters(dist, rng=None, samples=10**5):
     tgrid = np.arange(0.5, 6.0 + 1e-9, 0.5)
     tail = 2.0 * (1.0 - margin_cdf(dist, tgrid))
     bound = np.exp(1.0 - tgrid / dist.beta)
-    tail_margin = float(np.min((bound - tail) / bound))
+    # a tiny beta underflows the bound to 0; the floor keeps the margin finite
+    tail_margin = float(np.min((bound - tail) / np.maximum(bound, 1e-300)))
     add(
         "tail-bound",
         bool(np.all(tail <= bound * (1.0 + 1e-12))),
@@ -236,7 +248,8 @@ def certify_parameters(dist, rng=None, samples=10**5):
         lo = b * dist.R * dist.L
         hi = 4.0 * b * dist.U * dist.beta * np.log(2.0 / (b * dist.U * dist.beta))
         rows.append({"b": b, "mass": p, "lower": lo, "upper": hi})
-        worst = min(worst, (p - lo) / max(p, 1e-300), (hi - p) / hi)
+        # hi < 0 once b U beta > 2: dividing by |hi| keeps a failed bound's margin negative
+        worst = min(worst, (p - lo) / max(p, 1e-300), (hi - p) / max(abs(hi), 1e-300))
         ok = ok and lo <= p * (1.0 + 1e-12) and p <= hi * (1.0 + 1e-12)
     add("band-mass-bounds", ok, worst, {"grid": rows})
 

@@ -179,6 +179,15 @@ def test_verify_corrupted_density_floor_fails(tmp_path):
     assert not report["passed"]
 
 
+def test_verify_bound_arithmetic_failure_exits_2_with_one_line(tmp_path, capsys):
+    # at B = 1e300 the noise-tail bound's (t / B)^3 underflows to 0 and its log divides by it
+    cfg = dict(TINY, noise={"kind": "geometric_tsybakov", "B": 1e300, "alpha": 0.75},
+               certify_samples=500, verify_samples=500, out=str(tmp_path / "verify"))
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lemma-suite bounds fail")
+
+
 def test_preview_schedule_prints_payload(tmp_path, capsys):
     assert main(["preview-schedule", "--config", write_config(tmp_path, TINY)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -246,6 +255,10 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
                    "sweep": {"axis": "s", "values": [1, 2, 3]}}),
         ("run", NO_CONFIG),
         ("run", {"out": "config.json"}),  # relative to tmp_path: the config file itself
+        ("verify", {"verify_samples": 1}),  # one sample has no standard error
+        # U * beta overflows: a traceback from math.log(2 / (b U beta)) in the lemma suite
+        ("verify", {"dist": {"family": "gaussian", "d": 3,
+                             "params": {"L": 0.001, "R": 1, "U": 1e300, "beta": 1e10}}}),
     ],
     ids=[
         "missing-eta",
@@ -273,6 +286,8 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         "sweep-dense-twin-overflows",
         "missing-config-file",
         "out-is-a-file",
+        "one-verify-sample",
+        "overflowing-constants",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, change):

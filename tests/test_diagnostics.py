@@ -1,13 +1,17 @@
 """Band-potential estimator, excess risk, and the lemma verification suite."""
 
+import copy
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import halfband as hb
+from halfband import diagnostics
+from halfband.diagnostics import CHUNK, _band_batch
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
@@ -111,6 +115,14 @@ def test_excess_error_exact_rejects_varying_noise():
         hb.excess_error(truth.w_star, GAUSS5, hb.massart(0.1), truth, method="mc")
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_excess_error_mc_needs_a_sample(n):
+    truth = fixed_truth(5)
+    with pytest.raises(InvalidInputError, match="at least one sample"):
+        hb.excess_error(truth.w_star, GAUSS5, hb.massart(0.1), truth,
+                        rng=np.random.default_rng(1), n=n, method="mc")
+
+
 def test_excess_error_mc_agrees_with_exact():
     n = 200_000
     rng = np.random.default_rng(13)
@@ -197,3 +209,92 @@ def test_suite_excess_lower_mnc_stays_monte_carlo_for_band_noise():
         assert c["margin_sigmas"] is not None
         assert c["measured"] != c["bound"]
         assert c["passed"]
+
+
+@pytest.mark.parametrize("samples", [1, 0])
+def test_suite_needs_two_samples(samples):
+    truth = fixed_truth(5, seed=33)
+    with pytest.raises(InvalidInputError, match="at least 2 samples"):
+        hb.verify_lemma_suite(GAUSS5, truth, np.random.default_rng(34), samples=samples)
+
+
+@pytest.mark.parametrize(
+    "params, B, message",
+    [
+        # (t / B)^3 underflows to 0 at B = 1e300, so log(2 / (U beta z)) divides by zero
+        (None, 1e300, "bounds fail at these parameters: float division by zero"),
+        # at B = 1e-100 the noise-tail bound is -7e301, -inf standard errors from 1.0
+        ((1e-100, 1e-100, 1.0, 1.0), 1e-100, r"not finite at these parameters: \['noise-tail'\]"),
+    ],
+)
+def test_suite_bound_overflow_is_invalid_input(params, B, message):
+    dist = hb.make_distribution("gaussian", 5, params)
+    truth = fixed_truth(5, seed=35)
+    with pytest.raises(InvalidInputError, match=message):
+        hb.verify_lemma_suite(dist, truth, np.random.default_rng(36),
+                              noise=hb.geometric_tsybakov(B, 0.75), samples=100)
+
+
+BALL4 = hb.make_distribution("uniform_ball", 4)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_estimators_at_chunk_edges(n):
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    for dist in (GAUSS5, BALL4):
+        truth = fixed_truth(dist.d, seed=37)
+        w = orthogonal_to(truth.w_star, np.random.default_rng(38)) + truth.w_star
+        runs = [hb.estimate_psi(w, 0.3, dist, noise, truth, n, np.random.default_rng(39))
+                for _ in range(2)]
+        assert runs[0].sample_count == n
+        assert math.isfinite(runs[0].value) and math.isfinite(runs[0].std_error)
+        assert repr(runs[0]) == repr(runs[1])
+        excess = [hb.excess_error(w, dist, noise, truth, rng=np.random.default_rng(40), n=n,
+                                  method="mc") for _ in range(2)]
+        assert math.isfinite(excess[0]) and excess[0].hex() == excess[1].hex()
+
+
+def test_psi_stream_is_chunk_major():
+    # n = CHUNK + 5 draws a CHUNK-row band batch, then a 5-row one, from the same stream
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    truth = fixed_truth(5, seed=41)
+    w = hb.normalize(orthogonal_to(truth.w_star, np.random.default_rng(42)) + truth.w_star)
+    rng = np.random.default_rng(43)
+    clone = copy.deepcopy(rng)
+    est = hb.estimate_psi(w, 0.3, GAUSS5, noise, truth, CHUNK + 5, rng)
+    m = np.concatenate([_band_batch(GAUSS5, w, 0.3, clone, k) @ truth.w_star
+                        for k in (CHUNK, 5)])
+    vals = (1.0 - 2.0 * hb.eta_of_margin(noise, m)) * np.abs(m)
+    assert est.value == float(vals.mean())
+    assert est.std_error == float(vals.std(ddof=1) / math.sqrt(CHUNK + 5))
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_estimators_memory_stays_below_one_batch_array(monkeypatch):
+    # at Gaussian d=50 a whole (n, d) float64 batch is 105 MB at n = 4 CHUNK; streamed,
+    # each estimator holds a few CHUNK-row arrays (26 MB each) and O(n) per-row values.
+    # The suite's nine psi estimates would take 4 s here; estimate_psi is measured on
+    # its own, so inside the suite it draws 2 rows and the suite's own batch is measured
+    d, n = 50, 4 * CHUNK
+    dist = hb.make_distribution("gaussian", d)
+    truth = fixed_truth(d, seed=44)
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    w = orthogonal_to(truth.w_star, np.random.default_rng(45))
+    calls = {
+        "estimate_psi": lambda rng: hb.estimate_psi(w, 0.1, dist, noise, truth, n, rng),
+        "excess_error": lambda rng: hb.excess_error(w, dist, noise, truth, rng=rng, n=n,
+                                                    method="mc"),
+        "verify_lemma_suite": lambda rng: hb.verify_lemma_suite(dist, truth, rng, samples=n),
+    }
+    psi = diagnostics.estimate_psi
+    for name, call in calls.items():
+        if name == "verify_lemma_suite":
+            monkeypatch.setattr(diagnostics, "estimate_psi",
+                                lambda *args: psi(*args[:5], 2, args[6]))
+        tracemalloc.start()
+        try:
+            call(np.random.default_rng(46))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8, f"{name} peaked at {peak / 1e6:.1f} MB"

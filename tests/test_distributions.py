@@ -63,6 +63,43 @@ def test_make_distribution_validation():
             dataclasses.replace(hb.make_distribution("gaussian", 3), d=d)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1e-3, 1.0, 1e300, 1e10),  # U * beta overflows: certify's band-mass margin was NaN
+        (0.05, 1.0, math.inf, 1.0),
+        (0.05, math.nan, 0.16, 1.0),
+        (1e-200, 1.0, 1e-200, 1e-200),  # U * beta underflows to 0
+        (1e-301, 1.0, 1e-300, 1e-10),  # the schedule arithmetic underflows
+        (0.05, 1e200, 0.16, 1.0),  # R**2 overflows in the lemma bounds
+        (0.05, 1.0, 0.16, 2e100),
+    ],
+)
+def test_make_distribution_rejects_constants_out_of_range(params):
+    with pytest.raises(InvalidInputError, match=r"must each lie in \[1e-100, 1e\+100\]"):
+        hb.make_distribution("gaussian", 3, params=params)
+
+
+def test_make_distribution_accepts_the_range_ends():
+    lo, hi = dists.PARAM_RANGE
+    dist = hb.make_distribution("gaussian", 3, params=(lo, hi, hi, lo))
+    assert (dist.L, dist.R, dist.U, dist.beta) == (lo, hi, hi, lo)
+    with pytest.raises(InvalidInputError, match="L <= U"):
+        hb.make_distribution("gaussian", 3, params=(0.2, 1.0, 0.1, 1.0))
+
+
+@pytest.mark.parametrize("params", [(1e-100,) * 4, (1e100,) * 4, (0.05, 1e-100, 0.16, 1e-100),
+                                    (0.05, 1.0, 0.16, 1e-3), (0.05, 1.0, 0.16, 100.0)])
+def test_certify_margins_stay_finite_at_extreme_constants(params):
+    # a tail bound that underflows to 0, or a band-mass upper bound that goes negative
+    # (b U beta > 2), fails its check with a finite, negative margin and no warning
+    report = hb.certify_parameters(hb.make_distribution("gaussian", 3, params=params),
+                                   np.random.default_rng(21), samples=500)
+    json.dumps(report, allow_nan=False)
+    for c in report["checks"]:
+        assert c["passed"] == (c["margin"] >= 0.0), c
+
+
 def test_gaussian_moments():
     rng = np.random.default_rng(11)
     X = hb.sample(hb.make_distribution("gaussian", 2), rng, n=10**6)

@@ -225,7 +225,9 @@ def test_schedule_for_names_the_regime_it_rejects():
     [
         (Profile(c_T=1e308), GAUSS5),  # iteration counts overflow to inf
         (Profile(c_S=1e308, c_eps=1e-300), GAUSS5),  # selection size m overflows
-        (PROFILES["desk"], hb.make_distribution("gaussian", 5, (1e-301, 1.0, 1e-300, 1e-10))),
+        # make_distribution rejects constants this small; a replaced model still reaches
+        # the schedule, which must reject it on its own
+        (PROFILES["desk"], dataclasses.replace(GAUSS5, L=1e-301, U=1e-300, beta=1e-10)),
     ],
     ids=["c_T", "m", "tiny-constants"],
 )
