@@ -73,8 +73,9 @@ def default_params(family, d):
 
 
 # The analysis bounds multiply up to three constants and take logs of such products,
-# as log(2 / (b U beta)) in every band-mass bound. Inside this range each product is
-# a normal float, so no bound overflows, divides by an underflowed zero or turns NaN.
+# as log(2 / (b U beta)) in every band-mass bound. Inside this range each such product,
+# b included, is a normal float, so the constants alone never make a bound divide by
+# an underflowed zero, take the log of inf or turn NaN.
 PARAM_RANGE = (1e-100, 1e100)
 
 
