@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions as dists
-from .diagnostics import excess_error, verify_lemma_suite
+from .diagnostics import excess_error, suite_bandwidth, verify_lemma_suite
 from .errors import BandTooThinError, InvalidInputError, InvariantError, NumericalError
 from .geometry import angle
 from .learner import LearnerConfig, learn
@@ -205,6 +205,8 @@ def parse_spec(cfg, command):
     _known(cfg, CONFIG_KEYS)
     seed = _get(cfg, "seed", int, REQUIRED, lo=0)
     dist = dist_from_config(_get(cfg, "dist", dict, REQUIRED))
+    if command == "verify":
+        suite_bandwidth(dist)  # a suite band outside the support is a config error
     noise = _get(cfg, "noise", dict, None if command == "verify" else REQUIRED)
     noise = None if noise is None else noise_from_config(noise)
     profile_name, profile = profile_from_config(cfg)

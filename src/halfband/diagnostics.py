@@ -16,7 +16,6 @@ from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle, normalize
 from .oracles import (
     _ball_radial,
-    _complete_band_points,
     eta_of_margin,
     exact_tsybakov_A,
     geometric_tsybakov,
@@ -25,10 +24,11 @@ from .oracles import (
 from .schedules import regime_for_noise
 
 
-# Rows each Monte Carlo batch draws at a time, so memory stays O(CHUNK * d) for any n.
+# Rows each Monte Carlo batch draws at a time, so memory stays O(CHUNK + n) for any n.
 # On perfbench estimators-d10 (1e6-row calls at Gaussian d=10, one core of a 2-core
-# x86-64 host) whole batches peaked at 234 MB RSS and 65,536-row chunks at 80 MB;
-# 32,768-row chunks ran about as fast at 76 MB, 131,072-row ones slower at 89 MB.
+# x86-64 host), when each row still drew a whole point, whole batches peaked at 234 MB
+# RSS and 65,536-row chunks at 80 MB; 32,768-row chunks ran about as fast at 76 MB,
+# 131,072-row ones slower at 89 MB.
 CHUNK = 65536
 
 
@@ -64,16 +64,44 @@ def _mean_and_se(vals):
     return float(vals.mean()), se
 
 
-def _band_batch(dist, w_hat, b, rng, n):
-    """n points from the band law around unit w_hat, bypassing the ledger."""
-    m = dists.truncated_margin(dist, b, 2.0 * rng.random(n) - 1.0)
-    Z = rng.standard_normal((n, dist.d))
-    radial = _ball_radial(dist, m, rng.random(n)) if dist.family == "uniform_ball" else None
-    return _complete_band_points(np.broadcast_to(w_hat, Z.shape), m, Z, radial)
+def _vector(name, v, d):
+    """v as a float array; InvalidInputError unless it is finite with shape (d,)."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be a vector of {d} numbers: {exc}") from exc
+    if v.shape != (d,) or not np.all(np.isfinite(v)):
+        raise InvalidInputError(
+            f"{name} must be a finite vector of shape ({d},), got shape {v.shape}"
+        )
+    return v
+
+
+def _plane(u, v):
+    """(r, c, s) with <u, x> = r p and <v, x> = c p + s t for every x.
+
+    Here p = <e1, x> and t = <e2, x> for orthonormal e1, e2 whose span holds u and v:
+    the QR factor of the d x 2 matrix [u v], which stays finite for any finite u, v
+    and zero for a zero column. Both families are rotation invariant, so (p, t) has
+    the law of any 2-d projection of x, and an estimator that reads <u, x> and
+    <v, x> only needs to draw p and t.
+    """
+    (r, c), (_, s) = np.linalg.qr(np.column_stack((u, v)), mode="r")
+    return float(r), float(c), float(s)
+
+
+def _chi2(rng, df, k):
+    """k draws of a chi-square with df >= 0 degrees of freedom (0 when df = 0)."""
+    return rng.chisquare(df, k) if df > 0 else 0.0
 
 
 def estimate_psi(w, b, dist, noise, truth, n, rng):
-    """Band potential of w: mean of (1 - 2*eta(x)) |<w*, x>| over the band at b."""
+    """Band potential of w: mean of (1 - 2*eta(x)) |<w*, x>| over the band at b.
+
+    A row draws only the two coordinates of x in the plane of w_hat and w*
+    (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
+    for the ball.
+    """
     n = int(n)
     if n < 1:
         raise InvalidInputError("estimate_psi needs at least one sample")
@@ -81,23 +109,45 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
         raise InvalidInputError("bandwidth b must be positive")
     if dist.family == "uniform_ball" and b > dist.radius:
         raise InvalidInputError("bandwidth b exceeds the support radius")
-    w_hat = normalize(w)
+    w = _vector("w", w, dist.d)
+    w_star = _vector("truth.w_star", truth.w_star, dist.d)
+    _, c, s = _plane(normalize(w), w_star)
 
     def rows(k):
-        m_star = _band_batch(dist, w_hat, b, rng, k) @ truth.w_star
+        # the band margin is p: <w_hat, x> = r p with |r| = 1, so the band is |p| <= b
+        m = dists.truncated_margin(dist, b, 2.0 * rng.random(k) - 1.0)
+        t = rng.standard_normal(k)
+        if dist.family == "uniform_ball":
+            # given m, the rest of x is uniform in a (d-1)-ball of radius sqrt(rho^2 - m^2):
+            # its radial factor times one coordinate of a uniform unit (d-1)-vector
+            radial = _ball_radial(dist, m, rng.random(k))
+            t *= radial / np.sqrt(t * t + _chi2(rng, dist.d - 2, k))
+        m_star = c * m + s * t
         return ((1.0 - 2.0 * eta_of_margin(noise, m_star)) * np.abs(m_star),)
 
     value, se = _mean_and_se(_stream(n, rows)[0])
     return PsiEstimate(value=value, std_error=se, sample_count=n)
 
 
-def _excess_mc(v, dist, noise, truth, rng, n):
-    v = np.asarray(v, dtype=float)
+def _excess_mc(v, w_star, dist, noise, rng, n):
+    """Mean and standard error of the excess of sign(<v, .>) from n rows.
+
+    A row draws the two coordinates of x in the plane of w* and v (_plane):
+    2 numbers for the Gaussian, 4 for the ball. v = 0 gives <v, x> = 0, which
+    counts as sign +1.
+    """
+    r, c, s = _plane(w_star, v)
 
     def rows(k):
-        X = dists.sample(dist, rng, k)
-        m_star = X @ truth.w_star
-        dis = ((X @ v) >= 0.0) != (m_star >= 0.0)
+        p, t = rng.standard_normal((2, k))
+        if dist.family == "uniform_ball":
+            # x = radius U^(1/d) z / |z| for z standard normal on R^d; p, t are two of z's
+            # coordinates and the other d - 2 enter through their squared norm
+            scale = dist.radius * rng.random(k) ** (1.0 / dist.d)
+            scale /= np.sqrt(p * p + t * t + _chi2(rng, dist.d - 2, k))
+            p, t = p * scale, t * scale
+        m_star = r * p
+        dis = ((c * p + s * t) >= 0.0) != (m_star >= 0.0)
         return (dis * (1.0 - 2.0 * eta_of_margin(noise, m_star)),)
 
     return _mean_and_se(_stream(n, rows)[0])
@@ -110,13 +160,15 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     constant flip rate (every family is spherically symmetric);
     "mc" averages (1 - 2*eta(x)) over the disagreement region.
     """
+    v = _vector("v", v, dist.d)
+    w_star = _vector("truth.w_star", truth.w_star, dist.d)
     exact_ok = noise.kind == "massart"
     if method == "auto":
         method = "exact" if exact_ok else "mc"
     if method == "exact":
         if not exact_ok:
             raise UnsupportedRegimeError("closed-form excess needs a constant flip rate")
-        return (1.0 - 2.0 * noise.eta) * angle(v, truth.w_star) / math.pi
+        return (1.0 - 2.0 * noise.eta) * angle(v, w_star) / math.pi
     if method != "mc":
         raise InvalidInputError(f"unknown excess method {method!r}")
     if rng is None or n is None:
@@ -124,7 +176,7 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     n = int(n)
     if n < 1:
         raise InvalidInputError("Monte Carlo excess needs at least one sample")
-    value, _ = _excess_mc(v, dist, noise, truth, rng, n)
+    value, _ = _excess_mc(v, w_star, dist, noise, rng, n)
     return value
 
 
@@ -179,6 +231,21 @@ def _psi_lower_bound(regime, dist, b, theta, model, A=None):
     )
 
 
+def suite_bandwidth(dist):
+    """Bandwidth b = 0.1 R of the lemma suite's band-potential checks.
+
+    InvalidInputError, naming R and b, when b exceeds the uniform ball's support radius.
+    """
+    b = 0.1 * dist.R
+    if dist.family == "uniform_ball" and b > dist.radius:
+        raise InvalidInputError(
+            f"the lemma suite's bandwidth b = 0.1*R = {b:g} exceeds the uniform ball's"
+            f" support radius sqrt(d+2) = {dist.radius:g}; lower dist.params.R = {dist.R:g}"
+            f" to at most {10.0 * dist.radius:g}"
+        )
+    return b
+
+
 def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     """Monte Carlo check of the analysis inequalities the schedules rely on.
 
@@ -187,7 +254,8 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     tail bound behind the Tsybakov conversion, and the excess-error lower
     bounds. Returns a JSON-serializable report; passed means every check
     held within three standard errors (deterministic checks exactly).
-    Needs samples >= 2, so that every standard error is defined.
+    Needs samples >= 2, so that every standard error is defined, and a
+    band-potential bandwidth inside the support (suite_bandwidth).
     """
     samples = int(samples)
     if samples < 2:
@@ -222,6 +290,7 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
 def _lemma_checks(dist, truth, rng, noise, samples):
     L, R, U, beta = dist.L, dist.R, dist.U, dist.beta
     w_star = truth.w_star
+    b_psi = suite_bandwidth(dist)
 
     regime = None if noise is None else regime_for_noise(noise)
     mnc = noise if regime == "MNC" else massart(0.2)
@@ -232,7 +301,6 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     checks = []
 
     # band-potential lower bounds at random directions with tilde angle >= 4b/R
-    b_psi = 0.1 * R
     thetas = rng.uniform(4.0 * b_psi / R + 0.05, math.pi / 2.0, size=3)
     for regime, model in (("MNC", mnc), ("TNC", tnc), ("GTNC", gt)):
         for theta in thetas:

@@ -22,6 +22,9 @@ from scipy import special
 from .errors import InvalidInputError
 from .geometry import angle
 
+# Every family is rotation invariant: diagnostics' Monte Carlo estimators draw only the
+# two coordinates of x in the plane they read. A family that is not rotation invariant
+# needs a d-dimensional path in those estimators.
 FAMILIES = ("gaussian", "uniform_ball")
 
 

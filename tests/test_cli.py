@@ -259,6 +259,8 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         # U * beta overflows: a traceback from math.log(2 / (b U beta)) in the lemma suite
         ("verify", {"dist": {"family": "gaussian", "d": 3,
                              "params": {"L": 0.001, "R": 1, "U": 1e300, "beta": 1e10}}}),
+        # the lemma suite's b = 0.1 R lies outside the ball's radius sqrt(5)
+        ("verify", {"dist": {"family": "uniform_ball", "d": 3, "params": {"R": 100}}}),
     ],
     ids=[
         "missing-eta",
@@ -288,6 +290,7 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         "out-is-a-file",
         "one-verify-sample",
         "overflowing-constants",
+        "ball-R-above-ten-radii",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, change):
@@ -301,6 +304,9 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, comma
     assert len(err) == 1 and err[0].startswith("error:")
     if cfg.get("regime") == "XYZ":  # exited 2 before, but blamed the GTNC noise check
         assert "regime" in err[0]
+    if change == {"dist": {"family": "uniform_ball", "d": 3, "params": {"R": 100}}}:
+        # exited 2 before, after certify_parameters ran and out was made, naming neither
+        assert "b = 0.1*R = 10" in err[0] and "R = 100" in err[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,11 @@ from scipy.stats import norm
 
 import halfband as hb
 from halfband import diagnostics
-from halfband.diagnostics import CHUNK, _band_batch
+from halfband import distributions as dists
+from halfband import oracles
+from halfband.diagnostics import CHUNK, _excess_mc, _plane
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
+from halfband.oracles import LockstepBandSampler
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
 
@@ -255,46 +259,189 @@ def test_estimators_at_chunk_edges(n):
 
 
 def test_psi_stream_is_chunk_major():
-    # n = CHUNK + 5 draws a CHUNK-row band batch, then a 5-row one, from the same stream
+    # n = CHUNK + 5 draws a CHUNK-row chunk, then a 5-row one, from the same stream; each
+    # draws its band margins, then one normal per row (the ball adds its radial uniforms
+    # and, at d > 2, a chi-square of d - 2 degrees of freedom per row)
     noise = hb.geometric_tsybakov(1.0, 0.75)
-    truth = fixed_truth(5, seed=41)
-    w = hb.normalize(orthogonal_to(truth.w_star, np.random.default_rng(42)) + truth.w_star)
-    rng = np.random.default_rng(43)
-    clone = copy.deepcopy(rng)
-    est = hb.estimate_psi(w, 0.3, GAUSS5, noise, truth, CHUNK + 5, rng)
-    m = np.concatenate([_band_batch(GAUSS5, w, 0.3, clone, k) @ truth.w_star
-                        for k in (CHUNK, 5)])
-    vals = (1.0 - 2.0 * hb.eta_of_margin(noise, m)) * np.abs(m)
-    assert est.value == float(vals.mean())
-    assert est.std_error == float(vals.std(ddof=1) / math.sqrt(CHUNK + 5))
-    assert rng.bit_generator.state == clone.bit_generator.state
+    for dist in (GAUSS5, BALL4):
+        truth = fixed_truth(dist.d, seed=41)
+        w = orthogonal_to(truth.w_star, np.random.default_rng(42)) + truth.w_star
+        _, c, s = _plane(hb.normalize(w), truth.w_star)
+        rng = np.random.default_rng(43)
+        clone = copy.deepcopy(rng)
+        est = hb.estimate_psi(w, 0.3, dist, noise, truth, CHUNK + 5, rng)
+        parts = []
+        for k in (CHUNK, 5):
+            m = dists.truncated_margin(dist, 0.3, 2.0 * clone.random(k) - 1.0)
+            t = clone.standard_normal(k)
+            if dist.family == "uniform_ball":
+                radial = oracles._ball_radial(dist, m, clone.random(k))
+                t *= radial / np.sqrt(t * t + clone.chisquare(dist.d - 2, k))
+            parts.append(c * m + s * t)
+        m_star = np.concatenate(parts)
+        vals = (1.0 - 2.0 * hb.eta_of_margin(noise, m_star)) * np.abs(m_star)
+        assert est.value == float(vals.mean())
+        assert est.std_error == float(vals.std(ddof=1) / math.sqrt(CHUNK + 5))
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_excess_stream_is_chunk_major():
+    # each chunk draws two normals per row (the ball adds its radius uniforms, then at
+    # d > 2 a chi-square of d - 2 degrees of freedom per row)
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    for dist in (GAUSS5, BALL4):
+        truth = fixed_truth(dist.d, seed=47)
+        v = orthogonal_to(truth.w_star, np.random.default_rng(48)) + 0.5 * truth.w_star
+        r, c, s = _plane(truth.w_star, v)
+        rng = np.random.default_rng(49)
+        clone = copy.deepcopy(rng)
+        value = hb.excess_error(v, dist, noise, truth, rng=rng, n=CHUNK + 5, method="mc")
+        parts = []
+        for k in (CHUNK, 5):
+            p, t = clone.standard_normal((2, k))
+            if dist.family == "uniform_ball":
+                scale = dist.radius * clone.random(k) ** (1.0 / dist.d)
+                scale /= np.sqrt(p * p + t * t + clone.chisquare(dist.d - 2, k))
+                p, t = p * scale, t * scale
+            m_star = r * p
+            dis = ((c * p + s * t) >= 0.0) != (m_star >= 0.0)
+            parts.append(dis * (1.0 - 2.0 * hb.eta_of_margin(noise, m_star)))
+        assert value == float(np.concatenate(parts).mean())
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def _agree(new, reference, where):
+    """new and reference are (value, standard error) of independent estimates of one mean."""
+    gap = abs(new[0] - reference[0])
+    assert gap <= 4.0 * math.hypot(new[1], reference[1]) + 1e-12, (where, new, reference)
+
+
+@pytest.mark.parametrize("family", dists.FAMILIES)
+@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def test_plane_estimators_match_d_dimensional_draws(family, d):
+    # the estimators draw only the plane their per-row value reads; rebuild the same
+    # per-row values from whole d-dimensional points, the band's from the learner's own
+    # lockstep sampler and the excess's from dists.sample, and compare at 4 sigma
+    n, streams = 20_000, 500
+    dist = hb.make_distribution(family, d)
+    # 1 - 2 eta = 0.4 |<w*, x>|^(1/3) below |<w*, x>| = 15.6, so the excess also reads
+    # the scale of the point, not only the sign of its two margins
+    noise = hb.geometric_tsybakov(0.2, 0.75)
+    truth = fixed_truth(d, seed=50 + d)
+    rng = np.random.default_rng((51, d))
+    perp = orthogonal_to(truth.w_star, rng)
+    oblique = 0.6 * truth.w_star + 0.8 * perp
+    b = 0.5
+
+    def weight(m):
+        return 1.0 - 2.0 * hb.eta_of_margin(noise, m)
+
+    gens = [np.random.default_rng((52, d, k)) for k in range(streams)]
+    for name, w in (("w*", truth.w_star), ("perp", perp), ("oblique", oblique)):
+        est = hb.estimate_psi(w, b, dist, noise, truth, n, rng)
+        sampler = LockstepBandSampler(dist, b, gens, hb.QueryLedger(), n // streams)
+        W = np.broadcast_to(hb.normalize(w), (streams, d))
+        m = np.concatenate([sampler.draw(W)[0] for _ in range(n // streams)]) @ truth.w_star
+        vals = weight(m) * np.abs(m)
+        _agree((est.value, est.std_error), diagnostics._mean_and_se(vals), ("psi", name))
+
+    for name, v in (("w*", truth.w_star), ("perp", perp), ("oblique", oblique),
+                    ("zero", np.zeros(d))):
+        X = dists.sample(dist, rng, n)
+        m = X @ truth.w_star
+        vals = ((X @ v >= 0.0) != (m >= 0.0)) * weight(m)
+        new = _excess_mc(v, truth.w_star, dist, noise, rng, n)
+        _agree(new, diagnostics._mean_and_se(vals), ("excess", name))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.full(5, np.nan), np.array([1.0, np.inf, 0.0, 0.0, 0.0]), np.ones(4), np.ones((5, 1)),
+     ["a"] * 5],
+    ids=["nan", "inf", "short", "column", "strings"],
+)
+def test_estimators_reject_bad_vectors(bad):
+    truth = fixed_truth(5)
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    rng = np.random.default_rng(53)
+    with pytest.raises(InvalidInputError, match="w must be"):
+        hb.estimate_psi(bad, 0.3, GAUSS5, noise, truth, 100, rng)
+    for method in ("mc", "exact"):
+        with pytest.raises(InvalidInputError, match="v must be"):
+            hb.excess_error(bad, GAUSS5, hb.massart(0.1), truth, rng=rng, n=100, method=method)
+    bad_truth = dataclasses.replace(truth, w_star=bad)
+    with pytest.raises(InvalidInputError, match="w_star must be"):
+        hb.estimate_psi(truth.w_star, 0.3, GAUSS5, noise, bad_truth, 100, rng)
+    for method in ("mc", "exact"):
+        with pytest.raises(InvalidInputError, match="w_star must be"):
+            hb.excess_error(truth.w_star, GAUSS5, hb.massart(0.1), bad_truth, rng=rng, n=100,
+                            method=method)
+
+
+def test_excess_mc_stays_exact_at_huge_and_zero_v():
+    # sign(<v, x>) does not depend on the scale of v; v = 0 labels every point +1,
+    # which disagrees with w* on half the mass
+    truth = fixed_truth(5)
+    noise = hb.massart(0.2)
+    v = orthogonal_to(truth.w_star, np.random.default_rng(54)) + truth.w_star
+    values = [hb.excess_error(scale * v, GAUSS5, noise, truth, rng=np.random.default_rng(55),
+                              n=50_000, method="mc") for scale in (1.0, 1e300, 1e-300)]
+    assert values[0] == values[1] == values[2]
+    zero = hb.excess_error(np.zeros(5), GAUSS5, noise, truth, rng=np.random.default_rng(56),
+                           n=50_000, method="mc")
+    assert abs(zero - 0.6 * 0.5) <= 4.0 * 0.6 * math.sqrt(0.25 / 50_000)
+
+
+@pytest.mark.parametrize("R", [100.0, 1e100])
+def test_suite_names_r_when_its_bandwidth_leaves_the_ball(R):
+    # the band-potential checks use b = 0.1 R, which must fit in the radius sqrt(d+2)
+    dist = hb.make_distribution("uniform_ball", 3, (1e-3, R, 1.0, 1.0))
+    truth = hb.make_ground_truth(3, np.random.default_rng(57))
+    rng = np.random.default_rng(58)
+    state = copy.deepcopy(rng.bit_generator.state)
+    message = re.escape(f"b = 0.1*R = {0.1 * R:g}") + ".*" + re.escape(f"R = {R:g}")
+    with pytest.raises(InvalidInputError, match=message):
+        hb.verify_lemma_suite(dist, truth, rng, samples=100)
+    assert rng.bit_generator.state == state  # nothing was sampled
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_estimators_memory_stays_below_one_batch_array(monkeypatch):
-    # at Gaussian d=50 a whole (n, d) float64 batch is 105 MB at n = 4 CHUNK; streamed,
-    # each estimator holds a few CHUNK-row arrays (26 MB each) and O(n) per-row values.
-    # The suite's nine psi estimates would take 4 s here; estimate_psi is measured on
-    # its own, so inside the suite it draws 2 rows and the suite's own batch is measured
-    d, n = 50, 4 * CHUNK
+    # each estimator holds a few CHUNK-row vectors and the n per-row values, whatever d:
+    # its peak at d=50 stays within 1.5 times its peak at d=5, on both families
+    n = 4 * CHUNK
+    noise = hb.geometric_tsybakov(1.0, 0.75)
+    for family in dists.FAMILIES:
+        peaks = {}
+        for d in (5, 50):
+            dist = hb.make_distribution(family, d)
+            truth = fixed_truth(d, seed=44)
+            w = orthogonal_to(truth.w_star, np.random.default_rng(45))
+            peaks["psi", d] = _traced_peak(lambda: hb.estimate_psi(
+                w, 0.1, dist, noise, truth, n, np.random.default_rng(46)))
+            peaks["excess", d] = _traced_peak(lambda: hb.excess_error(
+                w, dist, noise, truth, rng=np.random.default_rng(46), n=n, method="mc"))
+        for name in ("psi", "excess"):
+            assert peaks[name, 50] <= 1.5 * peaks[name, 5], (
+                f"{family} {name} peaked at {peaks[name, 50] / 1e6:.1f} MB at d=50, "
+                f"{peaks[name, 5] / 1e6:.1f} MB at d=5")
+
+    # at Gaussian d=50 a whole (n, d) float64 batch is 105 MB; streamed, the lemma suite's
+    # shared batch holds a few CHUNK-row arrays and O(n) per-row values. Its nine psi
+    # estimates are measured above, so inside the suite estimate_psi draws 2 rows
+    d = 50
     dist = hb.make_distribution("gaussian", d)
     truth = fixed_truth(d, seed=44)
-    noise = hb.geometric_tsybakov(1.0, 0.75)
-    w = orthogonal_to(truth.w_star, np.random.default_rng(45))
-    calls = {
-        "estimate_psi": lambda rng: hb.estimate_psi(w, 0.1, dist, noise, truth, n, rng),
-        "excess_error": lambda rng: hb.excess_error(w, dist, noise, truth, rng=rng, n=n,
-                                                    method="mc"),
-        "verify_lemma_suite": lambda rng: hb.verify_lemma_suite(dist, truth, rng, samples=n),
-    }
     psi = diagnostics.estimate_psi
-    for name, call in calls.items():
-        if name == "verify_lemma_suite":
-            monkeypatch.setattr(diagnostics, "estimate_psi",
-                                lambda *args: psi(*args[:5], 2, args[6]))
-        tracemalloc.start()
-        try:
-            call(np.random.default_rng(46))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < n * d * 8, f"{name} peaked at {peak / 1e6:.1f} MB"
+    monkeypatch.setattr(diagnostics, "estimate_psi", lambda *args: psi(*args[:5], 2, args[6]))
+    peak = _traced_peak(lambda: hb.verify_lemma_suite(dist, truth, np.random.default_rng(46),
+                                                      samples=n))
+    assert peak < n * d * 8, f"verify_lemma_suite peaked at {peak / 1e6:.1f} MB"
