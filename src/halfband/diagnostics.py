@@ -100,7 +100,7 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
 
     A row draws only the two coordinates of x in the plane of w_hat and w*
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
-    for the ball.
+    for the ball (3 at d = 2).
     """
     n = int(n)
     if n < 1:
@@ -133,8 +133,8 @@ def _excess_mc(v, w_star, dist, noise, rng, n):
     """Mean and standard error of the excess of sign(<v, .>) from n rows.
 
     A row draws the two coordinates of x in the plane of w* and v (_plane):
-    2 numbers for the Gaussian, 4 for the ball. v = 0 gives <v, x> = 0, which
-    counts as sign +1.
+    2 numbers for the Gaussian, 4 for the ball (3 at d = 2). v = 0 gives
+    <v, x> = 0, which counts as sign +1.
     """
     r, c, s = _plane(w_star, v)
 

@@ -16,7 +16,6 @@ from halfband import distributions as dists
 from halfband import oracles
 from halfband.diagnostics import CHUNK, _excess_mc, _plane
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
-from halfband.oracles import LockstepBandSampler
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
 
@@ -339,7 +338,7 @@ def test_plane_estimators_match_d_dimensional_draws(family, d):
     gens = [np.random.default_rng((52, d, k)) for k in range(streams)]
     for name, w in (("w*", truth.w_star), ("perp", perp), ("oblique", oblique)):
         est = hb.estimate_psi(w, b, dist, noise, truth, n, rng)
-        sampler = LockstepBandSampler(dist, b, gens, hb.QueryLedger(), n // streams)
+        sampler = oracles.LockstepBandSampler(dist, b, gens, hb.QueryLedger(), n // streams)
         W = np.broadcast_to(hb.normalize(w), (streams, d))
         m = np.concatenate([sampler.draw(W)[0] for _ in range(n // streams)]) @ truth.w_star
         vals = weight(m) * np.abs(m)
