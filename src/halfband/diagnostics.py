@@ -114,15 +114,15 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
     _, c, s = _plane(normalize(w), w_star)
 
     def rows(k):
-        # the band margin is p: <w_hat, x> = r p with |r| = 1, so the band is |p| <= b
-        m = dists.truncated_margin(dist, b, 2.0 * rng.random(k) - 1.0)
+        # <w_hat, x> = r p with |r| = 1, so p is the band margin: |p| <= b
+        p = dists.truncated_margin(dist, b, 2.0 * rng.random(k) - 1.0)
         t = rng.standard_normal(k)
         if dist.family == "uniform_ball":
-            # given m, the rest of x is uniform in a (d-1)-ball of radius sqrt(rho^2 - m^2):
+            # given p, the rest of x is uniform in a (d-1)-ball of radius sqrt(rho^2 - p^2):
             # its radial factor times one coordinate of a uniform unit (d-1)-vector
-            radial = _ball_radial(dist, m, rng.random(k))
+            radial = _ball_radial(dist, p, rng.random(k))
             t *= radial / np.sqrt(t * t + _chi2(rng, dist.d - 2, k))
-        m_star = c * m + s * t
+        m_star = c * p + s * t
         return ((1.0 - 2.0 * eta_of_margin(noise, m_star)) * np.abs(m_star),)
 
     value, se = _mean_and_se(_stream(n, rows)[0])
