@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, normalize
+from .geometry import angle, finite_array, normalize
 from .oracles import (
     _ball_radial,
     eta_of_margin,
@@ -64,19 +64,6 @@ def _mean_and_se(vals):
     return float(vals.mean()), se
 
 
-def _vector(name, v, d):
-    """v as a float array; InvalidInputError unless it is finite with shape (d,)."""
-    try:
-        v = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} must be a vector of {d} numbers: {exc}") from exc
-    if v.shape != (d,) or not np.all(np.isfinite(v)):
-        raise InvalidInputError(
-            f"{name} must be a finite vector of shape ({d},), got shape {v.shape}"
-        )
-    return v
-
-
 def _plane(u, v):
     """(r, c, s) with <u, x> = r p and <v, x> = c p + s t for every x.
 
@@ -109,8 +96,8 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
         raise InvalidInputError("bandwidth b must be positive")
     if dist.family == "uniform_ball" and b > dist.radius:
         raise InvalidInputError("bandwidth b exceeds the support radius")
-    w = _vector("w", w, dist.d)
-    w_star = _vector("truth.w_star", truth.w_star, dist.d)
+    w = finite_array("w", w, (dist.d,))
+    w_star = finite_array("truth.w_star", truth.w_star, (dist.d,))
     _, c, s = _plane(normalize(w), w_star)
 
     def rows(k):
@@ -160,8 +147,8 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     constant flip rate (every family is spherically symmetric);
     "mc" averages (1 - 2*eta(x)) over the disagreement region.
     """
-    v = _vector("v", v, dist.d)
-    w_star = _vector("truth.w_star", truth.w_star, dist.d)
+    v = finite_array("v", v, (dist.d,))
+    w_star = finite_array("truth.w_star", truth.w_star, (dist.d,))
     exact_ok = noise.kind == "massart"
     if method == "auto":
         method = "exact" if exact_ok else "mc"

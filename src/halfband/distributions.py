@@ -130,18 +130,20 @@ def band_probability(dist, b):
     return float(special.betainc(0.5, (dist.d + 1) / 2.0, u))
 
 
-def truncated_margin(dist, b, u):
+def truncated_margin(dist, b, u, *, _p=None):
     """Inverse-CDF sample of <w,x> conditioned on |<w,x>| <= b, from u ~ Unif(-1, 1).
 
     Vectorized in u; exact for both families, so band sampling needs no
-    accept/reject loop on the margin coordinate.
+    accept/reject loop on the margin coordinate. A band sampler, which holds
+    band_probability(dist, b) already, passes it as _p so each refill of its
+    blocks does not recompute it.
     """
     u = np.asarray(u, dtype=float)
     if dist.family == "gaussian":
         # once ndtr(b) rounds to 1 (b >~ 8.3), u = -1 maps to ndtri(0) = -inf;
         # the clip keeps every value in the band and leaves in-band values as they are
         return np.clip(special.ndtri(0.5 + u * (special.ndtr(b) - 0.5)), -b, b)
-    q = band_probability(dist, b)
+    q = band_probability(dist, b) if _p is None else _p
     frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
     return np.sign(u) * dist.radius * np.sqrt(frac)
 

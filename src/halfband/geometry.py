@@ -1,8 +1,25 @@
-"""Vector primitives: normalization, angles, ball projection, hard thresholding."""
+"""Vector primitives: input checks, normalization, angles, ball projection, hard thresholding."""
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+
+def finite_array(name, a, shape):
+    """a as a float array; InvalidInputError unless it is finite with this shape.
+
+    A None in shape matches any length along that axis.
+    """
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be an array of numbers: {exc}") from exc
+    if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
+        want = str(tuple("K" if n is None else n for n in shape)).replace("'", "")
+        raise InvalidInputError(f"{name} must be an array of shape {want}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} must be finite")
+    return a
 
 
 def normalize(w):

@@ -4,24 +4,31 @@ Stage one runs N independent descent trials from the zero vector through a
 short epoch ladder, all N in lockstep as one (N, d) block, and picks a
 candidate by empirical risk on a fresh labeled sample. Stage two continues the
 ladder from that warm start down to the target proximity scale, one epoch at
-a time. Every label the run consumes passes through oracles.query_label or
-oracles.query_labels, so the ledger count is exact.
+a time. Every label the run consumes passes through oracles.query_label,
+query_labels or block_labels, so the ledger count is exact.
+
+The scalar epoch (optimize) and the lockstep epoch (optimize_block) read the
+same values from a generator and take each dot product with the same kernel,
+ndarray.dot for one vector and np.vecdot row by row for a block, so a trial
+returns the same bits alone, in a block of any size, or as a scalar epoch.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, NumericalError
-from .geometry import angle, hard_threshold, normalize
+from .geometry import angle, finite_array, hard_threshold, normalize
 from .oracles import (
     BandSampler,
     GroundTruth,
     LockstepBandSampler,
     NoiseModel,
     QueryLedger,
+    block_labels,
     halfspace_labels,
     make_ground_truth,
     query_label,
@@ -51,18 +58,28 @@ def erm_select(candidates, X, y):
     return candidates[int(np.argmin(errs))]
 
 
-def _check_epoch(r, b, T, agg, dist):
-    """Validate one epoch's arguments; returns T as an int."""
+def _check_epoch(start, ndim, r, b, T, agg, dist, truth):
+    """Validate one epoch's arguments before any draw; returns (start as floats, T).
+
+    start is optimize's w1 (ndim 1), a finite (d,) vector, or optimize_block's
+    W1 (ndim 2), a finite (K, d) array, with d = dist.d; truth.w_star is a
+    finite (d,) vector and T an integer, a bool not counted as one.
+    """
+    d = dist.d
+    shape = (d,) if ndim == 1 else (None, d)
+    start = finite_array("w1" if ndim == 1 else "W1", start, shape)
+    finite_array("truth.w_star", truth.w_star, (d,))
     if not 0.0 < r <= 0.25 + 1e-12:
         raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
     if not 0.0 < b <= dist.R / 2.0 + 1e-12:
         raise InvalidInputError("bandwidth b must lie in (0, R/2]")
-    T = int(T)
+    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
+        raise InvalidInputError(f"iteration count T must be an integer, got {T!r}")
     if T < 1:
         raise InvalidInputError("iteration count T must be at least 1")
     if agg not in AGGREGATIONS:
         raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
-    return T
+    return start, int(T)
 
 
 def _row_step(w1, r, alpha, sparse_s):
@@ -129,11 +146,12 @@ def optimize(
     on the ledger.
 
     It reads rng as optimize_block(w1[None], ..., [rng], ...) reads its one
-    stream: the random pick and sign first, then the sampler's blocks.
+    stream, the random pick and sign first, then the sampler's blocks, and
+    returns the same bits. w1 must be a finite (d,) vector and T an integer;
+    InvalidInputError otherwise, before anything is drawn or charged.
     """
-    w1 = np.asarray(w1, dtype=float)
+    w1, T = _check_epoch(w1, 1, r, b, T, agg, dist, truth)
     d = w1.shape[0]
-    T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
     if agg == "random":  # which step's iterate to return, and its sign
@@ -167,26 +185,34 @@ def _projected_step(W1, r, alpha, sparse_s):
     """Start block and update rule of optimize's epoch, row by row over a (K, d) block.
 
     Returns (W, step) with step(W, y, X) -> (new W, largest feasibility gap of
-    the step). Dense rows clip back into ball2(W1[k], 4r) in one vectorized
-    update; sparse rows take _row_step's mirror step one row at a time.
+    the step). Dense rows update W in place and clip back into ball2(W1[k], 4r)
+    in one vectorized update, with scratch arrays made once per epoch; sparse
+    rows take _row_step's mirror step one row at a time.
     """
     if sparse_s is None:
         radius = 4.0 * r
         rad_sq = radius * radius
+        K = W1.shape[0]
+        ay, dd = np.empty((K, 1)), np.empty((K, 1))
+        clip = np.empty((K, 1), dtype=bool)
+        diff = np.empty(W1.shape)
 
         def ball_step(W, y, X):
-            W = W + (alpha * y)[:, None] * X
-            diff = W - W1
-            dd = np.einsum("ij,ij->i", diff, diff)
-            out = dd > rad_sq
-            if not np.count_nonzero(out):  # np.count_nonzero costs a quarter of out.any()
+            np.multiply(alpha, y[:, None], out=ay)
+            W += np.multiply(ay, X, out=diff)
+            np.subtract(W, W1, out=diff)
+            np.vecdot(diff, diff, keepdims=True, out=dd)
+            np.greater(dd, rad_sq, out=clip)
+            if not np.count_nonzero(clip):  # np.count_nonzero costs a quarter of clip.any()
                 return W, 0.0
-            clipped = W1 + (radius / np.sqrt(np.maximum(dd, rad_sq)))[:, None] * diff
-            moved = clipped - W1
-            gap = np.sqrt(np.einsum("ij,ij->i", moved, moved)) - radius
-            np.copyto(W, clipped, where=out[:, None])
-            # the largest gap among the rows that now hold their clipped iterate
-            return W, max(float(gap[out].max()), 0.0)
+            np.maximum(dd, rad_sq, out=dd)
+            np.divide(radius, np.sqrt(dd, out=dd), out=dd)
+            clipped = np.add(W1, np.multiply(dd, diff, out=diff), out=diff)
+            np.copyto(W, clipped, where=clip)
+            moved = np.subtract(clipped, W1, out=diff)
+            np.vecdot(moved, moved, keepdims=True, out=dd)
+            # sqrt is monotone: the largest gap among the rows that now hold their clipped iterate
+            return W, max(math.sqrt(dd[clip].max()) - radius, 0.0)
 
         return W1.copy(), ball_step
 
@@ -218,13 +244,19 @@ def optimize_block(
 
     Each step makes one band draw per row (LockstepBandSampler), one vector label
     query and one projected update of the (K, d) iterate block. Row k reads
-    randomness only from streams[k], so its output is the same for any K.
+    randomness only from streams[k], and every row-wise dot product is
+    np.vecdot's, which takes the dot product optimize takes, so row k returns
+    the same bits for any K: optimize(w1, ..., rng) and
+    optimize_block(w1[None], ..., [rng]) are equal. A step's (K, d) results go
+    into arrays made once per epoch, and work that does not read the step's
+    points (EX and label charges, Massart noise's flip tests) is done once per
+    block of the sampler. W1 must be a finite (K, d) array; InvalidInputError
+    otherwise, before anything is drawn or charged.
     """
-    W1 = np.asarray(W1, dtype=float)
+    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth)
     K, d = W1.shape
     if len(streams) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")
-    T = _check_epoch(r, b, T, agg, dist)
 
     alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
     if agg == "random":  # which step's iterate each row returns, and its sign
@@ -233,24 +265,29 @@ def optimize_block(
     sampler = LockstepBandSampler(dist, b, streams, ledger, T)
     W, step = _projected_step(W1, r, alpha, sparse_s)
     out = np.zeros((K, d))
+    W_hat, X, nw = np.empty((K, d)), np.empty((K, d)), np.empty((K, 1))
     max_gap = 0.0
-    for t in range(T):
-        nw = np.sqrt(np.einsum("ij,ij->i", W, W))
-        if np.count_nonzero(nw) == K:
-            W_hat = W / nw[:, None]
-        else:  # a zero row's direction is e_1
-            zero = nw == 0.0
-            W_hat = W / np.where(zero, 1.0, nw)[:, None]
-            W_hat[zero, 0] = 1.0
-        if agg == "average":
-            out += W_hat
-        else:
-            hit = pick == t
-            out[hit] = W_hat[hit]
-        X, u = sampler.draw(W_hat)
-        W, gap = step(W, query_labels(noise, truth, X, u, ledger), X)
-        if gap > max_gap:
-            max_gap = gap
+    t = 0
+    for n in sampler.blocks():
+        label = block_labels(noise, truth, sampler.flips, ledger)
+        for i in range(n):
+            np.sqrt(np.vecdot(W, W, keepdims=True, out=nw), out=nw)
+            if np.count_nonzero(nw) == K:
+                np.divide(W, nw, out=W_hat)
+            else:  # a zero row's direction is e_1
+                zero = nw == 0.0
+                np.divide(W, np.where(zero, 1.0, nw), out=W_hat)
+                W_hat[zero[:, 0], 0] = 1.0
+            if agg == "average":
+                out += W_hat
+            else:
+                hit = pick == t
+                out[hit] = W_hat[hit]
+            W, gap = step(W, label(i, sampler.points(i, W_hat, X)), X)
+            if gap > max_gap:
+                max_gap = gap
+            t += 1
+        del label  # it holds the block's flips: let the sampler free the block first
 
     ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
     return out / T if agg == "average" else sign[:, None] * out

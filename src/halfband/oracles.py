@@ -17,7 +17,9 @@ generates the attempt counts, margins, isotropic completions, uniform-ball
 radial factors and label-flip uniforms of up to BLOCK steps at a time, laid
 out step-major so a step reads contiguous rows. BandSampler is its one-stream
 case, so a scalar epoch and a one-row lockstep epoch read the same values from
-their generator.
+their generator. The lockstep code takes its row-wise dot products with
+np.vecdot, row by row the kernel of ndarray.dot that the one-point code uses,
+so a row's point and label have the same bits as the one-point draw's.
 """
 
 import math
@@ -172,6 +174,16 @@ def query_label(model, truth, x, u, ledger):
     return y
 
 
+def _label_rule(m, flip):
+    """Labels at margins m = <w*,x>: sign(m) with sign(0) = +1, negated where flip."""
+    return np.where((m >= 0.0) != flip, 1.0, -1.0)
+
+
+def _flip_test(model, m, u):
+    """Where labels flip: u < eta(x), with eta read from m = <w*,x>; Massart's does not read m."""
+    return u < (model.eta if model.kind == "massart" else eta_of_margin(model, m))
+
+
 def query_labels(model, truth, X, u, ledger):
     """Labeling-oracle calls for the rows of X; query_label for a batch.
 
@@ -180,10 +192,34 @@ def query_labels(model, truth, X, u, ledger):
     ledger.label_calls by exactly len(X).
     """
     X = np.asarray(X, dtype=float)
-    m = np.einsum("ij,j->i", X, truth.w_star)  # row by row, the same for any row count
+    # np.vecdot takes each row's x.dot(w*): the same for any row count, and query_label's
+    m = np.vecdot(X, truth.w_star)
     ledger.label_calls += m.shape[0]
-    eta = model.eta if model.kind == "massart" else eta_of_margin(model, m)
-    return np.where((m >= 0.0) != (np.asarray(u) < eta), 1.0, -1.0)
+    return _label_rule(m, _flip_test(model, m, np.asarray(u)))
+
+
+def block_labels(model, truth, u, ledger):
+    """query_labels for every step of one lockstep block whose flip uniforms are u (steps, K).
+
+    Returns label(i, X), the labels of step i's rows X. The block's labels are
+    charged here, all at once, for an epoch that takes every step of it, and
+    Massart noise's flip test, which does not read x, runs here for the whole
+    block.
+    """
+    ledger.label_calls += u.size
+    w_star = truth.w_star
+    if model.kind == "massart":
+        flips = _flip_test(model, None, u)
+
+        def label(i, X):
+            return _label_rule(np.vecdot(X, w_star), flips[i])
+    else:
+
+        def label(i, X):
+            m = np.vecdot(X, w_star)
+            return _label_rule(m, _flip_test(model, m, u[i]))
+
+    return label
 
 
 def halfspace_labels(X, w):
@@ -192,10 +228,18 @@ def halfspace_labels(X, w):
 
 
 def _geometric_attempts(p, u):
-    """Map u ~ Unif[0,1) to the attempt count of a success-probability-p loop."""
+    """Map a float array u ~ Unif[0,1) to the attempt counts of a success-probability-p loop.
+
+    Works in u's own memory and overwrites it: a block's attempt uniforms are
+    needed only here, and a copy of them would set the block's peak memory.
+    """
     if p >= 1.0:
-        return np.ones_like(np.asarray(u), dtype=np.int64)
-    return (np.floor(np.log1p(-np.asarray(u)) / math.log1p(-p))).astype(np.int64) + 1
+        return np.ones(u.shape, dtype=np.int64)
+    np.log1p(np.negative(u, out=u), out=u)  # log1p(-u)
+    u /= math.log1p(-p)
+    counts = np.floor(u, out=u).astype(np.int64)
+    counts += 1
+    return counts
 
 
 # the largest float Generator.random returns, where _geometric_attempts peaks
@@ -234,14 +278,23 @@ def _complete_band_point(w_hat, m, z, radial):
     return m * w_hat + radial * z_perp
 
 
-def _complete_band_points(W_hat, m, Z, radial):
-    """_complete_band_point applied row by row to (K, d) directions and completions."""
-    zw = np.einsum("ij,ij->i", Z, W_hat)
+def _complete_band_points(W_hat, m, Z, radial, out):
+    """_complete_band_point applied row by row to (K, d) directions and completions.
+
+    m and radial are (K, 1) columns; writes the points into out and returns it.
+    np.vecdot takes each row's dot product as _complete_band_point's .dot does,
+    so a row gets the same bits as it would alone.
+    """
+    zw = np.vecdot(Z, W_hat, keepdims=True)
     if radial is None:
-        return Z + (m - zw)[:, None] * W_hat
-    Z_perp = Z - zw[:, None] * W_hat
-    Z_perp /= np.sqrt(np.einsum("ij,ij->i", Z_perp, Z_perp))[:, None]
-    return m[:, None] * W_hat + radial[:, None] * Z_perp
+        np.subtract(m, zw, out=zw)
+        np.multiply(zw, W_hat, out=out)
+        return np.add(Z, out, out=out)
+    np.multiply(zw, W_hat, out=out)
+    Z_perp = np.subtract(Z, out, out=out)
+    Z_perp /= np.sqrt(np.vecdot(Z_perp, Z_perp, keepdims=True))
+    Z_perp *= radial
+    return np.add(m * W_hat, Z_perp, out=out)
 
 
 def _ball_radial(dist, m, V):
@@ -263,7 +316,9 @@ class LockstepBandSampler:
     contiguous rows; each stream still fills its own values in its own order,
     through one per-stream buffer. Every step of a block is used, so the
     block's EX charge per step and, for the uniform ball, its radial factors
-    are formed once per block.
+    are formed once per block. draw takes one step at a time; an epoch that
+    takes every step iterates blocks() instead, which charges a block's EX
+    calls when it is made.
     """
 
     # steps generated at a time; generating whole epochs took the peak RSS of one
@@ -300,12 +355,31 @@ class LockstepBandSampler:
                 V[:, k] = g.random(out=u)
             self.flips[:, k] = g.random(out=u)
         self.step_ex = _geometric_attempts(self.p, attempt_u).sum(axis=1).tolist()
-        self.margins = dists.truncated_margin(self.dist, self.b, 2.0 * margin_u - 1.0)
+        del attempt_u
+        margin_u *= 2.0  # in place, as 2 u - 1: the block's peak memory is its temporaries
+        margin_u -= 1.0
+        margins = dists.truncated_margin(self.dist, self.b, margin_u, _p=self.p)
+        # margins and radial factors as (n, K, 1): step i reads (K, 1) columns
+        self.margins = margins[:, :, None]
         if ball:
-            self.radial = _ball_radial(self.dist, self.margins, V)
+            self.radial = _ball_radial(self.dist, margins, V)[:, :, None]
         self.left -= n
         self.n = n
         self.pos = 0
+
+    def blocks(self):
+        """Make the remaining blocks one at a time, for an epoch that takes every step.
+
+        Yields each block's step count once the block is made and all of its EX
+        calls are charged; the epoch reads step i's points from points(i, ...)
+        and its flip uniforms from flips[i]. Used instead of draw. The epoch
+        must let go of what it read from a block before it asks for the next,
+        so the spent block is freed before the next one is made.
+        """
+        while self.left > 0:
+            self._refill()
+            self.ledger.ex_calls += sum(self.step_ex)
+            yield self.n
 
     def _next(self):
         """Index of the next step in the current block, charging its EX calls."""
@@ -316,12 +390,15 @@ class LockstepBandSampler:
         self.ledger.ex_calls += self.step_ex[i]
         return i
 
+    def points(self, i, W_hat, out):
+        """Step i's rows x_k ~ D given |<W_hat[k], x>| <= b, written into out."""
+        radial = None if self.radial is None else self.radial[i]
+        return _complete_band_points(W_hat, self.margins[i], self.Z[i], radial, out)
+
     def draw(self, W_hat):
         """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform: (X, u)."""
         i = self._next()
-        radial = None if self.radial is None else self.radial[i]
-        X = _complete_band_points(W_hat, self.margins[i], self.Z[i], radial)
-        return X, self.flips[i]
+        return self.points(i, W_hat, np.empty(np.shape(W_hat))), self.flips[i]
 
 
 class BandSampler(LockstepBandSampler):

@@ -20,18 +20,18 @@ LOCKSTEP_BLOCK = 512
 
 def query_labels(model, truth, X, u, ledger):
     X = np.asarray(X, dtype=float)
-    m = np.einsum("ij,j->i", X, truth.w_star)
+    m = np.vecdot(X, truth.w_star)
     y = np.where(m >= 0.0, 1.0, -1.0)
     ledger.label_calls += m.shape[0]
     return np.where(np.asarray(u) < eta_of_margin(model, m), -y, y)
 
 
 def _complete_band_points(dist, W_hat, m, Z, V):
-    zw = np.einsum("ij,ij->i", Z, W_hat)
+    zw = np.vecdot(Z, W_hat)
     if dist.family == "gaussian":
         return Z + (m - zw)[:, None] * W_hat
     Z_perp = Z - zw[:, None] * W_hat
-    Z_perp /= np.sqrt(np.einsum("ij,ij->i", Z_perp, Z_perp))[:, None]
+    Z_perp /= np.sqrt(np.vecdot(Z_perp, Z_perp))[:, None]
     radial = np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
     return m[:, None] * W_hat + radial[:, None] * Z_perp
 
@@ -79,9 +79,8 @@ class LockstepBandSampler:
 
 
 def optimize_block(W1, r, b, T, agg, dist, noise, truth, streams, ledger, delta, profile):
-    W1 = np.asarray(W1, dtype=float)
+    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth)
     K, d = W1.shape
-    T = _check_epoch(r, b, T, agg, dist)
     alpha = step_size(r, b, T, d, dist, delta, profile)
     if agg == "random":
         pick = np.array([g.integers(T) for g in streams])
@@ -93,7 +92,7 @@ def optimize_block(W1, r, b, T, agg, dist, noise, truth, streams, ledger, delta,
     out = np.zeros((K, d))
     max_gap = 0.0
     for t in range(T):
-        nw = np.sqrt(np.einsum("ij,ij->i", W, W))
+        nw = np.sqrt(np.vecdot(W, W))
         zero = nw == 0.0
         W_hat = W / np.where(zero, 1.0, nw)[:, None]
         W_hat[zero, 0] = 1.0
@@ -106,13 +105,13 @@ def optimize_block(W1, r, b, T, agg, dist, noise, truth, streams, ledger, delta,
         y = query_labels(noise, truth, X, u, ledger)
         W = W + (alpha * y)[:, None] * X
         diff = W - W1
-        dd = np.einsum("ij,ij->i", diff, diff)
+        dd = np.vecdot(diff, diff)
         clip = dd > rad_sq
         gap = 0.0
         if clip.any():
             clipped = W1 + (radius / np.sqrt(np.maximum(dd, rad_sq)))[:, None] * diff
             moved = clipped - W1
-            gaps = np.sqrt(np.einsum("ij,ij->i", moved, moved)) - radius
+            gaps = np.sqrt(np.vecdot(moved, moved)) - radius
             W = np.where(clip[:, None], clipped, W)
             gap = float(np.max(gaps, where=clip, initial=0.0))
         if gap > max_gap:

@@ -1,4 +1,9 @@
-"""Every name a package module imports is used there (pyflakes' F401, by AST)."""
+"""AST checks over the package's modules.
+
+Every name a module imports is used there (pyflakes' F401). No module calls
+np.einsum: row-wise dot products go through np.vecdot, whose rows match
+ndarray.dot, so the scalar epoch and the lockstep epoch cannot drift apart.
+"""
 
 import ast
 from pathlib import Path
@@ -36,3 +41,30 @@ def test_package_modules_use_every_import():
         for name in unused_imports(path.read_text())
     }
     assert found == EXEMPT
+
+
+def einsum_calls(source):
+    """Line numbers of the calls in `source` to a function named einsum."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "einsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+def test_einsum_calls_detected():
+    source = (
+        "import numpy as np\nfrom numpy import einsum\n"
+        "np.einsum('i,i', a, a)\nx = np.vecdot(a, a)\neinsum('i->', a)\n"
+    )
+    assert einsum_calls(source) == [3, 5]
+
+
+def test_package_modules_call_no_einsum():
+    found = {
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in einsum_calls(path.read_text())
+    }
+    assert found == set()
