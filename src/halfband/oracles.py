@@ -192,7 +192,8 @@ def query_labels(model, truth, X, u, ledger):
     ledger.label_calls by exactly len(X).
     """
     X = np.asarray(X, dtype=float)
-    # np.vecdot takes each row's x.dot(w*): the same for any row count, and query_label's
+    # np.vecdot takes each row's dot product with w* as query_label's .dot does,
+    # so a row's label does not depend on the row count
     m = np.vecdot(X, truth.w_star)
     ledger.label_calls += m.shape[0]
     return _label_rule(m, _flip_test(model, m, np.asarray(u)))
