@@ -15,7 +15,6 @@ from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import angle, finite_array, normalize
 from .oracles import (
-    _ball_radial,
     eta_of_margin,
     exact_tsybakov_A,
     geometric_tsybakov,
@@ -107,7 +106,7 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
         if dist.family == "uniform_ball":
             # given p, the rest of x is uniform in a (d-1)-ball of radius sqrt(rho^2 - p^2):
             # its radial factor times one coordinate of a uniform unit (d-1)-vector
-            radial = _ball_radial(dist, p, rng.random(k))
+            radial = dists.ball_radial(dist, p, rng.random(k))
             t *= radial / np.sqrt(t * t + _chi2(rng, dist.d - 2, k))
         m_star = c * p + s * t
         return ((1.0 - 2.0 * eta_of_margin(noise, m_star)) * np.abs(m_star),)

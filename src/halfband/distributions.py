@@ -97,17 +97,15 @@ def make_distribution(family, d, params=None):
     return WellBehavedDistribution(family, d, L, R, U, beta)
 
 
-def sample(dist, rng, n=None):
-    """Draw n i.i.d. points (or one point when n is None). No ledger involved."""
-    m = 1 if n is None else int(n)
+def sample(dist, rng, n):
+    """Draw n i.i.d. points as an (n, d) array. No ledger involved."""
+    n = int(n)
     if dist.family == "gaussian":
-        x = rng.standard_normal((m, dist.d))
-    else:
-        z = rng.standard_normal((m, dist.d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        radii = dist.radius * rng.random(m) ** (1.0 / dist.d)
-        x = z * radii[:, None]
-    return x[0] if n is None else x
+        return rng.standard_normal((n, dist.d))
+    z = rng.standard_normal((n, dist.d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    radii = dist.radius * rng.random(n) ** (1.0 / dist.d)
+    return z * radii[:, None]
 
 
 def margin_cdf(dist, t):
@@ -146,6 +144,15 @@ def truncated_margin(dist, b, u, *, _p=None):
     q = band_probability(dist, b) if _p is None else _p
     frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
     return np.sign(u) * dist.radius * np.sqrt(frac)
+
+
+def ball_radial(dist, m, V):
+    """Length of the part of a uniform-ball point orthogonal to its margin direction.
+
+    Given the margin m, the rest of the point is uniform in a (d-1)-ball of
+    radius sqrt(rho^2 - m^2), so uniforms V give its length; elementwise.
+    """
+    return np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
 
 
 def projected_density_2d(dist, z):

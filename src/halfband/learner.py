@@ -7,10 +7,11 @@ ladder from that warm start down to the target proximity scale, one epoch at
 a time. Every label the run consumes passes through oracles.query_label,
 query_labels or block_labels, so the ledger count is exact.
 
-The scalar epoch (optimize) and the lockstep epoch (optimize_block) read the
-same values from a generator and take each dot product with the same kernel,
-ndarray.dot for one vector and np.vecdot row by row for a block, so a trial
-returns the same bits alone, in a block of any size, or as a scalar epoch.
+The lockstep epoch (optimize_block) runs every sparse epoch, and optimize's
+scalar loop every dense epoch of one trial. The two read the same values from
+a generator and take each dot product with the same kernel, ndarray.dot for
+one vector and np.vecdot row by row for a block, so a trial returns the same
+bits alone, in a block of any size, or as a scalar epoch.
 """
 
 import math
@@ -58,12 +59,17 @@ def erm_select(candidates, X, y):
     return candidates[int(np.argmin(errs))]
 
 
-def _check_epoch(start, ndim, r, b, T, agg, dist, truth):
+def _is_int(value):
+    """Whether value is an integer; a bool is not counted as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_epoch(start, ndim, r, b, T, agg, dist, truth, sparse_s=None):
     """Validate one epoch's arguments before any draw; returns (start as floats, T).
 
     start is optimize's w1 (ndim 1), a finite (d,) vector, or optimize_block's
     W1 (ndim 2), a finite (K, d) array, with d = dist.d; truth.w_star is a
-    finite (d,) vector and T an integer, a bool not counted as one.
+    finite (d,) vector, T an integer and sparse_s None or an integer in [1, d].
     """
     d = dist.d
     shape = (d,) if ndim == 1 else (None, d)
@@ -73,52 +79,16 @@ def _check_epoch(start, ndim, r, b, T, agg, dist, truth):
         raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
     if not 0.0 < b <= dist.R / 2.0 + 1e-12:
         raise InvalidInputError("bandwidth b must lie in (0, R/2]")
-    if isinstance(T, bool) or not isinstance(T, numbers.Integral):
+    if not _is_int(T):
         raise InvalidInputError(f"iteration count T must be an integer, got {T!r}")
     if T < 1:
         raise InvalidInputError("iteration count T must be at least 1")
+    if sparse_s is not None and not (_is_int(sparse_s) and 1 <= sparse_s <= d):
+        raise InvalidInputError(
+            f"sparse_s must be None or an integer in [1, {d}], got {sparse_s!r}")
     if agg not in AGGREGATIONS:
         raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
     return start, int(T)
-
-
-def _row_step(w1, r, alpha, sparse_s):
-    """Start point and update rule of one epoch from w1.
-
-    Returns (start, step) with step(w, y, x) -> (new iterate, feasibility gap).
-    Dense mode takes the gradient step and clips back into ball2(w1, 4r);
-    sparse mode takes bregman_step inside ball2(w1, 4r) and
-    ball1(HT_s(w1), 8r*sqrt(2s)).
-    """
-    radius = 4.0 * r
-    if sparse_s is None:
-        rad_sq = radius * radius
-
-        def ball_step(w, y, x):
-            w = w + (alpha * y) * x
-            diff = w - w1
-            dd = float(diff.dot(diff))
-            if dd > rad_sq:
-                w = w1 + (radius / math.sqrt(dd)) * diff
-                moved = w - w1
-                return w, math.sqrt(float(moved.dot(moved))) - radius
-            return w, 0.0
-
-        return w1.copy(), ball_step
-
-    p = mirror_p(w1.shape[0])
-    c = SparseConstraint(
-        center2=w1,
-        radius2=radius,
-        center1=hard_threshold(w1, sparse_s),
-        radius1=8.0 * r * math.sqrt(2.0 * sparse_s),
-    )
-
-    def mirror_step(w, y, x):
-        w = bregman_step(w, -y * x, alpha, c, c.center1, p)
-        return w, c.violation(w)
-
-    return project_intersection(w1, c), mirror_step
 
 
 def optimize(
@@ -145,20 +115,29 @@ def optimize(
     one ("random", unit norm). The epoch's largest feasibility gap is recorded
     on the ledger.
 
-    It reads rng as optimize_block(w1[None], ..., [rng], ...) reads its one
-    stream, the random pick and sign first, then the sampler's blocks, and
-    returns the same bits. w1 must be a finite (d,) vector and T an integer;
-    InvalidInputError otherwise, before anything is drawn or charged.
+    A sparse epoch runs as optimize_block(w1[None], ..., [rng], ...)[0]: a
+    mirror step costs milliseconds, so the one-row block's overhead is lost in
+    it. A dense epoch runs the scalar loop below, which costs less than half
+    the one-row block per label. It reads rng as the one-row block reads its
+    one stream, the random pick and sign first, then the sampler's blocks, and
+    returns the same bits. w1 must be a finite (d,) vector, T an integer and
+    sparse_s None or an integer in [1, d]; InvalidInputError otherwise, before
+    anything is drawn or charged.
     """
-    w1, T = _check_epoch(w1, 1, r, b, T, agg, dist, truth)
+    w1, T = _check_epoch(w1, 1, r, b, T, agg, dist, truth, sparse_s)
+    if sparse_s is not None:
+        return optimize_block(w1[None], r, b, T, agg, dist, noise, truth, [rng], ledger,
+                              delta, profile, sparse_s=sparse_s)[0]
     d = w1.shape[0]
 
-    alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
+    alpha = step_size(r, b, T, d, dist, delta, profile)
     if agg == "random":  # which step's iterate to return, and its sign
         pick = int(rng.integers(T))
         sign = 1.0 if rng.random() < 0.5 else -1.0
     sampler = BandSampler(dist, b, rng, ledger, steps=T)
-    w, step = _row_step(w1, r, alpha, sparse_s)
+    radius = 4.0 * r
+    rad_sq = radius * radius
+    w = w1.copy()
     out = np.zeros(d)
     max_gap = 0.0
     for t in range(T):
@@ -173,24 +152,30 @@ def optimize(
         elif t == pick:
             out = sign * w_hat
         x, u = sampler.draw(w_hat)
-        w, gap = step(w, query_label(noise, truth, x, u, ledger), x)
-        if gap > max_gap:
-            max_gap = gap
+        w = w + (alpha * query_label(noise, truth, x, u, ledger)) * x
+        diff = w - w1
+        dd = float(diff.dot(diff))
+        if dd > rad_sq:  # clip back into ball2(w1, 4r)
+            w = w1 + (radius / math.sqrt(dd)) * diff
+            moved = w - w1
+            max_gap = max(max_gap, math.sqrt(float(moved.dot(moved))) - radius)
 
     ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
     return out / T if agg == "average" else out
 
 
 def _projected_step(W1, r, alpha, sparse_s):
-    """Start block and update rule of optimize's epoch, row by row over a (K, d) block.
+    """Start block and update rule of optimize_block's epoch over a (K, d) block.
 
     Returns (W, step) with step(W, y, X) -> (new W, largest feasibility gap of
     the step). Dense rows update W in place and clip back into ball2(W1[k], 4r)
-    in one vectorized update, with scratch arrays made once per epoch; sparse
-    rows take _row_step's mirror step one row at a time.
+    in one vectorized update, with scratch arrays made once per epoch. Sparse
+    row k starts at W1[k] projected onto its own SparseConstraint, ball2(W1[k],
+    4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)), and takes bregman_step in the
+    p-norm mirror geometry, one row at a time.
     """
+    radius = 4.0 * r
     if sparse_s is None:
-        radius = 4.0 * r
         rad_sq = radius * radius
         K = W1.shape[0]
         ay, dd = np.empty((K, 1)), np.empty((K, 1))
@@ -216,13 +201,16 @@ def _projected_step(W1, r, alpha, sparse_s):
 
         return W1.copy(), ball_step
 
-    rows = [_row_step(w1, r, alpha, sparse_s) for w1 in W1]
+    p = mirror_p(W1.shape[1])
+    radius1 = 8.0 * r * math.sqrt(2.0 * sparse_s)
+    cons = [SparseConstraint(w1, radius, hard_threshold(w1, sparse_s), radius1) for w1 in W1]
 
     def mirror_step(W, y, X):
-        stepped = [step(w, yk, x) for (_, step), w, yk, x in zip(rows, W, y, X)]
-        return np.array([w for w, _ in stepped]), max(gap for _, gap in stepped)
+        W = np.array([bregman_step(w, -yk * x, alpha, c, c.center1, p)
+                      for c, w, yk, x in zip(cons, W, y, X)])
+        return W, max(c.violation(w) for c, w in zip(cons, W))
 
-    return np.array([start for start, _ in rows]), mirror_step
+    return np.array([project_intersection(w1, c) for w1, c in zip(W1, cons)]), mirror_step
 
 
 def optimize_block(
@@ -250,10 +238,11 @@ def optimize_block(
     optimize_block(w1[None], ..., [rng]) are equal. A step's (K, d) results go
     into arrays made once per epoch, and work that does not read the step's
     points (EX and label charges, Massart noise's flip tests) is done once per
-    block of the sampler. W1 must be a finite (K, d) array; InvalidInputError
-    otherwise, before anything is drawn or charged.
+    block of the sampler. Every sparse epoch runs here, optimize's as a one-row
+    block. W1 must be a finite (K, d) array and sparse_s None or an integer in
+    [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
-    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth)
+    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth, sparse_s)
     K, d = W1.shape
     if len(streams) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")

@@ -15,11 +15,13 @@ numpy call costs more than its arithmetic. So everything a draw needs that
 does not depend on the direction is made ahead of it: the lockstep sampler
 generates the attempt counts, margins, isotropic completions, uniform-ball
 radial factors and label-flip uniforms of up to BLOCK steps at a time, laid
-out step-major so a step reads contiguous rows. BandSampler is its one-stream
-case, so a scalar epoch and a one-row lockstep epoch read the same values from
-their generator. The lockstep code takes its row-wise dot products with
-np.vecdot, row by row the kernel of ndarray.dot that the one-point code uses,
-so a row's point and label have the same bits as the one-point draw's.
+out step-major so a step reads contiguous rows, and a lockstep epoch reads it
+block by block through blocks(). BandSampler is its one-stream case, read one
+draw at a time, so a scalar epoch and a one-row lockstep epoch read the same
+values from their generator. The lockstep code takes its row-wise dot
+products with np.vecdot, row by row the kernel of ndarray.dot that the
+one-point code uses, so a row's point and label have the same bits as the
+one-point draw's.
 """
 
 import math
@@ -267,7 +269,7 @@ def _complete_band_point(w_hat, m, z, radial):
     """Assemble x with <w_hat,x> = m from isotropic z.
 
     radial is None for the Gaussian, else the uniform ball's length of the part
-    of x orthogonal to w_hat (_ball_radial).
+    of x orthogonal to w_hat (distributions.ball_radial).
     """
     zw = z.dot(w_hat)
     if radial is None:
@@ -298,11 +300,6 @@ def _complete_band_points(W_hat, m, Z, radial, out):
     return np.add(m * W_hat, Z_perp, out=out)
 
 
-def _ball_radial(dist, m, V):
-    """Uniform-ball radial factors of margins m from uniforms V, elementwise."""
-    return np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
-
-
 class LockstepBandSampler:
     """One band-conditional draw per trial and step for K trials run side by side.
 
@@ -317,9 +314,8 @@ class LockstepBandSampler:
     contiguous rows; each stream still fills its own values in its own order,
     through one per-stream buffer. Every step of a block is used, so the
     block's EX charge per step and, for the uniform ball, its radial factors
-    are formed once per block. draw takes one step at a time; an epoch that
-    takes every step iterates blocks() instead, which charges a block's EX
-    calls when it is made.
+    are formed once per block. The sampler is read through blocks(), which
+    charges a block's EX calls when it is made, then points() and flips.
     """
 
     # steps generated at a time; generating whole epochs took the peak RSS of one
@@ -333,12 +329,9 @@ class LockstepBandSampler:
         self.b = float(b)
         self.ledger = ledger
         self.left = math.inf if steps is None else int(steps)  # steps not yet generated
-        self.pos = self.n = 0
 
     def _refill(self):
         n = min(self.BLOCK, self.left)
-        if n < 1:
-            raise InvalidInputError("band sampler: more draws than its step count")
         K, d = len(self.streams), self.dist.d
         ball = self.dist.family == "uniform_ball"
         self.Z = self.margins = self.radial = self.flips = None  # free the spent block first
@@ -363,43 +356,28 @@ class LockstepBandSampler:
         # margins and radial factors as (n, K, 1): step i reads (K, 1) columns
         self.margins = margins[:, :, None]
         if ball:
-            self.radial = _ball_radial(self.dist, margins, V)[:, :, None]
+            self.radial = dists.ball_radial(self.dist, margins, V)[:, :, None]
         self.left -= n
         self.n = n
-        self.pos = 0
 
     def blocks(self):
         """Make the remaining blocks one at a time, for an epoch that takes every step.
 
         Yields each block's step count once the block is made and all of its EX
         calls are charged; the epoch reads step i's points from points(i, ...)
-        and its flip uniforms from flips[i]. Used instead of draw. The epoch
-        must let go of what it read from a block before it asks for the next,
-        so the spent block is freed before the next one is made.
+        and its flip uniforms from flips[i]. The epoch must let go of what it
+        read from a block before it asks for the next, so the spent block is
+        freed before the next one is made.
         """
         while self.left > 0:
             self._refill()
             self.ledger.ex_calls += sum(self.step_ex)
             yield self.n
 
-    def _next(self):
-        """Index of the next step in the current block, charging its EX calls."""
-        if self.pos >= self.n:
-            self._refill()
-        i = self.pos
-        self.pos += 1
-        self.ledger.ex_calls += self.step_ex[i]
-        return i
-
     def points(self, i, W_hat, out):
         """Step i's rows x_k ~ D given |<W_hat[k], x>| <= b, written into out."""
         radial = None if self.radial is None else self.radial[i]
         return _complete_band_points(W_hat, self.margins[i], self.Z[i], radial, out)
-
-    def draw(self, W_hat):
-        """Rows x_k ~ D given |<W_hat[k], x>| <= b, plus each row's flip uniform: (X, u)."""
-        i = self._next()
-        return self.points(i, W_hat, np.empty(np.shape(W_hat))), self.flips[i]
 
 
 class BandSampler(LockstepBandSampler):
@@ -407,17 +385,27 @@ class BandSampler(LockstepBandSampler):
 
     Reads the same blocks, so an epoch drawing from BandSampler(dist, b, rng,
     ledger, T) takes the values a one-row lockstep block on [rng] takes. Left
-    at None, `steps` is unbounded. A draw reads its scalars from the block as
-    Python numbers and completes the point on 1-d vectors, which costs less
-    than the lockstep draw's row operations on a single row.
+    at None, `steps` is unbounded; a draw past it raises InvalidInputError. A
+    draw takes one step of the current block and charges that step's EX
+    calls. It reads its scalars from the block as Python numbers and completes
+    the point on 1-d vectors, which costs less than the lockstep epoch's row
+    operations on a single row.
     """
 
     def __init__(self, dist, b, rng, ledger, steps=None):
         super().__init__(dist, b, [rng], ledger, steps)
+        self.pos = self.n = 0  # next step to read, and the current block's step count
 
     def draw(self, w_hat):
         """One point x ~ D given |<w_hat, x>| <= b, plus its flip uniform: (x, u)."""
-        i = self._next()
+        if self.pos >= self.n:
+            if self.left < 1:
+                raise InvalidInputError("band sampler: more draws than its step count")
+            self._refill()
+            self.pos = 0
+        i = self.pos
+        self.pos += 1
+        self.ledger.ex_calls += self.step_ex[i]
         radial = None if self.radial is None else self.radial.item(i)
         x = _complete_band_point(w_hat, self.margins.item(i), self.Z[i, 0], radial)
         return x, self.flips.item(i)

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from lockstep_reads import lockstep_draws
 from scipy.stats import norm
 
 import halfband as hb
@@ -274,7 +275,7 @@ def test_psi_stream_is_chunk_major():
             m = dists.truncated_margin(dist, 0.3, 2.0 * clone.random(k) - 1.0)
             t = clone.standard_normal(k)
             if dist.family == "uniform_ball":
-                radial = oracles._ball_radial(dist, m, clone.random(k))
+                radial = dists.ball_radial(dist, m, clone.random(k))
                 t *= radial / np.sqrt(t * t + clone.chisquare(dist.d - 2, k))
             parts.append(c * m + s * t)
         m_star = np.concatenate(parts)
@@ -340,7 +341,7 @@ def test_plane_estimators_match_d_dimensional_draws(family, d):
         est = hb.estimate_psi(w, b, dist, noise, truth, n, rng)
         sampler = oracles.LockstepBandSampler(dist, b, gens, hb.QueryLedger(), n // streams)
         W = np.broadcast_to(hb.normalize(w), (streams, d))
-        m = np.concatenate([sampler.draw(W)[0] for _ in range(n // streams)]) @ truth.w_star
+        m = np.concatenate([X for X, _ in lockstep_draws(sampler, W)]) @ truth.w_star
         vals = weight(m) * np.abs(m)
         _agree((est.value, est.std_error), diagnostics._mean_and_se(vals), ("psi", name))
 

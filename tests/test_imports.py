@@ -3,6 +3,8 @@
 Every name a module imports is used there (pyflakes' F401). No module calls
 np.einsum: row-wise dot products go through np.vecdot, whose rows match
 ndarray.dot, so the scalar epoch and the lockstep epoch cannot drift apart.
+No module imports an underscore name from another module of the package: a
+name one module shares with another is public where it is defined.
 """
 
 import ast
@@ -66,5 +68,34 @@ def test_package_modules_call_no_einsum():
         (path.name, line)
         for path in sorted(PACKAGE.glob("*.py"))
         for line in einsum_calls(path.read_text())
+    }
+    assert found == set()
+
+
+def private_imports(source):
+    """Underscore names that `source` imports from a module of the package."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "halfband")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_detected():
+    source = (
+        "from math import _private, pi\nfrom .oracles import _ball_radial, eta_of_margin\n"
+        "from halfband.learner import _check_epoch\nfrom . import _impl, geometry\n"
+    )
+    assert private_imports(source) == ["_ball_radial", "_check_epoch", "_impl"]
+
+
+def test_package_modules_import_no_private_names():
+    found = {
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in private_imports(path.read_text())
     }
     assert found == set()

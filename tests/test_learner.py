@@ -1,5 +1,6 @@
 """Epoch optimizer, initialization, full learner: contracts and accounting."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -121,11 +122,16 @@ def test_optimize_validation():
                     hb.QueryLedger(), 0.05, DESK)
 
 
+# malformed sparse_s values, each tried on optimize and, with the suffix -W1, on optimize_block
+BAD_SPARSE_S = {"fractional-s": 2.5, "bool-s": True, "large-s": 40}
+
+
 def _epoch_call(case):
-    """The epoch function and arguments of one malformed-input case, on GAUSS5."""
+    """The epoch function, arguments and sparse_s of one malformed-input case, on GAUSS5."""
     rng = np.random.default_rng(24)
     truth = hb.make_ground_truth(5, rng)
     w1, W1, T = make_start(truth, 1 / 16, rng), np.zeros((2, 5)), 4
+    sparse_s = BAD_SPARSE_S.get(case.removesuffix("-W1"))
     if case == "nan-w1":
         w1 = np.full(5, np.nan)
     elif case == "inf-w1":
@@ -140,25 +146,25 @@ def _epoch_call(case):
         W1[1, 2] = np.nan
     elif case == "1d-W1":
         W1 = W1[0]
-    else:
+    elif case.endswith("-T"):
         T = {"fractional-T": 5.7, "nan-T": float("nan"), "bool-T": True}[case]
     if case.endswith("W1"):
         return optimize_block, (W1, 1 / 16, 0.1, T, "average", GAUSS5, NOISE, truth,
-                                rng.spawn(len(np.atleast_2d(W1))))
-    return hb.optimize, (w1, 1 / 16, 0.1, T, "average", GAUSS5, NOISE, truth, rng)
+                                rng.spawn(len(np.atleast_2d(W1)))), sparse_s
+    return hb.optimize, (w1, 1 / 16, 0.1, T, "average", GAUSS5, NOISE, truth, rng), sparse_s
 
 
 @pytest.mark.parametrize("case", [
     "nan-w1", "inf-w1", "short-w1", "2d-w1", "short-w_star", "nan-row-W1", "1d-W1",
-    "fractional-T", "nan-T", "bool-T",
+    "fractional-T", "nan-T", "bool-T", *BAD_SPARSE_S, *(f"{c}-W1" for c in BAD_SPARSE_S),
 ])
 def test_malformed_epoch_input_is_rejected_before_any_draw(case):
-    epoch, args = _epoch_call(case)
+    epoch, args, sparse_s = _epoch_call(case)
     gens = args[-1] if isinstance(args[-1], list) else [args[-1]]
     states = [g.bit_generator.state for g in gens]
     ledger = hb.QueryLedger()
     with pytest.raises(InvalidInputError):
-        epoch(*args, ledger, 0.05, DESK)
+        epoch(*args, ledger, 0.05, DESK, sparse_s=sparse_s)
     assert ledger == hb.QueryLedger()
     assert [g.bit_generator.state for g in gens] == states
 
@@ -278,12 +284,23 @@ def test_optimize_block_sparse_rows_exact_and_feasible():
     r = 1.0 / 16.0
     W1 = np.array([make_start(truth, r, rng) for _ in range(K)])
     ledger = hb.QueryLedger()
+    streams = rng.spawn(K)
+    alone_streams = copy.deepcopy(streams)
     out = optimize_block(W1, r, 0.05, T, "average", dist, hb.massart(0.1), truth,
-                         rng.spawn(K), ledger, 0.05, DESK, sparse_s=s)
+                         streams, ledger, 0.05, DESK, sparse_s=s)
     assert ledger.label_calls == K * T
     assert ledger.ex_calls >= K * T
     assert ledger.max_feasibility_gap <= 1e-6
     assert np.all(np.linalg.norm(out, axis=1) <= 1.0 + 1e-12)
+    # row k is the sparse epoch optimize runs from W1[k] on stream k alone
+    row_ledgers = [hb.QueryLedger() for _ in range(K)]
+    for k in range(K):
+        row = hb.optimize(W1[k], r, 0.05, T, "average", dist, hb.massart(0.1), truth,
+                          alone_streams[k], row_ledgers[k], 0.05, DESK, sparse_s=s)
+        assert row.tobytes() == out[k].tobytes()
+    assert sum(led.label_calls for led in row_ledgers) == ledger.label_calls
+    assert sum(led.ex_calls for led in row_ledgers) == ledger.ex_calls
+    assert max(led.max_feasibility_gap for led in row_ledgers) == ledger.max_feasibility_gap
 
 
 def test_ball_step_matches_rowwise_projection():

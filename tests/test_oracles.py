@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lockstep_reads import lockstep_draws
 from scipy.stats import kstest, norm
 
 import halfband as hb
@@ -222,7 +223,7 @@ def test_band_sampler_built_or_too_thin(family, d, b, K):
             X = np.array([sampler.draw(w_hat)[0] for _ in range(steps)])
         else:
             sampler = oracles.LockstepBandSampler(dist, b, streams(), ledger, steps)
-            X = np.concatenate([sampler.draw(np.tile(w_hat, (K, 1)))[0] for _ in range(steps)])
+            X = np.concatenate([X for X, _ in lockstep_draws(sampler, np.tile(w_hat, (K, 1)))])
     except BandTooThinError as err:
         assert err.b == b and ledger == hb.QueryLedger()
         return
@@ -289,8 +290,7 @@ def test_lockstep_sampler_law_and_accounting():
     sampler = oracles.LockstepBandSampler(
         GAUSS, b, np.random.default_rng(15).spawn(K), ledger, steps=n)
     margins, flips = [], []
-    for _ in range(n):
-        X, u = sampler.draw(W_hat)
+    for X, u in lockstep_draws(sampler, W_hat):
         margins.append(np.einsum("ij,ij->i", X, W_hat))
         flips.append(u)
     margins = np.concatenate(margins)
@@ -301,8 +301,11 @@ def test_lockstep_sampler_law_and_accounting():
     z = 2.0 * norm.cdf(b) - 1.0
     assert kstest(margins, lambda x: (norm.cdf(np.clip(x, -b, b)) - norm.cdf(-b)) / z).pvalue > 0.01
     assert kstest(np.concatenate(flips), "uniform").pvalue > 0.01
+    scalar = hb.BandSampler(GAUSS, b, np.random.default_rng(15), hb.QueryLedger(), steps=n)
+    for _ in range(n):
+        scalar.draw(W_hat[0])
     with pytest.raises(InvalidInputError):
-        sampler.draw(W_hat)  # past its step count
+        scalar.draw(W_hat[0])  # past its step count
 
 
 def test_lockstep_sampler_row_independent_of_other_rows():
@@ -314,9 +317,8 @@ def test_lockstep_sampler_row_independent_of_other_rows():
             dist, 0.2, np.random.default_rng(17).spawn(K), hb.QueryLedger(), steps=n)
         alone = oracles.LockstepBandSampler(
             dist, 0.2, [np.random.default_rng(17).spawn(K)[3]], hb.QueryLedger(), steps=n)
-        for _ in range(n):
-            X, u = block.draw(W_hat)
-            X3, u3 = alone.draw(W_hat[3:4])
+        for (X, u), (X3, u3) in zip(lockstep_draws(block, W_hat),
+                                    lockstep_draws(alone, W_hat[3:4]), strict=True):
             assert np.allclose(X3[0], X[3], rtol=0.0, atol=1e-12)
             assert u3[0] == u[3]
             assert abs(float(X[3] @ W_hat[3])) <= 0.2 + 1e-12
@@ -337,8 +339,7 @@ def test_band_probability_computed_once_per_sampler(monkeypatch):
     lockstep = oracles.LockstepBandSampler(
         ball, 0.2, np.random.default_rng(21).spawn(3), hb.QueryLedger(), steps)
     scalar = hb.BandSampler(ball, 0.2, np.random.default_rng(22), hb.QueryLedger())
-    for _ in range(steps):
-        lockstep.draw(np.tile(np.eye(8)[0], (3, 1)))
+    for _ in lockstep_draws(lockstep, np.tile(np.eye(8)[0], (3, 1))):
         scalar.draw(np.eye(8)[0])
     assert calls == [0.2, 0.2]
     # the reused value gives the margins the bits a fresh one gives
@@ -357,8 +358,7 @@ def test_lockstep_sampler_wide_gaussian_band():
     ledger = hb.QueryLedger()
     sampler = oracles.LockstepBandSampler(
         wide, 7.0, np.random.default_rng(19).spawn(3), ledger, steps=100)
-    for _ in range(100):
-        X, _ = sampler.draw(W_hat)
+    for X, _ in lockstep_draws(sampler, W_hat):
         assert np.all(np.abs(X[:, 0]) <= 7.0)
     assert ledger.ex_calls >= 300
 
