@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
     UnsupportedRegimeError,
 )
-from .geometry import angle, hard_threshold, normalize, project_l2_ball
+from .geometry import angle, hard_threshold, normalize
 from .learner import (
     LearnerConfig,
     LearnResult,
@@ -88,7 +88,6 @@ __all__ = [
     "optimize",
     "project_intersection",
     "project_l1_ball",
-    "project_l2_ball",
     "query_label",
     "sample",
     "schedule_for",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, finite_array, normalize
+from .geometry import angle, finite_array, integer, normalize
 from .oracles import (
     eta_of_margin,
     exact_tsybakov_A,
@@ -86,11 +86,9 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
 
     A row draws only the two coordinates of x in the plane of w_hat and w*
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
-    for the ball (3 at d = 2).
+    for the ball (3 at d = 2). n must be an integer at least 1 (geometry.integer).
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError("estimate_psi needs at least one sample")
+    n = integer("estimate_psi needs at least one sample: n", n, 1)
     if not b > 0.0:
         raise InvalidInputError("bandwidth b must be positive")
     if dist.family == "uniform_ball" and b > dist.radius:
@@ -144,7 +142,7 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
 
     "exact" uses the closed form (1 - 2*eta) * angle/pi, valid only for
     constant flip rate (every family is spherically symmetric);
-    "mc" averages (1 - 2*eta(x)) over the disagreement region.
+    "mc" averages (1 - 2*eta(x)) over the disagreement region on n >= 1 rows from rng.
     """
     v = finite_array("v", v, (dist.d,))
     w_star = finite_array("truth.w_star", truth.w_star, (dist.d,))
@@ -159,9 +157,7 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
         raise InvalidInputError(f"unknown excess method {method!r}")
     if rng is None or n is None:
         raise InvalidInputError("Monte Carlo excess needs rng and n")
-    n = int(n)
-    if n < 1:
-        raise InvalidInputError("Monte Carlo excess needs at least one sample")
+    n = integer("Monte Carlo excess needs at least one sample: n", n, 1)
     value, _ = _excess_mc(v, w_star, dist, noise, rng, n)
     return value
 
@@ -240,12 +236,10 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     tail bound behind the Tsybakov conversion, and the excess-error lower
     bounds. Returns a JSON-serializable report; passed means every check
     held within three standard errors (deterministic checks exactly).
-    Needs samples >= 2, so that every standard error is defined, and a
+    Needs an integer samples >= 2, so that every standard error is defined, and a
     band-potential bandwidth inside the support (suite_bandwidth).
     """
-    samples = int(samples)
-    if samples < 2:
-        raise InvalidInputError(f"the lemma suite needs at least 2 samples, got {samples}")
+    samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2)
     # extreme constants or noise parameters overflow or underflow a bound, which
     # Python float arithmetic raises; like an unbuildable schedule, that is bad input
     try:

@@ -13,14 +13,13 @@ of radius R and <= U everywhere, and every 1-d margin has sub-exponential
 tail P(|<w,x>| >= t) <= exp(1 - t/beta).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError
-from .geometry import angle
+from .geometry import angle, integer, real
 
 # Every family is rotation invariant: diagnostics' Monte Carlo estimators draw only the
 # two coordinates of x in the plane they read. A family that is not rotation invariant
@@ -29,11 +28,10 @@ FAMILIES = ("gaussian", "uniform_ball")
 
 
 def _check_family_and_d(family, d):
-    """InvalidInputError unless family is known and d is an integer >= 2."""
+    """d as an int; InvalidInputError unless family is known and d is an integer >= 2."""
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 2:
-        raise InvalidInputError(f"dimension must be an integer at least 2, got {d!r}")
+    return integer("dimension", d, 2)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,11 @@ PARAM_RANGE = (1e-100, 1e100)
 
 
 def make_distribution(family, d, params=None):
-    d = int(d)
+    """Family at integer dimension d >= 2, with real params (L, R, U, beta) or the defaults."""
+    d = _check_family_and_d(family, d)
     if params is None:
         params = default_params(family, d)
-    L, R, U, beta = (float(v) for v in params)
+    L, R, U, beta = (real(f"params[{i}]", v) for i, v in enumerate(params))
     lo, hi = PARAM_RANGE
     if not all(lo <= v <= hi for v in (L, R, U, beta)):
         raise InvalidInputError(
@@ -98,8 +97,8 @@ def make_distribution(family, d, params=None):
 
 
 def sample(dist, rng, n):
-    """Draw n i.i.d. points as an (n, d) array. No ledger involved."""
-    n = int(n)
+    """Draw n i.i.d. points as an (n, d) array; n must be an integer at least 0. No ledger."""
+    n = integer("sample: n", n, 0)
     if dist.family == "gaussian":
         return rng.standard_normal((n, dist.d))
     z = rng.standard_normal((n, dist.d))
@@ -184,8 +183,9 @@ def certify_parameters(dist, rng=None, samples=10**5):
     """Check the stored (L, R, U, beta) against the family's actual law.
 
     Returns a report dict (never raises on failure). Density checks use the
-    closed-form projected density, so they need no estimation allowance.
+    closed-form projected density, so they need no estimation allowance. samples is an integer >= 1.
     """
+    samples = integer("certify_parameters needs at least one sample: samples", samples, 1)
     # scipy.stats costs most of the package's import time; only this check needs it
     from scipy import stats
 
@@ -270,7 +270,7 @@ def certify_parameters(dist, rng=None, samples=10**5):
         "family": dist.family,
         "d": dist.d,
         "params": {"L": dist.L, "R": dist.R, "U": dist.U, "beta": dist.beta},
-        "samples": int(samples),
+        "samples": samples,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

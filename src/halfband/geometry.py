@@ -1,4 +1,6 @@
-"""Vector primitives: input checks, normalization, angles, ball projection, hard thresholding."""
+"""Argument checks (arrays, integers, reals), normalization, angles, hard thresholding."""
+
+import numbers
 
 import numpy as np
 
@@ -20,6 +22,26 @@ def finite_array(name, a, shape):
     if not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} must be finite")
     return a
+
+
+def integer(name, value, lo, hi=None):
+    """int(value); InvalidInputError unless value is an integer in [lo, hi] (hi None: no cap).
+
+    An integer is a numbers.Integral that is not a bool: np.int64 passes; 2.5,
+    np.float64(2.0), True and "3" fail. Type and range share one message.
+    """
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def real(name, value):
+    """float(value); InvalidInputError unless value is a numbers.Real that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def normalize(w):
@@ -51,28 +73,14 @@ def angle(u, v):
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def project_l2_ball(w, center, radius):
-    """Euclidean projection of w onto the ball {x: ||x - center|| <= radius}."""
-    if not radius > 0.0:
-        raise InvalidInputError("project_l2_ball: radius must be positive")
-    w = np.asarray(w, dtype=float)
-    center = np.asarray(center, dtype=float)
-    diff = w - center
-    dist = np.linalg.norm(diff)
-    if dist <= radius:
-        return w
-    return center + (radius / dist) * diff
-
-
 def hard_threshold(w, s):
     """Keep the s largest-magnitude entries of w, zero the rest.
 
-    Magnitude ties keep the lower coordinate index; s >= d is the identity.
+    s must be an integer at least 1 (geometry.integer). Magnitude ties keep the
+    lower coordinate index; s >= d is the identity.
     """
     w = np.asarray(w, dtype=float)
-    s = int(s)
-    if s < 1:
-        raise InvalidInputError("hard_threshold: s must be at least 1")
+    s = integer("hard_threshold: s", s, 1)
     d = w.shape[0]
     if s >= d:
         return w.copy()

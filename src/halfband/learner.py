@@ -15,14 +15,13 @@ bits alone, in a block of any size, or as a scalar epoch.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, NumericalError
-from .geometry import angle, finite_array, hard_threshold, normalize
+from .geometry import angle, finite_array, hard_threshold, integer, normalize
 from .oracles import (
     BandSampler,
     GroundTruth,
@@ -59,17 +58,12 @@ def erm_select(candidates, X, y):
     return candidates[int(np.argmin(errs))]
 
 
-def _is_int(value):
-    """Whether value is an integer; a bool is not counted as one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_epoch(start, ndim, r, b, T, agg, dist, truth, sparse_s=None):
     """Validate one epoch's arguments before any draw; returns (start as floats, T).
 
     start is optimize's w1 (ndim 1), a finite (d,) vector, or optimize_block's
     W1 (ndim 2), a finite (K, d) array, with d = dist.d; truth.w_star is a
-    finite (d,) vector, T an integer and sparse_s None or an integer in [1, d].
+    finite (d,) vector, T an integer >= 1 and sparse_s None or an integer in [1, d].
     """
     d = dist.d
     shape = (d,) if ndim == 1 else (None, d)
@@ -79,16 +73,12 @@ def _check_epoch(start, ndim, r, b, T, agg, dist, truth, sparse_s=None):
         raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
     if not 0.0 < b <= dist.R / 2.0 + 1e-12:
         raise InvalidInputError("bandwidth b must lie in (0, R/2]")
-    if not _is_int(T):
-        raise InvalidInputError(f"iteration count T must be an integer, got {T!r}")
-    if T < 1:
-        raise InvalidInputError("iteration count T must be at least 1")
-    if sparse_s is not None and not (_is_int(sparse_s) and 1 <= sparse_s <= d):
-        raise InvalidInputError(
-            f"sparse_s must be None or an integer in [1, {d}], got {sparse_s!r}")
+    T = integer("iteration count T", T, 1)
+    if sparse_s is not None:
+        integer("sparse_s", sparse_s, 1, d)
     if agg not in AGGREGATIONS:
         raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
-    return start, int(T)
+    return start, T
 
 
 def optimize(
@@ -360,10 +350,10 @@ class LearnResult:
 
 def learn(config, truth=None):
     """Run both stages; returns the unit-vector hypothesis and full accounting."""
+    schedule = config.schedule()  # checks the config before anything is drawn
     rng = np.random.default_rng(config.seed)
     if truth is None:
         truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
-    schedule = config.schedule()
     ledger = QueryLedger()
     trace = []
 

@@ -25,14 +25,13 @@ one-point draw's.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dists
 from .errors import BandTooThinError, InvalidInputError
-from .geometry import normalize
+from .geometry import integer, normalize, real
 
 
 @dataclass
@@ -54,14 +53,12 @@ def make_ground_truth(d, rng, s=None):
     """Hidden optimum: a seeded uniformly random unit vector.
 
     Sparse mode places s nonzeros of equal magnitude and random sign at
-    seeded random coordinates.
+    seeded random coordinates. d >= 1 and s in [1, d] are integers, checked before any draw.
     """
-    d = int(d)
+    d = integer("make_ground_truth: dimension d", d, 1)
     if s is None:
         return GroundTruth(normalize(rng.standard_normal(d)))
-    s = int(s)
-    if not 1 <= s <= d:
-        raise InvalidInputError("sparse support size must satisfy 1 <= s <= d")
+    s = integer("make_ground_truth: sparse support size s", s, 1, d)
     w = np.zeros(d)
     idx = rng.choice(d, size=s, replace=False)
     w[idx] = rng.choice([-1.0, 1.0], size=s) / np.sqrt(s)
@@ -108,9 +105,7 @@ class NoiseModel:
     def __post_init__(self):
         fields = noise_fields(self.kind)
         for name in ("eta", "tau", "B", "alpha"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{self.kind}: {name} must be a real number, got {value!r}")
+            real(f"{self.kind}: {name}", getattr(self, name))
         if "eta" in fields and not 0.0 <= self.eta < 0.5:
             raise InvalidInputError(f"{self.kind}: eta must lie in [0, 1/2)")
         if "tau" in fields and not self.tau > 0:
@@ -122,15 +117,18 @@ class NoiseModel:
 
 
 def massart(eta):
-    return NoiseModel("massart", eta=float(eta))
+    """NoiseModel("massart") with real eta, stored as a float (geometry.real)."""
+    return NoiseModel("massart", eta=real("eta", eta))
 
 
 def massart_band(eta, tau):
-    return NoiseModel("massart_band", eta=float(eta), tau=float(tau))
+    """NoiseModel("massart_band") with real eta and tau, stored as floats (geometry.real)."""
+    return NoiseModel("massart_band", eta=real("eta", eta), tau=real("tau", tau))
 
 
 def geometric_tsybakov(B, alpha):
-    return NoiseModel("geometric_tsybakov", B=float(B), alpha=float(alpha))
+    """NoiseModel("geometric_tsybakov") with real B and alpha, stored as floats (geometry.real)."""
+    return NoiseModel("geometric_tsybakov", B=real("B", B), alpha=real("alpha", alpha))
 
 
 def eta_of_margin(model, m):
@@ -305,7 +303,7 @@ class LockstepBandSampler:
 
     Trial k draws only from streams[k]. Its attempt counts, margins, isotropic
     completions and label-flip uniforms are generated in blocks of at most
-    BLOCK steps laid out by the step count alone (None: unbounded), so trial
+    BLOCK steps laid out by the integer step count alone (None: unbounded), so trial
     k's draws do not depend on the other trials or on K. Each row has the law
     of literal rejection sampling (module docstring), and the EX charges are
     those of the K draws made one after another.
@@ -328,7 +326,7 @@ class LockstepBandSampler:
         self.dist = dist
         self.b = float(b)
         self.ledger = ledger
-        self.left = math.inf if steps is None else int(steps)  # steps not yet generated
+        self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated
 
     def _refill(self):
         n = min(self.BLOCK, self.left)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError, UnsupportedRegimeError
+from .geometry import integer, real
 from .oracles import NOISE_KINDS
 
 REGIMES = ("MNC", "TNC", "GTNC")
@@ -23,7 +24,7 @@ class Profile:
     size, c_eps the initialization target, c_S the selection sample size.
     c_S defaults to 4 (the selection stage's sample bound carries no other
     pinned constant); the rest default to 1, i.e. the analysis expressions
-    verbatim. Every multiplier must be positive, dataclasses.replace included.
+    verbatim. Every multiplier must be a positive real, dataclasses.replace included.
     """
 
     c_b: float = 1.0
@@ -35,7 +36,7 @@ class Profile:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value > 0:
+            if not real(f"multipliers.{f.name}", value) > 0:
                 raise InvalidInputError(f"multipliers.{f.name} must be positive, got {value!r}")
 
 
@@ -190,7 +191,14 @@ class Schedule:
 def make_schedule(
     regime, dist, epsilon, delta, profile, eta=None, A=None, alpha=None, B=None, sparse_s=None
 ):
-    """Instantiate the full epoch schedule for one learning run."""
+    """Instantiate the full epoch schedule for one learning run.
+
+    epsilon, delta and the given noise parameters must be real numbers
+    (geometry.real), and sparse_s None or an integer in [1, d] (geometry.integer).
+    """
+    epsilon, delta = real("epsilon", epsilon), real("delta", delta)
+    eta, A, alpha, B = (None if v is None else real(k, v)
+                        for k, v in (("eta", eta), ("A", A), ("alpha", alpha), ("B", B)))
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 0.1:
@@ -200,7 +208,7 @@ def make_schedule(
     if regime == "MNC":
         if eta is None or not 0.0 <= eta < 0.5:
             raise InvalidInputError("MNC schedule needs eta in [0, 1/2)")
-        params = {"eta": float(eta)}
+        params = {"eta": eta}
     elif regime == "TNC":
         if A is None or not A > 0:
             raise InvalidInputError("TNC schedule needs A > 0")
@@ -208,17 +216,15 @@ def make_schedule(
             raise UnsupportedRegimeError(
                 "TNC schedule requires alpha in (1/2, 1]; smaller alpha has no guarantee"
             )
-        params = {"A": float(A), "alpha": float(alpha)}
+        params = {"A": A, "alpha": alpha}
     else:
         if B is None or not B > 0:
             raise InvalidInputError("GTNC schedule needs B > 0")
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise InvalidInputError("GTNC schedule needs alpha in (0, 1]")
-        params = {"B": float(B), "alpha": float(alpha)}
+        params = {"B": B, "alpha": alpha}
     if sparse_s is not None:
-        sparse_s = int(sparse_s)
-        if not 1 <= sparse_s <= dist.d:
-            raise InvalidInputError(f"sparse_s must lie in [1, d = {dist.d}], got {sparse_s}")
+        sparse_s = integer("sparse_s", sparse_s, 1, dist.d)
         if dist.d < 3:
             raise InvalidInputError("sparse schedules need d >= 3")
 
@@ -255,8 +261,8 @@ def make_schedule(
         regime=regime,
         d=dist.d,
         sparse_s=sparse_s,
-        epsilon=float(epsilon),
-        delta=float(delta),
+        epsilon=epsilon,
+        delta=delta,
         profile=profile,
         params=params,
         eps0=eps0,

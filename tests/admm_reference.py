@@ -4,7 +4,9 @@ This is the iterative solver the package used before its exact active-set
 step. The tests compare the exact step against it; nothing in the package
 imports it. Each ADMM iteration takes one exact prox of the p-norm piece
 (separable once one scalar is fixed, found by a bracketed root search) and
-projects onto each ball in closed form.
+projects onto each ball in closed form. The l2-ball projection it uses,
+project_l2_ball, is defined here too: no package code needs one, and the
+tests take it as their reference for the learner's inlined ball clip.
 """
 
 import math
@@ -12,8 +14,21 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from halfband.geometry import project_l2_ball
+from halfband.errors import InvalidInputError
 from halfband.sparse import pnorm_sq_grad, project_l1_ball
+
+
+def project_l2_ball(w, center, radius):
+    """Euclidean projection of w onto the ball {x: ||x - center|| <= radius}."""
+    if not radius > 0.0:
+        raise InvalidInputError("project_l2_ball: radius must be positive")
+    w = np.asarray(w, dtype=float)
+    center = np.asarray(center, dtype=float)
+    diff = w - center
+    dist = np.linalg.norm(diff)
+    if dist <= radius:
+        return w
+    return center + (radius / dist) * diff
 
 
 def dykstra_projection(v, constraint, tol=1e-12, max_iter=1000):

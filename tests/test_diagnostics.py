@@ -74,8 +74,9 @@ def test_psi_nonnegative_and_validation():
         assert est.value >= 0.0  # integrand is pointwise nonnegative
     with pytest.raises(InvalidInputError):
         hb.estimate_psi(truth.w_star, 0.0, GAUSS5, hb.massart(0.1), truth, 100, rng)
-    with pytest.raises(InvalidInputError):
-        hb.estimate_psi(truth.w_star, 0.5, GAUSS5, hb.massart(0.1), truth, 0, rng)
+    for n in (0, 2.5, True):
+        with pytest.raises(InvalidInputError):
+            hb.estimate_psi(truth.w_star, 0.5, GAUSS5, hb.massart(0.1), truth, n, rng)
     ball = hb.make_distribution("uniform_ball", 4)
     with pytest.raises(InvalidInputError):
         hb.estimate_psi(np.ones(4), ball.radius * 1.5, ball, hb.massart(0.1),
@@ -119,7 +120,7 @@ def test_excess_error_exact_rejects_varying_noise():
         hb.excess_error(truth.w_star, GAUSS5, hb.massart(0.1), truth, method="mc")
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, 2.5, True])
 def test_excess_error_mc_needs_a_sample(n):
     truth = fixed_truth(5)
     with pytest.raises(InvalidInputError, match="at least one sample"):
@@ -215,7 +216,7 @@ def test_suite_excess_lower_mnc_stays_monte_carlo_for_band_noise():
         assert c["passed"]
 
 
-@pytest.mark.parametrize("samples", [1, 0])
+@pytest.mark.parametrize("samples", [1, 0, 2.5, 2.0])
 def test_suite_needs_two_samples(samples):
     truth = fixed_truth(5, seed=33)
     with pytest.raises(InvalidInputError, match="at least 2 samples"):

@@ -61,6 +61,38 @@ def test_make_distribution_validation():
     for d in (2.5, True, "3"):
         with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
             dataclasses.replace(hb.make_distribution("gaussian", 3), d=d)
+    # d is checked before it is used, with or without params; a bool is not a real parameter
+    for params in (None, (0.05, 1.0, 0.16, 1.0)):
+        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+            hb.make_distribution("gaussian", 10.5, params=params)
+    for params in (("0.05", "1", "0.2", "1"), (0.05, True, 0.16, 1.0)):
+        with pytest.raises(InvalidInputError, match=r"params\[[0-3]\] must be a real number"):
+            hb.make_distribution("gaussian", 3, params=params)
+    # numpy integers and reals pass, as the ints and floats they hold
+    dist = hb.make_distribution("gaussian", np.int64(3), params=np.array([0.05, 1, 0.16, 1]))
+    assert dist == hb.make_distribution("gaussian", 3, params=(0.05, 1.0, 0.16, 1.0))
+    assert type(dist.d) is int and type(dist.L) is float
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(2.0), "3", -1])
+def test_sample_count_must_be_an_integer(n):
+    dist, rng = hb.make_distribution("gaussian", 3), np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="sample: n must be an integer at least 0"):
+        hb.sample(dist, rng, n)
+    assert rng.bit_generator.state == state
+    X = hb.sample(dist, rng, np.int64(3))
+    assert np.array_equal(X, hb.sample(dist, np.random.default_rng(5), 3))
+
+
+@pytest.mark.parametrize("samples", [2.5, 0, True, -5, "100"])
+def test_certify_sample_count_must_be_an_integer(samples):
+    dist, rng = hb.make_distribution("gaussian", 3), np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="certify_parameters needs at least one sample"):
+        hb.certify_parameters(dist, rng, samples=samples)
+    assert rng.bit_generator.state == state
+    assert hb.certify_parameters(dist, rng, samples=np.int64(50))["samples"] == 50
 
 
 @pytest.mark.parametrize(

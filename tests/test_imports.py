@@ -4,7 +4,9 @@ Every name a module imports is used there (pyflakes' F401). No module calls
 np.einsum: row-wise dot products go through np.vecdot, whose rows match
 ndarray.dot, so the scalar epoch and the lockstep epoch cannot drift apart.
 No module imports an underscore name from another module of the package: a
-name one module shares with another is public where it is defined.
+name one module shares with another is public where it is defined. Only
+geometry.py imports numbers: what counts as an integer or a real argument is
+decided there alone (geometry.integer and geometry.real).
 """
 
 import ast
@@ -99,3 +101,25 @@ def test_package_modules_import_no_private_names():
         for name in private_imports(path.read_text())
     }
     assert found == set()
+
+
+def imports_numbers(source):
+    """Whether `source` imports the standard library module numbers, or a name from it."""
+    return any(
+        (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numbers")
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_numbers_imports_detected():
+    assert imports_numbers("import numbers\n")
+    assert imports_numbers("import math, numbers as nb\n")
+    assert imports_numbers("def f():\n    from numbers import Integral\n")
+    assert not imports_numbers("import numpy as np\nnumbers = np.arange(3)\n")
+    assert not imports_numbers("from . import numbers\nfrom .numbers import Real\n")
+
+
+def test_only_geometry_imports_numbers():
+    found = {path.name for path in PACKAGE.glob("*.py") if imports_numbers(path.read_text())}
+    assert found == {"geometry.py"}

@@ -8,6 +8,7 @@ import tracemalloc
 import dense_reference
 import numpy as np
 import pytest
+from admm_reference import project_l2_ball
 
 import halfband as hb
 from halfband import learner
@@ -315,7 +316,7 @@ def test_ball_step_matches_rowwise_projection():
     X = rng.standard_normal((16, 5))
     new, gap = step(W.copy(), y, X)  # the dense step updates the W it is given in place
     for k in range(16):
-        ref = hb.project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
+        ref = project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
         assert np.allclose(new[k], ref, rtol=0.0, atol=1e-12)
     assert 0.0 <= gap <= 1e-12
 
@@ -510,6 +511,11 @@ def test_learn_config_validation():
         hb.learn(hb.LearnerConfig(dist=dist, noise=NOISE, epsilon=1.2, delta=0.05, seed=0))
     with pytest.raises(InvalidInputError):
         hb.learn(hb.LearnerConfig(dist=dist, noise=NOISE, epsilon=0.3, delta=0.2, seed=0))
+    # a sparse_s that is no integer is rejected, not run as the integer below it
+    for s in (2.5, True):
+        with pytest.raises(InvalidInputError, match="sparse_s must be an integer in"):
+            hb.learn(hb.LearnerConfig(dist=dist, noise=NOISE, epsilon=0.3, delta=0.05, seed=0,
+                                      sparse_s=s))
 
 
 def test_trace_angles_weakly_decreasing_across_main_epochs(criterion3_runs):

@@ -53,6 +53,19 @@ def test_massart_validation():
     assert hb.NoiseModel("massart", eta=np.float32(0.1)).eta == np.float32(0.1)
 
 
+@pytest.mark.parametrize("factory, args, name", [
+    (hb.massart, ("0.2",), "eta"), (hb.massart, (False,), "eta"),
+    (hb.massart_band, ("0.1", 1.0), "eta"), (hb.massart_band, (0.1, True), "tau"),
+    (hb.geometric_tsybakov, (True, 0.5), "B"), (hb.geometric_tsybakov, (1.0, True), "alpha"),
+])
+def test_noise_factories_take_only_real_numbers(factory, args, name):
+    with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+        factory(*args)
+    # numpy reals and integers pass, stored as floats
+    model = hb.geometric_tsybakov(np.int64(1), np.float32(0.5))
+    assert (model.B, model.alpha) == (1.0, 0.5) and type(model.B) is type(model.alpha) is float
+
+
 def test_geometric_tsybakov_pointwise_values():
     model = hb.geometric_tsybakov(0.3, 0.5)
     # exponent (1-alpha)/alpha = 1, so at |margin| 1 the flip rate is 0.5 - 0.3
@@ -390,6 +403,16 @@ def test_effective_tsybakov_a_bounds_noise_tail():
 def test_make_ground_truth_dense_and_sparse():
     rng = np.random.default_rng(15)
     truth = hb.make_ground_truth(8, rng)
+    assert np.array_equal(hb.make_ground_truth(np.int64(8), np.random.default_rng(15)).w_star,
+                          truth.w_star)
+    # d and s must be integers, a bool is none; checked before any draw
+    bad = [(10.7, None), (True, None), ("8", None), (8, True), (8, 2.5), (8, np.float64(2.0))]
+    for d, s in bad:
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError,
+                           match="make_ground_truth: (dimension d|sparse support size s) must be"):
+            hb.make_ground_truth(d, rng, s=s)
+        assert rng.bit_generator.state == state
     assert float(np.linalg.norm(truth.w_star)) == pytest.approx(1.0, rel=1e-12)
     sparse = hb.make_ground_truth(8, np.random.default_rng(16), s=3)
     assert np.count_nonzero(sparse.w_star) <= 3
@@ -398,6 +421,24 @@ def test_make_ground_truth_dense_and_sparse():
     # same seed, same truth
     again = hb.make_ground_truth(8, np.random.default_rng(15))
     assert np.array_equal(truth.w_star, again.w_star)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, np.float64(3.0), "4", -1])
+def test_band_sampler_steps_must_be_an_integer(steps):
+    rng, ledger = np.random.default_rng(20), hb.QueryLedger()
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="steps must be an integer at least 0"):
+        hb.BandSampler(GAUSS, 0.1, rng, ledger, steps=steps)
+    with pytest.raises(InvalidInputError, match="steps must be an integer at least 0"):
+        oracles.LockstepBandSampler(GAUSS, 0.1, [rng], ledger, steps)
+    assert ledger == hb.QueryLedger() and rng.bit_generator.state == state
+    # an np.int64 step count is an integer: two draws, and a third is past it
+    sampler = hb.BandSampler(GAUSS, 0.1, rng, ledger, steps=np.int64(2))
+    w_hat = hb.normalize(np.ones(5))
+    sampler.draw(w_hat)
+    sampler.draw(w_hat)
+    with pytest.raises(InvalidInputError, match="more draws than its step count"):
+        sampler.draw(w_hat)
 
 
 def test_halfspace_labels_sign_zero():

@@ -39,6 +39,14 @@ def test_profiles_frozen_values():
         1.0, 1.0, 1.0, 1.0, 4.0)
 
 
+@pytest.mark.parametrize("value", [True, "2", None, [1.0]])
+def test_profile_multipliers_must_be_real_numbers(value):
+    with pytest.raises(InvalidInputError, match="multipliers.c_T must be a real number"):
+        dataclasses.replace(PROFILES["desk"], c_T=value)
+    # numpy scalars pass and are kept as given
+    assert Profile(c_T=np.float32(0.5), c_S=np.int64(8)).c_S == 8
+
+
 @pytest.mark.parametrize("field, value", [("c_S", 0.0), ("c_T", -1.0), ("c_b", math.nan)])
 def test_profile_multipliers_must_be_positive(field, value):
     # c_S = 0 would give a selection sample of 0 points and NaN candidate risks
@@ -265,8 +273,33 @@ def test_sparse_requires_d_at_least_three():
 def test_sparse_support_at_most_d():
     dist = hb.make_distribution("gaussian", 5)
     hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=5)
-    with pytest.raises(InvalidInputError, match="sparse_s"):
-        hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=6)
+    # an np.int64 sparse_s builds the int's schedule; 2.5, a bool and a float 2.0 are no integers
+    wide = hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=np.int64(2))
+    assert wide == hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=2)
+    assert type(wide.sparse_s) is int
+    for s in (6, 2.5, True, np.float64(2.0)):
+        with pytest.raises(InvalidInputError, match="sparse_s"):
+            hb.make_schedule("MNC", dist, 0.1, 0.05, PROFILES["desk"], eta=0.1, sparse_s=s)
+
+
+SCHEDULE_PARAMS = {"MNC": {"eta": 0.1}, "TNC": {"A": 1.0, "alpha": 0.75},
+                   "GTNC": {"B": 1.0, "alpha": 0.75}}
+
+
+@pytest.mark.parametrize("regime, name, value", [
+    ("MNC", "epsilon", "0.1"), ("MNC", "delta", "0.05"), ("MNC", "eta", False),
+    ("MNC", "eta", "0.1"), ("TNC", "A", True), ("GTNC", "alpha", True), ("GTNC", "B", "1"),
+])
+def test_make_schedule_takes_only_real_numbers(regime, name, value):
+    args = {"epsilon": 0.1, "delta": 0.05, **SCHEDULE_PARAMS[regime]}
+    with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+        hb.make_schedule(regime, GAUSS5, profile=PROFILES["desk"], **{**args, name: value})
+    # numpy reals and integers pass, and build the schedule of the same floats
+    numpy_args = {k: np.int64(v) if v == 1.0 else np.float64(v) for k, v in args.items()}
+    schedule = hb.make_schedule(regime, GAUSS5, profile=PROFILES["desk"], **numpy_args)
+    assert schedule == hb.make_schedule(regime, GAUSS5, profile=PROFILES["desk"], **args)
+    values = (schedule.epsilon, schedule.delta, *schedule.params.values())
+    assert all(type(v) is float for v in values)
 
 
 @given(st.floats(0.01, 0.45), st.sampled_from([0.1, 0.2, 0.3, 0.4]), st.integers(0, 6))
