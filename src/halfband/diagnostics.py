@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, finite_array, integer, normalize
+from .geometry import angle, finite_array, integer, normalize, real
 from .oracles import (
     eta_of_margin,
     exact_tsybakov_A,
@@ -86,9 +86,11 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
 
     A row draws only the two coordinates of x in the plane of w_hat and w*
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
-    for the ball (3 at d = 2). n must be an integer at least 1 (geometry.integer).
+    for the ball (3 at d = 2). n must be an integer at least 1 (geometry.integer)
+    and b a positive real number (geometry.real).
     """
     n = integer("estimate_psi needs at least one sample: n", n, 1)
+    b = real("estimate_psi: bandwidth b", b)
     if not b > 0.0:
         raise InvalidInputError("bandwidth b must be positive")
     if dist.family == "uniform_ball" and b > dist.radius:

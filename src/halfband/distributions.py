@@ -118,7 +118,8 @@ def margin_cdf(dist, t):
 
 
 def band_probability(dist, b):
-    """P(|<w,x>| <= b) for any unit w."""
+    """P(|<w,x>| <= b) for any unit w; b must be a positive real number (geometry.real)."""
+    b = real("band_probability: b", b)
     if not b > 0:
         raise InvalidInputError("band_probability: b must be positive")
     if dist.family == "gaussian":
@@ -141,17 +142,29 @@ def truncated_margin(dist, b, u, *, _p=None):
         # the clip keeps every value in the band and leaves in-band values as they are
         return np.clip(special.ndtri(0.5 + u * (special.ndtr(b) - 0.5)), -b, b)
     q = band_probability(dist, b) if _p is None else _p
-    frac = special.betaincinv(0.5, (dist.d + 1) / 2.0, np.abs(u) * q)
-    return np.sign(u) * dist.radius * np.sqrt(frac)
+    # sign(u) * radius * sqrt(frac), formed in one array: the sign is exact, so
+    # negating where u < 0 gives the same bits
+    out = np.abs(u, out=np.empty_like(u))
+    out *= q
+    special.betaincinv(0.5, (dist.d + 1) / 2.0, out, out=out)
+    np.sqrt(out, out=out)
+    out *= dist.radius
+    return np.negative(out, out=out, where=u < 0.0)
 
 
-def ball_radial(dist, m, V):
+def ball_radial(dist, m, V, overwrite_V=False):
     """Length of the part of a uniform-ball point orthogonal to its margin direction.
 
     Given the margin m, the rest of the point is uniform in a (d-1)-ball of
-    radius sqrt(rho^2 - m^2), so uniforms V give its length; elementwise.
+    radius sqrt(rho^2 - m^2), so uniforms V give its length; elementwise on
+    arrays, with one temporary. With overwrite_V the result is written into V.
     """
-    return np.sqrt(dist.radius**2 - m * m) * V ** (1.0 / (dist.d - 1))
+    out = V if overwrite_V else np.array(V, dtype=float)
+    out **= 1.0 / (dist.d - 1)  # in place, through the same kernels as V ** (1/(d-1))
+    span = np.multiply(m, m, out=np.empty_like(out))
+    np.subtract(dist.radius**2, span, out=span)
+    out *= np.sqrt(span, out=span)
+    return out
 
 
 def projected_density_2d(dist, z):

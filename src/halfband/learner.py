@@ -21,7 +21,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, NumericalError
-from .geometry import angle, finite_array, hard_threshold, integer, normalize
+from .geometry import angle, finite_array, hard_threshold, integer, normalize, real
 from .oracles import (
     BandSampler,
     GroundTruth,
@@ -58,27 +58,39 @@ def erm_select(candidates, X, y):
     return candidates[int(np.argmin(errs))]
 
 
-def _check_epoch(start, ndim, r, b, T, agg, dist, truth, sparse_s=None):
-    """Validate one epoch's arguments before any draw; returns (start as floats, T).
+def _check_epoch(start, ndim, r, b, T, agg, dist, truth, delta, profile, sparse_s=None):
+    """Validate one epoch's arguments before any draw; returns (start as floats, T, step size).
 
     start is optimize's w1 (ndim 1), a finite (d,) vector, or optimize_block's
     W1 (ndim 2), a finite (K, d) array, with d = dist.d; truth.w_star is a
-    finite (d,) vector, T an integer >= 1 and sparse_s None or an integer in [1, d].
+    finite (d,) vector, r, b and delta real numbers (geometry.real) in (0, 1/4],
+    (0, R/2] and (0, 1), T an integer >= 1 and sparse_s None or an integer in
+    [1, d]. The step size must come out finite and positive, which extreme
+    structure constants can prevent.
     """
     d = dist.d
     shape = (d,) if ndim == 1 else (None, d)
     start = finite_array("w1" if ndim == 1 else "W1", start, shape)
     finite_array("truth.w_star", truth.w_star, (d,))
-    if not 0.0 < r <= 0.25 + 1e-12:
+    if not 0.0 < real("proximity scale r", r) <= 0.25 + 1e-12:
         raise InvalidInputError("proximity scale r must lie in (0, 1/4]")
-    if not 0.0 < b <= dist.R / 2.0 + 1e-12:
+    if not 0.0 < real("bandwidth b", b) <= dist.R / 2.0 + 1e-12:
         raise InvalidInputError("bandwidth b must lie in (0, R/2]")
+    if not 0.0 < real("confidence delta", delta) < 1.0:
+        raise InvalidInputError("confidence delta must lie in (0, 1)")
     T = integer("iteration count T", T, 1)
     if sparse_s is not None:
         integer("sparse_s", sparse_s, 1, d)
     if agg not in AGGREGATIONS:
         raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
-    return start, T
+    try:
+        alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
+    except ZeroDivisionError:  # the log's argument or the log itself is 0 in floats
+        alpha = math.nan
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise InvalidInputError(
+            f"step size must be finite and positive, got {alpha!r}: check R, L, delta, r and b")
+    return start, T, alpha
 
 
 def optimize(
@@ -114,13 +126,12 @@ def optimize(
     sparse_s None or an integer in [1, d]; InvalidInputError otherwise, before
     anything is drawn or charged.
     """
-    w1, T = _check_epoch(w1, 1, r, b, T, agg, dist, truth, sparse_s)
+    w1, T, alpha = _check_epoch(w1, 1, r, b, T, agg, dist, truth, delta, profile, sparse_s)
     if sparse_s is not None:
         return optimize_block(w1[None], r, b, T, agg, dist, noise, truth, [rng], ledger,
                               delta, profile, sparse_s=sparse_s)[0]
     d = w1.shape[0]
 
-    alpha = step_size(r, b, T, d, dist, delta, profile)
     if agg == "random":  # which step's iterate to return, and its sign
         pick = int(rng.integers(T))
         sign = 1.0 if rng.random() < 0.5 else -1.0
@@ -162,7 +173,9 @@ def _projected_step(W1, r, alpha, sparse_s):
     in one vectorized update, with scratch arrays made once per epoch. Sparse
     row k starts at W1[k] projected onto its own SparseConstraint, ball2(W1[k],
     4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)), and takes bregman_step in the
-    p-norm mirror geometry, one row at a time.
+    p-norm mirror geometry, one row at a time. Each sparse step's search for
+    its multipliers starts from the row's own last step's, which moves the
+    row's bits only within rounding and keeps them independent of the others.
     """
     radius = 4.0 * r
     if sparse_s is None:
@@ -195,9 +208,15 @@ def _projected_step(W1, r, alpha, sparse_s):
     radius1 = 8.0 * r * math.sqrt(2.0 * sparse_s)
     cons = [SparseConstraint(w1, radius, hard_threshold(w1, sparse_s), radius1) for w1 in W1]
 
+    guesses = [None] * len(cons)  # (mu, lam) of each row's last step
+
     def mirror_step(W, y, X):
-        W = np.array([bregman_step(w, -yk * x, alpha, c, c.center1, p)
-                      for c, w, yk, x in zip(cons, W, y, X)])
+        rows = []
+        for k, (c, w, yk, x) in enumerate(zip(cons, W, y, X)):
+            w, mu, lam = bregman_step(w, -yk * x, alpha, c, c.center1, p, guess=guesses[k])
+            guesses[k] = (mu, lam)
+            rows.append(w)
+        W = np.array(rows)
         return W, max(c.violation(w) for c, w in zip(cons, W))
 
     return np.array([project_intersection(w1, c) for w1, c in zip(W1, cons)]), mirror_step
@@ -232,12 +251,11 @@ def optimize_block(
     block. W1 must be a finite (K, d) array and sparse_s None or an integer in
     [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
-    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth, sparse_s)
+    W1, T, alpha = _check_epoch(W1, 2, r, b, T, agg, dist, truth, delta, profile, sparse_s)
     K, d = W1.shape
     if len(streams) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")
 
-    alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
     if agg == "random":  # which step's iterate each row returns, and its sign
         pick = np.array([g.integers(T) for g in streams])
         sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])

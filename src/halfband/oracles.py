@@ -322,9 +322,9 @@ class LockstepBandSampler:
 
     def __init__(self, dist, b, streams, ledger, steps):
         self.streams = list(streams)
-        self.p = _checked_band_probability(dist, b, len(self.streams))
+        self.b = real("band sampler: b", b)
+        self.p = _checked_band_probability(dist, self.b, len(self.streams))
         self.dist = dist
-        self.b = float(b)
         self.ledger = ledger
         self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated
 
@@ -334,27 +334,29 @@ class LockstepBandSampler:
         ball = self.dist.family == "uniform_ball"
         self.Z = self.margins = self.radial = self.flips = None  # free the spent block first
         # each stream fills its own column, in its own order: attempt, margin, radius
-        # (uniform ball only) and flip uniforms, with its isotropic completions
-        attempt_u, margin_u, self.flips = (np.empty((n, K)) for _ in range(3))
+        # (uniform ball only) and flip uniforms, with its isotropic completions; its
+        # attempt uniforms become counts at once, so no (n, K) array holds them
+        margin_u, self.flips = np.empty((n, K)), np.empty((n, K))
         V = np.empty((n, K)) if ball else None
         self.Z = np.empty((n, K, d))
         u, z = np.empty(n), np.empty((n, d))
+        step_ex = np.zeros(n, dtype=np.int64)
         for k, g in enumerate(self.streams):
-            attempt_u[:, k] = g.random(out=u)
+            step_ex += _geometric_attempts(self.p, g.random(out=u))
             margin_u[:, k] = g.random(out=u)
             self.Z[:, k] = g.standard_normal(out=z)
             if ball:
                 V[:, k] = g.random(out=u)
             self.flips[:, k] = g.random(out=u)
-        self.step_ex = _geometric_attempts(self.p, attempt_u).sum(axis=1).tolist()
-        del attempt_u
+        self.step_ex = step_ex.tolist()
         margin_u *= 2.0  # in place, as 2 u - 1: the block's peak memory is its temporaries
         margin_u -= 1.0
         margins = dists.truncated_margin(self.dist, self.b, margin_u, _p=self.p)
+        del margin_u
         # margins and radial factors as (n, K, 1): step i reads (K, 1) columns
         self.margins = margins[:, :, None]
         if ball:
-            self.radial = dists.ball_radial(self.dist, margins, V)[:, :, None]
+            self.radial = dists.ball_radial(self.dist, margins, V, overwrite_V=True)[:, :, None]
         self.left -= n
         self.n = n
 

@@ -23,7 +23,10 @@ suitable power of |z_i|. S must then reproduce itself; in log S that
 equation is monotone with slope between min(1, 1/(p-1)) and max(1, 1/(p-1)),
 so a safeguarded Newton finds it to rounding. The multiplier searches take
 Newton steps whose slopes come from differentiating the same equations, a
-system diagonal in z and bordered by S, solved in O(d).
+system diagonal in z and bordered by S, solved in O(d). They start from a
+guess when the caller has one: the sparse epoch passes each row's step the
+multipliers of that row's last step, which saves inner solves and moves the
+result only within rounding.
 
 The Euclidean projection onto K is the p = 2, lin = 0 case of the same
 solver. K itself can be empty; the smallest l1 distance from the l1 center
@@ -57,7 +60,7 @@ def _l1_distance_to_ball2(v, radius):
     if k == len(u):
         return 0.0
     theta = math.sqrt((radius * radius - before[k]) / (len(u) - k))
-    return float(np.sum(u[k:] - theta))
+    return float((u[k:] - theta).sum())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +73,8 @@ class SparseConstraint:
     radius1: float
 
     def violation(self, w):
-        g2 = float(np.linalg.norm(w - self.center2)) - self.radius2
+        diff = w - self.center2
+        g2 = math.sqrt(float(diff.dot(diff))) - self.radius2
         g1 = float(np.abs(w - self.center1).sum()) - self.radius1
         return max(g2, g1, 0.0)
 
@@ -124,10 +128,9 @@ def _magnitudes(lin_coef, pow_coef, gamma, target, y):
     """
     if gamma == 1.0:
         return target / (lin_coef + pow_coef), np.ones_like(target)
-    with np.errstate(divide="ignore"):
-        cap = target / lin_coef if lin_coef > 0.0 else np.full_like(target, np.inf)
-        if pow_coef > 0.0:
-            cap = np.minimum(cap, (target / pow_coef) ** (1.0 / gamma))
+    cap = target / lin_coef if lin_coef > 0.0 else np.full_like(target, np.inf)
+    if pow_coef > 0.0:
+        cap = np.minimum(cap, (target / pow_coef) ** (1.0 / gamma))
     if lin_coef == 0.0 or pow_coef == 0.0:
         y = cap
     else:
@@ -137,7 +140,7 @@ def _magnitudes(lin_coef, pow_coef, gamma, target, y):
             step = (lin_coef * y + pow_coef * y * yg1 - target) / (
                 lin_coef + (pow_coef * gamma) * yg1)
             y_new = np.minimum(y - step, cap)
-            if np.all(np.abs(y_new - y) <= 4.0 * EPS * y_new):
+            if (abs(y_new - y) <= 4.0 * EPS * y_new).all():
                 y = y_new
                 break
             y = y_new
@@ -170,7 +173,7 @@ class _Step:
         self.inv = 1.0 / (p - 1.0)
         self.gamma = max(self.inv, p - 1.0)
         self.small_p = p < 2.0
-        self.shifted = bool(np.any(b))  # the l1 center differs from u1
+        self.shifted = bool(b.any())  # the l1 center differs from u1
         if self.shifted:
             ab = np.abs(b)
             self.b_grad = np.sign(b) * ab ** (p - 1.0)
@@ -209,7 +212,7 @@ class _Step:
         if self.log_s is None:  # first call: S of the dual-map step on the unpinned targets
             theta = np.abs(c_hat)
             q = self.p * self.inv
-            nrm = float(np.sum(theta**q)) ** (1.0 / q)
+            nrm = float((theta**q).sum()) ** (1.0 / q)
             self.log_s = math.log(self.inv) + (2.0 - self.p) * math.log(
                 (self.p - 1.0) * nrm) if nrm > 0.0 else math.log(self.inv)
         s, lo, hi = self.log_s, -math.inf, math.inf
@@ -218,9 +221,9 @@ class _Step:
             S = math.exp(s)
             z, free, sigma, m, t, yg1 = self._coords(S, lam, mu, c_hat)
             mt = m * t
-            n_sum = float(np.sum(mt))
+            n_sum = float(mt.sum())
             if free is not None and self.shifted:
-                n_sum = float(np.sum(np.where(free, mt, self.b_pow)))
+                n_sum = float(np.where(free, mt, self.b_pow).sum())
             if n_sum == 0.0 and p != 2.0:  # z = 0, where S is immaterial
                 r = np.zeros_like(z)
                 return _Point(lam, mu, z, free, sigma, t, r, np.sign(z), 0.0, 1.0)
@@ -235,8 +238,11 @@ class _Step:
                 kappa, border, rho = 0.0, 1.0, s
             else:
                 kappa = S * (2.0 - p) / n_sum
-                with np.errstate(invalid="ignore"):
-                    border = 1.0 + kappa * float(np.sum(r * t * t))
+                if self.small_p:
+                    border = 1.0 + kappa * float((r * t * t).sum())
+                else:  # r = inf meets t = 0 on a coordinate at 0
+                    with np.errstate(invalid="ignore"):
+                        border = 1.0 + kappa * float((r * t * t).sum())
                 rho = s - math.log(self.inv) - (2.0 - p) / p * math.log(n_sum)
             if rho == 0.0:
                 break
@@ -271,16 +277,19 @@ class _Step:
     def g2(self, z):
         """Gap of the l2 constraint at z, and its unit normal there."""
         diff = z - self.a
-        nrm = float(np.linalg.norm(diff))
+        nrm = math.sqrt(float(diff.dot(diff)))
         return nrm - self.r2, diff / nrm if nrm > 0.0 else diff
 
     def g1(self, z):
         """Gap of the l1 constraint at z, and its subgradient off the kinks."""
         diff = z - self.b
-        return float(np.sum(np.abs(diff))) - self.r1, np.sign(diff)
+        return float(abs(diff).sum()) - self.r1, np.sign(diff)
 
     def ball2(self, lam, mu_guess):
-        """Point at multiplier lam with mu at the root of the l2 constraint (0 when slack)."""
+        """Point at multiplier lam with mu at the root of the l2 constraint (0 when slack).
+
+        The search for mu starts from mu_guess when it is not None.
+        """
         pt = self.solve(lam, 0.0)
         gap, normal = self.g2(pt.z)
         if gap <= 0.0:
@@ -291,12 +300,15 @@ class _Step:
             gap, normal = self.g2(pt.z)
             return gap, float(normal @ self.dz_dmu(pt)), pt
 
-        ftol = 8.0 * EPS * (self.r2 + float(np.linalg.norm(self.a)))
+        ftol = 8.0 * EPS * (self.r2 + math.sqrt(float(self.a.dot(self.a))))
         start = (0.0, gap, float(normal @ self.dz_dmu(pt)), pt)
         return self._root(at, start, mu_guess, ftol, self.g2)
 
-    def both(self, start):
-        """Point with lam at the root of the l1 constraint, mu following as in ball2."""
+    def both(self, start, lam_guess):
+        """Point with lam at the root of the l1 constraint, mu following as in ball2.
+
+        The search starts from lam_guess when it is not None, as ball2's from mu_guess.
+        """
 
         def slope(pt, sign):
             dz = self.dz(pt, pt.sigma)
@@ -317,8 +329,8 @@ class _Step:
 
         last = [start.mu or None]
         gap, sign = self.g1(start.z)
-        ftol = 8.0 * EPS * (self.r1 + float(np.sum(np.abs(self.b))))
-        return self._root(at, (0.0, gap, slope(start, sign), start), None, ftol, self.g1)
+        ftol = 8.0 * EPS * (self.r1 + float(abs(self.b).sum()))
+        return self._root(at, (0.0, gap, slope(start, sign), start), lam_guess, ftol, self.g1)
 
     @staticmethod
     def _root(at, start, guess, ftol, gap):
@@ -373,18 +385,22 @@ def _blend(pos, neg, gap):
     return dataclasses.replace(neg, z=neg.z + lo * (pos.z - neg.z), free=free)
 
 
-def _solve(lin, u1, p, constraint):
+def _solve(lin, u1, p, constraint, guess=None):
     """argmin over K of <lin, w - u1> + ||w - u1||_p^2/(2(p-1)), exactly.
 
     Returns (w, mu, lam): the minimizer and the multipliers of the l2 and
-    the l1 constraint, which certify it through the KKT conditions.
+    the l1 constraint, which certify it through the KKT conditions. guess,
+    a (mu, lam) pair such as a nearby step's multipliers, seeds the
+    multiplier searches of the balls that bind; a zero in it, or guess None,
+    starts that search cold. The answer is the same to rounding either way.
     """
     constraint.check_nonempty()
+    mu_guess, lam_guess = (None, None) if guess is None else guess
     b = constraint.center1 - u1
     step = _Step(lin, constraint.center2 - u1, b, constraint.radius2, constraint.radius1, p)
-    pt = step.ball2(0.0, None)  # the dual-map step when its l2 gap is <= 0
+    pt = step.ball2(0.0, mu_guess or None)  # the dual-map step when its l2 gap is <= 0
     if step.g1(pt.z)[0] > 0.0:
-        pt = step.both(pt)
+        pt = step.both(pt, lam_guess or None)
     w = u1 + pt.z
     if pt.free is not None:  # kink coordinates sit exactly on the l1 center
         w = np.where(pt.free, w, constraint.center1)
@@ -400,11 +416,14 @@ def project_intersection(v, constraint):
     return _solve(np.zeros_like(v), v, 2.0, constraint)[0]
 
 
-def bregman_step(u_t, g, alpha, constraint, u1, p):
+def bregman_step(u_t, g, alpha, constraint, u1, p, guess=None):
     """argmin_{w in K} alpha*<g, w> + D_R(w, u_t) for R(w) = ||w-u1||_p^2/(2(p-1)).
 
     Exact up to rounding: the KKT point over K's active balls (module
-    docstring). Raises EmptyConstraintError when K is empty.
+    docstring). Returns (w, mu, lam) as _solve does, w with the multipliers
+    of the l2 and the l1 ball, which the next step of the same row can pass
+    back as guess = (mu, lam) to seed its searches (_solve); without a guess
+    they start cold. Raises EmptyConstraintError when K is empty.
     """
     if not p > 1.0:
         raise InvalidInputError("mirror exponent p must exceed 1")
@@ -412,7 +431,7 @@ def bregman_step(u_t, g, alpha, constraint, u1, p):
     g = np.asarray(g, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     step_dir = alpha * g
-    if not np.any(step_dir) and constraint.violation(u_t) == 0.0:
-        return u_t.copy()
+    if not step_dir.any() and constraint.violation(u_t) == 0.0:
+        return u_t.copy(), 0.0, 0.0
     lin = step_dir - pnorm_sq_grad(u_t - u1, p) / (p - 1.0)
-    return _solve(lin, u1, p, constraint)[0]
+    return _solve(lin, u1, p, constraint, guess)

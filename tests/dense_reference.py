@@ -79,7 +79,7 @@ class LockstepBandSampler:
 
 
 def optimize_block(W1, r, b, T, agg, dist, noise, truth, streams, ledger, delta, profile):
-    W1, T = _check_epoch(W1, 2, r, b, T, agg, dist, truth)
+    W1, T, _ = _check_epoch(W1, 2, r, b, T, agg, dist, truth, delta, profile)
     K, d = W1.shape
     alpha = step_size(r, b, T, d, dist, delta, profile)
     if agg == "random":

@@ -238,7 +238,7 @@ def test_criterion_8_sparse_variant():
         u_t = project_intersection(rng.standard_normal(d), constraint)
         g = rng.standard_normal(d)
         alpha = float(rng.uniform(0.01, 0.5))
-        w_admm = bregman_step(u_t, g, alpha, constraint, u1, p)
+        w_admm, _, _ = bregman_step(u_t, g, alpha, constraint, u1, p)
         w = cvxpy.Variable(d)
         breg = (cvxpy.pnorm(w - u1, p) ** 2
                 - np.linalg.norm(u_t - u1, ord=p) ** 2

@@ -72,8 +72,9 @@ def test_psi_nonnegative_and_validation():
         est = hb.estimate_psi(w, 0.2, GAUSS5, hb.geometric_tsybakov(1.0, 0.75), truth,
                               2000, rng)
         assert est.value >= 0.0  # integrand is pointwise nonnegative
-    with pytest.raises(InvalidInputError):
-        hb.estimate_psi(truth.w_star, 0.0, GAUSS5, hb.massart(0.1), truth, 100, rng)
+    for b in (0.0, "0.2", True):
+        with pytest.raises(InvalidInputError):
+            hb.estimate_psi(truth.w_star, b, GAUSS5, hb.massart(0.1), truth, 100, rng)
     for n in (0, 2.5, True):
         with pytest.raises(InvalidInputError):
             hb.estimate_psi(truth.w_star, 0.5, GAUSS5, hb.massart(0.1), truth, n, rng)

@@ -154,6 +154,12 @@ def test_band_probability_gaussian_frozen_value():
     assert hb.band_probability(dist, 50.0) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("b", ["0.5", True])
+def test_band_probability_bandwidth_must_be_a_real_number(b):
+    with pytest.raises(InvalidInputError, match="band_probability: b must be a real number"):
+        hb.band_probability(hb.make_distribution("gaussian", 4), b)
+
+
 def test_band_probability_within_analysis_bounds():
     dist = hb.make_distribution("gaussian", 4)
     for b in (0.02, 0.05, 0.1, 0.2, 0.5):

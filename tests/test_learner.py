@@ -11,7 +11,7 @@ import pytest
 from admm_reference import project_l2_ball
 
 import halfband as hb
-from halfband import learner
+from halfband import learner, sparse
 from halfband.errors import InvalidInputError
 from halfband.learner import (
     _projected_step,
@@ -127,12 +127,30 @@ def test_optimize_validation():
 BAD_SPARSE_S = {"fractional-s": 2.5, "bool-s": True, "large-s": 40}
 
 
+# malformed real arguments of optimize: r, b and delta, and structure constants that
+# make the step size negative (log argument below 1) or divide by an underflowed zero
+BAD_REALS = {
+    "str-r": {"r": "0.0625"},
+    "str-b": {"b": "0.1"},
+    "str-delta": {"delta": "0.05"},
+    "nan-delta": {"delta": float("nan")},
+    "zero-delta": {"delta": 0.0},
+    "inf-delta": {"delta": float("inf")},
+    "one-delta": {"delta": 1.0},
+    "negative-step": {"dist": hb.make_distribution("gaussian", 5, (1e50, 1e50, 1e100, 1.0))},
+    "underflow-step": {"delta": 1e-300,
+                       "dist": hb.make_distribution("gaussian", 5, (1e-100, 1.0, 0.15, 1.0))},
+}
+
+
 def _epoch_call(case):
-    """The epoch function, arguments and sparse_s of one malformed-input case, on GAUSS5."""
+    """The epoch function, arguments, delta and sparse_s of one malformed-input case, on GAUSS5."""
     rng = np.random.default_rng(24)
     truth = hb.make_ground_truth(5, rng)
     w1, W1, T = make_start(truth, 1 / 16, rng), np.zeros((2, 5)), 4
     sparse_s = BAD_SPARSE_S.get(case.removesuffix("-W1"))
+    reals = {"r": 1 / 16, "b": 0.1, "delta": 0.05, "dist": GAUSS5, **BAD_REALS.get(case, {})}
+    r, b, dist = reals["r"], reals["b"], reals["dist"]
     if case == "nan-w1":
         w1 = np.full(5, np.nan)
     elif case == "inf-w1":
@@ -150,22 +168,23 @@ def _epoch_call(case):
     elif case.endswith("-T"):
         T = {"fractional-T": 5.7, "nan-T": float("nan"), "bool-T": True}[case]
     if case.endswith("W1"):
-        return optimize_block, (W1, 1 / 16, 0.1, T, "average", GAUSS5, NOISE, truth,
-                                rng.spawn(len(np.atleast_2d(W1)))), sparse_s
-    return hb.optimize, (w1, 1 / 16, 0.1, T, "average", GAUSS5, NOISE, truth, rng), sparse_s
+        return optimize_block, (W1, r, b, T, "average", dist, NOISE, truth,
+                                rng.spawn(len(np.atleast_2d(W1)))), reals["delta"], sparse_s
+    return hb.optimize, (w1, r, b, T, "average", dist, NOISE, truth, rng), reals["delta"], sparse_s
 
 
 @pytest.mark.parametrize("case", [
     "nan-w1", "inf-w1", "short-w1", "2d-w1", "short-w_star", "nan-row-W1", "1d-W1",
     "fractional-T", "nan-T", "bool-T", *BAD_SPARSE_S, *(f"{c}-W1" for c in BAD_SPARSE_S),
+    *BAD_REALS,
 ])
 def test_malformed_epoch_input_is_rejected_before_any_draw(case):
-    epoch, args, sparse_s = _epoch_call(case)
+    epoch, args, delta, sparse_s = _epoch_call(case)
     gens = args[-1] if isinstance(args[-1], list) else [args[-1]]
     states = [g.bit_generator.state for g in gens]
     ledger = hb.QueryLedger()
     with pytest.raises(InvalidInputError):
-        epoch(*args, ledger, 0.05, DESK, sparse_s=sparse_s)
+        epoch(*args, ledger, delta, DESK, sparse_s=sparse_s)
     assert ledger == hb.QueryLedger()
     assert [g.bit_generator.state for g in gens] == states
 
@@ -304,6 +323,39 @@ def test_optimize_block_sparse_rows_exact_and_feasible():
     assert max(led.max_feasibility_gap for led in row_ledgers) == ledger.max_feasibility_gap
 
 
+@pytest.mark.parametrize("d, s", [(5, 2), (12, 3)])
+def test_sparse_epoch_with_carried_multipliers_matches_cold_steps(monkeypatch, d, s):
+    # each sparse row seeds its step's multiplier searches with its last step's (mu, lam);
+    # the same epoch with every step started cold differs only by rounding. d = 5 has
+    # p > 2 and d = 12 p < 2, and in both some steps bind each ball
+    dist = hb.make_distribution("gaussian", d)
+    rng = np.random.default_rng((54, 0))
+    truth = hb.make_ground_truth(d, rng, s=s)
+    W1 = truth.w_star + 0.3 * rng.standard_normal((4, d))
+    seeded = set()
+
+    def epoch(step):
+        monkeypatch.setattr(learner, "bregman_step", step)
+        ledger = hb.QueryLedger()
+        out = optimize_block(W1, 1 / 8, 0.1, 16, "average", dist, hb.massart(0.1), truth,
+                             np.random.default_rng(54).spawn(4), ledger, 0.05, DESK,
+                             sparse_s=s)
+        return out, ledger
+
+    def carried(*args, guess=None):
+        if guess is not None:
+            seeded.add((guess[0] > 0.0, guess[1] > 0.0))
+        return sparse.bregman_step(*args, guess=guess)
+
+    out, ledger = epoch(carried)
+    cold, cold_ledger = epoch(lambda *args, guess=None: sparse.bregman_step(*args))
+    assert {(True, False), (False, True), (True, True)} <= seeded
+    assert float(np.abs(out - cold).max()) <= 1e-12
+    assert (ledger.label_calls, ledger.ex_calls) == (cold_ledger.label_calls,
+                                                     cold_ledger.ex_calls)
+    assert max(ledger.max_feasibility_gap, cold_ledger.max_feasibility_gap) <= 1e-9
+
+
 def test_ball_step_matches_rowwise_projection():
     # the block update is optimize's w + alpha*y*x projected into ball2(w1, 4r), per row
     rng = np.random.default_rng(37)
@@ -379,11 +431,12 @@ def test_warm_start_shaped_epoch_bit_identical_to_reference(monkeypatch, profile
     assert len(mixed) == T and any(mixed)
 
 
-def test_dense_epoch_peak_memory_is_one_block_and_a_half():
+@pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
+def test_dense_epoch_peak_memory_is_one_block_and_a_half(family):
     # the lockstep epoch holds one (BLOCK, K, d) block of completions at a time,
     # plus the block's per-step scalars and a refill's temporaries
     K, d = 44, 10
-    dist = hb.make_distribution("gaussian", d)
+    dist = hb.make_distribution(family, d)
     truth = hb.make_ground_truth(d, np.random.default_rng(64))
     block_bytes = LockstepBandSampler.BLOCK * K * d * 8
     tracemalloc.start()

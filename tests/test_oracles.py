@@ -423,6 +423,17 @@ def test_make_ground_truth_dense_and_sparse():
     assert np.array_equal(truth.w_star, again.w_star)
 
 
+@pytest.mark.parametrize("b", ["0.1", True, None])
+def test_band_sampler_bandwidth_must_be_a_real_number(b):
+    rng, ledger = np.random.default_rng(20), hb.QueryLedger()
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="b must be a real number"):
+        hb.BandSampler(GAUSS, b, rng, ledger, steps=2)
+    with pytest.raises(InvalidInputError, match="b must be a real number"):
+        oracles.LockstepBandSampler(GAUSS, b, [rng], ledger, 2)
+    assert ledger == hb.QueryLedger() and rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("steps", [2.5, True, np.float64(3.0), "4", -1])
 def test_band_sampler_steps_must_be_an_integer(steps):
     rng, ledger = np.random.default_rng(20), hb.QueryLedger()

@@ -158,12 +158,13 @@ def test_bregman_step_zero_gradient_keeps_feasible_point():
                                   radius1=1.5)
     # exactly feasible start: the shared center has violation 0, so the
     # zero-gradient step must return it unchanged
-    out = bregman_step(center, np.zeros(6), 0.1, constraint, center, mirror_p(6))
+    out, mu, lam = bregman_step(center, np.zeros(6), 0.1, constraint, center, mirror_p(6))
     assert np.array_equal(out, center)
+    assert (mu, lam) == (0.0, 0.0)
     # a start projected into K (feasible up to rounding) comes back
     loose = random_constraint(rng, 6)
     u_t = project_intersection(rng.standard_normal(6), loose)
-    out2 = bregman_step(u_t, np.zeros(6), 0.1, loose, loose.center1.copy(),
+    out2, _, _ = bregman_step(u_t, np.zeros(6), 0.1, loose, loose.center1.copy(),
                         mirror_p(6))
     assert np.linalg.norm(out2 - u_t) <= 1e-7
 
@@ -180,7 +181,7 @@ def test_bregman_step_euclidean_case_inactive_constraints():
     u_t = center + 0.1 * rng.standard_normal(d)
     g = rng.standard_normal(d)
     alpha = 0.01
-    out = bregman_step(u_t, g, alpha, constraint, center, 2.0)
+    out, _, _ = bregman_step(u_t, g, alpha, constraint, center, 2.0)
     assert np.linalg.norm(out - (u_t - alpha * g)) <= 1e-7
 
 
@@ -192,7 +193,7 @@ def test_bregman_step_output_feasible():
         u1 = project_intersection(constraint.center1, constraint)
         u_t = project_intersection(rng.standard_normal(d), constraint)
         g = rng.standard_normal(d)
-        out = bregman_step(u_t, g, float(rng.uniform(0.01, 0.5)), constraint, u1,
+        out, _, _ = bregman_step(u_t, g, float(rng.uniform(0.01, 0.5)), constraint, u1,
                            mirror_p(d))
         assert constraint.violation(out) <= 1e-9
 
@@ -210,7 +211,7 @@ def test_bregman_step_matches_solver():
         u_t = project_intersection(rng.standard_normal(d), constraint)
         g = rng.standard_normal(d)
         alpha = float(rng.uniform(0.01, 0.5))
-        out = bregman_step(u_t, g, alpha, constraint, u1, p)
+        out, _, _ = bregman_step(u_t, g, alpha, constraint, u1, p)
         ref = cvxpy_bregman(cvxpy, u_t, g, alpha, constraint, u1, p)
         worst = max(worst, float(np.linalg.norm(out - ref)))
     assert worst <= 1e-4
@@ -338,6 +339,23 @@ def test_empty_constraint_raises_from_both_entry_points():
     assert near.violation(w) <= 1e-12
 
 
+def assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p):
+    """Seeded with its cold multipliers scaled by 0.5 or by 2, a step lands on the cold step.
+
+    Returns the cold step's active set, (mu > 0, lam > 0).
+    """
+    lin = step_linear_term(u_t, g, alpha, u1, p)
+    w_cold, mu_cold, lam_cold = bregman_step(u_t, g, alpha, constraint, u1, p)
+    for scale in (0.5, 2.0):
+        w, mu, lam = bregman_step(u_t, g, alpha, constraint, u1, p,
+                                  guess=(scale * mu_cold, scale * lam_cold))
+        assert float(np.abs(w - w_cold).max()) <= 1e-12
+        assert (mu > 0.0, lam > 0.0) == (mu_cold > 0.0, lam_cold > 0.0)
+        assert constraint.violation(w) <= 1e-12
+        assert kkt_residual(w, mu, lam, lin, u1, p, constraint) <= 1e-9
+    return mu_cold > 0.0, lam_cold > 0.0
+
+
 @pytest.mark.parametrize("active", ["free", "ball2", "ball1", "both"])
 def test_kkt_holds_on_one_instance_per_active_set(active):
     # learner-shaped: u1 = center1 = HT_2(w1), center2 = w1, the step starting at u1
@@ -356,10 +374,13 @@ def test_kkt_holds_on_one_instance_per_active_set(active):
     constraint = SparseConstraint(center2=w1, radius2=radius2, center1=center1, radius1=radius1)
     lin = step_linear_term(center1, g, alpha, center1, p)
     w, mu, lam = _solve(lin, center1, p, constraint)
-    assert np.array_equal(w, bregman_step(center1, g, alpha, constraint, center1, p))
+    w_step, mu_step, lam_step = bregman_step(center1, g, alpha, constraint, center1, p)
+    assert np.array_equal(w, w_step) and (mu, lam) == (mu_step, lam_step)
     assert (mu > 0.0, lam > 0.0) == (active in ("ball2", "both"), active in ("ball1", "both"))
     assert constraint.violation(w) <= 1e-12
     assert kkt_residual(w, mu, lam, lin, center1, p, constraint) <= 1e-9
+    assert assert_guesses_reach_cold_step(constraint, center1, center1, g, alpha, p) == (
+        mu > 0.0, lam > 0.0)
 
 
 def criterion8_instances():
@@ -400,11 +421,11 @@ def learner_instances():
         for _ in range(3):
             g = -rng.choice([-1.0, 1.0]) * rng.standard_normal(d)
             yield constraint, constraint.center1, u_t, g, alpha, mirror_p(d)
-            u_t = bregman_step(u_t, g, alpha, constraint, constraint.center1, mirror_p(d))
+            u_t = bregman_step(u_t, g, alpha, constraint, constraint.center1, mirror_p(d))[0]
 
 
 def check_against_admm(constraint, u1, u_t, g, alpha, p):
-    w = bregman_step(u_t, g, alpha, constraint, u1, p)
+    w, _, _ = bregman_step(u_t, g, alpha, constraint, u1, p)
     # at its old default tolerance, 1e-8, the reference's own objective error reached
     # 5.5e-8 on these instances; 1e-9 brings it under 3.6e-9
     ref = admm_bregman_step(u_t, g, alpha, constraint, u1, p, tol=1e-9)
@@ -421,6 +442,17 @@ def test_exact_step_matches_admm_reference_on_criterion8_instances():
         u_t = project_intersection(v2, constraint)
         assert not np.array_equal(u1, constraint.center1)
         check_against_admm(constraint, u1, u_t, g, alpha, p)
+
+
+def test_guessed_step_matches_cold_step_on_criterion8_instances():
+    # the sparse epoch seeds each step with the row's last multipliers; criterion 8's
+    # instances bind every active set, so both searches start from a guess here
+    active_sets = set()
+    for constraint, v1, v2, g, alpha, p in criterion8_instances():
+        u1 = project_intersection(v1, constraint)
+        u_t = project_intersection(v2, constraint)
+        active_sets.add(assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p))
+    assert active_sets == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_exact_step_matches_admm_reference_on_learner_instances():
@@ -467,9 +499,9 @@ def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted)
     assert constraint.violation(w) <= 1e-12
     assert kkt_residual(w, mu, lam, np.zeros(d), u_t, 2.0, constraint) <= 1e-9
     lin = step_linear_term(u_t, g, alpha, u1, p)
-    w = bregman_step(u_t, g, alpha, constraint, u1, p)
+    w, mu_step, lam_step = bregman_step(u_t, g, alpha, constraint, u1, p)
     w_kkt, mu, lam = _solve(lin, u1, p, constraint)
-    assert np.array_equal(w, w_kkt)
+    assert np.array_equal(w, w_kkt) and (mu_step, lam_step) == (mu, lam)
     assert constraint.violation(w) <= 1e-12
     assert kkt_residual(w, mu, lam, lin, u1, p, constraint) <= 1e-9
 
