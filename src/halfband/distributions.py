@@ -152,19 +152,20 @@ def truncated_margin(dist, b, u, *, _p=None):
     return np.negative(out, out=out, where=u < 0.0)
 
 
-def ball_radial(dist, m, V, overwrite_V=False):
+def ball_radial(dist, m, V):
     """Length of the part of a uniform-ball point orthogonal to its margin direction.
 
     Given the margin m, the rest of the point is uniform in a (d-1)-ball of
     radius sqrt(rho^2 - m^2), so uniforms V give its length; elementwise on
-    arrays, with one temporary. With overwrite_V the result is written into V.
+    arrays, with one temporary. Works in V's own memory and overwrites it: V
+    is a float array the caller needs only here, and a copy of it would set
+    a refill block's peak memory.
     """
-    out = V if overwrite_V else np.array(V, dtype=float)
-    out **= 1.0 / (dist.d - 1)  # in place, through the same kernels as V ** (1/(d-1))
-    span = np.multiply(m, m, out=np.empty_like(out))
+    V **= 1.0 / (dist.d - 1)  # in place, through the same kernels as V ** (1/(d-1))
+    span = np.multiply(m, m, out=np.empty_like(V))
     np.subtract(dist.radius**2, span, out=span)
-    out *= np.sqrt(span, out=span)
-    return out
+    V *= np.sqrt(span, out=span)
+    return V
 
 
 def projected_density_2d(dist, z):

@@ -174,7 +174,7 @@ def _projected_step(W1, r, alpha, sparse_s):
     row k starts at W1[k] projected onto its own SparseConstraint, ball2(W1[k],
     4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)), and takes bregman_step in the
     p-norm mirror geometry, one row at a time. Each sparse step's search for
-    its multipliers starts from the row's own last step's, which moves the
+    its l2 multiplier starts from the row's own last step's, which moves the
     row's bits only within rounding and keeps them independent of the others.
     """
     radius = 4.0 * r
@@ -208,13 +208,12 @@ def _projected_step(W1, r, alpha, sparse_s):
     radius1 = 8.0 * r * math.sqrt(2.0 * sparse_s)
     cons = [SparseConstraint(w1, radius, hard_threshold(w1, sparse_s), radius1) for w1 in W1]
 
-    guesses = [None] * len(cons)  # (mu, lam) of each row's last step
+    guesses = [None] * len(cons)  # l2 multiplier of each row's last step
 
     def mirror_step(W, y, X):
         rows = []
         for k, (c, w, yk, x) in enumerate(zip(cons, W, y, X)):
-            w, mu, lam = bregman_step(w, -yk * x, alpha, c, c.center1, p, guess=guesses[k])
-            guesses[k] = (mu, lam)
+            w, guesses[k], _ = bregman_step(w, -yk * x, alpha, c, c.center1, p, guess=guesses[k])
             rows.append(w)
         W = np.array(rows)
         return W, max(c.violation(w) for c, w in zip(cons, W))

@@ -356,7 +356,7 @@ class LockstepBandSampler:
         # margins and radial factors as (n, K, 1): step i reads (K, 1) columns
         self.margins = margins[:, :, None]
         if ball:
-            self.radial = dists.ball_radial(self.dist, margins, V, overwrite_V=True)[:, :, None]
+            self.radial = dists.ball_radial(self.dist, margins, V)[:, :, None]
         self.left -= n
         self.n = n
 

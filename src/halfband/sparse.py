@@ -25,8 +25,9 @@ so a safeguarded Newton finds it to rounding. The multiplier searches take
 Newton steps whose slopes come from differentiating the same equations, a
 system diagonal in z and bordered by S, solved in O(d). They start from a
 guess when the caller has one: the sparse epoch passes each row's step the
-multipliers of that row's last step, which saves inner solves and moves the
-result only within rounding.
+l2 multiplier of that row's last step, which saves inner solves where the
+row's iterate moves little between steps and moves the result only within
+rounding.
 
 The Euclidean projection onto K is the p = 2, lin = 0 case of the same
 solver. K itself can be empty; the smallest l1 distance from the l1 center
@@ -304,11 +305,8 @@ class _Step:
         start = (0.0, gap, float(normal @ self.dz_dmu(pt)), pt)
         return self._root(at, start, mu_guess, ftol, self.g2)
 
-    def both(self, start, lam_guess):
-        """Point with lam at the root of the l1 constraint, mu following as in ball2.
-
-        The search starts from lam_guess when it is not None, as ball2's from mu_guess.
-        """
+    def both(self, start):
+        """Point with lam at the root of the l1 constraint, mu following as in ball2."""
 
         def slope(pt, sign):
             dz = self.dz(pt, pt.sigma)
@@ -330,7 +328,7 @@ class _Step:
         last = [start.mu or None]
         gap, sign = self.g1(start.z)
         ftol = 8.0 * EPS * (self.r1 + float(abs(self.b).sum()))
-        return self._root(at, (0.0, gap, slope(start, sign), start), lam_guess, ftol, self.g1)
+        return self._root(at, (0.0, gap, slope(start, sign), start), None, ftol, self.g1)
 
     @staticmethod
     def _root(at, start, guess, ftol, gap):
@@ -390,17 +388,18 @@ def _solve(lin, u1, p, constraint, guess=None):
 
     Returns (w, mu, lam): the minimizer and the multipliers of the l2 and
     the l1 constraint, which certify it through the KKT conditions. guess,
-    a (mu, lam) pair such as a nearby step's multipliers, seeds the
-    multiplier searches of the balls that bind; a zero in it, or guess None,
-    starts that search cold. The answer is the same to rounding either way.
+    an l2 multiplier such as a nearby step's mu, seeds the search for mu
+    when the l2 ball binds; guess None or 0 starts it cold. The answer is
+    the same to rounding either way. The search for lam always starts cold:
+    on a warm start that binds the l1 ball, seeding it with the last step's
+    lam took more solves, not fewer.
     """
     constraint.check_nonempty()
-    mu_guess, lam_guess = (None, None) if guess is None else guess
     b = constraint.center1 - u1
     step = _Step(lin, constraint.center2 - u1, b, constraint.radius2, constraint.radius1, p)
-    pt = step.ball2(0.0, mu_guess or None)  # the dual-map step when its l2 gap is <= 0
+    pt = step.ball2(0.0, guess or None)  # the dual-map step when its l2 gap is <= 0
     if step.g1(pt.z)[0] > 0.0:
-        pt = step.both(pt, lam_guess or None)
+        pt = step.both(pt)
     w = u1 + pt.z
     if pt.free is not None:  # kink coordinates sit exactly on the l1 center
         w = np.where(pt.free, w, constraint.center1)
@@ -421,9 +420,9 @@ def bregman_step(u_t, g, alpha, constraint, u1, p, guess=None):
 
     Exact up to rounding: the KKT point over K's active balls (module
     docstring). Returns (w, mu, lam) as _solve does, w with the multipliers
-    of the l2 and the l1 ball, which the next step of the same row can pass
-    back as guess = (mu, lam) to seed its searches (_solve); without a guess
-    they start cold. Raises EmptyConstraintError when K is empty.
+    of the l2 and the l1 ball; the next step of the same row can pass mu
+    back as guess to seed its search for mu (_solve); without a guess it
+    starts cold. Raises EmptyConstraintError when K is empty.
     """
     if not p > 1.0:
         raise InvalidInputError("mirror exponent p must exceed 1")

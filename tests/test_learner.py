@@ -325,14 +325,14 @@ def test_optimize_block_sparse_rows_exact_and_feasible():
 
 @pytest.mark.parametrize("d, s", [(5, 2), (12, 3)])
 def test_sparse_epoch_with_carried_multipliers_matches_cold_steps(monkeypatch, d, s):
-    # each sparse row seeds its step's multiplier searches with its last step's (mu, lam);
-    # the same epoch with every step started cold differs only by rounding. d = 5 has
-    # p > 2 and d = 12 p < 2, and in both some steps bind each ball
+    # each sparse row seeds its step's search for mu with its last step's mu; the same
+    # epoch with every step started cold differs only by rounding. d = 5 has p > 2 and
+    # d = 12 p < 2, and in both some steps bind each ball
     dist = hb.make_distribution("gaussian", d)
     rng = np.random.default_rng((54, 0))
     truth = hb.make_ground_truth(d, rng, s=s)
     W1 = truth.w_star + 0.3 * rng.standard_normal((4, d))
-    seeded = set()
+    seeded, binds = set(), set()
 
     def epoch(step):
         monkeypatch.setattr(learner, "bregman_step", step)
@@ -343,13 +343,15 @@ def test_sparse_epoch_with_carried_multipliers_matches_cold_steps(monkeypatch, d
         return out, ledger
 
     def carried(*args, guess=None):
-        if guess is not None:
-            seeded.add((guess[0] > 0.0, guess[1] > 0.0))
-        return sparse.bregman_step(*args, guess=guess)
+        out = sparse.bregman_step(*args, guess=guess)
+        seeded.add(bool(guess))
+        binds.add((out[1] > 0.0, out[2] > 0.0))
+        return out
 
     out, ledger = epoch(carried)
     cold, cold_ledger = epoch(lambda *args, guess=None: sparse.bregman_step(*args))
-    assert {(True, False), (False, True), (True, True)} <= seeded
+    assert True in seeded
+    assert {(True, False), (False, True), (True, True)} <= binds
     assert float(np.abs(out - cold).max()) <= 1e-12
     assert (ledger.label_calls, ledger.ex_calls) == (cold_ledger.label_calls,
                                                      cold_ledger.ex_calls)

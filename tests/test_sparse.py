@@ -340,15 +340,17 @@ def test_empty_constraint_raises_from_both_entry_points():
 
 
 def assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p):
-    """Seeded with its cold multipliers scaled by 0.5 or by 2, a step lands on the cold step.
+    """Seeded with its cold l2 multiplier scaled by 0.5 or by 2, a step lands on the cold step.
 
-    Returns the cold step's active set, (mu > 0, lam > 0).
+    A step whose l2 ball is slack gets the guesses 0.5 and 2, as a row whose
+    last step bound the ball passes one. Returns the cold step's active set,
+    (mu > 0, lam > 0).
     """
     lin = step_linear_term(u_t, g, alpha, u1, p)
     w_cold, mu_cold, lam_cold = bregman_step(u_t, g, alpha, constraint, u1, p)
     for scale in (0.5, 2.0):
         w, mu, lam = bregman_step(u_t, g, alpha, constraint, u1, p,
-                                  guess=(scale * mu_cold, scale * lam_cold))
+                                  guess=scale * (mu_cold or 1.0))
         assert float(np.abs(w - w_cold).max()) <= 1e-12
         assert (mu > 0.0, lam > 0.0) == (mu_cold > 0.0, lam_cold > 0.0)
         assert constraint.violation(w) <= 1e-12
@@ -445,8 +447,8 @@ def test_exact_step_matches_admm_reference_on_criterion8_instances():
 
 
 def test_guessed_step_matches_cold_step_on_criterion8_instances():
-    # the sparse epoch seeds each step with the row's last multipliers; criterion 8's
-    # instances bind every active set, so both searches start from a guess here
+    # the sparse epoch seeds each step's search for mu with the row's last mu;
+    # criterion 8's instances bind every active set
     active_sets = set()
     for constraint, v1, v2, g, alpha, p in criterion8_instances():
         u1 = project_intersection(v1, constraint)
