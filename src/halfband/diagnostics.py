@@ -23,11 +23,11 @@ from .oracles import (
 from .schedules import regime_for_noise
 
 
-# Rows each Monte Carlo batch draws at a time, so memory stays O(CHUNK + n) for any n.
-# On perfbench estimators-d10 (1e6-row calls at Gaussian d=10, one core of a 2-core
-# x86-64 host), when each row still drew a whole point, whole batches peaked at 234 MB
-# RSS and 65,536-row chunks at 80 MB; 32,768-row chunks ran about as fast at 76 MB,
-# 131,072-row ones slower at 89 MB.
+# Rows each Monte Carlo batch draws and reduces at a time (_moments), so memory stays
+# O(CHUNK) for any n. On perfbench estimators-d10 (1e6-row calls at Gaussian d=10, one
+# core of a 2-core x86-64 host), when each row still drew a whole point, whole batches
+# peaked at 234 MB RSS and 65,536-row chunks at 80 MB; 32,768-row chunks ran about as
+# fast at 76 MB, 131,072-row ones slower at 89 MB.
 CHUNK = 65536
 
 
@@ -38,29 +38,46 @@ class PsiEstimate:
     sample_count: int
 
 
-def _stream(n, rows):
-    """Per-row values of n >= 1 draws, made in consecutive chunks of at most CHUNK rows.
+def _moments(n, rows):
+    """Mean and standard error of each value column over n >= 1 rows, drawn CHUNK at a time.
 
-    rows(k) draws the next k rows and returns a tuple of arrays whose first axis
-    has length k; the result is the tuple of the same arrays with first axis n.
-    Chunk i draws everything it needs before chunk i+1 starts (chunk-major order).
+    rows(k) draws the next k rows and returns their values as a float array of shape
+    (k,) for one column or (c, k) for c, which the reducer overwrites. Chunk i draws
+    everything it needs before chunk i+1 starts (chunk-major order). Each chunk's
+    (count, mean, M2) per column, M2 being the sum of squared deviations from the
+    mean, is merged into the running one by the pairwise update of Chan, Golub and
+    LeVeque, "Algorithms for computing the sample variance" (1983), which does not
+    cancel as the sum of squares minus n times the squared mean does. No array of n
+    rows exists. The standard error is sqrt(M2 / ((n - 1) n)), 0 at n = 1; both
+    results have the column shape, () or (c,).
     """
-    outs = None
+    count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n, CHUNK):
         k = min(CHUNK, n - start)
-        parts = rows(k)
-        if outs is None:
-            outs = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
-        for out, p in zip(outs, parts):
-            out[start : start + k] = p
-    return outs
+        vals = rows(k)
+        mu = vals.sum(axis=-1) / k
+        vals -= mu[..., None]
+        delta = mu - mean
+        total = count + k
+        mean = mean + delta * (k / total)
+        m2 = m2 + np.vecdot(vals, vals) + delta * delta * (count * k / total)
+        count = total
+    se = np.sqrt(m2 / ((n - 1) * n)) if n > 1 else np.zeros_like(mean)
+    return mean, se
 
 
-def _mean_and_se(vals):
-    """Sample mean and its standard error (0 for a single value)."""
-    n = vals.shape[0]
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(vals.mean()), se
+def _weight(noise, m):
+    """1 - 2*eta(x) at ground-truth margins m, with eta from eta_of_margin.
+
+    A float when the flip rate is constant (Massart), so a caller scales by it;
+    otherwise a new array of m's shape.
+    """
+    if noise.kind == "massart":
+        return 1.0 - 2.0 * float(eta_of_margin(noise, 0.0))
+    w = eta_of_margin(noise, m)
+    w *= -2.0  # exact, and -2*eta + 1 rounds as 1 - 2*eta does
+    w += 1.0
+    return w
 
 
 def _plane(u, v):
@@ -86,8 +103,10 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
 
     A row draws only the two coordinates of x in the plane of w_hat and w*
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
-    for the ball (3 at d = 2). n must be an integer at least 1 (geometry.integer)
-    and b a positive real number (geometry.real).
+    for the ball (3 at d = 2), and is reduced with its chunk (_moments), so memory
+    is O(CHUNK) for any n; std_error is the sample standard error, 0 at n = 1.
+    n must be an integer at least 1 (geometry.integer) and b a positive real
+    number (geometry.real).
     """
     n = integer("estimate_psi needs at least one sample: n", n, 1)
     b = real("estimate_psi: bandwidth b", b)
@@ -108,18 +127,22 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
             # its radial factor times one coordinate of a uniform unit (d-1)-vector
             radial = dists.ball_radial(dist, p, rng.random(k))
             t *= radial / np.sqrt(t * t + _chi2(rng, dist.d - 2, k))
-        m_star = c * p + s * t
-        return ((1.0 - 2.0 * eta_of_margin(noise, m_star)) * np.abs(m_star),)
+        t *= s
+        p *= c
+        t += p  # m_star = c p + s t
+        weight = _weight(noise, t)
+        return np.multiply(np.abs(t, out=t), weight, out=t)
 
-    value, se = _mean_and_se(_stream(n, rows)[0])
-    return PsiEstimate(value=value, std_error=se, sample_count=n)
+    value, se = _moments(n, rows)
+    return PsiEstimate(value=float(value), std_error=float(se), sample_count=n)
 
 
 def _excess_mc(v, w_star, dist, noise, rng, n):
     """Mean and standard error of the excess of sign(<v, .>) from n rows.
 
     A row draws the two coordinates of x in the plane of w* and v (_plane):
-    2 numbers for the Gaussian, 4 for the ball (3 at d = 2). v = 0 gives
+    2 numbers for the Gaussian, 4 for the ball (3 at d = 2), and is reduced with
+    its chunk (_moments), so memory is O(CHUNK) for any n. v = 0 gives
     <v, x> = 0, which counts as sign +1.
     """
     r, c, s = _plane(w_star, v)
@@ -131,12 +154,16 @@ def _excess_mc(v, w_star, dist, noise, rng, n):
             # coordinates and the other d - 2 enter through their squared norm
             scale = dist.radius * rng.random(k) ** (1.0 / dist.d)
             scale /= np.sqrt(p * p + t * t + _chi2(rng, dist.d - 2, k))
-            p, t = p * scale, t * scale
-        m_star = r * p
-        dis = ((c * p + s * t) >= 0.0) != (m_star >= 0.0)
-        return (dis * (1.0 - 2.0 * eta_of_margin(noise, m_star)),)
+            p *= scale
+            t *= scale
+        t *= s
+        t += c * p  # <v, x> = c p + s t
+        p *= r  # m_star = <w*, x>
+        dis = np.not_equal(t >= 0.0, p >= 0.0)
+        return np.multiply(dis, _weight(noise, p), out=t)
 
-    return _mean_and_se(_stream(n, rows)[0])
+    value, se = _moments(n, rows)
+    return float(value), float(se)
 
 
 def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
@@ -237,9 +264,12 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     closed-form band-mass bounds, disagreement-probability bounds, the noise
     tail bound behind the Tsybakov conversion, and the excess-error lower
     bounds. Returns a JSON-serializable report; passed means every check
-    held within three standard errors (deterministic checks exactly).
-    Needs an integer samples >= 2, so that every standard error is defined, and a
-    band-potential bandwidth inside the support (suite_bandwidth).
+    held within three standard errors (deterministic checks exactly). The
+    checks after the band mass share one batch of whole points, reduced chunk
+    by chunk to one value column per statistic (_moments), so memory is
+    O(CHUNK * d) for any samples. Needs an integer samples >= 2, so that every
+    standard error is defined, and a band-potential bandwidth inside the
+    support (suite_bandwidth).
     """
     samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2)
     # extreme constants or noise parameters overflow or underflow a bound, which
@@ -310,22 +340,39 @@ def _lemma_checks(dist, truth, rng, noise, samples):
         checks.append(_check("band-mass-lower", {"b": b}, p, lo, 0.0, "ge"))
         checks.append(_check("band-mass-upper", {"b": b}, p, hi, 0.0, "le"))
 
-    # one shared sample batch for the remaining checks, streamed in chunks that
-    # keep only each row's margin <w*, x> and its disagreement with the tilted
-    # directions: four for the disagreement checks, then three for the excess ones
+    # one shared sample batch for the remaining checks, reduced chunk by chunk to one
+    # value column per statistic: the disagreement of each row with the tilted
+    # directions at dis_angles, the noise-tail indicator at each of tails, and the
+    # weighted disagreement at excess_angles under each distinct non-Massart model
     dis_angles, excess_angles = (0.1, 0.7, 1.8, 2.9), (0.15, 0.4, 0.9)
+    tails = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
     V = np.array([_tilted(w_star, theta, rng) for theta in dis_angles + excess_angles])
+    n_dis, n_ex = len(dis_angles), len(excess_angles)
+    # first excess column of each distinct model: by default the TNC model is the GTNC one
+    models = dict.fromkeys(m for m in (mnc, tnc, gt) if m.kind != "massart")
+    first_ex = {m: n_dis + len(tails) + i * n_ex for i, m in enumerate(models)}
+    n_cols = n_dis + len(tails) + len(models) * n_ex
 
     def rows(k):
         X = dists.sample(dist, rng, k)
         m = X @ w_star
-        return m, ((X @ V.T) >= 0.0) != (m >= 0.0)[:, None]
+        dis = ((X @ V.T) >= 0.0) != (m >= 0.0)[:, None]
+        del X  # the points are read only through m and dis
+        vals = np.empty((n_cols, k))
+        vals[:n_dis] = dis[:, :n_dis].T
+        for model, col in first_ex.items():
+            weight = _weight(model, m)
+            if model == tnc:
+                # 1/2 - eta <= t exactly when 1 - 2*eta <= 2t: both sides scale by 2 exactly
+                vals[n_dis : n_dis + len(tails)] = weight <= 2.0 * tails[:, None]
+            np.multiply(dis[:, n_dis:].T, weight, out=vals[col : col + n_ex])
+        return vals
 
-    m_star, dis = _stream(samples, rows)
+    means, ses = _moments(samples, rows)
 
     # disagreement probability against angle, both sides
     for j, theta in enumerate(dis_angles):
-        q = float(np.mean(dis[:, j]))
+        q = float(means[j])
         se = math.sqrt(max(q * (1.0 - q), 1e-12) / samples)
         lo = L * R**2 * theta
         hi = min(
@@ -337,9 +384,8 @@ def _lemma_checks(dist, truth, rng, noise, samples):
 
     # noise mass near the decision boundary (the Tsybakov conversion's tail)
     a, B = tnc.alpha, tnc.B
-    gap = 0.5 - eta_of_margin(tnc, m_star)
-    for t in (0.05, 0.1, 0.2, 0.3, 0.45):
-        frac = float(np.mean(gap <= t))
+    for i, t in enumerate(tails.tolist(), start=n_dis):
+        frac = float(means[i])
         z = (t / B) ** (a / (1.0 - a))
         bound = 4.0 * U * beta * z * math.log(2.0 / (U * beta * z))
         se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples)
@@ -348,8 +394,8 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     # excess-error lower bounds in terms of the exact disagreement probability;
     # under constant eta the MNC bound (1 - 2*eta) * q is the exact excess, so
     # it is reported as measured with no error (Monte Carlo fails it 0.13% of the time)
-    for j, theta in enumerate(excess_angles, start=len(dis_angles)):
-        q = dists.exact_disagreement(dist, V[j], w_star)
+    for j, theta in enumerate(excess_angles):
+        q = dists.exact_disagreement(dist, V[n_dis + j], w_star)
         for name, model, bound in (
             ("excess-lower-mnc", mnc, (1.0 - 2.0 * mnc.eta) * q),
             (
@@ -370,8 +416,7 @@ def _lemma_checks(dist, truth, rng, noise, samples):
             if model.kind == "massart":
                 checks.append(_check(name, setting, bound, bound, 0.0, "ge"))
                 continue
-            vals = dis[:, j] * (1.0 - 2.0 * eta_of_margin(model, m_star))
-            value, se = _mean_and_se(vals)
-            checks.append(_check(name, setting, value, bound, se, "ge"))
+            col = first_ex[model] + j
+            checks.append(_check(name, setting, float(means[col]), bound, float(ses[col]), "ge"))
 
     return checks

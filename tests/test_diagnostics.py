@@ -15,7 +15,7 @@ import halfband as hb
 from halfband import diagnostics
 from halfband import distributions as dists
 from halfband import oracles
-from halfband.diagnostics import CHUNK, _excess_mc, _plane
+from halfband.diagnostics import CHUNK, _excess_mc, _moments, _plane
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
@@ -244,6 +244,58 @@ def test_suite_bound_overflow_is_invalid_input(params, B, message):
 BALL4 = hb.make_distribution("uniform_ball", 4)
 
 
+def _chunked(values):
+    """rows(k) for _moments: the next k columns of values, copied (the reducer overwrites them)."""
+    pos = 0
+
+    def rows(k):
+        nonlocal pos
+        pos += k
+        return values[..., pos - k : pos].copy()
+
+    return rows
+
+
+def test_moments_of_one_and_two_values():
+    mean, se = _moments(1, _chunked(np.array([2.5])))
+    assert (float(mean), float(se)) == (2.5, 0.0)
+    # two values a, b: mean (a + b) / 2, standard error |a - b| / 2
+    mean, se = _moments(2, _chunked(np.array([1.0, 4.0])))
+    assert (float(mean), float(se)) == (2.5, 1.5)
+    means, ses = _moments(2, _chunked(np.array([[1.0, 4.0], [-3.0, -3.0]])))
+    assert means.tolist() == [2.5, -3.0] and ses.tolist() == [1.5, 0.0]
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_moments_match_whole_array_mean_and_std_without_cancelling(n):
+    # values near 1e8 with unit spread: the sum of squares minus n times the squared
+    # mean loses every digit of the variance there, the merged deviations keep them
+    rng = np.random.default_rng(59)
+    values = np.stack([1e8 + rng.standard_normal(n), -3e7 + 5.0 * rng.standard_normal(n)])
+    means, ses = _moments(n, _chunked(values))
+    for col in range(2):
+        mean, se = _moments(n, _chunked(values[col]))
+        assert float(mean) == means[col] and float(se) == ses[col]
+        assert mean == pytest.approx(np.mean(values[col]), rel=1e-10, abs=0.0)
+        expected_se = np.std(values[col], ddof=1) / math.sqrt(n)
+        assert se == pytest.approx(expected_se, rel=1e-10, abs=0.0)
+
+
+def _merged_moments(chunks):
+    """Mean and standard error of the chunks' values, merged pairwise as _moments merges them."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for vals in chunks:
+        k = vals.shape[0]
+        mu = vals.sum() / k
+        dev = vals - mu
+        delta = mu - mean
+        total = count + k
+        mean = mean + delta * (k / total)
+        m2 = m2 + np.vecdot(dev, dev) + delta * delta * (count * k / total)
+        count = total
+    return float(mean), float(np.sqrt(m2 / ((count - 1) * count)))
+
+
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_estimators_at_chunk_edges(n):
     noise = hb.geometric_tsybakov(1.0, 0.75)
@@ -279,11 +331,9 @@ def test_psi_stream_is_chunk_major():
             if dist.family == "uniform_ball":
                 radial = dists.ball_radial(dist, m, clone.random(k))
                 t *= radial / np.sqrt(t * t + clone.chisquare(dist.d - 2, k))
-            parts.append(c * m + s * t)
-        m_star = np.concatenate(parts)
-        vals = (1.0 - 2.0 * hb.eta_of_margin(noise, m_star)) * np.abs(m_star)
-        assert est.value == float(vals.mean())
-        assert est.std_error == float(vals.std(ddof=1) / math.sqrt(CHUNK + 5))
+            m_star = c * m + s * t
+            parts.append((1.0 - 2.0 * hb.eta_of_margin(noise, m_star)) * np.abs(m_star))
+        assert (est.value, est.std_error) == _merged_moments(parts)
         assert rng.bit_generator.state == clone.bit_generator.state
 
 
@@ -308,8 +358,13 @@ def test_excess_stream_is_chunk_major():
             m_star = r * p
             dis = ((c * p + s * t) >= 0.0) != (m_star >= 0.0)
             parts.append(dis * (1.0 - 2.0 * hb.eta_of_margin(noise, m_star)))
-        assert value == float(np.concatenate(parts).mean())
+        assert value == _merged_moments(parts)[0]
         assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def _mean_and_se(vals):
+    """Sample mean of the values and its standard error."""
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.shape[0]))
 
 
 def _agree(new, reference, where):
@@ -345,7 +400,7 @@ def test_plane_estimators_match_d_dimensional_draws(family, d):
         W = np.broadcast_to(hb.normalize(w), (streams, d))
         m = np.concatenate([X for X, _ in lockstep_draws(sampler, W)]) @ truth.w_star
         vals = weight(m) * np.abs(m)
-        _agree((est.value, est.std_error), diagnostics._mean_and_se(vals), ("psi", name))
+        _agree((est.value, est.std_error), _mean_and_se(vals), ("psi", name))
 
     for name, v in (("w*", truth.w_star), ("perp", perp), ("oblique", oblique),
                     ("zero", np.zeros(d))):
@@ -353,7 +408,7 @@ def test_plane_estimators_match_d_dimensional_draws(family, d):
         m = X @ truth.w_star
         vals = ((X @ v >= 0.0) != (m >= 0.0)) * weight(m)
         new = _excess_mc(v, truth.w_star, dist, noise, rng, n)
-        _agree(new, diagnostics._mean_and_se(vals), ("excess", name))
+        _agree(new, _mean_and_se(vals), ("excess", name))
 
 
 @pytest.mark.parametrize(
@@ -417,33 +472,52 @@ def _traced_peak(call):
 
 
 def test_estimators_memory_stays_below_one_batch_array(monkeypatch):
-    # each estimator holds a few CHUNK-row vectors and the n per-row values, whatever d:
-    # its peak at d=50 stays within 1.5 times its peak at d=5, on both families
-    n = 4 * CHUNK
+    # each estimator holds a few CHUNK-row vectors and no per-row value of earlier
+    # chunks, whatever d and n: its peak at d=50 stays within 1.5 times its peak at
+    # d=5, and its peak at n = 16 CHUNK within 1.5 times its peak at n = 2 CHUNK
     noise = hb.geometric_tsybakov(1.0, 0.75)
+
+    def estimators(dist, n):
+        truth = fixed_truth(dist.d, seed=44)
+        w = orthogonal_to(truth.w_star, np.random.default_rng(45))
+        return {
+            "psi": lambda: hb.estimate_psi(w, 0.1, dist, noise, truth, n,
+                                           np.random.default_rng(46)),
+            "excess": lambda: hb.excess_error(w, dist, noise, truth,
+                                              rng=np.random.default_rng(46), n=n, method="mc"),
+        }
+
     for family in dists.FAMILIES:
         peaks = {}
-        for d in (5, 50):
-            dist = hb.make_distribution(family, d)
-            truth = fixed_truth(d, seed=44)
-            w = orthogonal_to(truth.w_star, np.random.default_rng(45))
-            peaks["psi", d] = _traced_peak(lambda: hb.estimate_psi(
-                w, 0.1, dist, noise, truth, n, np.random.default_rng(46)))
-            peaks["excess", d] = _traced_peak(lambda: hb.excess_error(
-                w, dist, noise, truth, rng=np.random.default_rng(46), n=n, method="mc"))
+        for d, n in ((5, 4 * CHUNK), (50, 4 * CHUNK), (5, 2 * CHUNK), (5, 16 * CHUNK)):
+            for name, call in estimators(hb.make_distribution(family, d), n).items():
+                peaks[name, d, n] = _traced_peak(call)
         for name in ("psi", "excess"):
-            assert peaks[name, 50] <= 1.5 * peaks[name, 5], (
-                f"{family} {name} peaked at {peaks[name, 50] / 1e6:.1f} MB at d=50, "
-                f"{peaks[name, 5] / 1e6:.1f} MB at d=5")
+            at_5, at_50 = peaks[name, 5, 4 * CHUNK], peaks[name, 50, 4 * CHUNK]
+            assert at_50 <= 1.5 * at_5, (
+                f"{family} {name} peaked at {at_50 / 1e6:.1f} MB at d=50, "
+                f"{at_5 / 1e6:.1f} MB at d=5")
+            small, large = peaks[name, 5, 2 * CHUNK], peaks[name, 5, 16 * CHUNK]
+            assert large <= 1.5 * small, (
+                f"{family} {name} peaked at {large / 1e6:.1f} MB at n=16 CHUNK, "
+                f"{small / 1e6:.1f} MB at n=2 CHUNK")
 
     # at Gaussian d=50 a whole (n, d) float64 batch is 105 MB; streamed, the lemma suite's
-    # shared batch holds a few CHUNK-row arrays and O(n) per-row values. Its nine psi
-    # estimates are measured above, so inside the suite estimate_psi draws 2 rows
-    d = 50
-    dist = hb.make_distribution("gaussian", d)
-    truth = fixed_truth(d, seed=44)
+    # shared batch holds a few CHUNK-row arrays. Its nine psi estimates are measured
+    # above, so inside the suite estimate_psi draws 2 rows
     psi = diagnostics.estimate_psi
     monkeypatch.setattr(diagnostics, "estimate_psi", lambda *args: psi(*args[:5], 2, args[6]))
-    peak = _traced_peak(lambda: hb.verify_lemma_suite(dist, truth, np.random.default_rng(46),
-                                                      samples=n))
+
+    def suite_peak(d, n):
+        dist = hb.make_distribution("gaussian", d)
+        truth = fixed_truth(d, seed=44)
+        return _traced_peak(lambda: hb.verify_lemma_suite(dist, truth,
+                                                          np.random.default_rng(46), samples=n))
+
+    n, d = 4 * CHUNK, 50
+    peak = suite_peak(d, n)
     assert peak < n * d * 8, f"verify_lemma_suite peaked at {peak / 1e6:.1f} MB"
+    small, large = suite_peak(5, 2 * CHUNK), suite_peak(5, 16 * CHUNK)
+    assert large <= 1.5 * small, (
+        f"verify_lemma_suite peaked at {large / 1e6:.1f} MB at n=16 CHUNK, "
+        f"{small / 1e6:.1f} MB at n=2 CHUNK")
