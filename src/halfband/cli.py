@@ -19,7 +19,7 @@ import numpy as np
 from . import distributions as dists
 from .diagnostics import excess_error, suite_bandwidth, verify_lemma_suite
 from .errors import BandTooThinError, InvalidInputError, InvariantError, NumericalError
-from .geometry import angle
+from .geometry import angle, integer, real
 from .learner import LearnerConfig, learn
 from .oracles import NoiseModel, make_ground_truth, noise_fields
 from .schedules import PROFILES, REGIMES, Profile, iteration_count
@@ -68,14 +68,15 @@ SWEEP_COLUMNS = [
     "eps0",
 ]
 
-# sweep axis -> (config section it edits, None for top level; key)
+# sweep axis -> (config section it edits, None for top level; key; value type; lower
+# bound of an integer value; the fit's x-value of a grid value)
 SWEEP_AXES = {
-    "eta": ("noise", "eta"),
-    "epsilon": (None, "epsilon"),
-    "alpha": ("noise", "alpha"),
-    "B": ("noise", "B"),
-    "d": ("dist", "d"),
-    "s": (None, "sparse_s"),
+    "eta": ("noise", "eta", float, None, lambda v: 1.0 / (1.0 - 2.0 * v)),
+    "epsilon": (None, "epsilon", float, None, lambda v: 1.0 / v),
+    "alpha": ("noise", "alpha", float, None, float),
+    "B": ("noise", "B", float, None, float),
+    "d": ("dist", "d", int, 2, math.log),
+    "s": (None, "sparse_s", int, 1, float),
 }
 
 # every top-level key a config may hold
@@ -87,25 +88,25 @@ CONFIG_KEYS = (
 
 REQUIRED = object()  # _get default for a key that must be present and non-null
 
-_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
-               bool: "true or false", dict: "an object", list: "a list"}
+_KIND_NAMES = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
 
 
 def _read(value, kind, name, lo=None, hi=None):
-    """value checked as `kind` and within [lo, hi]; errors name the dotted key `name`."""
-    if isinstance(value, bool) != (kind is bool):
-        ok = False
-    elif kind is float:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
+    """value checked as `kind`; errors name the dotted key `name`.
+
+    An int is geometry.integer's, in [lo, hi]; a float is geometry.real's and
+    finite, since Python's json reads NaN and Infinity.
+    """
+    if kind is int:
+        return integer(name, value, lo, hi)
+    if kind is float:
+        value = real(name, value)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+        return value
+    if not isinstance(value, kind):
         raise InvalidInputError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if lo is not None and value < lo:
-        raise InvalidInputError(f"{name} must be at least {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise InvalidInputError(f"{name} must be at most {hi}, got {value!r}")
-    return float(value) if kind is float else value
+    return value
 
 
 def _get(section, key, kind, default=None, lo=None, hi=None, where=""):
@@ -165,15 +166,14 @@ def sweep_from_config(raw, noise, cfg):
     axis = _get(raw, "axis", str, REQUIRED, where="sweep.")
     if axis not in SWEEP_AXES:
         raise InvalidInputError(f"sweep.axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    section, key = SWEEP_AXES[axis]
+    section, key, kind, lo, _ = SWEEP_AXES[axis]
     if section == "noise" and key not in noise_fields(noise.kind):
         raise InvalidInputError(f"sweep.axis {axis!r} is not a field of noise kind {noise.kind!r}")
     values = _get(raw, "values", list, REQUIRED, where="sweep.")
     if not values:
         raise InvalidInputError("sweep.values must be a nonempty list")
-    kind = int if axis in ("d", "s") else float
     for i, value in enumerate(values):
-        _read(value, kind, f"sweep.values[{i}]")
+        _read(value, kind, f"sweep.values[{i}]", lo)
     points = [parse_spec(_sweep_point_config(cfg, axis, v), "preview-schedule") for v in values]
     dense = [p.learner.sparse_s and dataclasses.replace(p.learner, sparse_s=None).schedule()
              for p in points]
@@ -246,7 +246,7 @@ def load_config(path, overrides):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    except ValueError as exc:  # bad JSON, text that is not UTF-8, an int too long to convert
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc.strerror or exc}") from exc
@@ -317,6 +317,19 @@ def run_one(spec, replicate):
     return row, trace_lines
 
 
+def _write_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _quantiles(values):
     arr = np.asarray(values, dtype=float)
     return {
@@ -341,10 +354,7 @@ def cmd_run(spec, out_dir):
         )
         print(f"replicate {rep}: {status}")
     csv_path = out_dir / "results.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(csv_path, CSV_COLUMNS, rows)
     good = [r for r in rows if not r["error"]]
     summary = {
         "replicates": replicates,
@@ -353,9 +363,7 @@ def cmd_run(spec, out_dir):
         "final_angle": _quantiles([r["final_angle"] for r in good]) if good else None,
         "final_excess": _quantiles([r["final_excess"] for r in good]) if good else None,
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     if spec.learner.trace_angles:
         with open(out_dir / "trace.jsonl", "w") as fh:
             for line in traces:
@@ -366,7 +374,7 @@ def cmd_run(spec, out_dir):
 
 def _sweep_point_config(raw, axis, value):
     point = json.loads(json.dumps(raw))  # deep copy of plain JSON data
-    section, key = SWEEP_AXES[axis]
+    section, key = SWEEP_AXES[axis][:2]
     (point if section is None else point[section])[key] = value
     if axis == "d":
         point["dist"].pop("params", None)  # defaults are dimension dependent
@@ -391,22 +399,15 @@ def _linear_fit(x, y):
 
 def cmd_sweep(spec, out_dir):
     axis, points = spec.sweep
+    x_of = SWEEP_AXES[axis][-1]
     rows = []
     for value, point_spec, dense in points:
         point, sched = point_spec.learner, point_spec.schedule
-        if axis == "eta":
-            x = 1.0 / (1.0 - 2.0 * value)
-        elif axis == "epsilon":
-            x = 1.0 / value
-        elif axis == "d":
-            x = math.log(value)
-        else:
-            x = float(value)
         rows.append(
             {
                 "axis": axis,
                 "value": value,
-                "x": x,
+                "x": x_of(value),
                 "rate": _normalized_rate(point.dist, sched),
                 "init_labels": sched.init_label_total(),
                 "main_labels": sched.main_label_total(),
@@ -420,10 +421,7 @@ def cmd_sweep(spec, out_dir):
             }
         )
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(csv_path, SWEEP_COLUMNS, rows)
 
     summary = {"axis": axis, "points": len(rows)}
     if len({r["x"] for r in rows}) < 3:  # a repeated value adds no point to the fit
@@ -440,15 +438,12 @@ def cmd_sweep(spec, out_dir):
             [r["x"] for r in rows], [float(r["total_labels"]) for r in rows]
         )
         summary.update(fit="linear-in-log-d", slope=slope, intercept=intercept, r_squared=r2)
-    else:
+    else:  # x is the value itself
         slope, intercept, r2 = _linear_fit(
-            np.log([float(r["value"]) for r in rows]),
-            np.log([float(r["total_labels"]) for r in rows]),
+            np.log([r["x"] for r in rows]), np.log([float(r["total_labels"]) for r in rows])
         )
         summary.update(fit="loglog-total", slope=slope, intercept=intercept, r_squared=r2)
-    with open(out_dir / "sweep_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "sweep_summary.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {csv_path}")
     return 0
@@ -468,9 +463,7 @@ def cmd_verify(spec, out_dir):
         "lemmas": lemmas,
     }
     path = out_dir / "verify_report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report)
     failed = [c["check"] for c in certify["checks"] if not c["passed"]]
     failed += [c["check"] for c in lemmas["checks"] if not c["passed"]]
     print(f"verify: {'PASS' if report['passed'] else 'FAIL'} ({len(failed)} failing checks)")
@@ -484,9 +477,7 @@ def cmd_preview(spec, out_dir):
     payload = spec.schedule.to_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out_dir is not None:
-        with open(out_dir / "preview_schedule.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "preview_schedule.json", payload)
     return 0
 
 

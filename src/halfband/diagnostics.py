@@ -335,8 +335,7 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     # closed-form band mass against its two-sided bounds (deterministic)
     for b in (0.02, 0.05, 0.1, 0.2, min(0.5, R / 2.0)):
         p = dists.band_probability(dist, b)
-        lo = b * R * L
-        hi = 4.0 * b * U * beta * math.log(2.0 / (b * U * beta))
+        lo, hi = dists.band_mass_bounds(dist, b)
         checks.append(_check("band-mass-lower", {"b": b}, p, lo, 0.0, "ge"))
         checks.append(_check("band-mass-upper", {"b": b}, p, hi, 0.0, "le"))
 

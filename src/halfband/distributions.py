@@ -13,6 +13,7 @@ of radius R and <= U everywhere, and every 1-d margin has sub-exponential
 tail P(|<w,x>| >= t) <= exp(1 - t/beta).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,20 +129,18 @@ def band_probability(dist, b):
     return float(special.betainc(0.5, (dist.d + 1) / 2.0, u))
 
 
-def truncated_margin(dist, b, u, *, _p=None):
+def truncated_margin(dist, b, u):
     """Inverse-CDF sample of <w,x> conditioned on |<w,x>| <= b, from u ~ Unif(-1, 1).
 
     Vectorized in u; exact for both families, so band sampling needs no
-    accept/reject loop on the margin coordinate. A band sampler, which holds
-    band_probability(dist, b) already, passes it as _p so each refill of its
-    blocks does not recompute it.
+    accept/reject loop on the margin coordinate.
     """
     u = np.asarray(u, dtype=float)
     if dist.family == "gaussian":
         # once ndtr(b) rounds to 1 (b >~ 8.3), u = -1 maps to ndtri(0) = -inf;
         # the clip keeps every value in the band and leaves in-band values as they are
         return np.clip(special.ndtri(0.5 + u * (special.ndtr(b) - 0.5)), -b, b)
-    q = band_probability(dist, b) if _p is None else _p
+    q = band_probability(dist, b)
     # sign(u) * radius * sqrt(frac), formed in one array: the sign is exact, so
     # negating where u < 0 gives the same bits
     out = np.abs(u, out=np.empty_like(u))
@@ -150,6 +149,12 @@ def truncated_margin(dist, b, u, *, _p=None):
     np.sqrt(out, out=out)
     out *= dist.radius
     return np.negative(out, out=out, where=u < 0.0)
+
+
+def band_mass_bounds(dist, b):
+    """(lo, hi): the analysis's two-sided bounds on band_probability(dist, b) at the constants."""
+    return b * dist.R * dist.L, 4.0 * b * dist.U * dist.beta * math.log(
+        2.0 / (b * dist.U * dist.beta))
 
 
 def ball_radial(dist, m, V):
@@ -272,8 +277,7 @@ def certify_parameters(dist, rng=None, samples=10**5):
     ok = True
     for b in bgrid:
         p = band_probability(dist, b)
-        lo = b * dist.R * dist.L
-        hi = 4.0 * b * dist.U * dist.beta * np.log(2.0 / (b * dist.U * dist.beta))
+        lo, hi = band_mass_bounds(dist, b)
         rows.append({"b": b, "mass": p, "lower": lo, "upper": hi})
         # hi < 0 once b U beta > 2: dividing by |hi| keeps a failed bound's margin negative
         worst = min(worst, (p - lo) / max(p, 1e-300), (hi - p) / max(abs(hi), 1e-300))

@@ -14,7 +14,7 @@ def finite_array(name, a, shape):
     """
     try:
         a = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond floats
         raise InvalidInputError(f"{name} must be an array of numbers: {exc}") from exc
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(tuple("K" if n is None else n for n in shape)).replace("'", "")
@@ -38,10 +38,16 @@ def integer(name, value, lo, hi=None):
 
 
 def real(name, value):
-    """float(value); InvalidInputError unless value is a numbers.Real that is not a bool."""
+    """float(value); InvalidInputError unless value is a numbers.Real that is not a bool.
+
+    An int too large for a float fails too. Non-finite floats pass: callers bound them.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidInputError(f"{name} must be a real number within float range: {exc}") from exc
 
 
 def normalize(w):

@@ -7,11 +7,11 @@ ladder from that warm start down to the target proximity scale, one epoch at
 a time. Every label the run consumes passes through oracles.query_label,
 query_labels or block_labels, so the ledger count is exact.
 
-The lockstep epoch (optimize_block) runs every sparse epoch, and optimize's
-scalar loop every dense epoch of one trial. The two read the same values from
-a generator and take each dot product with the same kernel, ndarray.dot for
-one vector and np.vecdot row by row for a block, so a trial returns the same
-bits alone, in a block of any size, or as a scalar epoch.
+The lockstep epoch (optimize_block) runs every sparse or "random" epoch, and
+optimize's scalar loop every other dense epoch of one trial. The two read the
+same values from a generator and take each dot product with the same kernel,
+ndarray.dot for one vector and np.vecdot row by row for a block, so a trial
+returns the same bits alone, in a block of any size, or as a scalar epoch.
 """
 
 import math
@@ -117,41 +117,34 @@ def optimize(
     one ("random", unit norm). The epoch's largest feasibility gap is recorded
     on the ledger.
 
-    A sparse epoch runs as optimize_block(w1[None], ..., [rng], ...)[0]: a
-    mirror step costs milliseconds, so the one-row block's overhead is lost in
-    it. A dense epoch runs the scalar loop below, which costs less than half
-    the one-row block per label. It reads rng as the one-row block reads its
-    one stream, the random pick and sign first, then the sampler's blocks, and
-    returns the same bits. w1 must be a finite (d,) vector, T an integer and
-    sparse_s None or an integer in [1, d]; InvalidInputError otherwise, before
-    anything is drawn or charged.
+    A sparse or a "random" epoch runs as optimize_block(w1[None], ..., [rng],
+    ...)[0]: a mirror step costs milliseconds, so the one-row block's overhead
+    is lost in it, and no package code asks for a "random" scalar epoch. A
+    dense "average" epoch runs the scalar loop below, which costs less than
+    half the one-row block per label. It reads rng block by block, as the
+    one-row block reads its one stream, and returns the same bits. w1 must be
+    a finite (d,) vector, T an integer and sparse_s None or an integer in
+    [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
     w1, T, alpha = _check_epoch(w1, 1, r, b, T, agg, dist, truth, delta, profile, sparse_s)
-    if sparse_s is not None:
+    if sparse_s is not None or agg == "random":
         return optimize_block(w1[None], r, b, T, agg, dist, noise, truth, [rng], ledger,
                               delta, profile, sparse_s=sparse_s)[0]
     d = w1.shape[0]
-
-    if agg == "random":  # which step's iterate to return, and its sign
-        pick = int(rng.integers(T))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
     sampler = BandSampler(dist, b, rng, ledger, steps=T)
     radius = 4.0 * r
     rad_sq = radius * radius
     w = w1.copy()
     out = np.zeros(d)
     max_gap = 0.0
-    for t in range(T):
+    for _ in range(T):
         nw = math.sqrt(float(w.dot(w)))
         if nw == 0.0:
             w_hat = np.zeros(d)
             w_hat[0] = 1.0
         else:
             w_hat = w / nw
-        if agg == "average":
-            out += w_hat
-        elif t == pick:
-            out = sign * w_hat
+        out += w_hat
         x, u = sampler.draw(w_hat)
         w = w + (alpha * query_label(noise, truth, x, u, ledger)) * x
         diff = w - w1
@@ -162,7 +155,7 @@ def optimize(
             max_gap = max(max_gap, math.sqrt(float(moved.dot(moved))) - radius)
 
     ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
-    return out / T if agg == "average" else out
+    return out / T
 
 
 def _projected_step(W1, r, alpha, sparse_s):

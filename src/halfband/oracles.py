@@ -351,7 +351,7 @@ class LockstepBandSampler:
         self.step_ex = step_ex.tolist()
         margin_u *= 2.0  # in place, as 2 u - 1: the block's peak memory is its temporaries
         margin_u -= 1.0
-        margins = dists.truncated_margin(self.dist, self.b, margin_u, _p=self.p)
+        margins = dists.truncated_margin(self.dist, self.b, margin_u)
         del margin_u
         # margins and radial factors as (n, K, 1): step i reads (K, 1) columns
         self.margins = margins[:, :, None]

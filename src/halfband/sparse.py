@@ -32,7 +32,8 @@ rounding.
 The Euclidean projection onto K is the p = 2, lin = 0 case of the same
 solver. K itself can be empty; the smallest l1 distance from the l1 center
 to the l2 ball has a closed form, and a larger one than the l1 radius
-raises EmptyConstraintError before any search starts.
+raises EmptyConstraintError when the SparseConstraint is built, so a
+sparse epoch checks each row's K once.
 """
 
 import dataclasses
@@ -66,24 +67,27 @@ def _l1_distance_to_ball2(v, radius):
 
 @dataclasses.dataclass(frozen=True)
 class SparseConstraint:
-    """Intersection of ball2(center2, radius2) and ball1(center1, radius1)."""
+    """Intersection of ball2(center2, radius2) and ball1(center1, radius1).
+
+    Raises EmptyConstraintError when built (dataclasses.replace included) if no
+    point lies in both balls.
+    """
 
     center2: np.ndarray
     radius2: float
     center1: np.ndarray
     radius1: float
 
+    def __post_init__(self):
+        distance = _l1_distance_to_ball2(self.center1 - self.center2, self.radius2)
+        if distance > self.radius1:
+            raise EmptyConstraintError(distance, self.radius1)
+
     def violation(self, w):
         diff = w - self.center2
         g2 = math.sqrt(float(diff.dot(diff))) - self.radius2
         g1 = float(np.abs(w - self.center1).sum()) - self.radius1
         return max(g2, g1, 0.0)
-
-    def check_nonempty(self):
-        """Raise EmptyConstraintError when no point lies in both balls."""
-        distance = _l1_distance_to_ball2(self.center1 - self.center2, self.radius2)
-        if distance > self.radius1:
-            raise EmptyConstraintError(distance, self.radius1)
 
 
 def project_l1_ball(v, center, radius):
@@ -394,7 +398,6 @@ def _solve(lin, u1, p, constraint, guess=None):
     on a warm start that binds the l1 ball, seeding it with the last step's
     lam took more solves, not fewer.
     """
-    constraint.check_nonempty()
     b = constraint.center1 - u1
     step = _Step(lin, constraint.center2 - u1, b, constraint.radius2, constraint.radius1, p)
     pt = step.ball2(0.0, guess or None)  # the dual-map step when its l2 gap is <= 0
@@ -407,10 +410,7 @@ def _solve(lin, u1, p, constraint, guess=None):
 
 
 def project_intersection(v, constraint):
-    """Euclidean projection of v onto K: the mirror step at p = 2 with no linear term.
-
-    Raises EmptyConstraintError when K is empty.
-    """
+    """Euclidean projection of v onto K: the mirror step at p = 2 with no linear term."""
     v = np.asarray(v, dtype=float)
     return _solve(np.zeros_like(v), v, 2.0, constraint)[0]
 
@@ -422,7 +422,7 @@ def bregman_step(u_t, g, alpha, constraint, u1, p, guess=None):
     docstring). Returns (w, mu, lam) as _solve does, w with the multipliers
     of the l2 and the l1 ball; the next step of the same row can pass mu
     back as guess to seed its search for mu (_solve); without a guess it
-    starts cold. Raises EmptyConstraintError when K is empty.
+    starts cold.
     """
     if not p > 1.0:
         raise InvalidInputError("mirror exponent p must exceed 1")

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -261,6 +262,10 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
                              "params": {"L": 0.001, "R": 1, "U": 1e300, "beta": 1e10}}}),
         # the lemma suite's b = 0.1 R lies outside the ball's radius sqrt(5)
         ("verify", {"dist": {"family": "uniform_ball", "d": 3, "params": {"R": 100}}}),
+        ("preview-schedule", {"epsilon": math.nan}),  # Python's json reads NaN
+        ("preview-schedule", {"noise": {"kind": "massart", "eta": 10**400}}),  # beyond floats
+        ("run", {"seed": True}),
+        ("run", {"replicates": 2.0}),
     ],
     ids=[
         "missing-eta",
@@ -291,6 +296,10 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         "one-verify-sample",
         "overflowing-constants",
         "ball-R-above-ten-radii",
+        "nan-epsilon",
+        "eta-10**400",
+        "bool-seed",
+        "float-replicates",
     ],
 )
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command, change):
@@ -308,6 +317,15 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, comma
         # exited 2 before, after certify_parameters ran and out was made, naming neither
         assert "b = 0.1*R = 10" in err[0] and "R = 100" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_number_too_long_to_convert_exits_2_with_one_line(tmp_path, capsys):
+    # Python's json refuses to convert an integer of more than 4300 digits
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY)[:-1] + ', "replicates": 1' + "0" * 5000 + "}")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not valid JSON" in err[0]
 
 
 def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):

@@ -146,3 +146,25 @@ def test_angle_symmetric_and_scale_invariant(d, seed, scale):
     assert hb.angle(u, v) == pytest.approx(hb.angle(v, u), abs=1e-12)
     assert hb.angle(scale * u, v) == pytest.approx(hb.angle(u, v), abs=1e-9)
     assert 0.0 <= hb.angle(u, v) <= math.pi
+
+
+def test_int_too_large_for_a_float_is_a_typed_error_naming_the_argument():
+    from halfband.schedules import Profile
+
+    huge = 10**400
+    gauss5 = hb.make_distribution("gaussian", 5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(0))
+    calls = {
+        "eta": lambda: hb.massart(huge),
+        "params[0]": lambda: hb.make_distribution("gaussian", 5, params=(huge, 1, 1, 1)),
+        "multipliers.c_T": lambda: Profile(c_T=huge),
+        "w": lambda: hb.estimate_psi([huge, 0, 0, 0, 0], 0.1, gauss5, hb.massart(0.2), truth,
+                                     10, np.random.default_rng(1)),
+        "real: x": lambda: hb.geometry.real("real: x", huge),
+        "finite_array: a": lambda: hb.geometry.finite_array("finite_array: a", [[1.0, -huge]],
+                                                            (1, 2)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InvalidInputError) as caught:
+            call()
+        assert str(caught.value).startswith(name + " must be")

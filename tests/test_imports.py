@@ -5,8 +5,9 @@ np.einsum: row-wise dot products go through np.vecdot, whose rows match
 ndarray.dot, so the scalar epoch and the lockstep epoch cannot drift apart.
 No module imports an underscore name from another module of the package: a
 name one module shares with another is public where it is defined. Only
-geometry.py imports numbers: what counts as an integer or a real argument is
-decided there alone (geometry.integer and geometry.real).
+geometry.py imports numbers or calls isinstance with int or float: what
+counts as an integer or a real argument is decided there alone
+(geometry.integer and geometry.real), config values included.
 """
 
 import ast
@@ -123,3 +124,33 @@ def test_numbers_imports_detected():
 def test_only_geometry_imports_numbers():
     found = {path.name for path in PACKAGE.glob("*.py") if imports_numbers(path.read_text())}
     assert found == {"geometry.py"}
+
+
+def int_or_float_isinstance_calls(source):
+    """Line numbers of the isinstance calls in `source` whose type argument names int or float."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id in ("int", "float")
+                for n in ast.walk(node.args[1]))
+    ]
+
+
+def test_int_or_float_isinstance_calls_detected():
+    source = (
+        "isinstance(x, int)\nisinstance(x, (str, float))\nisinstance(x, bool)\n"
+        "isinstance(x, kind)\nisinstance(x, numbers.Integral)\nisinstance(x, (int, float))\n"
+    )
+    assert int_or_float_isinstance_calls(source) == [1, 2, 6]
+
+
+def test_only_geometry_tests_for_int_or_float():
+    found = {
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geometry.py"
+        for line in int_or_float_isinstance_calls(path.read_text())
+    }
+    assert found == set()

@@ -97,7 +97,15 @@ def test_optimize_random_aggregation_returns_signed_iterate(monkeypatch):
     truth = hb.make_ground_truth(5, rng)
     r = 1 / 16
     w1 = make_start(truth, r, rng)
-    seen = record_directions(monkeypatch)
+    # a "random" epoch runs as a one-row lockstep block, which draws through points()
+    seen = []
+    points = LockstepBandSampler.points
+
+    def recording_points(self, i, W_hat, out):
+        seen.append(W_hat[0].copy())
+        return points(self, i, W_hat, out)
+
+    monkeypatch.setattr(LockstepBandSampler, "points", recording_points)
     out = hb.optimize(w1, r, 0.1, 5, "random", GAUSS5, NOISE, truth,
                       np.random.default_rng(23), hb.QueryLedger(), 0.05, DESK)
     assert len(seen) == 5

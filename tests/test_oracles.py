@@ -337,32 +337,6 @@ def test_lockstep_sampler_row_independent_of_other_rows():
             assert abs(float(X[3] @ W_hat[3])) <= 0.2 + 1e-12
 
 
-def test_band_probability_computed_once_per_sampler(monkeypatch):
-    # a uniform-ball refill reuses its sampler's band probability instead of another betainc
-    ball = hb.make_distribution("uniform_ball", 8)
-    calls = []
-    band_probability = hb.distributions.band_probability
-
-    def counting(dist, b):
-        calls.append(b)
-        return band_probability(dist, b)
-
-    monkeypatch.setattr(hb.distributions, "band_probability", counting)
-    steps = 3 * oracles.LockstepBandSampler.BLOCK + 5  # four blocks
-    lockstep = oracles.LockstepBandSampler(
-        ball, 0.2, np.random.default_rng(21).spawn(3), hb.QueryLedger(), steps)
-    scalar = hb.BandSampler(ball, 0.2, np.random.default_rng(22), hb.QueryLedger())
-    for _ in lockstep_draws(lockstep, np.tile(np.eye(8)[0], (3, 1))):
-        scalar.draw(np.eye(8)[0])
-    assert calls == [0.2, 0.2]
-    # the reused value gives the margins the bits a fresh one gives
-    u = 2.0 * np.random.default_rng(23).random(1000) - 1.0
-    fresh = hb.distributions.truncated_margin(ball, 0.2, u)
-    reused = hb.distributions.truncated_margin(ball, 0.2, u, _p=scalar.p)
-    assert fresh.tobytes() == reused.tobytes()
-    assert len(calls) == 3
-
-
 def test_lockstep_sampler_wide_gaussian_band():
     # a Gaussian band this wide has ndtr(b) within 1e-11 of 1; the inverse CDF
     # still keeps every row inside it, one row per trial

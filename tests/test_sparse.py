@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import halfband as hb
 from halfband.errors import EmptyConstraintError, InvalidInputError, NumericalError
+from halfband import sparse
+from halfband.learner import optimize_block
 from halfband.schedules import PROFILES
 from halfband.sparse import (
     SparseConstraint,
@@ -262,15 +264,16 @@ def step_linear_term(u_t, g, alpha, u1, p):
     return alpha * g - pnorm_sq_grad(u_t - u1, p) / (p - 1.0)
 
 
-def l1_distance_to_ball2(constraint):
-    """min ||x - center1||_1 over ball2, by bisection on the clipping level (no closed form)."""
-    v = np.abs(constraint.center1 - constraint.center2)
-    if np.linalg.norm(v) <= constraint.radius2:
+def l1_distance_to_ball2(center2, radius2, center1):
+    """min ||x - center1||_1 over ball2(center2, radius2), by bisection on the clipping
+    level (no closed form)."""
+    v = np.abs(center1 - center2)
+    if np.linalg.norm(v) <= radius2:
         return 0.0
     lo, hi = 0.0, float(v.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.sum(np.minimum(v, mid) ** 2) > constraint.radius2**2:
+        if np.sum(np.minimum(v, mid) ** 2) > radius2**2:
             hi = mid
         else:
             lo = mid
@@ -323,20 +326,59 @@ def test_empty_constraint_is_a_typed_error_once_per_row_epoch():
 
 
 def test_empty_constraint_raises_from_both_entry_points():
+    # an empty set raises where it is built; a nonempty one serves both solver entry points
     center2 = np.zeros(4)
     center1 = np.array([1.0, -1.0, 1.0, 0.0])
-    empty = SparseConstraint(center2=center2, radius2=0.5, center1=center1, radius1=1.5)
-    distance = l1_distance_to_ball2(empty)
-    assert distance > empty.radius1
+    distance = l1_distance_to_ball2(center2, 0.5, center1)
+    assert distance > 1.5
     with pytest.raises(EmptyConstraintError) as caught:
-        project_intersection(np.ones(4), empty)
+        SparseConstraint(center2=center2, radius2=0.5, center1=center1, radius1=1.5)
     assert caught.value.distance == pytest.approx(distance, rel=1e-12)
-    with pytest.raises(EmptyConstraintError):
-        bregman_step(np.zeros(4), np.ones(4), 0.1, empty, center1, mirror_p(4))
-    # one more unit of l1 radius makes it a nonempty set
-    near = dataclasses.replace(empty, radius1=distance + 1e-3)
+    # a little more l1 radius makes it a nonempty set
+    near = SparseConstraint(center2=center2, radius2=0.5, center1=center1,
+                            radius1=distance + 1e-3)
     w = project_intersection(np.ones(4), near)
     assert near.violation(w) <= 1e-12
+    w, _, _ = bregman_step(np.zeros(4), np.ones(4), 0.1, near, center1, mirror_p(4))
+    assert near.violation(w) <= 1e-12
+
+
+def test_empty_constraint_raises_when_built_and_through_replace():
+    center2, center1 = np.zeros(3), np.array([2.0, 0.0, 0.0])
+    # ball2(0, 1) lies at l1 distance 1 from center1
+    with pytest.raises(EmptyConstraintError) as caught:
+        SparseConstraint(center2=center2, radius2=1.0, center1=center1, radius1=0.5)
+    assert (caught.value.distance, caught.value.radius1) == (1.0, 0.5)
+    touching = SparseConstraint(center2=center2, radius2=1.0, center1=center1, radius1=1.0)
+    with pytest.raises(EmptyConstraintError) as caught:
+        dataclasses.replace(touching, radius1=0.5)
+    assert (caught.value.distance, caught.value.radius1) == (1.0, 0.5)
+    with pytest.raises(EmptyConstraintError):
+        dataclasses.replace(touching, radius2=0.5)
+    assert dataclasses.replace(touching, radius1=2.0).radius1 == 2.0
+
+
+def test_sparse_epoch_checks_each_row_constraint_once(monkeypatch):
+    # a row's SparseConstraint holds for its whole epoch: built and checked once per row,
+    # not again at the start projection and at each of the T mirror steps
+    K, T, d, s = 2, 8, 12, 3
+    calls = []
+    distance = sparse._l1_distance_to_ball2
+
+    def counting(v, radius):
+        calls.append(radius)
+        return distance(v, radius)
+
+    monkeypatch.setattr(sparse, "_l1_distance_to_ball2", counting)
+    dist = hb.make_distribution("gaussian", d)
+    rng = np.random.default_rng(54)
+    truth = hb.make_ground_truth(d, rng, s=s)
+    W1 = np.tile(truth.w_star, (K, 1))
+    ledger = hb.QueryLedger()
+    optimize_block(W1, 1 / 16, 0.05, T, "average", dist, hb.massart(0.1), truth, rng.spawn(K),
+                   ledger, 0.05, PROFILES["desk"], sparse_s=s)
+    assert ledger.label_calls == K * T
+    assert len(calls) == K
 
 
 def assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p):
@@ -412,12 +454,11 @@ def learner_instances():
         d, s = (10, 2) if k % 2 else (12, 3)
         r = 1.0 / 4.0 if k % 4 < 2 else 1.0 / 8.0
         w1 = hb.normalize(rng.standard_normal(d))
+        center1, radius1 = hb.hard_threshold(w1, s), 8.0 * r * math.sqrt(2.0 * s)
+        if l1_distance_to_ball2(w1, 4.0 * r, center1) > radius1:
+            continue  # empty: SparseConstraint would raise
         constraint = SparseConstraint(
-            center2=w1, radius2=4.0 * r,
-            center1=hb.hard_threshold(w1, s), radius1=8.0 * r * math.sqrt(2.0 * s),
-        )
-        if l1_distance_to_ball2(constraint) > constraint.radius1:
-            continue
+            center2=w1, radius2=4.0 * r, center1=center1, radius1=radius1)
         u_t = project_intersection(w1, constraint)
         alpha = (0.5 + k % 3) * r
         for _ in range(3):
@@ -478,22 +519,19 @@ def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted)
     p = 2.0 if euclidean else mirror_p(d)
     center2 = rng.standard_normal(d)
     center1 = center2 + rng.uniform(0.01, 0.5) * rng.standard_normal(d)
-    constraint = SparseConstraint(
-        center2=center2, radius2=float(rng.uniform(0.05, 2.0)),
-        center1=center1, radius1=float(rng.uniform(0.05, 3.0)),
-    )
+    radius2, radius1 = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 3.0))
     u1 = center1 + 0.1 * rng.standard_normal(d) if shifted else center1.copy()
     u_t = center2 + rng.standard_normal(d)
     g = rng.standard_normal(d)
     alpha = float(rng.uniform(0.01, 1.0))
-    distance = l1_distance_to_ball2(constraint)
-    assume(abs(distance - constraint.radius1) > 1e-9 * constraint.radius1)
-    if distance > constraint.radius1:
+    distance = l1_distance_to_ball2(center2, radius2, center1)
+    assume(abs(distance - radius1) > 1e-9 * radius1)
+    if distance > radius1:
         with pytest.raises(EmptyConstraintError):
-            project_intersection(u_t, constraint)
-        with pytest.raises(EmptyConstraintError):
-            bregman_step(u_t, g, alpha, constraint, u1, p)
+            SparseConstraint(center2=center2, radius2=radius2, center1=center1, radius1=radius1)
         return
+    constraint = SparseConstraint(
+        center2=center2, radius2=radius2, center1=center1, radius1=radius1)
     # the projection is the step at p = 2 with no linear term, centered at the point
     w = project_intersection(u_t, constraint)
     w_kkt, mu, lam = _solve(np.zeros(d), u_t, 2.0, constraint)
