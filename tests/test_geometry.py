@@ -149,15 +149,13 @@ def test_angle_symmetric_and_scale_invariant(d, seed, scale):
 
 
 def test_int_too_large_for_a_float_is_a_typed_error_naming_the_argument():
-    from halfband.schedules import Profile
-
     huge = 10**400
     gauss5 = hb.make_distribution("gaussian", 5)
     truth = hb.make_ground_truth(5, np.random.default_rng(0))
     calls = {
         "eta": lambda: hb.massart(huge),
         "params[0]": lambda: hb.make_distribution("gaussian", 5, params=(huge, 1, 1, 1)),
-        "multipliers.c_T": lambda: Profile(c_T=huge),
+        "multipliers.c_T": lambda: hb.Profile(c_T=huge),
         "w": lambda: hb.estimate_psi([huge, 0, 0, 0, 0], 0.1, gauss5, hb.massart(0.2), truth,
                                      10, np.random.default_rng(1)),
         "real: x": lambda: hb.geometry.real("real: x", huge),

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import halfband as hb
-from halfband.errors import EmptyConstraintError, InvalidInputError, NumericalError
 from halfband import sparse
+from halfband.errors import EmptyConstraintError, InvalidInputError, NumericalError
 from halfband.learner import optimize_block
 from halfband.schedules import PROFILES
 from halfband.sparse import (
