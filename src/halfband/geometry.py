@@ -1,5 +1,6 @@
 """Argument checks (arrays, integers, reals), normalization, angles, hard thresholding."""
 
+import math
 import numbers
 
 import numpy as np
@@ -24,6 +25,24 @@ def finite_array(name, a, shape):
     return a
 
 
+def _shown(value):
+    """repr(value) for an error message; an int of more than 50 digits by its sign and length.
+
+    Python refuses to turn an int of more than 4,300 digits into a string, and
+    so the repr of anything holding one.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        v = abs(int(value))
+        if v >= 10**50:
+            digits = int((v.bit_length() - 1) * math.log10(2.0)) + 1  # at most one short
+            digits += v >= 10**digits
+            return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too large to show"
+
+
 def integer(name, value, lo, hi=None):
     """int(value); InvalidInputError unless value is an integer in [lo, hi] (hi None: no cap).
 
@@ -34,7 +53,7 @@ def integer(name, value, lo, hi=None):
             and lo <= value and (hi is None or value <= hi)):
         return int(value)
     bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
+    raise InvalidInputError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def real(name, value):
@@ -43,7 +62,7 @@ def real(name, value):
     An int too large for a float fails too. Non-finite floats pass: callers bound them.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        raise InvalidInputError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError as exc:

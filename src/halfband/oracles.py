@@ -49,13 +49,17 @@ class GroundTruth:
     s: int | None = None
 
 
+_MAX_D = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can describe
+
+
 def make_ground_truth(d, rng, s=None):
     """Hidden optimum: a seeded uniformly random unit vector.
 
     Sparse mode places s nonzeros of equal magnitude and random sign at
-    seeded random coordinates. d >= 1 and s in [1, d] are integers, checked before any draw.
+    seeded random coordinates. d in [1, _MAX_D] and s in [1, d] are
+    integers, checked before any draw; a d that memory cannot hold raises MemoryError.
     """
-    d = integer("make_ground_truth: dimension d", d, 1)
+    d = integer("make_ground_truth: dimension d", d, 1, _MAX_D)
     if s is None:
         return GroundTruth(normalize(rng.standard_normal(d)))
     s = integer("make_ground_truth: sparse support size s", s, 1, d)
@@ -139,7 +143,13 @@ def eta_of_margin(model, m):
     if model.kind == "massart_band":
         return np.where(np.abs(m) <= model.tau, model.eta, 0.0)
     expo = (1.0 - model.alpha) / model.alpha
-    return 0.5 - np.minimum(0.5, model.B * np.abs(m) ** expo)
+    if m.ndim == 0:  # a numpy scalar's ** is libm pow, as _flip_rate's; an array's need not be
+        return 0.5 - np.minimum(0.5, model.B * np.abs(m) ** expo)
+    out = np.abs(m)  # the one array of the result, worked in place
+    out **= expo
+    out *= model.B
+    np.minimum(out, 0.5, out=out)
+    return np.subtract(0.5, out, out=out)
 
 
 def _flip_rate(model, m):

@@ -23,11 +23,13 @@ suitable power of |z_i|. S must then reproduce itself; in log S that
 equation is monotone with slope between min(1, 1/(p-1)) and max(1, 1/(p-1)),
 so a safeguarded Newton finds it to rounding. The multiplier searches take
 Newton steps whose slopes come from differentiating the same equations, a
-system diagonal in z and bordered by S, solved in O(d). They start from a
-guess when the caller has one: the sparse epoch passes each row's step the
-l2 multiplier of that row's last step, which saves inner solves where the
-row's iterate moves little between steps and moves the result only within
-rounding.
+system diagonal in z and bordered by S, solved in O(d). The search for mu
+steps on the secular form 1/r2 - 1/||z - a||_2 of its gap (More & Sorensen
+1983), nearly linear in mu and exactly so for the p = 2 projection. It
+starts from a guess when the caller has one: the sparse epoch passes each
+row's step the l2 multiplier of that row's last step. The guess is solved
+first, and mu = 0 only when neither the guess nor one Newton step down from
+it shows where the root lies; the result moves only within rounding.
 
 The Euclidean projection onto K is the p = 2, lin = 0 case of the same
 solver. K itself can be empty; the smallest l1 distance from the l1 center
@@ -145,7 +147,8 @@ def _magnitudes(lin_coef, pow_coef, gamma, target, y):
             step = (lin_coef * y + pow_coef * y * yg1 - target) / (
                 lin_coef + (pow_coef * gamma) * yg1)
             y_new = np.minimum(y - step, cap)
-            if (abs(y_new - y) <= 4.0 * EPS * y_new).all():
+            # count_nonzero skips numpy's Python wrapper around ndarray.all; NaN never settles
+            if np.count_nonzero(abs(y_new - y) <= 4.0 * EPS * y_new) == y.size:
                 y = y_new
                 break
             y = y_new
@@ -293,12 +296,14 @@ class _Step:
     def ball2(self, lam, mu_guess):
         """Point at multiplier lam with mu at the root of the l2 constraint (0 when slack).
 
-        The search for mu starts from mu_guess when it is not None.
+        The gap falls as mu grows. With a guess mu_guess > 0 (None for none)
+        the search solves there first: a gap > 0 shows the ball binds and the
+        root lies above, |gap| <= ftol is the answer, and a gap < 0 takes one
+        secular Newton step down (_newton), whose landing point, if its gap is
+        > 0, brackets the root with the guess. Only otherwise is mu = 0
+        solved: the answer when the ball is slack there, else the lower end of
+        a search whose upper end is the smallest mu tried with a gap <= 0.
         """
-        pt = self.solve(lam, 0.0)
-        gap, normal = self.g2(pt.z)
-        if gap <= 0.0:
-            return pt
 
         def at(mu):
             pt = self.solve(lam, mu)
@@ -306,8 +311,24 @@ class _Step:
             return gap, float(normal @ self.dz_dmu(pt)), pt
 
         ftol = 8.0 * EPS * (self.r2 + math.sqrt(float(self.a.dot(self.a))))
-        start = (0.0, gap, float(normal @ self.dz_dmu(pt)), pt)
-        return self._root(at, start, mu_guess, ftol, self.g2)
+        upper = None  # (mu, point) with gap <= 0
+        if mu_guess is not None:
+            gap, slope, pt = at(mu_guess)
+            if gap > 0.0:
+                return self._root(at, (mu_guess, gap, slope, pt), ftol, self.g2, self.r2)
+            if gap >= -ftol:
+                return pt
+            upper = (mu_guess, pt)
+            mu = _newton(mu_guess, gap, slope, self.r2)
+            if 0.0 < mu < mu_guess:
+                gap, slope, pt = at(mu)
+                if gap > 0.0:
+                    return self._root(at, (mu, gap, slope, pt), ftol, self.g2, self.r2, upper)
+                upper = (mu, pt)
+        gap, slope, pt = at(0.0)
+        if gap <= 0.0:
+            return pt
+        return self._root(at, (0.0, gap, slope, pt), ftol, self.g2, self.r2, upper)
 
     def both(self, start):
         """Point with lam at the root of the l1 constraint, mu following as in ball2."""
@@ -332,27 +353,28 @@ class _Step:
         last = [start.mu or None]
         gap, sign = self.g1(start.z)
         ftol = 8.0 * EPS * (self.r1 + float(abs(self.b).sum()))
-        return self._root(at, (0.0, gap, slope(start, sign), start), None, ftol, self.g1)
+        return self._root(at, (0.0, gap, slope(start, sign), start), ftol, self.g1)
 
     @staticmethod
-    def _root(at, start, guess, ftol, gap):
+    def _root(at, start, ftol, gap, radius=None, upper=None):
         """Multiplier x > x0 where the constraint gap f(x) is 0, by safeguarded Newton.
 
         f is nonincreasing with f(x0) > 0. at(x) -> (f(x), f'(x), point);
-        start = (x0, f(x0), f'(x0), point). Newton steps that leave the bracket
-        become bisections, or doublings while no point with f <= 0 is known.
-        Returns the point once |f| <= ftol. When the bracket or the step
-        reaches rounding first, f can still jump between its ends: for p > 2,
-        |z_i| grows like |tau_i|^(1/(p-1)), steep where tau_i crosses 0. Both
-        end points are then stationary to rounding, and the point returned is
-        the one on the segment between them where gap(z) is 0.
+        start = (x0, f(x0), f'(x0), point); upper = (x1, point), when given, is
+        a known x1 > x0 with f(x1) <= 0. The Newton steps are _newton's, on
+        the secular form when radius (the l2 ball's) is given. Steps that
+        leave the bracket become bisections, or doublings while no point with
+        f <= 0 is known. Returns the point once |f| <= ftol. When the bracket
+        or the step reaches rounding first, f can still jump between its ends:
+        for p > 2, |z_i| grows like |tau_i|^(1/(p-1)), steep where tau_i
+        crosses 0. Both end points are then stationary to rounding, and the
+        point returned is the one on the segment between them where gap(z) is 0.
         """
         lo, f, slope, at_lo = start
-        x, hi, at_hi = lo, math.inf, None
-        cand = guess
+        hi, at_hi = upper or (math.inf, None)
+        x = lo
         for _ in range(ROOT_STEPS):
-            if cand is None:
-                cand = x - f / slope if slope < 0.0 and math.isfinite(slope) else math.nan
+            cand = _newton(x, f, slope, radius)
             if not lo < cand < hi:
                 cand = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo if lo > 0.0 else 1.0)
             moved = abs(cand - x)
@@ -369,8 +391,27 @@ class _Step:
                     return pt
             elif moved <= 4.0 * EPS * x or hi - lo <= 4.0 * EPS * hi:
                 return _blend(at_lo, at_hi, gap)
-            cand = None
         raise NumericalError("multiplier search of the mirror step did not converge")
+
+
+def _newton(x, f, slope, radius):
+    """Newton's next x for the root of the gap f at x, slope f'(x) < 0 (NaN without one).
+
+    With radius None (or 0) the step is the plain one. With radius, the l2
+    ball's, f = ||z - a|| - radius and the step is Newton's on the secular
+    form 1/radius - 1/||z - a|| (More & Sorensen, "Computing a trust region
+    step", 1983), which is nearly linear in mu and exactly so for the p = 2
+    projection: the plain step times 1 + f/radius. Where that factor is not
+    positive (z = a) the plain step stands.
+    """
+    if not (slope < 0.0 and math.isfinite(slope)):
+        return math.nan
+    step = f / slope
+    if radius:
+        factor = 1.0 + f / radius
+        if factor > 0.0:
+            step *= factor
+    return x - step
 
 
 def _blend(pos, neg, gap):
@@ -392,9 +433,9 @@ def _solve(lin, u1, p, constraint, guess=None):
 
     Returns (w, mu, lam): the minimizer and the multipliers of the l2 and
     the l1 constraint, which certify it through the KKT conditions. guess,
-    an l2 multiplier such as a nearby step's mu, seeds the search for mu
-    when the l2 ball binds; guess None or 0 starts it cold. The answer is
-    the same to rounding either way. The search for lam always starts cold:
+    an l2 multiplier such as a nearby step's mu, is the first mu the search
+    tries (_Step.ball2); guess None or 0 starts it cold, at mu = 0. The
+    answer is the same to rounding either way. The search for lam always starts cold:
     on a warm start that binds the l1 ball, seeding it with the last step's
     lam took more solves, not fewer.
     """

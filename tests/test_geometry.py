@@ -103,6 +103,26 @@ def test_hard_threshold_s_must_be_an_integer(s):
     assert np.array_equal(hb.hard_threshold(w, np.int64(2)), hb.hard_threshold(w, 2))
 
 
+@pytest.mark.parametrize("value, shown", [
+    (-10**5000, "a negative integer of 5001 digits"),
+    (-(10**5000 - 1), "a negative integer of 5000 digits"),
+    (-10**50, "a negative integer of 51 digits"),
+    (-(10**50 - 1), f"{-(10**50 - 1)}"),  # 50 digits: shown as they are
+    ([10**5000], "a list too large to show"),
+], ids=["5001-digits", "5000-digits", "51-digits", "50-digits", "list"])
+def test_huge_int_argument_is_a_typed_error(value, shown):
+    # Python will not turn an int of more than 4,300 digits into a string, so the
+    # message describes a long int by its sign and length instead of printing it
+    with pytest.raises(InvalidInputError, match=f"s must be an integer at least 1, got {shown}$"):
+        hb.hard_threshold(np.ones(3), value)
+    with pytest.raises(InvalidInputError, match=f"dimension d must be an integer in .*, got {shown}$"):
+        hb.make_ground_truth(value, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="d must be an integer in .*, got an integer of 5001"):
+        hb.make_ground_truth(10**5000, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="must be a real number, got a list too large"):
+        hb.massart([10**5000])
+
+
 def test_hard_threshold_s_at_least_d_copies():
     w = np.array([1.0, -2.0])
     out = hb.hard_threshold(w, 5)

@@ -397,6 +397,42 @@ def test_make_ground_truth_dense_and_sparse():
     assert np.array_equal(truth.w_star, again.w_star)
 
 
+@pytest.mark.parametrize("s", [None, 2])
+@pytest.mark.parametrize("d", [10**30, 2**62, np.iinfo(np.intp).max // 8 + 1])
+def test_make_ground_truth_caps_d_before_any_draw(d, s):
+    # past the longest float64 array numpy can describe, d is an input error, not
+    # numpy's raw ValueError
+    rng = np.random.default_rng(17)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match="make_ground_truth: dimension d must be an integer"):
+        hb.make_ground_truth(d, rng, s=s)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("s", [None, 2])
+def test_make_ground_truth_beyond_memory_is_a_memory_error(s):
+    # the largest d numpy can describe asks for 8 EiB, which the allocator refuses at once
+    with pytest.raises(MemoryError):
+        hb.make_ground_truth(np.iinfo(np.intp).max // 8, np.random.default_rng(17), s=s)
+
+
+def test_tsybakov_flip_rate_keeps_the_formula_bits_and_its_input():
+    # eta_of_margin works in one array of its own: the bits of 0.5 - min(0.5, B |m|^e)
+    # on arrays, m untouched; a 0-d margin computes on numpy scalars, as _flip_rate's floats
+    m = np.random.default_rng(18).standard_normal(4096) * 3.0
+    m[:8] = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, math.inf]
+    for B, alpha in ((0.3, 1.0), (1.0, 0.75), (2.0, 0.3), (1.0, 2.0 / 3.0), (0.7, 1.0 / 3.0)):
+        model = hb.geometric_tsybakov(B, alpha)
+        before = m.copy()
+        with np.errstate(over="ignore"):
+            out = hb.eta_of_margin(model, m)
+            want = 0.5 - np.minimum(0.5, B * np.abs(m) ** ((1.0 - alpha) / alpha))
+            ones = [hb.eta_of_margin(model, np.asarray(x)) for x in m[:64]]
+            scalar = [0.5 - np.minimum(0.5, B * np.abs(x) ** ((1.0 - alpha) / alpha)) for x in m[:64]]
+        assert np.array_equal(out, want) and np.array_equal(m, before)
+        assert all(np.ndim(one) == 0 for one in ones) and np.array_equal(ones, scalar)
+
+
 @pytest.mark.parametrize("b", ["0.1", True, None])
 def test_band_sampler_bandwidth_must_be_a_real_number(b):
     rng, ledger = np.random.default_rng(20), hb.QueryLedger()

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import halfband as hb
 from halfband import sparse
 from halfband.errors import EmptyConstraintError, InvalidInputError, NumericalError
-from halfband.learner import optimize_block
-from halfband.schedules import PROFILES
+from halfband.learner import optimize_block, warm_start_trials
+from halfband.schedules import PROFILES, proximity
 from halfband.sparse import (
     SparseConstraint,
     _solve,
@@ -400,9 +400,11 @@ def assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p):
     return mu_cold > 0.0, lam_cold > 0.0
 
 
-@pytest.mark.parametrize("active", ["free", "ball2", "ball1", "both"])
-def test_kkt_holds_on_one_instance_per_active_set(active):
-    # learner-shaped: u1 = center1 = HT_2(w1), center2 = w1, the step starting at u1
+def one_instance_per_active_set(active):
+    """(constraint, center1, g, alpha, p) of a step that binds the balls named by active.
+
+    Learner-shaped: u1 = center1 = HT_2(w1), center2 = w1, the step starting at u1.
+    """
     d = 8
     p = mirror_p(d)
     rng = np.random.default_rng(60)
@@ -416,6 +418,12 @@ def test_kkt_holds_on_one_instance_per_active_set(active):
         "both": (0.2, 0.3, 1.0),
     }[active]
     constraint = SparseConstraint(center2=w1, radius2=radius2, center1=center1, radius1=radius1)
+    return constraint, center1, g, alpha, p
+
+
+@pytest.mark.parametrize("active", ["free", "ball2", "ball1", "both"])
+def test_kkt_holds_on_one_instance_per_active_set(active):
+    constraint, center1, g, alpha, p = one_instance_per_active_set(active)
     lin = step_linear_term(center1, g, alpha, center1, p)
     w, mu, lam = _solve(lin, center1, p, constraint)
     w_step, mu_step, lam_step = bregman_step(center1, g, alpha, constraint, center1, p)
@@ -566,3 +574,125 @@ def test_kkt_holds_where_the_l1_gap_jumps_between_adjacent_multipliers():
     assert constraint.violation(w) <= 1e-12
     assert abs(float(np.abs(w - constraint.center1).sum()) - constraint.radius1) <= 1e-12
     assert kkt_residual(w, mu, lam, lin, u1, p, constraint) <= 1e-9
+
+
+def learner_shaped_steps(d, s, seed, count):
+    """Steps with center2 = w1, u1 = center1 = HT_s(w1) and radius2 = 4r, as a sparse epoch's,
+    at an l1 radius from 5% to 100% of the epoch's 8r*sqrt(2s), so either ball can bind."""
+    rng = np.random.default_rng(seed)
+    p, r = mirror_p(d), 1.0 / 8.0
+    while count:
+        w1 = hb.normalize(rng.standard_normal(d))
+        center1 = hb.hard_threshold(w1, s)
+        radius1 = 8.0 * r * math.sqrt(2.0 * s) * float(rng.uniform(0.05, 1.0))
+        if l1_distance_to_ball2(w1, 4.0 * r, center1) > radius1:
+            continue
+        constraint = SparseConstraint(w1, 4.0 * r, center1, radius1)
+        u_t = project_intersection(w1 + 0.3 * rng.standard_normal(d), constraint)
+        g, alpha = rng.standard_normal(d), float(rng.uniform(0.1, 1.0))
+        count -= 1
+        yield constraint, center1, step_linear_term(u_t, g, alpha, center1, p), p
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The mu of every _Step.solve call, in order; each call is one exact inner solve."""
+    solve, mus = sparse._Step.solve, []
+
+    def recording(self, lam, mu):
+        mus.append(mu)
+        return solve(self, lam, mu)
+
+    monkeypatch.setattr(sparse._Step, "solve", recording)
+    return mus
+
+
+@pytest.mark.parametrize("d, s", [(5, 2), (12, 3)])
+def test_guess_first_search_matches_cold_search(solves, d, s):
+    # a guess mu_g is solved first: below the root (gap > 0) the search goes up from it
+    # and never solves at mu = 0; above it one secular Newton step down brackets the
+    # root, or mu = 0 is solved last. d = 5 has p > 2 and d = 12 p < 2
+    binds, at_zero = set(), {}
+    for constraint, u1, lin, p in learner_shaped_steps(d, s, 70, 40):
+        w_cold, mu_cold, lam_cold = _solve(lin, u1, p, constraint)
+        if mu_cold == 0.0:
+            continue
+        binds.add(lam_cold > 0.0)
+        for scale in (0.3, 0.9, 1.1, 3.0):
+            solves.clear()
+            w, mu, lam = _solve(lin, u1, p, constraint, guess=scale * mu_cold)
+            assert float(np.abs(w - w_cold).max()) <= 1e-12
+            assert (mu > 0.0, lam > 0.0) == (True, lam_cold > 0.0)
+            assert constraint.violation(w) <= 1e-12
+            assert kkt_residual(w, mu, lam, lin, u1, p, constraint) <= 1e-9
+            if lam_cold == 0.0:  # only the l2 ball binds: solves holds this one search
+                assert solves[0] == scale * mu_cold
+                at_zero.setdefault(scale, set()).add(0.0 in solves)
+    assert binds == {False, True}  # steps where only the l2 ball binds, and where both do
+    assert at_zero[0.3] == at_zero[0.9] == {False}
+    assert at_zero[1.1] == at_zero[3.0] == {False, True}
+
+
+def test_guess_on_a_slack_l2_ball_returns_mu_zero_and_the_cold_point():
+    # the sparse epoch passes a row's last mu even where its next step leaves the l2 ball slack
+    for active in ("free", "ball1"):
+        constraint, u1, g, alpha, p = one_instance_per_active_set(active)
+        lin = step_linear_term(u1, g, alpha, u1, p)
+        w_cold, mu_cold, lam_cold = _solve(lin, u1, p, constraint)
+        assert mu_cold == 0.0 and (lam_cold > 0.0) == (active == "ball1")
+        for guess in (1e-3, 0.5, 2.0, 1e3):
+            w, mu, lam = _solve(lin, u1, p, constraint, guess=guess)
+            assert mu == 0.0
+            assert float(np.abs(w - w_cold).max()) <= 1e-12 and abs(lam - lam_cold) <= 1e-12
+
+
+def test_projection_of_the_l2_center_is_the_l2_center():
+    # there z = a, so ||z - a|| = 0 and the secular Newton factor 1 + gap/r2 is 0
+    rng = np.random.default_rng(71)
+    for d in (3, 8, 20):
+        w1 = hb.normalize(rng.standard_normal(d))
+        constraint = SparseConstraint(w1, 0.5, hb.hard_threshold(w1, 2), 4.0)
+        assert np.array_equal(project_intersection(w1, constraint), w1)
+        w, mu, lam = _solve(np.zeros(d), w1, 2.0, constraint, guess=1.0)
+        assert np.array_equal(w, w1) and (mu, lam) == (0.0, 0.0)
+
+
+def sparse_epoch_d50():
+    """One epoch shaped as the sparse-epoch-d50 benchmark's: Gaussian d=50, s=5, epoch 1, T=8,
+    from w* plus one false coordinate of size 4r."""
+    d, s, j, T = 50, 5, 1, 8
+    dist, noise = hb.make_distribution("gaussian", d), hb.massart(0.1)
+    schedule = hb.schedule_for(noise, dist, 0.1, 0.05, PROFILES["desk"], sparse_s=s)
+    rng = np.random.default_rng((7, 0))
+    truth = hb.make_ground_truth(d, rng, s=s)
+    r = proximity(j)
+    w1 = truth.w_star.copy()
+    w1[rng.choice(np.flatnonzero(truth.w_star == 0.0))] = 4.0 * r * rng.choice([-1.0, 1.0])
+    ledger = hb.QueryLedger()
+    hb.optimize(w1, r, schedule.bandwidths[j], T, "average", dist, noise, truth, rng, ledger,
+                0.05, PROFILES["desk"], sparse_s=s)
+    return ledger.label_calls
+
+
+def sparse_warm_start_epoch0():
+    """The first epoch of a d=20, s=2, eta=0.2, eps=0.1 warm start, eight streams one at a time."""
+    d, s = 20, 2
+    dist, noise = hb.make_distribution("gaussian", d), hb.massart(0.2)
+    schedule = hb.schedule_for(noise, dist, 0.1, 0.05, PROFILES["desk"], sparse_s=s)
+    schedule = dataclasses.replace(schedule, k0=0)
+    truth = hb.make_ground_truth(d, np.random.default_rng(5), s=s)
+    ledger = hb.QueryLedger()
+    for k in range(8):
+        warm_start_trials(schedule, dist, noise, truth, [np.random.default_rng((7, k))], ledger)
+    return ledger.label_calls
+
+
+# (inner solves before the guess-first secular search, after it): (54, 41) and (9241, 7006).
+# Both counts repeat exactly, so a bound between them catches a search that loses its cut.
+@pytest.mark.parametrize("run, steps, bound", [
+    (sparse_epoch_d50, 8, 47),
+    (sparse_warm_start_epoch0, 8 * 238, 8100),
+], ids=["sparse-epoch-d50", "warm-start-epoch0"])
+def test_mirror_step_solver_work_stays_bounded(solves, run, steps, bound):
+    assert run() == steps
+    assert len(solves) <= bound
