@@ -187,6 +187,7 @@ class RunSpec:
     raw: dict  # the merged JSON, for the CSV noise columns
     learner: LearnerConfig  # at the base seed
     replicates: int
+    trace: bool  # whether run writes trace.jsonl
     profile_name: str
     out: str | None
     excess_mc_samples: int
@@ -224,13 +225,13 @@ def parse_spec(cfg, command):
         # plain-Tsybakov schedules need an explicit coefficient; default 1.0
         A=_get(cfg, "tsybakov_A", float, 1.0 if regime == "TNC" else None),
         profile=profile,
-        trace_angles=_get(cfg, "trace", bool, False),
     )
     sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
     return RunSpec(
         raw=cfg,
         learner=learner,
         replicates=_get(cfg, "replicates", int, 1, lo=1),
+        trace=_get(cfg, "trace", bool, False),
         profile_name=profile_name,
         out=_get(cfg, "out", str) or None,
         excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1),
@@ -292,6 +293,7 @@ def run_one(spec, replicate):
         row["wall_time_s"] = time.perf_counter() - start
         return row, []
     row["wall_time_s"] = time.perf_counter() - start
+    gap = result.ledger.max_feasibility_gap
     mc_rng = np.random.default_rng((seed, replicate, 907))
     excess = excess_error(
         result.v,
@@ -309,10 +311,10 @@ def run_one(spec, replicate):
         main_labels=result.schedule.main_label_total(),
         final_angle=angle(result.v, result.truth.w_star),
         final_excess=excess,
-        feasibility_gap=result.max_feasibility_gap,
+        feasibility_gap=gap,
     )
-    if result.max_feasibility_gap > 1e-9:
-        raise InvariantError(f"iterate feasibility violated by {result.max_feasibility_gap:g}")
+    if gap > 1e-9:
+        raise InvariantError(f"iterate feasibility violated by {gap:g}")
     trace_lines = [dict(entry, replicate=replicate) for entry in result.trace]
     return row, trace_lines
 
@@ -364,7 +366,7 @@ def cmd_run(spec, out_dir):
         "final_excess": _quantiles([r["final_excess"] for r in good]) if good else None,
     }
     _write_json(out_dir / "summary.json", summary)
-    if spec.learner.trace_angles:
+    if spec.trace:
         with open(out_dir / "trace.jsonl", "w") as fh:
             for line in traces:
                 fh.write(json.dumps(line, sort_keys=True) + "\n")

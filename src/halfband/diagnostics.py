@@ -333,7 +333,7 @@ def _lemma_checks(dist, truth, rng, noise, samples):
             )
 
     # closed-form band mass against its two-sided bounds (deterministic)
-    for b in (0.02, 0.05, 0.1, 0.2, min(0.5, R / 2.0)):
+    for b in dists.band_mass_grid(dist):
         p = dists.band_probability(dist, b)
         lo, hi = dists.band_mass_bounds(dist, b)
         checks.append(_check("band-mass-lower", {"b": b}, p, lo, 0.0, "ge"))

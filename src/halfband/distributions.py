@@ -157,6 +157,11 @@ def band_mass_bounds(dist, b):
         2.0 / (b * dist.U * dist.beta))
 
 
+def band_mass_grid(dist):
+    """The bandwidths at which the checks hold band_probability to band_mass_bounds."""
+    return (0.02, 0.05, 0.1, 0.2, min(0.5, dist.R / 2.0))
+
+
 def ball_radial(dist, m, V):
     """Length of the part of a uniform-ball point orthogonal to its margin direction.
 
@@ -271,11 +276,10 @@ def certify_parameters(dist, rng=None, samples=10**5):
     )
 
     # band-mass two-sided bounds at the stored constants
-    bgrid = [0.02, 0.05, 0.1, 0.2, min(dist.R / 2.0, 0.5)]
     rows = []
     worst = np.inf
     ok = True
-    for b in bgrid:
+    for b in band_mass_grid(dist):
         p = band_probability(dist, b)
         lo, hi = band_mass_bounds(dist, b)
         rows.append({"b": b, "mass": p, "lower": lo, "upper": hi})

@@ -31,11 +31,7 @@ class InvariantError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """An inner solver failed to reach tolerance; carries its residuals."""
-
-    def __init__(self, message, residuals=None):
-        self.residuals = residuals
-        super().__init__(message)
+    """An inner solver failed to reach tolerance, or a run's ledger disagrees with its schedule."""
 
 
 class EmptyConstraintError(NumericalError):

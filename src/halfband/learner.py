@@ -327,12 +327,11 @@ class LearnerConfig:
     noise: NoiseModel
     epsilon: float
     delta: float
-    seed: object  # int, or sequence of ints for substreams
+    seed: object  # an integer >= 0, or a nonempty sequence of them for substreams
     sparse_s: int | None = None
     regime: str | None = None  # override the regime implied by the noise
     A: float | None = None  # plain-Tsybakov coefficient, for regime="TNC"
     profile: Profile = PROFILES["desk"]
-    trace_angles: bool = True
 
     def schedule(self):
         """The epoch schedule this run follows."""
@@ -354,25 +353,30 @@ class LearnResult:
     ledger: QueryLedger
     schedule: object
     truth: GroundTruth
-    trace: list
-    max_feasibility_gap: float  # ledger.max_feasibility_gap, repeated
+    trace: list  # one entry per epoch, with the angle of its output to w*
+
+
+def _checked_seed(seed):
+    """config.seed as default_rng takes it: an integer >= 0 or a nonempty list or tuple of them."""
+    if not isinstance(seed, (list, tuple)):
+        return integer("seed", seed, 0)
+    if not seed:
+        raise InvalidInputError(f"seed must be an integer or a nonempty sequence, got {seed!r}")
+    return [integer(f"seed[{i}]", v, 0) for i, v in enumerate(seed)]
 
 
 def learn(config, truth=None):
     """Run both stages; returns the unit-vector hypothesis and full accounting."""
-    schedule = config.schedule()  # checks the config before anything is drawn
-    rng = np.random.default_rng(config.seed)
+    schedule = config.schedule()  # checks the config, and then its seed, before any draw
+    rng = np.random.default_rng(_checked_seed(config.seed))
     if truth is None:
         truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
     ledger = QueryLedger()
     trace = []
 
     def record(v, stage, j, **epoch):
-        entry = {"stage": stage, "j": j, **epoch,
-                 "labels": ledger.label_calls, "ex_calls": ledger.ex_calls}
-        if config.trace_angles:
-            entry["angle"] = angle(v, truth.w_star)
-        trace.append(entry)
+        trace.append({"stage": stage, "j": j, **epoch, "labels": ledger.label_calls,
+                      "ex_calls": ledger.ex_calls, "angle": angle(v, truth.w_star)})
 
     v = initialize(schedule, config.dist, config.noise, truth, rng, ledger)
     record(v, "init", schedule.k0)
@@ -400,11 +404,4 @@ def learn(config, truth=None):
         raise NumericalError(
             f"label ledger shows {ledger.label_calls} calls, schedule predicts {expected}"
         )
-    return LearnResult(
-        v=normalize(v),
-        ledger=ledger,
-        schedule=schedule,
-        truth=truth,
-        trace=trace,
-        max_feasibility_gap=ledger.max_feasibility_gap,
-    )
+    return LearnResult(v=normalize(v), ledger=ledger, schedule=schedule, truth=truth, trace=trace)

@@ -136,38 +136,36 @@ def geometric_tsybakov(B, alpha):
 
 
 def eta_of_margin(model, m):
-    """Flip rate as a function of the ground-truth margin <w*,x>; vectorized."""
+    """Flip rate as a function of the ground-truth margin <w*,x>; vectorized.
+
+    A new array of m's shape, 0-d for one margin. The package's one power of a
+    margin: one in-place array kernel for every shape, so a rate has the same
+    bits alone or among other margins, and is 0, silently, where B|m|^e overflows.
+    """
     m = np.asarray(m, dtype=float)
     if model.kind == "massart":
         return np.full_like(m, model.eta)
     if model.kind == "massart_band":
         return np.where(np.abs(m) <= model.tau, model.eta, 0.0)
-    expo = (1.0 - model.alpha) / model.alpha
-    if m.ndim == 0:  # a numpy scalar's ** is libm pow, as _flip_rate's; an array's need not be
-        return 0.5 - np.minimum(0.5, model.B * np.abs(m) ** expo)
-    out = np.abs(m)  # the one array of the result, worked in place
-    out **= expo
-    out *= model.B
+    out = np.abs(m, out=np.empty_like(m))  # an array even for 0-d m, whose ** would be libm's
+    with np.errstate(over="ignore"):
+        out **= (1.0 - model.alpha) / model.alpha
+        out *= model.B
     np.minimum(out, 0.5, out=out)
     return np.subtract(0.5, out, out=out)
 
 
 def _flip_rate(model, m):
-    """float(eta_of_margin(model, m)) for one float margin m, computed on Python floats.
+    """float(eta_of_margin(model, m)) for one float margin m.
 
-    Building eta_of_margin's 0-d array costs more than the rest of a label. The
-    arithmetic is the same, to the bit: np.abs of a 0-d array is a numpy scalar,
-    whose ** is libm pow, as Python's is.
+    Building a 0-d array costs more than the rest of a label, so the Massart
+    kinds, which raise nothing to a power, compute on Python floats, to the same bits.
     """
     if model.kind == "massart":
         return model.eta
     if model.kind == "massart_band":
         return model.eta if abs(m) <= model.tau else 0.0
-    expo = (1.0 - model.alpha) / model.alpha
-    try:
-        return 0.5 - min(model.B * abs(m) ** expo, 0.5)  # NaN stays NaN, as in numpy
-    except OverflowError:  # numpy's power overflows to inf, where the rate is 0
-        return 0.0
+    return float(eta_of_margin(model, m))
 
 
 def query_label(model, truth, x, u, ledger):
@@ -189,38 +187,31 @@ def _label_rule(m, flip):
     return np.where((m >= 0.0) != flip, 1.0, -1.0)
 
 
-def _flip_test(model, m, u):
-    """Where labels flip: u < eta(x), with eta read from m = <w*,x>; Massart's does not read m."""
-    return u < (model.eta if model.kind == "massart" else eta_of_margin(model, m))
-
-
 def query_labels(model, truth, X, u, ledger):
     """Labeling-oracle calls for the rows of X; query_label for a batch.
 
     Row i is labeled sign(<w*,x_i>) (sign(0) = +1), flipped when u[i] < eta(x_i),
     so uniforms u ~ Unif[0,1) give each row its flip probability. Increments
-    ledger.label_calls by exactly len(X).
+    ledger.label_calls by exactly len(X). The one-step case of block_labels.
     """
     X = np.asarray(X, dtype=float)
-    # np.vecdot takes each row's dot product with w* as query_label's .dot does,
-    # so a row's label does not depend on the row count
-    m = np.vecdot(X, truth.w_star)
-    ledger.label_calls += m.shape[0]
-    return _label_rule(m, _flip_test(model, m, np.asarray(u)))
+    u = np.broadcast_to(u, X.shape[:1])
+    return block_labels(model, truth, u[None], ledger)(0, X)
 
 
 def block_labels(model, truth, u, ledger):
-    """query_labels for every step of one lockstep block whose flip uniforms are u (steps, K).
+    """Labels for every step of one lockstep block whose flip uniforms are u (steps, K).
 
     Returns label(i, X), the labels of step i's rows X. The block's labels are
     charged here, all at once, for an epoch that takes every step of it, and
     Massart noise's flip test, which does not read x, runs here for the whole
-    block.
+    block. np.vecdot takes each row's dot product with w* as query_label's .dot
+    does, so a row's label does not depend on the row count.
     """
     ledger.label_calls += u.size
     w_star = truth.w_star
     if model.kind == "massart":
-        flips = _flip_test(model, None, u)
+        flips = u < model.eta
 
         def label(i, X):
             return _label_rule(np.vecdot(X, w_star), flips[i])
@@ -228,14 +219,14 @@ def block_labels(model, truth, u, ledger):
 
         def label(i, X):
             m = np.vecdot(X, w_star)
-            return _label_rule(m, _flip_test(model, m, u[i]))
+            return _label_rule(m, u[i] < eta_of_margin(model, m))
 
     return label
 
 
 def halfspace_labels(X, w):
     """Noise-free labels sign(<w,x>) with sign(0) = +1; rows of X."""
-    return np.where(X @ w >= 0.0, 1.0, -1.0)
+    return _label_rule(X @ w, False)
 
 
 def _geometric_attempts(p, u):

@@ -100,6 +100,11 @@ def iteration_factor(regime, r, dist, eta=None, A=None, alpha=None, B=None):
     raise InvalidInputError(f"unknown regime {regime!r}")
 
 
+def _dim_factor(d, sparse_s):
+    """The schedules' dimension factor: d, or s ln d for a sparse run."""
+    return sparse_s * math.log(d) if sparse_s else d
+
+
 def iteration_count(regime, r, dist, delta, profile, dim_factor, **params):
     """Per-epoch label count T_j at proximity scale r."""
     polylog = math.log(1.0 / (delta * r)) ** 3
@@ -151,7 +156,7 @@ class Schedule:
 
     @property
     def dim_factor(self):
-        return self.sparse_s * math.log(self.d) if self.sparse_s else self.d
+        return _dim_factor(self.d, self.sparse_s)
 
     def per_trial_init_labels(self):
         return sum(self.iterations[: self.k0 + 1])
@@ -240,7 +245,7 @@ def make_schedule(
         N = math.ceil(10.0 * math.log(4.0 / delta))
         m = math.ceil(profile.c_S * math.log(N / delta) / eps0**2)
 
-        dim = sparse_s * math.log(dist.d) if sparse_s else dist.d
+        dim = _dim_factor(dist.d, sparse_s)
         bws, its = [], []
         for j in range(max(k0, k_eps) + 1):
             r = proximity(j)

@@ -24,7 +24,6 @@ def criterion3_runs():
             delta=0.05,
             seed=(2026, i),
             profile=PROFILES["desk"],
-            trace_angles=True,
         )
         result = hb.learn(config)
         excess = hb.excess_error(result.v, dist, noise, result.truth, method="exact")

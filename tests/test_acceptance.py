@@ -278,7 +278,7 @@ def test_criterion_9_property_suites(criterion3_runs):
     for run in criterion3_runs["runs"]:
         result = run["result"]
         assert result.ledger.label_calls == result.schedule.total_label_budget()
-        assert result.max_feasibility_gap <= 1e-9
+        assert result.ledger.max_feasibility_gap <= 1e-9
 
     # (c) identical (config, seed) reruns are byte-identical
     def one():
@@ -289,7 +289,6 @@ def test_criterion_9_property_suites(criterion3_runs):
             delta=0.05,
             seed=(909, 0),
             profile=DESK,
-            trace_angles=True,
         ))
 
     a, b = one(), one()

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -330,9 +329,13 @@ def test_number_too_long_to_convert_exits_2_with_one_line(tmp_path, capsys):
 
 def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
     learn = cli.learn
-    monkeypatch.setattr(
-        cli, "learn", lambda config: dataclasses.replace(learn(config), max_feasibility_gap=1e-6)
-    )
+
+    def infeasible(config):
+        result = learn(config)
+        result.ledger.max_feasibility_gap = 1e-6
+        return result
+
+    monkeypatch.setattr(cli, "learn", infeasible)
     cfg = dict(TINY, out=str(tmp_path / "out"))
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err.splitlines()

@@ -513,7 +513,6 @@ def test_learn_small_run_accounting_and_trace():
         delta=0.05,
         seed=(404, 0),
         profile=DESK,
-        trace_angles=True,
     )
     result = hb.learn(config)
     sched = result.schedule
@@ -524,7 +523,7 @@ def test_learn_small_run_accounting_and_trace():
     assert [e["j"] for e in main] == list(range(1, sched.k_eps + 1))
     for entry in main:
         assert {"r", "b", "T", "labels", "ex_calls", "angle"} <= set(entry)
-    assert result.max_feasibility_gap <= 1e-9
+    assert result.ledger.max_feasibility_gap <= 1e-9
 
 
 def test_learn_rerun_is_bit_identical():
@@ -536,7 +535,6 @@ def test_learn_rerun_is_bit_identical():
             delta=0.05,
             seed=(404, 1),
             profile=DESK,
-            trace_angles=True,
         )
         return hb.learn(config)
 
@@ -555,13 +553,12 @@ def test_learn_uniform_ball_end_to_end():
             delta=0.05,
             seed=(11, 0),
             profile=dataclasses.replace(DESK, c_T=0.002, c_S=4.0),
-            trace_angles=True,
         )
         return hb.learn(config)
 
     a, b = one(), one()
     assert a.ledger.label_calls == a.schedule.total_label_budget()
-    assert a.max_feasibility_gap <= 1e-9
+    assert a.ledger.max_feasibility_gap <= 1e-9
     assert float(np.linalg.norm(a.v)) == pytest.approx(1.0, rel=1e-12)
     assert a.v.tobytes() == b.v.tobytes()
     assert a.ledger == b.ledger
@@ -579,6 +576,30 @@ def test_learn_config_validation():
         with pytest.raises(InvalidInputError, match="sparse_s must be an integer in"):
             hb.learn(hb.LearnerConfig(dist=dist, noise=NOISE, epsilon=0.3, delta=0.05, seed=0,
                                       sparse_s=s))
+
+
+def _small_config(seed):
+    return hb.LearnerConfig(dist=hb.make_distribution("gaussian", 3), noise=NOISE, epsilon=0.45,
+                            delta=0.05, seed=seed, profile=DESK)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "abc", (1, -2), True, None, (), [7, 2.0],
+                                  np.float64(7.0), b"\x07", {7: 0}])
+def test_learn_rejects_a_malformed_seed(seed):
+    # a seed numpy would take otherwise (True as 1, None as OS entropy) or reject with its
+    # own error is an InvalidInputError naming seed, raised before anything is drawn
+    with pytest.raises(InvalidInputError, match=r"seed(\[\d\])? must be an integer"):
+        hb.learn(_small_config(seed))
+
+
+def test_learn_valid_seeds_keep_their_streams():
+    # an integer >= 0 or a nonempty list or tuple of them seeds default_rng as it did
+    for seeds in ([7, np.int64(7)], [(7, 0), [7, 0], (np.int64(7), np.uint8(0))]):
+        runs = [hb.learn(_small_config(seed)) for seed in seeds]
+        truth = hb.make_ground_truth(3, np.random.default_rng(seeds[0]))
+        assert all(r.truth.w_star.tobytes() == truth.w_star.tobytes() for r in runs)
+        assert all(r.v.tobytes() == runs[0].v.tobytes() and r.trace == runs[0].trace
+                   for r in runs)
 
 
 def test_trace_angles_weakly_decreasing_across_main_epochs(criterion3_runs):

@@ -134,9 +134,9 @@ def test_query_label_sign_zero_is_positive():
     ids=lambda model: f"{model.kind}-{model.alpha}",
 )
 def test_scalar_flip_rate_equals_eta_of_margin_exactly(model):
-    # query_label's flip rate is built from Python floats; it must be eta_of_margin's
-    # value to the bit, at the band edge, at the Tsybakov knee B|m|^e = 1/2, at tiny
-    # margins and where |m|^e overflows
+    # query_label's flip rate must be eta_of_margin's value to the bit, for one margin
+    # and in an array of them, at the band edge, at the Tsybakov knee B|m|^e = 1/2, at
+    # tiny margins and where |m|^e overflows, which gives rate 0 with no warning
     expo = (1.0 - model.alpha) / model.alpha
     edges = [model.tau] if model.kind == "massart_band" else []
     if model.kind == "geometric_tsybakov" and expo > 0.0:
@@ -147,9 +147,29 @@ def test_scalar_flip_rate_equals_eta_of_margin_exactly(model):
             margins += [m, math.nextafter(m, math.inf), math.nextafter(m, -math.inf)]
     margins += (np.random.default_rng(7).standard_normal(2000) * 3.0).tolist()
     for m in margins:
-        with np.errstate(over="ignore"):
-            expected = float(hb.eta_of_margin(model, m))
-        assert oracles._flip_rate(model, m) == expected, m
+        assert oracles._flip_rate(model, m) == float(hb.eta_of_margin(model, m)), m
+    rates = hb.eta_of_margin(model, np.array(margins))
+    assert [oracles._flip_rate(model, m) for m in margins] == rates.tolist()
+
+
+@pytest.mark.parametrize("B,alpha", [(1.0, 0.75), (2.0, 0.3)])
+def test_labels_agree_at_ulp_boundary_uniforms(B, alpha):
+    # a flip uniform equal to a margin's rate r, or one ulp below it, reads r's last bit:
+    # query_label, query_labels and a one-row lockstep epoch, which labels step i through
+    # block_labels' label(i, X) on its (steps, 1) uniforms, must agree on every margin
+    model = hb.geometric_tsybakov(B, alpha)
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
+    m = np.random.default_rng(0).standard_normal(100_000)
+    X = np.column_stack((m, np.zeros_like(m)))  # <w*, x> = m, exactly
+    rates = hb.eta_of_margin(model, m)
+    for u in (rates, np.nextafter(rates, 0.0)):
+        ledger = hb.QueryLedger()
+        batch = oracles.query_labels(model, truth, X, u, ledger).tolist()
+        scalar = [oracles.query_label(model, truth, x, uk, ledger) for x, uk in zip(X, u.tolist())]
+        label = oracles.block_labels(model, truth, u[:, None], ledger)
+        one_row = [label(i, X[i : i + 1]).item() for i in range(len(m))]
+        assert batch == scalar == one_row
+        assert ledger.label_calls == 3 * len(m)
 
 
 def test_query_label_flip_rate_binomial():
@@ -418,19 +438,18 @@ def test_make_ground_truth_beyond_memory_is_a_memory_error(s):
 
 def test_tsybakov_flip_rate_keeps_the_formula_bits_and_its_input():
     # eta_of_margin works in one array of its own: the bits of 0.5 - min(0.5, B |m|^e)
-    # on arrays, m untouched; a 0-d margin computes on numpy scalars, as _flip_rate's floats
+    # on arrays, m untouched; a 0-d margin gets the array's bits, not libm's scalar pow's
     m = np.random.default_rng(18).standard_normal(4096) * 3.0
     m[:8] = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, math.inf]
     for B, alpha in ((0.3, 1.0), (1.0, 0.75), (2.0, 0.3), (1.0, 2.0 / 3.0), (0.7, 1.0 / 3.0)):
         model = hb.geometric_tsybakov(B, alpha)
         before = m.copy()
+        out = hb.eta_of_margin(model, m)
+        ones = [hb.eta_of_margin(model, np.asarray(x)) for x in m]
         with np.errstate(over="ignore"):
-            out = hb.eta_of_margin(model, m)
             want = 0.5 - np.minimum(0.5, B * np.abs(m) ** ((1.0 - alpha) / alpha))
-            ones = [hb.eta_of_margin(model, np.asarray(x)) for x in m[:64]]
-            scalar = [0.5 - np.minimum(0.5, B * np.abs(x) ** ((1.0 - alpha) / alpha)) for x in m[:64]]
         assert np.array_equal(out, want) and np.array_equal(m, before)
-        assert all(np.ndim(one) == 0 for one in ones) and np.array_equal(ones, scalar)
+        assert all(np.ndim(one) == 0 for one in ones) and np.array_equal(ones, out)
 
 
 @pytest.mark.parametrize("b", ["0.1", True, None])
