@@ -81,10 +81,9 @@ def cli_files(command, cfg, names, extra=()):
         path.write_text(json.dumps(dict(cfg, out=str(Path(tmp) / "out"))))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([command, "--config", str(path), *extra])
-        out = Path(tmp) / "out"
         if code != 0:
             raise SystemExit(f"halfband {command} exited with {code}")
-        return [(out / name).read_bytes() for name in names]
+        return [(Path(tmp) / "out" / name).read_bytes() for name in names]
 
 
 def without_wall_time(csv_bytes):
@@ -120,8 +119,7 @@ def epoch_item(dist, noise, seed, scalar, sparse_s=None, T=4000):
 def items():
     yield "learn criterion-3 seed (2026, 0)", learn_item()
     names = ("results.csv", "summary.json", "trace.jsonl")
-    results, summary, trace = cli_files("run", CRITERION3, names,
-                                                ("--replicates", "2", "--trace"))
+    results, summary, trace = cli_files("run", CRITERION3, names, ("--replicates", "2", "--trace"))
     yield "run criterion-3, 2 replicates, --trace", sha(without_wall_time(results), summary, trace)
     for axis, (noise, sparse_s, values) in SWEEPS.items():
         cfg = dict(CRITERION3, noise=noise, sparse_s=sparse_s,
