@@ -46,7 +46,7 @@ from .oracles import (
     query_label,
 )
 from .schedules import PROFILES, Profile, Schedule, make_schedule, schedule_for
-from .sparse import bregman_step, project_intersection, project_l1_ball
+from .sparse import bregman_step, project_intersection
 
 __all__ = [
     "BandSampler",
@@ -87,7 +87,6 @@ __all__ = [
     "normalize",
     "optimize",
     "project_intersection",
-    "project_l1_ball",
     "query_label",
     "sample",
     "schedule_for",

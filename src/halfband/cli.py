@@ -184,7 +184,6 @@ def sweep_from_config(raw, noise, cfg):
 class RunSpec:
     """One checked config; subcommands read it instead of the JSON."""
 
-    raw: dict  # the merged JSON, for the CSV noise columns
     learner: LearnerConfig  # at the base seed
     replicates: int
     trace: bool  # whether run writes trace.jsonl
@@ -228,7 +227,6 @@ def parse_spec(cfg, command):
     )
     sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
     return RunSpec(
-        raw=cfg,
         learner=learner,
         replicates=_get(cfg, "replicates", int, 1, lo=1),
         trace=_get(cfg, "trace", bool, False),
@@ -266,7 +264,6 @@ def learner_config(cfg, replicate):
 def run_one(spec, replicate):
     config = spec.replicate(replicate)
     seed = spec.learner.seed
-    noise_raw = spec.raw["noise"]
     row = {col: "" for col in CSV_COLUMNS}
     row.update(
         seed=seed,
@@ -275,10 +272,7 @@ def run_one(spec, replicate):
         d=config.dist.d,
         s="" if config.sparse_s is None else config.sparse_s,
         noise_kind=config.noise.kind,
-        eta=noise_raw.get("eta", ""),
-        tau=noise_raw.get("tau", ""),
-        B=noise_raw.get("B", ""),
-        alpha=noise_raw.get("alpha", ""),
+        **{f: getattr(config.noise, f) for f in noise_fields(config.noise.kind)},
         A="" if config.A is None else config.A,
         regime=spec.schedule.regime,
         epsilon=config.epsilon,

@@ -20,7 +20,7 @@ from .oracles import (
     geometric_tsybakov,
     massart,
 )
-from .schedules import regime_for_noise
+from .schedules import excess_lower_bound, psi_lower_bound, regime_for_noise
 
 
 # Rows each Monte Carlo batch draws and reduces at a time (_moments), so memory stays
@@ -219,29 +219,6 @@ def _check(name, setting, measured, bound, std_error, side):
     }
 
 
-def _psi_lower_bound(regime, dist, b, theta, model, A=None):
-    L, R, U, beta = dist.L, dist.R, dist.U, dist.beta
-    logf = math.log(2.0 / (b * U * beta))
-    if regime == "MNC":
-        return (1.0 - 2.0 * model.eta) * R**2 * L / (128.0 * U * beta * logf) * theta
-    if regime == "TNC":
-        a = model.alpha
-        return (
-            (R * b * L / (8.0 * A)) ** ((1.0 - a) / a)
-            * R**2
-            * L
-            / (256.0 * U * beta * logf)
-            * theta
-        )
-    a = model.alpha
-    return (
-        R
-        * L
-        / (16.0 * U * beta * logf)
-        * min(R * theta / 8.0, model.B * (R * theta / 8.0) ** (1.0 / a))
-    )
-
-
 def suite_bandwidth(dist):
     """Bandwidth b = 0.1 R of the lemma suite's band-potential checks.
 
@@ -263,7 +240,10 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     Runs five families of checks: band-potential lower bounds per regime,
     closed-form band-mass bounds, disagreement-probability bounds, the noise
     tail bound behind the Tsybakov conversion, and the excess-error lower
-    bounds. Returns a JSON-serializable report; passed means every check
+    bounds. The regime bounds are the schedules' own (schedules.psi_lower_bound
+    and excess_lower_bound, whose MNC/TNC/GTNC bound at L R^2 / 4 is eps0), and
+    the noise tail's is band_mass_bounds' upper bound. Returns a
+    JSON-serializable report; passed means every check
     held within three standard errors (deterministic checks exactly). The
     checks after the band mass share one batch of whole points, reduced chunk
     by chunk to one value column per statistic (_moments), so memory is
@@ -308,19 +288,23 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     mnc = noise if regime == "MNC" else massart(0.2)
     gt = noise if regime == "GTNC" else geometric_tsybakov(1.0, 0.75)
     tnc = gt if 0.5 < gt.alpha < 1.0 else geometric_tsybakov(1.0, 0.75)
-    A_exact = exact_tsybakov_A(tnc.B, tnc.alpha, dist)
+    by_regime = {"MNC": mnc, "TNC": tnc, "GTNC": gt}
+    # each regime's bound parameters, as make_schedule takes them
+    params = {
+        "MNC": {"eta": mnc.eta},
+        "TNC": {"A": exact_tsybakov_A(tnc.B, tnc.alpha, dist), "alpha": tnc.alpha},
+        "GTNC": {"B": gt.B, "alpha": gt.alpha},
+    }
 
     checks = []
 
     # band-potential lower bounds at random directions with tilde angle >= 4b/R
     thetas = rng.uniform(4.0 * b_psi / R + 0.05, math.pi / 2.0, size=3)
-    for regime, model in (("MNC", mnc), ("TNC", tnc), ("GTNC", gt)):
+    for regime, model in by_regime.items():
         for theta in thetas:
             w = _tilted(w_star, float(theta), rng)
             est = estimate_psi(w, b_psi, dist, model, truth, samples, rng)
-            bound = _psi_lower_bound(
-                regime, dist, b_psi, float(theta), model, A=A_exact if regime == "TNC" else None
-            )
+            bound = psi_lower_bound(regime, b_psi, float(theta), dist, **params[regime])
             checks.append(
                 _check(
                     f"psi-lower-{regime.lower()}",
@@ -381,12 +365,12 @@ def _lemma_checks(dist, truth, rng, noise, samples):
         checks.append(_check("disagreement-lower", {"angle": theta}, q, lo, se, "ge"))
         checks.append(_check("disagreement-upper", {"angle": theta}, q, hi, se, "le"))
 
-    # noise mass near the decision boundary (the Tsybakov conversion's tail)
+    # noise mass near the decision boundary (the Tsybakov conversion's tail): the
+    # fraction with 1/2 - eta <= t is the band mass at z = (t / B)^(alpha / (1 - alpha))
     a, B = tnc.alpha, tnc.B
     for i, t in enumerate(tails.tolist(), start=n_dis):
         frac = float(means[i])
-        z = (t / B) ** (a / (1.0 - a))
-        bound = 4.0 * U * beta * z * math.log(2.0 / (U * beta * z))
+        bound = dists.band_mass_bounds(dist, (t / B) ** (a / (1.0 - a)))[1]
         se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples)
         checks.append(_check("noise-tail", {"t": t}, frac, bound, se, "le"))
 
@@ -395,22 +379,9 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     # it is reported as measured with no error (Monte Carlo fails it 0.13% of the time)
     for j, theta in enumerate(excess_angles):
         q = dists.exact_disagreement(dist, V[n_dis + j], w_star)
-        for name, model, bound in (
-            ("excess-lower-mnc", mnc, (1.0 - 2.0 * mnc.eta) * q),
-            (
-                "excess-lower-tnc",
-                tnc,
-                (1.0 / (2.0 * A_exact)) ** ((1.0 - tnc.alpha) / tnc.alpha)
-                * q ** (1.0 / tnc.alpha),
-            ),
-            (
-                "excess-lower-gtnc",
-                gt,
-                gt.B
-                * (q / 3.0) ** (1.0 / gt.alpha)
-                * (12.0 * U * beta * math.log(9.0 / q)) ** (-(1.0 - gt.alpha) / gt.alpha),
-            ),
-        ):
+        for regime, model in by_regime.items():
+            name = f"excess-lower-{regime.lower()}"
+            bound = excess_lower_bound(regime, q, dist, **params[regime])
             setting = {"angle": theta, "disagreement": q}
             if model.kind == "massart":
                 checks.append(_check(name, setting, bound, bound, 0.0, "ge"))

@@ -203,17 +203,17 @@ def exact_disagreement(dist, u, v):
     return angle(u, v) / np.pi
 
 
-def certify_parameters(dist, rng=None, samples=10**5):
+def certify_parameters(dist, rng, samples=10**5):
     """Check the stored (L, R, U, beta) against the family's actual law.
 
     Returns a report dict (never raises on failure). Density checks use the
-    closed-form projected density, so they need no estimation allowance. samples is an integer >= 1.
+    closed-form projected density, so they need no estimation allowance. Every draw
+    comes from rng, a numpy Generator; samples is an integer >= 1.
     """
     samples = integer("certify_parameters needs at least one sample: samples", samples, 1)
     # scipy.stats costs most of the package's import time; only this check needs it
     from scipy import stats
 
-    rng = np.random.default_rng(0) if rng is None else rng
     checks = []
 
     def add(name, passed, margin, detail):

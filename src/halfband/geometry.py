@@ -72,12 +72,12 @@ def real(name, value):
 def normalize(w):
     """Return w / ||w||_2; the zero vector maps to e_1 by convention.
 
-    The e_1 convention lets iterative code normalize a zero start
-    vector without a special case.
+    w must be a finite nonempty 1-d array (finite_array). The e_1 convention lets
+    iterative code normalize a zero start vector without a special case.
     """
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("normalize: non-finite coordinates")
+    w = finite_array("normalize: w", w, (None,))
+    if not w.size:
+        raise InvalidInputError("normalize: w must not be empty")
     n = np.linalg.norm(w)
     if n == 0.0:
         out = np.zeros_like(w)
@@ -87,9 +87,12 @@ def normalize(w):
 
 
 def angle(u, v):
-    """Angle between u and v in [0, pi]; cosine clamped to [-1, 1] as a float guard."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Angle between u and v in [0, pi]; cosine clamped to [-1, 1] as a float guard.
+
+    u and v must be finite 1-d arrays of one length (finite_array), neither zero.
+    """
+    u = finite_array("angle: u", u, (None,))
+    v = finite_array("angle: v", v, u.shape)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -101,10 +104,11 @@ def angle(u, v):
 def hard_threshold(w, s):
     """Keep the s largest-magnitude entries of w, zero the rest.
 
-    s must be an integer at least 1 (geometry.integer). Magnitude ties keep the
-    lower coordinate index; s >= d is the identity.
+    w must be a finite 1-d array (finite_array) and s an integer at least 1
+    (geometry.integer). Magnitude ties keep the lower coordinate index; s >= d
+    is the identity.
     """
-    w = np.asarray(w, dtype=float)
+    w = finite_array("hard_threshold: w", w, (None,))
     s = integer("hard_threshold: s", s, 1)
     d = w.shape[0]
     if s >= d:

@@ -46,7 +46,6 @@ class QueryLedger:
 @dataclass(frozen=True)
 class GroundTruth:
     w_star: np.ndarray
-    s: int | None = None
 
 
 _MAX_D = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can describe
@@ -66,7 +65,7 @@ def make_ground_truth(d, rng, s=None):
     w = np.zeros(d)
     idx = rng.choice(d, size=s, replace=False)
     w[idx] = rng.choice([-1.0, 1.0], size=s) / np.sqrt(s)
-    return GroundTruth(w, s=s)
+    return GroundTruth(w)
 
 
 # noise kind -> (its fields, in constructor order; the schedule regime it defaults to)

@@ -3,7 +3,8 @@
 Epoch j targets proximity r_j = 4^{-(j+1)}. Every expression keeps its
 analysis form with the hidden constants replaced by explicit multipliers;
 bandwidths are clipped to R/2 (the band lemmas' validity range) and the
-initialization target eps0 to 1/2.
+initialization target eps0 to 1/2. The regime bounds the lemma suite checks
+(excess_lower_bound, psi_lower_bound) are written here, once.
 """
 
 import math
@@ -113,26 +114,50 @@ def iteration_count(regime, r, dist, delta, profile, dim_factor, **params):
     )
 
 
-def initial_target(regime, dist, profile, eta=None, A=None, alpha=None, B=None):
-    """Initialization excess-error target eps0, clipped to 1/2."""
-    L, R, U, beta = dist.L, dist.R, dist.U, dist.beta
-    P = L * R**2 / 4.0
+def excess_lower_bound(regime, q, dist, c=1.0, eta=None, A=None, alpha=None, B=None):
+    """The analysis's lower bound on the excess error at disagreement probability q.
+
+    The leading factor c multiplies first: the schedules' eps0 is this bound at
+    q = L R^2 / 4 with c = c_eps (initial_target), and the lemma suite checks it
+    with c = 1 at measured disagreements.
+    """
     if regime == "MNC":
-        eps0 = profile.c_eps * (1.0 - 2.0 * eta) * P
-    elif regime == "TNC":
-        eps0 = profile.c_eps * (1.0 / (2.0 * A)) ** ((1.0 - alpha) / alpha) * P ** (1.0 / alpha)
-    elif regime == "GTNC":
-        if not P < 9.0:
-            raise InvalidInputError("GTNC schedule needs L R^2 < 36, so that log(9/P) > 0")
-        eps0 = (
-            profile.c_eps
-            * B
-            * (P / 3.0) ** (1.0 / alpha)
-            * (12.0 * U * beta * math.log(9.0 / P)) ** (-(1.0 - alpha) / alpha)
-        )
-    else:
-        raise InvalidInputError(f"unknown regime {regime!r}")
-    return min(eps0, 0.5)
+        return c * (1.0 - 2.0 * eta) * q
+    if regime == "TNC":
+        return c * (1.0 / (2.0 * A)) ** ((1.0 - alpha) / alpha) * q ** (1.0 / alpha)
+    if regime == "GTNC":
+        log_term = 12.0 * dist.U * dist.beta * math.log(9.0 / q)
+        return c * B * (q / 3.0) ** (1.0 / alpha) * log_term ** (-(1.0 - alpha) / alpha)
+    raise InvalidInputError(f"unknown regime {regime!r}")
+
+
+def psi_lower_bound(regime, b, theta, dist, eta=None, A=None, alpha=None, B=None):
+    """The analysis's lower bound on the band potential at bandwidth b and tilde angle theta."""
+    L, R, U, beta = dist.L, dist.R, dist.U, dist.beta
+    logf = math.log(2.0 / (b * U * beta))
+    if regime == "MNC":
+        return (1.0 - 2.0 * eta) * R**2 * L / (128.0 * U * beta * logf) * theta
+    if regime == "TNC":
+        return ((R * b * L / (8.0 * A)) ** ((1.0 - alpha) / alpha) * R**2 * L
+                / (256.0 * U * beta * logf) * theta)
+    if regime == "GTNC":
+        scale = R * theta / 8.0
+        return R * L / (16.0 * U * beta * logf) * min(scale, B * scale ** (1.0 / alpha))
+    raise InvalidInputError(f"unknown regime {regime!r}")
+
+
+def initial_target(regime, dist, profile, **params):
+    """Initialization excess-error target eps0, clipped to 1/2."""
+    P = dist.L * dist.R**2 / 4.0
+    if regime == "GTNC" and not P < 9.0:
+        raise InvalidInputError("GTNC schedule needs L R^2 < 36, so that log(9/P) > 0")
+    return min(excess_lower_bound(regime, P, dist, profile.c_eps, **params), 0.5)
+
+
+def target_epoch(eps, dist):
+    """(r, k): the l2 proximity r that keeps excess error within eps, and k = ceil(log_4(1/r))."""
+    r = eps / (32.0 * dist.U * dist.beta**2 * math.log(12.0 / eps) ** 2)
+    return r, math.ceil(math.log(1.0 / r, 4.0))
 
 
 @dataclass(frozen=True)
@@ -233,15 +258,12 @@ def make_schedule(
         if dist.d < 3:
             raise InvalidInputError("sparse schedules need d >= 3")
 
-    U, beta = dist.U, dist.beta
     # extreme constants or multipliers overflow a count to inf (math.ceil raises) or
     # underflow a scale to 0 (division or log raises); both are bad input
     try:
-        r_eps = epsilon / (32.0 * U * beta**2 * math.log(12.0 / epsilon) ** 2)
-        k_eps = math.ceil(math.log(1.0 / r_eps, 4.0))
+        r_eps, k_eps = target_epoch(epsilon, dist)
         eps0 = initial_target(regime, dist, profile, **params)
-        r0 = eps0 / (64.0 * U * beta**2 * math.log(24.0 / eps0) ** 2)
-        k0 = math.ceil(math.log(1.0 / r0, 4.0))
+        r0, k0 = target_epoch(eps0 / 2.0, dist)  # initialization aims at half its target
         N = math.ceil(10.0 * math.log(4.0 / delta))
         m = math.ceil(profile.c_S * math.log(N / delta) / eps0**2)
 

@@ -217,6 +217,29 @@ def test_suite_excess_lower_mnc_stays_monte_carlo_for_band_noise():
         assert c["passed"]
 
 
+@pytest.mark.parametrize("noise", [None, hb.geometric_tsybakov(2.0, 0.8)], ids=["default", "gtnc"])
+def test_suite_excess_checks_read_the_schedule_bound(monkeypatch, noise):
+    # the excess-lower-* bounds are schedules.excess_lower_bound's, the one eps0 is built
+    # from: doubling it where the suite looks it up doubles exactly those bounds
+    truth = fixed_truth(5, seed=37)
+
+    def run():
+        report = hb.verify_lemma_suite(GAUSS5, truth, np.random.default_rng(38),
+                                       noise=noise, samples=200)
+        return report["checks"]
+
+    before = run()
+    bound = diagnostics.excess_lower_bound
+    monkeypatch.setattr(diagnostics, "excess_lower_bound", lambda *a, **k: 2.0 * bound(*a, **k))
+    after = run()
+    excess = [i for i, c in enumerate(before) if c["check"].startswith("excess-lower-")]
+    assert sorted({before[i]["check"] for i in excess}) == [
+        "excess-lower-gtnc", "excess-lower-mnc", "excess-lower-tnc"]
+    assert len(excess) == 9
+    for i, (old, new) in enumerate(zip(before, after, strict=True)):
+        assert new["bound"] == (2.0 * old["bound"] if i in excess else old["bound"])
+
+
 @pytest.mark.parametrize("samples", [1, 0, 2.5, 2.0])
 def test_suite_needs_two_samples(samples):
     truth = fixed_truth(5, seed=33)

@@ -57,6 +57,27 @@ def test_angle_rejects_zero_vector():
         hb.angle(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (hb.angle, ([np.inf, 0.0], [1.0, 0.0]), "angle: u must be finite"),
+    (hb.angle, ([1.0, 0.0], [np.nan, 0.0]), "angle: v must be finite"),
+    (hb.angle, (np.ones(3), np.ones(2)), r"angle: v must be an array of shape \(3,\), got shape \(2,\)"),
+    (hb.angle, ([[1.0, 0.0]], [1.0, 0.0]), r"angle: u must be an array of shape \(K,\)"),
+    (hb.angle, (["a", "b"], [1.0, 0.0]), "angle: u must be an array of numbers"),
+    (hb.normalize, ([[1.0, 2.0], [3.0, 4.0]],), r"normalize: w must be an array of shape \(K,\)"),
+    (hb.normalize, (3.0,), r"normalize: w must be an array of shape \(K,\), got shape \(\)"),
+    (hb.normalize, ([],), "normalize: w must not be empty"),
+    (hb.hard_threshold, (np.ones((2, 3)), 1), r"hard_threshold: w must be an array of shape \(K,\)"),
+    (hb.hard_threshold, ([np.inf, 1.0, 2.0], 1), "hard_threshold: w must be finite"),
+], ids=["angle-inf", "angle-nan", "angle-lengths", "angle-matrix", "angle-text",
+        "normalize-matrix", "normalize-scalar", "normalize-empty", "threshold-matrix",
+        "threshold-inf"])
+def test_vector_arguments_are_checked(call, args, message):
+    # malformed vectors raise the package's typed error, never a raw numpy error,
+    # a nan, or a silently reshaped result
+    with pytest.raises(InvalidInputError, match=message):
+        call(*args)
+
+
 def test_angle_l2_inequalities_zero_violations():
     # (i) ||normalize(w) - u|| <= 2||w - u||, (ii) angle(w,u) <= pi ||w - u||,
     # (iii) unit w: ||w - u|| <= angle(w,u); u unit throughout

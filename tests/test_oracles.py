@@ -104,7 +104,7 @@ def test_eta_bayes_bound_all_models():
 
 
 def test_query_label_noiseless_and_accounting():
-    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
     rng = np.random.default_rng(4)
     ledger = hb.QueryLedger()
     model = hb.massart(0.0)
@@ -116,7 +116,7 @@ def test_query_label_noiseless_and_accounting():
 
 
 def test_query_label_sign_zero_is_positive():
-    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
     ledger = hb.QueryLedger()
     y = hb.query_label(hb.massart(0.0), truth, np.array([0.0, 3.0]), 0.0, ledger)
     assert y == 1
@@ -173,7 +173,7 @@ def test_labels_agree_at_ulp_boundary_uniforms(B, alpha):
 
 
 def test_query_label_flip_rate_binomial():
-    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
     model = hb.massart(0.3)
     rng = np.random.default_rng(6)
     ledger = hb.QueryLedger()
@@ -301,7 +301,7 @@ def test_band_sampler_direction_scale_bit_exact():
 
 
 def test_query_labels_rowwise_rule_and_accounting():
-    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]), s=None)
+    truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
     model = hb.massart_band(0.3, 1.0)
     X = np.array([[2.0, 0.0], [-0.5, 1.0], [0.0, 3.0], [0.5, -1.0], [-3.0, 0.0]])
     u = np.array([0.1, 0.1, 0.5, 0.29, 0.0])
@@ -409,8 +409,7 @@ def test_make_ground_truth_dense_and_sparse():
         assert rng.bit_generator.state == state
     assert float(np.linalg.norm(truth.w_star)) == pytest.approx(1.0, rel=1e-12)
     sparse = hb.make_ground_truth(8, np.random.default_rng(16), s=3)
-    assert np.count_nonzero(sparse.w_star) <= 3
-    assert sparse.s == 3
+    assert np.count_nonzero(sparse.w_star) == 3
     assert float(np.linalg.norm(sparse.w_star)) == pytest.approx(1.0, rel=1e-12)
     # same seed, same truth
     again = hb.make_ground_truth(8, np.random.default_rng(15))

@@ -12,14 +12,15 @@ which outputs a change moved. The items:
 - `halfband run` at the criterion-3 config, 2 replicates, with --trace:
   results.csv without its wall_time_s column, summary.json and trace.jsonl;
 - `halfband sweep` on each of its six axes: sweep.csv and sweep_summary.json;
-- `halfband preview-schedule` at the criterion-3 config;
+- `halfband preview-schedule` at the criterion-3 config, and under each regime
+  (MNC, TNC, GTNC) at multipliers.c_eps = 3 and dist.params.beta = 1.5;
 - `halfband verify` at Gaussian d = 10, seed 62;
 - one dense "average" epoch, scalar (`optimize`) and as a one-row block
   (`optimize_block`), on both families and under each noise kind: output,
   ledger and generator state after the epoch. The two lines of a pair match;
 - one sparse epoch under each noise kind, digested the same way.
 
-It takes about 15 s on one core of an x86-64 host.
+It takes about 6 to 8 s on one core of an x86-64 host.
 """
 
 import contextlib
@@ -54,6 +55,13 @@ SWEEPS = {
     "B": ({"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.8}, None, [0.5, 1.0, 2.0, 4.0]),
     "d": ({"kind": "massart", "eta": 0.2}, 2, [10, 20, 40, 80]),
     "s": ({"kind": "massart", "eta": 0.2}, 2, [1, 2, 4, 8]),
+}
+# preview-schedule under each regime, at a c_eps that is not a power of two and beta != 1
+GEOMETRIC = {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.8}
+REGIME_PREVIEWS = {
+    "MNC": {"noise": {"kind": "massart", "eta": 0.2}},
+    "TNC": {"noise": GEOMETRIC, "regime": "TNC", "tsybakov_A": 2.0},
+    "GTNC": {"noise": GEOMETRIC},
 }
 NOISES = {
     "massart": hb.massart(0.2),
@@ -129,6 +137,11 @@ def items():
         yield f"sweep {axis}", sha(*cli_files("sweep", cfg, ("sweep.csv", "sweep_summary.json")))
     yield "preview-schedule criterion-3", sha(
         *cli_files("preview-schedule", CRITERION3, ("preview_schedule.json",)))
+    for regime, keys in REGIME_PREVIEWS.items():
+        cfg = dict(CRITERION3, **keys, multipliers={"c_eps": 3.0},
+                   dist={"family": "gaussian", "d": 10, "params": {"beta": 1.5}})
+        yield f"preview-schedule {regime} c_eps=3 beta=1.5", sha(
+            *cli_files("preview-schedule", cfg, ("preview_schedule.json",)))
     verify = {"seed": 62, "dist": {"family": "gaussian", "d": 10}}
     yield "verify gaussian d=10 seed 62", sha(*cli_files("verify", verify, ("verify_report.json",)))
     dists = {"gaussian": hb.make_distribution("gaussian", 10),
