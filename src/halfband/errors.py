@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types.
+
+Each one survives pickling with its type, message and attributes, so an
+error raised in a worker process reaches the caller as it was raised.
+"""
 
 
 class InvalidInputError(ValueError):
@@ -20,6 +24,9 @@ class BandTooThinError(RuntimeError):
             f"band at bandwidth b={self.b:g} is too thin to sample: its probability"
             f" {self.p:g} puts attempt counts past int64"
         )
+
+    def __reduce__(self):  # the default rebuilds from the message alone
+        return type(self), (self.b, self.p), self.__dict__
 
 
 class UnsupportedRegimeError(InvalidInputError):
@@ -48,3 +55,6 @@ class EmptyConstraintError(NumericalError):
             f"empty constraint set: the l2 ball lies at l1 distance {self.distance:.6g} from"
             f" the l1 center, beyond the l1 radius {self.radius1:.6g}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.distance, self.radius1), self.__dict__

@@ -247,12 +247,13 @@ def _geometric_attempts(p, u):
 U_MAX = 1.0 - 2.0**-53
 
 
-def _checked_band_probability(dist, b, rows):
-    """band_probability(dist, b) for a sampler that draws `rows` points per step.
+def checked_band_probability(dist, b, rows):
+    """band_probability(dist, b) for a run that draws `rows` points per step.
 
-    Raises BandTooThinError when p is 0, or when the largest attempt count
-    _geometric_attempts can return, times `rows`, does not fit int64: the
-    ledger then could not hold the step's EX calls exactly.
+    rows is a lockstep sampler's row count, or all the trials of a warm start
+    split between processes. Raises BandTooThinError when p is 0, or when the
+    largest attempt count _geometric_attempts can return, times `rows`, does
+    not fit int64: the ledger then could not hold the step's EX calls exactly.
     """
     p = dists.band_probability(dist, b)
     if p < 1.0:
@@ -323,7 +324,7 @@ class LockstepBandSampler:
     def __init__(self, dist, b, streams, ledger, steps):
         self.streams = list(streams)
         self.b = real("band sampler: b", b)
-        self.p = _checked_band_probability(dist, self.b, len(self.streams))
+        self.p = checked_band_probability(dist, self.b, len(self.streams))
         self.dist = dist
         self.ledger = ledger
         self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated

@@ -13,7 +13,7 @@ import numpy as np
 
 from halfband import distributions as dists
 from halfband.learner import _check_epoch, step_size
-from halfband.oracles import _checked_band_probability, _geometric_attempts, eta_of_margin
+from halfband.oracles import _geometric_attempts, checked_band_probability, eta_of_margin
 
 LOCKSTEP_BLOCK = 512
 
@@ -39,7 +39,7 @@ def _complete_band_points(dist, W_hat, m, Z, V):
 class LockstepBandSampler:
     def __init__(self, dist, b, streams, ledger, steps):
         self.streams = list(streams)
-        self.p = _checked_band_probability(dist, b, len(self.streams))
+        self.p = checked_band_probability(dist, b, len(self.streams))
         self.dist = dist
         self.b = float(b)
         self.ledger = ledger

@@ -2,7 +2,12 @@
 
 import copy
 import dataclasses
+import json
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import dense_reference
@@ -11,8 +16,8 @@ import pytest
 from admm_reference import project_l2_ball
 
 import halfband as hb
-from halfband import learner, sparse
-from halfband.errors import InvalidInputError
+from halfband import learner, oracles, sparse
+from halfband.errors import BandTooThinError, InvalidInputError, NumericalError
 from halfband.learner import (
     _projected_step,
     erm_select,
@@ -609,3 +614,266 @@ def test_trace_angles_weakly_decreasing_across_main_epochs(criterion3_runs):
         main = [e["angle"] for e in run["result"].trace if e["stage"] == "main"]
         good += all(main[k + 1] <= main[k] + 1e-12 for k in range(len(main) - 1))
     assert good >= 18  # >= 90% of 20
+
+
+# the warm start splits between two processes where two cores are usable and it is
+# long enough; these tests set the core count and lift the length gate, so the split
+# runs on small configs whatever host runs them
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the child processes os.fork makes during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def set_cores(monkeypatch, cores):
+    """Let a warm start of any length split on `cores` usable cores."""
+    monkeypatch.setattr(learner, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", 0)
+
+
+def learn_on_cores(monkeypatch, config, cores):
+    set_cores(monkeypatch, cores)
+    return hb.learn(config)
+
+
+SPLIT_CONFIGS = {
+    "criterion-3": hb.LearnerConfig(
+        dist=hb.make_distribution("gaussian", 10), noise=hb.massart(0.2), epsilon=0.1,
+        delta=0.05, seed=(2026, 0), profile=DESK),
+    "ball-massart-band": hb.LearnerConfig(
+        dist=hb.make_distribution("uniform_ball", 5), noise=hb.massart_band(0.2, 0.1),
+        epsilon=0.3, delta=0.05, seed=(11, 0),
+        profile=dataclasses.replace(DESK, c_T=0.002, c_S=4.0)),
+    "geometric-tsybakov": hb.LearnerConfig(
+        dist=hb.make_distribution("gaussian", 3), noise=hb.geometric_tsybakov(2.0, 0.9),
+        epsilon=0.45, delta=0.05, seed=(12, 0),
+        profile=dataclasses.replace(DESK, c_T=0.002, c_S=4.0)),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_CONFIGS)
+def test_split_warm_start_learns_the_one_process_bits(monkeypatch, forks, name):
+    config = SPLIT_CONFIGS[name]
+    one = learn_on_cores(monkeypatch, config, 1)
+    assert forks == []
+    split = learn_on_cores(monkeypatch, config, 2)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert split.v.tobytes() == one.v.tobytes()
+    assert json.dumps(split.trace) == json.dumps(one.trace)
+    assert split.truth.w_star.tobytes() == one.truth.w_star.tobytes()
+    assert split.ledger == one.ledger
+    assert split.ledger.label_calls == split.schedule.total_label_budget()
+
+
+def small_warm_start(dist):
+    sched = hb.make_schedule("MNC", dist, 0.3, 0.05, DESK, eta=0.1)
+    return dataclasses.replace(sched, iterations=(3,) + sched.iterations[1:])
+
+
+def test_split_warm_start_adds_to_the_callers_ledger(monkeypatch, forks):
+    sched = small_warm_start(GAUSS5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(70))
+    runs = []
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)  # a warm start of exactly the gate's labels splits
+        monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", sched.N * sched.per_trial_init_labels())
+        ledger = hb.QueryLedger(ex_calls=5, label_calls=7, max_feasibility_gap=1e-3)
+        V = warm_start_trials(sched, GAUSS5, NOISE, truth,
+                              np.random.default_rng(71).spawn(sched.N), ledger)
+        runs.append((V.tobytes(), ledger))
+    assert len(forks) == 1
+    assert runs[0] == runs[1]
+    assert runs[0][1].label_calls == 7 + sched.N * sched.per_trial_init_labels()
+
+
+def test_the_one_process_cases_do_not_fork(monkeypatch):
+    # one usable core, one trial, a short warm start, a sparse warm start, a process
+    # running another thread
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sched = small_warm_start(GAUSS5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(72))
+    for cores, rows in ((1, sched.N), (2, 1)):
+        set_cores(monkeypatch, cores)
+        streams = np.random.default_rng(73).spawn(rows)
+        warm_start_trials(sched, GAUSS5, NOISE, truth, streams, hb.QueryLedger())
+    monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", sched.N * sched.per_trial_init_labels() + 1)
+    warm_start_trials(sched, GAUSS5, NOISE, truth, np.random.default_rng(73).spawn(sched.N),
+                      hb.QueryLedger())
+    monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", 0)
+    sparse_truth = hb.make_ground_truth(5, np.random.default_rng(72), s=2)
+    # its first epoch only: later ones stop on EmptyConstraintError (ROADMAP item 2)
+    warm_start_trials(dataclasses.replace(sched, sparse_s=2, k0=0), GAUSS5, NOISE, sparse_truth,
+                      np.random.default_rng(73).spawn(sched.N), hb.QueryLedger())
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        warm_start_trials(sched, GAUSS5, NOISE, truth, np.random.default_rng(73).spawn(sched.N),
+                          hb.QueryLedger())
+    finally:
+        release.set()
+        other.join(30.0)
+    assert not other.is_alive()
+
+
+def test_a_failed_fork_runs_both_halves_here(monkeypatch):
+    def failed_fork():
+        raise BlockingIOError("resource temporarily unavailable")
+
+    config = SPLIT_CONFIGS["ball-massart-band"]
+    one = learn_on_cores(monkeypatch, config, 1)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    split = learn_on_cores(monkeypatch, config, 2)
+    assert split.v.tobytes() == one.v.tobytes() and split.ledger == one.ledger
+
+
+def fail_in_child(monkeypatch, exc):
+    """Make the child's first lockstep epoch raise exc."""
+    parent = os.getpid()
+    epoch = learner.optimize_block
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise exc
+        return epoch(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "optimize_block", failing)
+
+
+@pytest.mark.parametrize("exc", [BandTooThinError(0.01, 1e-30), NumericalError("boom"),
+                                 KeyboardInterrupt()], ids=lambda exc: type(exc).__name__)
+def test_child_error_reaches_the_caller(monkeypatch, forks, exc):
+    fail_in_child(monkeypatch, exc)
+    with pytest.raises(type(exc)) as raised:
+        learn_on_cores(monkeypatch, _small_config((75, 0)), 2)
+    assert str(raised.value) == str(exc) and vars(raised.value) == vars(exc)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_child_error_that_cannot_be_pickled_is_reported(monkeypatch, forks):
+    class Unpicklable(RuntimeError):
+        pass
+
+    fail_in_child(monkeypatch, Unpicklable("local class"))
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        learn_on_cores(monkeypatch, _small_config((76, 0)), 2)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("exc", [NumericalError("boom"), KeyboardInterrupt()],
+                         ids=lambda exc: type(exc).__name__)
+def test_parent_error_kills_and_reaps_the_child(monkeypatch, forks, exc):
+    # the child's half would take a minute: only a kill ends it before the call returns
+    parent = os.getpid()
+
+    def epoch(*args, **kwargs):
+        if os.getpid() == parent:
+            raise exc
+        time.sleep(60.0)
+        raise NumericalError("the child was not killed")
+
+    monkeypatch.setattr(learner, "optimize_block", epoch)
+    start = time.perf_counter()
+    with pytest.raises(type(exc)):
+        learn_on_cores(monkeypatch, _small_config((77, 0)), 2)
+    assert time.perf_counter() - start < 30.0
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_an_orphaned_child_ends_at_its_next_epoch(monkeypatch):
+    # a parent killed by a signal runs no Python, so it neither kills nor reaps its child;
+    # the child must end between epochs, not run its whole half. A runner process learns
+    # with a child that reports each epoch it starts and then sleeps a second in it, and
+    # the runner is sent SIGTERM once the child's first epoch has begun.
+    config = dataclasses.replace(SPLIT_CONFIGS["geometric-tsybakov"], noise=NOISE)
+    assert config.schedule().k0 >= 2
+    reports, report_end = os.pipe()
+    runner = os.fork()
+    if runner == 0:
+        try:
+            os.close(reports)
+            set_cores(monkeypatch, 2)
+            me, epoch = os.getpid(), learner.optimize_block
+
+            def reporting(*args, **kwargs):
+                if os.getpid() != me:
+                    os.write(report_end, b"e")
+                    time.sleep(1.0)
+                return epoch(*args, **kwargs)
+
+            learner.optimize_block = reporting
+            hb.learn(config)
+        finally:
+            os._exit(0)
+    os.close(report_end)
+    with os.fdopen(reports, "rb") as pipe:
+        try:
+            first = pipe.read(1)
+            os.kill(runner, signal.SIGTERM)
+        finally:
+            status = os.waitpid(runner, 0)[1]
+        rest = pipe.read()  # end of file once the child has ended
+    assert first == b"e"
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM
+    assert rest == b""
+
+
+def test_split_warm_start_rejects_a_band_too_thin_for_every_row(monkeypatch, forks):
+    # at b = 2e-16 on the uniform ball, d = 10, attempt counts fit int64 for a step of
+    # 22 rows but not of 44: each half of a 44-row warm start must reject the band too
+    dist = hb.make_distribution("uniform_ball", 10)
+    sched = small_warm_start(dist)
+    assert sched.N == 44
+    thin = 2e-16
+    oracles.checked_band_probability(dist, thin, sched.N // 2)
+    with pytest.raises(BandTooThinError):
+        oracles.checked_band_probability(dist, thin, sched.N)
+    sched = dataclasses.replace(sched, bandwidths=sched.bandwidths[:2] + (thin,)
+                                + sched.bandwidths[3:])
+    truth = hb.make_ground_truth(10, np.random.default_rng(78))
+    epoch = learner.optimize_block
+    parent = os.getpid()
+    errors = []
+    for cores in (1, 2):
+        epochs = []
+
+        def counted(*args, **kwargs):  # records the bandwidths of the parent's finished epochs
+            out = epoch(*args, **kwargs)
+            if os.getpid() == parent:
+                epochs.append(args[2])
+            return out
+
+        monkeypatch.setattr(learner, "optimize_block", counted)
+        set_cores(monkeypatch, cores)
+        with pytest.raises(BandTooThinError) as raised:
+            warm_start_trials(sched, dist, NOISE, truth, np.random.default_rng(79).spawn(44),
+                              hb.QueryLedger())
+        errors.append((str(raised.value), vars(raised.value), epochs))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == list(sched.bandwidths[:2])
+    assert len(forks) == 1
+    assert_reaped(forks)

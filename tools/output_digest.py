@@ -8,7 +8,10 @@ Each line names one item and the first 16 hex digits of its digest; the last
 line digests the list. Running it in two checkouts and diffing the output shows
 which outputs a change moved. The items:
 
-- the criterion-3 `learn` at seed (2026, 0): output, trace, truth and ledger;
+- the criterion-3 `learn` at seed (2026, 0): output, trace, truth and ledger,
+  as it runs by default (its warm start split between two processes where two
+  cores are usable) and with its warm start forced into one process. The two
+  lines match;
 - `halfband run` at the criterion-3 config, 2 replicates, with --trace:
   results.csv without its wall_time_s column, summary.json and trace.jsonl;
 - `halfband sweep` on each of its six axes: sweep.csv and sweep_summary.json;
@@ -20,7 +23,7 @@ which outputs a change moved. The items:
   ledger and generator state after the epoch. The two lines of a pair match;
 - one sparse epoch under each noise kind, digested the same way.
 
-It takes about 6 to 8 s on one core of an x86-64 host.
+It takes about 7 to 9 s on an x86-64 host.
 """
 
 import contextlib
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 import halfband as hb
-from halfband import cli
+from halfband import cli, learner
 from halfband.learner import optimize_block
 from halfband.schedules import PROFILES
 
@@ -100,10 +103,17 @@ def without_wall_time(csv_bytes):
     return "\n".join(",".join(r[:drop] + r[drop + 1:]) for r in rows).encode()
 
 
-def learn_item():
+def learn_item(one_process=False):
     dist = hb.make_distribution("gaussian", 10)
-    result = hb.learn(hb.LearnerConfig(dist=dist, noise=hb.massart(0.2), epsilon=0.1,
-                                       delta=0.05, seed=(2026, 0), profile=DESK))
+    config = hb.LearnerConfig(dist=dist, noise=hb.massart(0.2), epsilon=0.1, delta=0.05,
+                              seed=(2026, 0), profile=DESK)
+    usable_cores = learner._usable_cores
+    if one_process:  # the warm start splits only where two cores are usable
+        learner._usable_cores = lambda: 1
+    try:
+        result = hb.learn(config)
+    finally:
+        learner._usable_cores = usable_cores
     return sha(result.v.tobytes(), json.dumps(result.trace, sort_keys=True),
                result.truth.w_star.tobytes(), ledger_text(result.ledger))
 
@@ -126,6 +136,7 @@ def epoch_item(dist, noise, seed, scalar, sparse_s=None, T=4000):
 
 def items():
     yield "learn criterion-3 seed (2026, 0)", learn_item()
+    yield "learn criterion-3 seed (2026, 0), one process", learn_item(one_process=True)
     names = ("results.csv", "summary.json", "trace.jsonl")
     results, summary, trace = cli_files("run", CRITERION3, names, ("--replicates", "2", "--trace"))
     yield "run criterion-3, 2 replicates, --trace", sha(without_wall_time(results), summary, trace)
