@@ -165,60 +165,95 @@ def optimize(
     return out / T
 
 
+# clipped dense steps whose feasibility gaps are taken together: the window's
+# (steps, K, d) rows count toward the dense epoch's peak memory, bounded at 1.5
+# sampler blocks, which an 8-step window keeps and a 64-step one does not
+_GAP_WINDOW = 8
+
+
 def _projected_step(W1, r, alpha, sparse_s):
     """Start block and update rule of optimize_block's epoch over a (K, d) block.
 
-    Returns (W, step) with step(W, y, X) -> (new W, largest feasibility gap of
-    the step). Dense rows update W in place and clip back into ball2(W1[k], 4r)
-    in one vectorized update, with scratch arrays made once per epoch. Sparse
-    row k starts at W1[k] projected onto its own SparseConstraint, ball2(W1[k],
-    4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)), and takes bregman_step in the
-    p-norm mirror geometry, one row at a time. Each sparse step's search for
-    its l2 multiplier starts from the row's own last step's, which moves the
-    row's bits only within rounding and keeps them independent of the others.
+    Returns (W, step, max_gap): step(W, y, X) returns the new W, and max_gap()
+    the largest feasibility gap of the steps so far. Dense rows update W in
+    place and clip back into ball2(W1[k], 4r) in one vectorized update, with
+    scratch arrays made once per epoch. A (K, 1) column that scales the rows
+    is copied across a (K, d) scratch array first, so no ufunc broadcasts it
+    (the same bits as the broadcast, at less cost). A clipped step keeps its
+    rows and clip mask in a window of _GAP_WINDOW steps, and the window's gaps
+    are taken together when it is full and when max_gap() is called: one
+    np.vecdot, whose rows are the one-step np.vecdot's, and one masked max,
+    which does not depend on order, so the gap has the same bits as one taken
+    step by step. Sparse row k starts at W1[k] projected onto its own
+    SparseConstraint, ball2(W1[k], 4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)),
+    and takes bregman_step in the p-norm mirror geometry, one row at a time.
+    Each sparse step's search for its l2 multiplier starts from the row's own
+    last step's, which moves the row's bits only within rounding and keeps
+    them independent of the others.
     """
     radius = 4.0 * r
     if sparse_s is None:
         rad_sq = radius * radius
         K = W1.shape[0]
-        ay, dd = np.empty((K, 1)), np.empty((K, 1))
-        clip = np.empty((K, 1), dtype=bool)
-        diff = np.empty(W1.shape)
+        ay, dd, diff = np.empty(K), np.empty((K, 1)), np.empty(W1.shape)
+        ay_col = ay[:, None]
+        # the window: each clipped step's rows after the clip, and its clip mask
+        rows = np.empty((_GAP_WINDOW, *W1.shape))
+        clips = np.empty((_GAP_WINDOW, K, 1), dtype=bool)
+        held, best = 0, 0.0  # clipped steps in the window; the largest gap before it
+
+        def max_gap():
+            nonlocal held, best
+            if held:
+                moved = np.subtract(rows[:held], W1, out=rows[:held])
+                dd_all = np.vecdot(moved, moved, keepdims=True)
+                # sqrt is monotone: the largest gap among the rows that hold their clipped iterate
+                top = np.max(dd_all, where=clips[:held], initial=0.0)
+                best = max(best, math.sqrt(top) - radius)
+                held = 0
+            return best
 
         def ball_step(W, y, X):
-            np.multiply(alpha, y[:, None], out=ay)
-            W += np.multiply(ay, X, out=diff)
+            nonlocal held
+            np.multiply(alpha, y, out=ay)
+            np.copyto(diff, ay_col)  # diff and the window's next slot serve as scratch
+            W += np.multiply(diff, X, out=diff)
             np.subtract(W, W1, out=diff)
             np.vecdot(diff, diff, keepdims=True, out=dd)
-            np.greater(dd, rad_sq, out=clip)
+            clip = np.greater(dd, rad_sq, out=clips[held])
             if not np.count_nonzero(clip):  # np.count_nonzero costs a quarter of clip.any()
-                return W, 0.0
+                return W
             np.maximum(dd, rad_sq, out=dd)
-            np.divide(radius, np.sqrt(dd, out=dd), out=dd)
-            clipped = np.add(W1, np.multiply(dd, diff, out=diff), out=diff)
+            clipped = rows[held]
+            np.copyto(clipped, np.divide(radius, np.sqrt(dd, out=dd), out=dd))
+            np.add(W1, np.multiply(clipped, diff, out=clipped), out=clipped)
             np.copyto(W, clipped, where=clip)
-            moved = np.subtract(clipped, W1, out=diff)
-            np.vecdot(moved, moved, keepdims=True, out=dd)
-            # sqrt is monotone: the largest gap among the rows that now hold their clipped iterate
-            return W, max(math.sqrt(dd[clip].max()) - radius, 0.0)
+            held += 1
+            if held == _GAP_WINDOW:
+                max_gap()
+            return W
 
-        return W1.copy(), ball_step
+        return W1.copy(), ball_step, max_gap
 
     p = mirror_p(W1.shape[1])
     radius1 = 8.0 * r * math.sqrt(2.0 * sparse_s)
     cons = [SparseConstraint(w1, radius, hard_threshold(w1, sparse_s), radius1) for w1 in W1]
 
     guesses = [None] * len(cons)  # l2 multiplier of each row's last step
+    best = 0.0
 
     def mirror_step(W, y, X):
+        nonlocal best
         rows = []
         for k, (c, w, yk, x) in enumerate(zip(cons, W, y, X)):
             w, guesses[k], _ = bregman_step(w, -yk * x, alpha, c, c.center1, p, guess=guesses[k])
             rows.append(w)
         W = np.array(rows)
-        return W, max(c.violation(w) for c, w in zip(cons, W))
+        best = max(best, max(c.violation(w) for c, w in zip(cons, W)))
+        return W
 
-    return np.array([project_intersection(w1, c) for w1, c in zip(W1, cons)]), mirror_step
+    start = np.array([project_intersection(w1, c) for w1, c in zip(W1, cons)])
+    return start, mirror_step, lambda: best
 
 
 def optimize_block(
@@ -246,7 +281,11 @@ def optimize_block(
     optimize_block(w1[None], ..., [rng]) are equal. A step's (K, d) results go
     into arrays made once per epoch, and work that does not read the step's
     points (EX and label charges, Massart noise's flip tests) is done once per
-    block of the sampler. Every sparse epoch runs here, optimize's as a one-row
+    block of the sampler. Most of a dense step's cost does not grow with K, so
+    it is kept low: no ufunc broadcasts a (K, 1) column across a (K, d) array
+    (the column is copied across a (K, d) scratch array first, the same bits),
+    and the clipped steps' feasibility gaps are taken a window at a time
+    (_projected_step). Every sparse epoch runs here, optimize's as a one-row
     block. W1 must be a finite (K, d) array and sparse_s None or an integer in
     [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
@@ -259,41 +298,79 @@ def optimize_block(
         pick = np.array([g.integers(T) for g in streams])
         sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
     sampler = LockstepBandSampler(dist, b, streams, ledger, T)
-    W, step = _projected_step(W1, r, alpha, sparse_s)
+    W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
     out = np.zeros((K, d))
     W_hat, X, nw = np.empty((K, d)), np.empty((K, d)), np.empty((K, 1))
-    max_gap = 0.0
     t = 0
     for n in sampler.blocks():
         label = block_labels(noise, truth, sampler.flips, ledger)
         for i in range(n):
             np.sqrt(np.vecdot(W, W, keepdims=True, out=nw), out=nw)
-            if np.count_nonzero(nw) == K:
-                np.divide(W, nw, out=W_hat)
-            else:  # a zero row's direction is e_1
-                zero = nw == 0.0
-                np.divide(W, np.where(zero, 1.0, nw), out=W_hat)
-                W_hat[zero[:, 0], 0] = 1.0
+            zero = None
+            if np.count_nonzero(nw) != K:  # a zero row's direction is e_1
+                zero = nw[:, 0] == 0.0
+                nw[zero] = 1.0
+            np.copyto(X, nw)  # X is scratch until the step's points fill it
+            np.divide(W, X, out=W_hat)
+            if zero is not None:
+                W_hat[zero, 0] = 1.0
             if agg == "average":
                 out += W_hat
             else:
                 hit = pick == t
                 out[hit] = W_hat[hit]
-            W, gap = step(W, label(i, sampler.points(i, W_hat, X)), X)
-            if gap > max_gap:
-                max_gap = gap
+            W = step(W, label(i, sampler.points(i, W_hat, X)), X)
             t += 1
         del label  # it holds the block's flips: let the sampler free the block first
 
-    ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
+    ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap())
     return out / T if agg == "average" else sign[:, None] * out
 
 
+# where a Linux cgroup sets a CPU quota: v2's "quota period" file, v1's directory
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CGROUP_V1_CPU = "/sys/fs/cgroup/cpu"
+
+
+def _cpu_quota():
+    """Whole CPUs the cgroup CPU quota allows, at least 1; None where no quota is set.
+
+    Reads cgroup v2's cpu.max ("max 100000" or "150000 100000") or else
+    v1's cpu.cfs_quota_us and cpu.cfs_period_us (quota -1: none), and counts
+    floor(quota / period) CPUs. A file that is missing or unreadable, or
+    does not hold the numbers it should, sets no quota.
+    """
+    def read(*path):
+        with open(os.path.join(*path)) as f:
+            return f.read()
+
+    try:
+        quota, period = read(_CGROUP_CPU_MAX).split()
+    except (OSError, ValueError):
+        try:
+            quota = read(_CGROUP_V1_CPU, "cpu.cfs_quota_us")
+            period = read(_CGROUP_V1_CPU, "cpu.cfs_period_us")
+        except OSError:
+            return None
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:  # v2's "max": no quota
+        return None
+    return max(1, quota // period) if quota >= 0 and period > 0 else None
+
+
 def _usable_cores():
-    """CPUs this process may run on; 1 where the OS cannot tell or cannot fork."""
+    """CPUs this process may run on; 1 where the OS cannot tell or cannot fork.
+
+    The affinity mask's count, capped by the cgroup CPU quota (_cpu_quota),
+    which the mask does not show: a container held to one CPU on a larger
+    host counts 1.
+    """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0))
+    quota = _cpu_quota()
+    return cores if quota is None else min(cores, quota)
 
 
 def _in_two_processes(here, there):
@@ -356,10 +433,11 @@ def _in_two_processes(here, there):
 
 # A dense warm start of fewer labels than this runs in one process: below it the
 # fork and the copy-on-write page faults it brings cost about what the second core
-# saves. In paired learns on a 2-core x86-64 host, warm starts of 12,000 to 130,000
-# labels ran 0% to 65% slower split, 230,000 to 370,000 about 6% faster in 6 or 7
-# of 10 pairs, and 490,000 to 920,000 (criterion-3: 766,700) 7% to 21% faster in 8
-# or more of 10 or 12.
+# saves. In paired learns on a 2-core x86-64 host, warm starts of 12,000 to 184,000
+# labels ran 10% to 110% slower split; from 245,000 to 430,000 the split was faster
+# at some sizes and slower at others (median 0.87 to 1.04 of one process); from
+# 490,000 to 920,000 (criterion-3: 766,700) it was faster in 8 to 11 of 10 or 12
+# pairs but one (920,000: 5 of 10).
 _SPLIT_MIN_LABELS = 400_000
 
 

@@ -157,14 +157,26 @@ def eta_of_margin(model, m):
 def _flip_rate(model, m):
     """float(eta_of_margin(model, m)) for one float margin m.
 
-    Building a 0-d array costs more than the rest of a label, so the Massart
-    kinds, which raise nothing to a power, compute on Python floats, to the same bits.
+    Building a 0-d array costs more than the rest of a label, so this works on
+    Python floats, to the same bits. The Massart kinds raise nothing to a
+    power. The geometric kind takes |m|^e with np.power on floats, which runs
+    the one-element float64 loop that eta_of_margin's arrays run (not libm's
+    pow, which Python's ** calls), then the same correctly rounded product,
+    minimum (min keeps a NaN first, as np.minimum does) and difference. Only
+    |m| > 1 can overflow, and only there is the warning silenced.
     """
     if model.kind == "massart":
         return model.eta
     if model.kind == "massart_band":
         return model.eta if abs(m) <= model.tau else 0.0
-    return float(eta_of_margin(model, m))
+    a = abs(m)
+    e = (1.0 - model.alpha) / model.alpha
+    if a <= 1.0:
+        p = float(np.power(a, e))
+    else:
+        with np.errstate(over="ignore"):
+            p = float(np.power(a, e))
+    return 0.5 - min(model.B * p, 0.5)
 
 
 def query_label(model, truth, x, u, ledger):
@@ -280,23 +292,31 @@ def _complete_band_point(w_hat, m, z, radial):
     return m * w_hat + radial * z_perp
 
 
-def _complete_band_points(W_hat, m, Z, radial, out):
+def _complete_band_points(W_hat, m, Z, radial, out, S, c):
     """_complete_band_point applied row by row to (K, d) directions and completions.
 
     m and radial are (K, 1) columns; writes the points into out and returns it.
     np.vecdot takes each row's dot product as _complete_band_point's .dot does,
-    so a row gets the same bits as it would alone.
+    so a row gets the same bits as it would alone. S is a (K, d) and c a (K, 1)
+    scratch array. A column that scales the rows is first copied across out or
+    S, so each ufunc runs on two (K, d) arrays: a ufunc that broadcasts a
+    column costs more than the copy and the same-shape call together, for the
+    same elementwise operation and so the same bits.
     """
-    zw = np.vecdot(Z, W_hat, keepdims=True)
+    zw = np.vecdot(Z, W_hat, keepdims=True, out=c)
     if radial is None:
-        np.subtract(m, zw, out=zw)
-        np.multiply(zw, W_hat, out=out)
+        np.copyto(out, np.subtract(m, zw, out=c))
+        np.multiply(out, W_hat, out=out)
         return np.add(Z, out, out=out)
-    np.multiply(zw, W_hat, out=out)
+    np.copyto(out, zw)
+    np.multiply(out, W_hat, out=out)
     Z_perp = np.subtract(Z, out, out=out)
-    Z_perp /= np.sqrt(np.vecdot(Z_perp, Z_perp, keepdims=True))
-    Z_perp *= radial
-    return np.add(m * W_hat, Z_perp, out=out)
+    np.copyto(S, np.sqrt(np.vecdot(Z_perp, Z_perp, keepdims=True, out=c), out=c))
+    Z_perp /= S
+    np.copyto(S, radial)
+    Z_perp *= S
+    np.copyto(S, m)
+    return np.add(np.multiply(S, W_hat, out=S), Z_perp, out=out)
 
 
 class LockstepBandSampler:
@@ -328,6 +348,8 @@ class LockstepBandSampler:
         self.dist = dist
         self.ledger = ledger
         self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated
+        K = len(self.streams)
+        self.scratch = np.empty((K, dist.d)), np.empty((K, 1))  # for points()
 
     def _refill(self):
         n = min(self.BLOCK, self.left)
@@ -350,6 +372,7 @@ class LockstepBandSampler:
                 V[:, k] = g.random(out=u)
             self.flips[:, k] = g.random(out=u)
         self.step_ex = step_ex.tolist()
+        del u, z, step_ex  # free the per-stream buffers before the margins' temporaries peak
         margin_u *= 2.0  # in place, as 2 u - 1: the block's peak memory is its temporaries
         margin_u -= 1.0
         margins = dists.truncated_margin(self.dist, self.b, margin_u)
@@ -378,7 +401,8 @@ class LockstepBandSampler:
     def points(self, i, W_hat, out):
         """Step i's rows x_k ~ D given |<W_hat[k], x>| <= b, written into out."""
         radial = None if self.radial is None else self.radial[i]
-        return _complete_band_points(W_hat, self.margins[i], self.Z[i], radial, out)
+        return _complete_band_points(W_hat, self.margins[i], self.Z[i], radial, out,
+                                     *self.scratch)
 
 
 class BandSampler(LockstepBandSampler):

@@ -376,12 +376,13 @@ def test_ball_step_matches_rowwise_projection():
     rng = np.random.default_rng(37)
     r, alpha = 1.0 / 16.0, 0.2
     W1 = rng.standard_normal((16, 5))
-    W, step = _projected_step(W1, r, alpha, None)
+    W, step, max_gap = _projected_step(W1, r, alpha, None)
     assert np.array_equal(W, W1)
     W = W1 + 0.2 * rng.standard_normal((16, 5))
     y = rng.choice([-1.0, 1.0], size=16)
     X = rng.standard_normal((16, 5))
-    new, gap = step(W.copy(), y, X)  # the dense step updates the W it is given in place
+    new = step(W.copy(), y, X)  # the dense step updates the W it is given in place
+    gap = max_gap()
     for k in range(16):
         ref = project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
         assert np.allclose(new[k], ref, rtol=0.0, atol=1e-12)
@@ -421,29 +422,73 @@ def test_dense_epochs_bit_identical_to_reference(family, noise, agg):
     assert_epoch_matches_reference(hb.make_distribution(family, 6), W1, T, agg, noise, STRONG)
 
 
-@pytest.mark.parametrize("profile", [DESK, STRONG], ids=["desk", "strong"])
-def test_warm_start_shaped_epoch_bit_identical_to_reference(monkeypatch, profile):
-    # the warm start's block shape, K = 44 and d = 10, with steps where some rows
-    # clip back into their ball and others do not
-    K, d, r = 44, 10, 1 / 16
+@pytest.mark.parametrize("profile, K", [
+    pytest.param(DESK, 44, id="desk"),
+    pytest.param(STRONG, 44, id="strong"),
+    pytest.param(DESK, 22, id="desk-K22"),
+    pytest.param(STRONG, 22, id="strong-K22"),
+    pytest.param(DESK, 1, id="desk-K1"),
+    pytest.param(STRONG, 1, id="strong-K1"),
+])
+def test_warm_start_shaped_epoch_bit_identical_to_reference(monkeypatch, profile, K):
+    # the warm start's block shape, K = 44 and d = 10, one half of its two-process
+    # split (K = 22) and one row, with steps where some rows clip back into their ball
+    # and others do not; the epoch crosses a sampler block and ends partway through a
+    # window of clipped steps, whose feasibility gaps the dense step takes together
+    d, r = 10, 1 / 16
     W1 = 0.2 * np.random.default_rng(61).standard_normal((K, d))
-    mixed = []
+    clipped, mixed = [], []
 
     def counting_step(W1, r, alpha, sparse_s):
-        W, step = _projected_step(W1, r, alpha, sparse_s)
+        W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
 
         def counted(W, y, X):
             reach = np.linalg.norm(W + (alpha * y)[:, None] * X - W1, axis=1)
-            mixed.append(0 < np.count_nonzero(reach > 4.0 * r) < K)
+            rows = np.count_nonzero(reach > 4.0 * r)
+            clipped.append(rows > 0)
+            mixed.append(0 < rows < K)
             return step(W, y, X)
 
-        return W, counted
+        return W, counted, max_gap
 
     monkeypatch.setattr(learner, "_projected_step", counting_step)
     T = LockstepBandSampler.BLOCK + 88
     assert_epoch_matches_reference(
         hb.make_distribution("gaussian", d), W1, T, "average", hb.massart(0.2), profile)
-    assert len(mixed) == T and any(mixed)
+    assert len(clipped) == T and sum(clipped) > learner._GAP_WINDOW
+    assert sum(clipped) % learner._GAP_WINDOW != 0
+    assert K == 1 or any(mixed)
+
+
+def test_ball_step_gap_window_keeps_the_stepwise_gap():
+    # the dense step takes its clipped steps' feasibility gaps a window at a time; after
+    # any number of steps, max_gap() must return the bits of the largest gap taken step
+    # by step, as tests/dense_reference.py takes it, and the rows must be the same
+    rng = np.random.default_rng(40)
+    K, d, r, alpha = 7, 5, 1 / 16, 0.3
+    radius = 4.0 * r
+    W1 = rng.standard_normal((K, d))
+    steps = [(rng.choice([-1.0, 1.0], size=K), rng.standard_normal((K, d)))
+             for _ in range(3 * learner._GAP_WINDOW + 3)]
+    for n in range(1, len(steps) + 1):
+        W, step, max_gap = _projected_step(W1, r, alpha, None)
+        ref, ref_gap, clipped_steps = W1.copy(), 0.0, 0
+        for y, X in steps[:n]:
+            W = step(W, y, X)
+            ref = ref + (alpha * y)[:, None] * X
+            diff = ref - W1
+            dd = np.vecdot(diff, diff)
+            clip = dd > radius * radius
+            if clip.any():
+                clipped_steps += 1
+                clipped = W1 + (radius / np.sqrt(np.maximum(dd, radius * radius)))[:, None] * diff
+                moved = clipped - W1
+                gaps = np.sqrt(np.vecdot(moved, moved)) - radius
+                ref = np.where(clip[:, None], clipped, ref)
+                ref_gap = max(ref_gap, float(np.max(gaps, where=clip, initial=0.0)))
+        assert W.tobytes() == ref.tobytes()
+        assert max_gap() == ref_gap
+    assert clipped_steps > 2 * learner._GAP_WINDOW and ref_gap > 0.0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
@@ -703,6 +748,40 @@ def test_split_warm_start_adds_to_the_callers_ledger(monkeypatch, forks):
     assert len(forks) == 1
     assert runs[0] == runs[1]
     assert runs[0][1].label_calls == 7 + sched.N * sched.per_trial_init_labels()
+
+
+@pytest.mark.parametrize("layout", ["v2", "v1"])
+def test_a_cgroup_cpu_quota_caps_the_usable_cores(monkeypatch, tmp_path, forks, layout):
+    # the affinity mask does not show a cgroup CPU quota: a container held to one CPU
+    # on a larger host must not split its warm start, and no quota keeps the mask's count
+    cpu_max, v1 = tmp_path / "cpu.max", tmp_path / "cpu"
+    v1.mkdir()
+    monkeypatch.setattr(learner, "_CGROUP_CPU_MAX", str(cpu_max))
+    monkeypatch.setattr(learner, "_CGROUP_V1_CPU", str(v1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+    def set_quota(quota, period=100_000):
+        if layout == "v2":
+            cpu_max.write_text(f"{quota} {period}\n")
+        else:
+            (v1 / "cpu.cfs_quota_us").write_text(f"{quota}\n")
+            (v1 / "cpu.cfs_period_us").write_text(f"{period}\n")
+
+    unlimited = "max" if layout == "v2" else -1
+    assert learner._usable_cores() == 4  # no quota file
+    for quota, cores in ((unlimited, 4), (100_000, 1), (199_999, 1), (50_000, 1), (1, 1),
+                         (250_000, 2), (800_000, 4)):
+        set_quota(quota)
+        assert learner._usable_cores() == cores, quota
+    sched = small_warm_start(GAUSS5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(74))
+    monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", 0)
+    for quota, splits in ((100_000, 0), (unlimited, 1)):
+        set_quota(quota)
+        warm_start_trials(sched, GAUSS5, NOISE, truth, np.random.default_rng(75).spawn(sched.N),
+                          hb.QueryLedger())
+        assert len(forks) == splits
+    assert_reaped(forks)
 
 
 def test_the_one_process_cases_do_not_fork(monkeypatch):

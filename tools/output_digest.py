@@ -21,13 +21,19 @@ which outputs a change moved. The items:
 - one dense "average" epoch, scalar (`optimize`) and as a one-row block
   (`optimize_block`), on both families and under each noise kind: output,
   ledger and generator state after the epoch. The two lines of a pair match;
-- one sparse epoch under each noise kind, digested the same way.
+- one sparse epoch under each noise kind, digested the same way;
+- one `dense-ladder-ball-d50` unit of the benchmark (perfbench/workloads.py)
+  at seed (1, 0): output, ledger and truth;
+- one lockstep epoch of 22 rows (Gaussian d = 10, Massart noise) at ten
+  times the desk step size, where most steps clip rows back into their ball:
+  output, ledger (its feasibility gap included) and generator states.
 
-It takes about 7 to 9 s on an x86-64 host.
+It takes about 10 to 12 s on an x86-64 host.
 """
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -37,12 +43,16 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root, for perfbench
+
 import halfband as hb
 from halfband import cli, learner
 from halfband.learner import optimize_block
 from halfband.schedules import PROFILES
+from perfbench.workloads import DenseLadder
 
 DESK = PROFILES["desk"]
+STRONG = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)  # most steps clip
 CRITERION3 = {
     "seed": 2026,
     "dist": {"family": "gaussian", "d": 10},
@@ -134,6 +144,26 @@ def epoch_item(dist, noise, seed, scalar, sparse_s=None, T=4000):
     return sha(out.tobytes(), ledger_text(ledger), json.dumps(rng.bit_generator.state))
 
 
+def ladder_item():
+    unit = DenseLadder()
+    with tempfile.TemporaryDirectory() as tmp:
+        unit.prepare(1, Path(tmp))
+        v, ledger, truth = unit.call(0)
+    return sha(v.tobytes(), ledger_text(ledger), truth.w_star.tobytes())
+
+
+def lockstep_item(K=22, d=10, T=2000):
+    rng = np.random.default_rng(33)
+    truth = hb.make_ground_truth(d, rng)
+    W1 = truth.w_star + 0.05 * rng.standard_normal((K, d))
+    streams = rng.spawn(K)
+    ledger = hb.QueryLedger()
+    out = optimize_block(W1, 1 / 16, 0.1, T, "average", hb.make_distribution("gaussian", d),
+                         NOISES["massart"], truth, streams, ledger, 0.05, STRONG)
+    return sha(out.tobytes(), ledger_text(ledger),
+               json.dumps([g.bit_generator.state for g in streams]))
+
+
 def items():
     yield "learn criterion-3 seed (2026, 0)", learn_item()
     yield "learn criterion-3 seed (2026, 0), one process", learn_item(one_process=True)
@@ -167,6 +197,8 @@ def items():
     for j, (kind, noise) in enumerate(NOISES.items()):
         yield f"sparse epoch gaussian d=20 s=2 {kind}", epoch_item(sparse, noise, (32, j), True,
                                                                    sparse_s=2, T=32)
+    yield "dense-ladder-ball-d50 unit seed (1, 0)", ladder_item()
+    yield "lockstep epoch gaussian d=10 K=22 strong massart", lockstep_item()
 
 
 def main():
