@@ -235,21 +235,22 @@ def suite_bandwidth(dist):
 
 
 def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
-    """Monte Carlo check of the analysis inequalities the schedules rely on.
+    """Check of the analysis inequalities the schedules rely on.
 
     Runs five families of checks: band-potential lower bounds per regime,
-    closed-form band-mass bounds, disagreement-probability bounds, the noise
-    tail bound behind the Tsybakov conversion, and the excess-error lower
-    bounds. The regime bounds are the schedules' own (schedules.psi_lower_bound
-    and excess_lower_bound, whose MNC/TNC/GTNC bound at L R^2 / 4 is eps0), and
-    the noise tail's is band_mass_bounds' upper bound. Returns a
-    JSON-serializable report; passed means every check
-    held within three standard errors (deterministic checks exactly). The
-    checks after the band mass share one batch of whole points, reduced chunk
-    by chunk to one value column per statistic (_moments), so memory is
-    O(CHUNK * d) for any samples. Needs an integer samples >= 2, so that every
-    standard error is defined, and a band-potential bandwidth inside the
-    support (suite_bandwidth).
+    band-mass bounds, disagreement-probability bounds, the noise tail bound
+    behind the Tsybakov conversion, and the excess-error lower bounds. The
+    regime bounds are the schedules' own (schedules.psi_lower_bound and
+    excess_lower_bound, whose MNC/TNC/GTNC bound at L R^2 / 4 is eps0), and the
+    noise tail's is band_mass_bounds' upper bound. Closed forms are exact, with
+    standard error 0: band mass, disagreement (angle/pi), noise tail (a band
+    mass) and the excess under constant eta. Only the nine band potentials
+    (estimate_psi) and the excess under other noise (_excess_mc) are sampled, from
+    plane coordinates, so memory is O(CHUNK) for any samples and d. Returns a
+    JSON-serializable report; passed means every check held within three
+    standard errors. Needs an integer samples >= 2, so that every standard
+    error is defined, and a band-potential bandwidth inside the support
+    (suite_bandwidth).
     """
     samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2)
     # extreme constants or noise parameters overflow or underflow a bound, which
@@ -323,62 +324,35 @@ def _lemma_checks(dist, truth, rng, noise, samples):
         checks.append(_check("band-mass-lower", {"b": b}, p, lo, 0.0, "ge"))
         checks.append(_check("band-mass-upper", {"b": b}, p, hi, 0.0, "le"))
 
-    # one shared sample batch for the remaining checks, reduced chunk by chunk to one
-    # value column per statistic: the disagreement of each row with the tilted
-    # directions at dis_angles, the noise-tail indicator at each of tails, and the
-    # weighted disagreement at excess_angles under each distinct non-Massart model
-    dis_angles, excess_angles = (0.1, 0.7, 1.8, 2.9), (0.15, 0.4, 0.9)
-    tails = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
-    V = np.array([_tilted(w_star, theta, rng) for theta in dis_angles + excess_angles])
-    n_dis, n_ex = len(dis_angles), len(excess_angles)
-    # first excess column of each distinct model: by default the TNC model is the GTNC one
-    models = dict.fromkeys(m for m in (mnc, tnc, gt) if m.kind != "massart")
-    first_ex = {m: n_dis + len(tails) + i * n_ex for i, m in enumerate(models)}
-    n_cols = n_dis + len(tails) + len(models) * n_ex
-
-    def rows(k):
-        X = dists.sample(dist, rng, k)
-        m = X @ w_star
-        dis = ((X @ V.T) >= 0.0) != (m >= 0.0)[:, None]
-        del X  # the points are read only through m and dis
-        vals = np.empty((n_cols, k))
-        vals[:n_dis] = dis[:, :n_dis].T
-        for model, col in first_ex.items():
-            weight = _weight(model, m)
-            if model == tnc:
-                # 1/2 - eta <= t exactly when 1 - 2*eta <= 2t: both sides scale by 2 exactly
-                vals[n_dis : n_dis + len(tails)] = weight <= 2.0 * tails[:, None]
-            np.multiply(dis[:, n_dis:].T, weight, out=vals[col : col + n_ex])
-        return vals
-
-    means, ses = _moments(samples, rows)
-
-    # disagreement probability against angle, both sides
-    for j, theta in enumerate(dis_angles):
-        q = float(means[j])
-        se = math.sqrt(max(q * (1.0 - q), 1e-12) / samples)
+    # disagreement probability against angle, both sides; every family is spherically
+    # symmetric, so it is exactly angle/pi (exact_disagreement)
+    for theta in (0.1, 0.7, 1.8, 2.9):
+        q = dists.exact_disagreement(dist, _tilted(w_star, theta, rng), w_star)
         lo = L * R**2 * theta
         hi = min(
             4.0 * U * beta**2 * math.log(6.0 / g) ** 2 * theta + g
             for g in (0.001, 0.01, 0.05, 0.1)
         )
-        checks.append(_check("disagreement-lower", {"angle": theta}, q, lo, se, "ge"))
-        checks.append(_check("disagreement-upper", {"angle": theta}, q, hi, se, "le"))
+        checks.append(_check("disagreement-lower", {"angle": theta}, q, lo, 0.0, "ge"))
+        checks.append(_check("disagreement-upper", {"angle": theta}, q, hi, 0.0, "le"))
 
-    # noise mass near the decision boundary (the Tsybakov conversion's tail): the
-    # fraction with 1/2 - eta <= t is the band mass at z = (t / B)^(alpha / (1 - alpha))
+    # noise mass near the decision boundary (the Tsybakov conversion's tail): the TNC model
+    # is geometric and each t < 1/2, so 1/2 - eta <= t exactly where |<w*, x>| <= z, the
+    # band mass at z; the bound comes first, so that its arithmetic failing is reported
     a, B = tnc.alpha, tnc.B
-    for i, t in enumerate(tails.tolist(), start=n_dis):
-        frac = float(means[i])
-        bound = dists.band_mass_bounds(dist, (t / B) ** (a / (1.0 - a)))[1]
-        se = math.sqrt(max(frac * (1.0 - frac), 1e-12) / samples)
-        checks.append(_check("noise-tail", {"t": t}, frac, bound, se, "le"))
+    for t in (0.05, 0.1, 0.2, 0.3, 0.45):
+        z = (t / B) ** (a / (1.0 - a))
+        bound = dists.band_mass_bounds(dist, z)[1]
+        checks.append(_check("noise-tail", {"t": t}, dists.band_probability(dist, z), bound,
+                             0.0, "le"))
 
-    # excess-error lower bounds in terms of the exact disagreement probability;
-    # under constant eta the MNC bound (1 - 2*eta) * q is the exact excess, so
-    # it is reported as measured with no error (Monte Carlo fails it 0.13% of the time)
-    for j, theta in enumerate(excess_angles):
-        q = dists.exact_disagreement(dist, V[n_dis + j], w_star)
+    # excess-error lower bounds in terms of the exact disagreement probability; under
+    # constant eta the MNC bound (1 - 2*eta) * q is the exact excess, reported with no
+    # error; otherwise one estimate per distinct model and angle (TNC and GTNC share one)
+    for theta in (0.15, 0.4, 0.9):
+        v = _tilted(w_star, theta, rng)
+        q = dists.exact_disagreement(dist, v, w_star)
+        estimates = {}
         for regime, model in by_regime.items():
             name = f"excess-lower-{regime.lower()}"
             bound = excess_lower_bound(regime, q, dist, **params[regime])
@@ -386,7 +360,9 @@ def _lemma_checks(dist, truth, rng, noise, samples):
             if model.kind == "massart":
                 checks.append(_check(name, setting, bound, bound, 0.0, "ge"))
                 continue
-            col = first_ex[model] + j
-            checks.append(_check(name, setting, float(means[col]), bound, float(ses[col]), "ge"))
+            if model not in estimates:
+                estimates[model] = _excess_mc(v, w_star, dist, model, rng, samples)
+            value, se = estimates[model]
+            checks.append(_check(name, setting, value, bound, se, "ge"))
 
     return checks

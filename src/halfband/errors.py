@@ -38,7 +38,7 @@ class InvariantError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """An inner solver failed to reach tolerance, or a run's ledger disagrees with its schedule."""
+    """An inner solver failed to reach tolerance."""
 
 
 class EmptyConstraintError(NumericalError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dists
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, InvariantError
 from .geometry import angle, finite_array, hard_threshold, integer, normalize, real
 from .oracles import (
     BandSampler,
@@ -327,36 +327,51 @@ def optimize_block(
     return out / T if agg == "average" else sign[:, None] * out
 
 
-# where a Linux cgroup sets a CPU quota: v2's "quota period" file, v1's directory
-_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+# where a process finds its own cgroups, and the mounts of cgroup v2 and v1's cpu controller
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_V2 = "/sys/fs/cgroup"
 _CGROUP_V1_CPU = "/sys/fs/cgroup/cpu"
 
 
 def _cpu_quota():
     """Whole CPUs the cgroup CPU quota allows, at least 1; None where no quota is set.
 
-    Reads cgroup v2's cpu.max ("max 100000" or "150000 100000") or else
-    v1's cpu.cfs_quota_us and cpu.cfs_period_us (quota -1: none), and counts
-    floor(quota / period) CPUs. A file that is missing or unreadable, or
-    does not hold the numbers it should, sets no quota.
+    The process's groups are v2's "0::<path>" line of /proc/self/cgroup and v1's
+    line whose comma-split controllers name "cpu" itself (not "cpuset" or
+    "cpuacct"); the mount roots where it is unreadable. At each group and every
+    ancestor up to its mount root it reads v2's cpu.max ("max 100000" or
+    "150000 100000") or v1's cpu.cfs_quota_us and cpu.cfs_period_us (quota -1:
+    none) and counts floor(quota / period) CPUs; a nested group runs under every
+    cap, so the smallest wins. It only reads: a file that is missing or
+    unreadable, or does not hold the numbers it should, sets no cap.
     """
     def read(*path):
         with open(os.path.join(*path)) as f:
             return f.read()
 
+    paths = {"v2": "/", "v1": "/"}
     try:
-        quota, period = read(_CGROUP_CPU_MAX).split()
+        for line in read(_PROC_CGROUP).splitlines():
+            hierarchy, controllers, path = line.split(":", 2)
+            if hierarchy == "0":
+                paths["v2"] = path
+            elif "cpu" in controllers.split(","):
+                paths["v1"] = path
     except (OSError, ValueError):
-        try:
-            quota = read(_CGROUP_V1_CPU, "cpu.cfs_quota_us")
-            period = read(_CGROUP_V1_CPU, "cpu.cfs_period_us")
-        except OSError:
-            return None
-    try:
-        quota, period = int(quota), int(period)
-    except ValueError:  # v2's "max": no quota
-        return None
-    return max(1, quota // period) if quota >= 0 and period > 0 else None
+        pass
+    caps = []
+    v1 = ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+    for layout, mount, names in (("v2", _CGROUP_V2, ("cpu.max",)), ("v1", _CGROUP_V1_CPU, v1)):
+        parts = [p for p in paths[layout].split("/") if p]
+        for depth in range(len(parts) + 1):
+            try:
+                text = " ".join(read(mount, *parts[:depth], name) for name in names)
+                quota, period = map(int, text.split())
+            except (OSError, ValueError):  # v2's "max" too: no quota
+                continue
+            if quota >= 0 and period > 0:
+                caps.append(max(1, quota // period))
+    return min(caps, default=None)
 
 
 def _usable_cores():
@@ -596,8 +611,8 @@ def learn(config, truth=None):
         record(v, "main", j, r=proximity(j), b=schedule.bandwidths[j], T=schedule.iterations[j])
 
     expected = schedule.total_label_budget()
-    if ledger.label_calls != expected:
-        raise NumericalError(
+    if ledger.label_calls != expected:  # a package bug, like a feasibility gap
+        raise InvariantError(
             f"label ledger shows {ledger.label_calls} calls, schedule predicts {expected}"
         )
     return LearnResult(v=normalize(v), ledger=ledger, schedule=schedule, truth=truth, trace=trace)

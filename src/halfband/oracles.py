@@ -437,15 +437,17 @@ class BandSampler(LockstepBandSampler):
 
 
 def exact_tsybakov_A(B, alpha, dist):
-    """Tightest plain-Tsybakov A of the geometric generator under this margin law.
+    """A plain-Tsybakov A of the geometric generator under this margin law.
 
-    P(1/2 - eta(x) <= t) = P(|<w*,x>| <= (t/B)^{alpha/(1-alpha)}) and the margin
-    CDF is peak-density-Lipschitz at 0, so A = 2 f0 (1/B)^{alpha/(1-alpha)} works
-    with no log factor. Used by diagnostics that need a true (A, alpha) pair.
+    It must give P(1/2 - eta(x) <= t) <= A t^k on (0, 1/2], k = alpha/(1-alpha).
+    Below 1/2 that is P(|<w*,x>| <= (t/B)^k) <= 2 f0 (t/B)^k, the margin CDF
+    being f0-Lipschitz at 0 (f0 = margin_density_at_zero); at t = 1/2 it is 1.
+    So A = max(2 f0 B^-k, 2^k) holds on all of (0, 1/2], and the TNC bounds'
+    t* = (q/(2A))^(1/k) stays in it for every q <= 1. Used by diagnostics.
     """
     if not B > 0:
         raise InvalidInputError("exact_tsybakov_A: B must be positive")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("exact_tsybakov_A: alpha must lie in (0, 1)")
-    f0 = dists.margin_density_at_zero(dist)
-    return 2.0 * f0 * (1.0 / B) ** (alpha / (1.0 - alpha))
+    k = alpha / (1.0 - alpha)
+    return max(2.0 * dists.margin_density_at_zero(dist) * (1.0 / B) ** k, 2.0**k)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from halfband import cli
 from halfband.cli import CSV_COLUMNS, main
 from halfband.distributions import FAMILIES
-from halfband.errors import InvalidInputError, NumericalError
+from halfband.errors import InvalidInputError, InvariantError, NumericalError
 from halfband.oracles import NOISE_KINDS
-from halfband.schedules import PROFILES, REGIMES
+from halfband.schedules import PROFILES, REGIMES, Schedule
 
 TINY = {
     "seed": 404,
@@ -188,6 +188,18 @@ def test_verify_bound_arithmetic_failure_exits_2_with_one_line(tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("error: lemma-suite bounds fail")
 
 
+def test_verify_negative_noise_tail_bound_is_a_failed_check(tmp_path):
+    # at L = R = B = 1e-100 the noise-tail bound is finite and negative, against an exact
+    # band mass of 1: a failed check in a written report, exit 1
+    cfg = dict(TINY, dist={"family": "gaussian", "d": 5, "params": {"L": 1e-100, "R": 1e-100}},
+               noise={"kind": "geometric_tsybakov", "B": 1e-100, "alpha": 0.75},
+               certify_samples=500, verify_samples=100, out=str(tmp_path / "verify"))
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    tail = [c for c in report["lemmas"]["checks"] if c["check"] == "noise-tail"]
+    assert len(tail) == 5 and not any(c["passed"] for c in tail)
+
+
 def test_preview_schedule_prints_payload(tmp_path, capsys):
     assert main(["preview-schedule", "--config", write_config(tmp_path, TINY)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -340,6 +352,19 @@ def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "feasibility" in err[0]
+
+
+def test_label_ledger_mismatch_is_an_invariant_error_and_exits_3(tmp_path, capsys, monkeypatch):
+    # a ledger that disagrees with its schedule is a package bug, like a feasibility gap,
+    # not a numerical failure to record in a row: an off-by-one budget stands in for it
+    budget = Schedule.total_label_budget
+    monkeypatch.setattr(Schedule, "total_label_budget", lambda self: budget(self) + 1)
+    with pytest.raises(InvariantError, match="label ledger shows"):
+        cli.learn(cli.parse_spec(TINY, "run").replicate(0))
+    cfg = dict(TINY, replicates=2, out=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: label ledger shows")
 
 
 @pytest.mark.parametrize("command,target", [("run", "learn"), ("verify", "verify_lemma_suite")])

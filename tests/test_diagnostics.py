@@ -252,8 +252,6 @@ def test_suite_needs_two_samples(samples):
     [
         # (t / B)^3 underflows to 0 at B = 1e300, so log(2 / (U beta z)) divides by zero
         (None, 1e300, "bounds fail at these parameters: float division by zero"),
-        # at B = 1e-100 the noise-tail bound is -7e301, -inf standard errors from 1.0
-        ((1e-100, 1e-100, 1.0, 1.0), 1e-100, r"not finite at these parameters: \['noise-tail'\]"),
     ],
 )
 def test_suite_bound_overflow_is_invalid_input(params, B, message):
@@ -262,6 +260,71 @@ def test_suite_bound_overflow_is_invalid_input(params, B, message):
     with pytest.raises(InvalidInputError, match=message):
         hb.verify_lemma_suite(dist, truth, np.random.default_rng(36),
                               noise=hb.geometric_tsybakov(B, 0.75), samples=100)
+
+
+def test_suite_negative_noise_tail_bound_fails_its_check():
+    # at L = R = B = 1e-100 the noise-tail bound is finite and negative (band_mass_bounds'
+    # log turns negative once b U beta > 2), against an exact band mass of 1: the checks
+    # fail in a valid report, as certify_parameters' band-mass-bounds does
+    dist = hb.make_distribution("gaussian", 5, (1e-100, 1e-100, 1.0, 1.0))
+    report = hb.verify_lemma_suite(dist, fixed_truth(5, seed=35), np.random.default_rng(36),
+                                   noise=hb.geometric_tsybakov(1e-100, 0.75), samples=100)
+    assert not report["passed"]
+    tail = [c for c in report["checks"] if c["check"] == "noise-tail"]
+    assert len(tail) == 5
+    for c in tail:
+        assert c["measured"] == 1.0 and -math.inf < c["bound"] < 0.0
+        assert c["std_error"] == 0.0 and c["margin_sigmas"] is None and not c["passed"]
+
+
+@pytest.mark.parametrize("family, d", [("gaussian", 10), ("uniform_ball", 4)])
+def test_suite_evaluates_closed_forms_exactly(monkeypatch, family, d):
+    # the disagreement is angle/pi and the geometric noise tail a band mass, both exact;
+    # only the nine band potentials and the six non-Massart excess checks are sampled,
+    # and no whole point is drawn
+    def no_sample(*args):
+        raise AssertionError("the lemma suite drew whole points")
+
+    monkeypatch.setattr(dists, "sample", no_sample)
+    dist = hb.make_distribution(family, d)
+    report = hb.verify_lemma_suite(dist, fixed_truth(d, seed=39), np.random.default_rng(40),
+                                   samples=1000)
+    checks = report["checks"]
+    assert len(checks) == 41
+    dis = [c for c in checks if c["check"].startswith("disagreement-")]
+    tail = [c for c in checks if c["check"] == "noise-tail"]
+    assert len(dis) == 8 and len(tail) == 5
+    for c in dis:
+        assert c["measured"] == pytest.approx(c["setting"]["angle"] / math.pi, rel=1e-12)
+    k = 0.75 / (1.0 - 0.75)  # the default TNC model is geometric_tsybakov(1, 0.75)
+    for c in tail:
+        assert c["measured"] == dists.band_probability(dist, c["setting"]["t"] ** k)
+    for c in dis + tail:
+        assert c["std_error"] == 0.0 and c["margin_sigmas"] is None
+    sampled = [c["check"] for c in checks if c["std_error"] > 0.0]
+    assert sorted(set(sampled)) == ["excess-lower-gtnc", "excess-lower-tnc", "psi-lower-gtnc",
+                                    "psi-lower-mnc", "psi-lower-tnc"]
+    assert len(sampled) == 15
+    # TNC and GTNC share the default model, so they read one estimate per angle
+    by_angle = {}
+    for c in checks:
+        if c["check"] in ("excess-lower-tnc", "excess-lower-gtnc"):
+            by_angle.setdefault(c["setting"]["angle"], set()).add(c["measured"])
+    assert len(by_angle) == 3 and all(len(v) == 1 for v in by_angle.values())
+
+
+@pytest.mark.parametrize("family, d", [("gaussian", 10), ("uniform_ball", 10)])
+def test_suite_passes_under_steep_geometric_tsybakov_noise(family, d):
+    # at (B, alpha) = (2, 0.8) the old exact_tsybakov_A broke the Tsybakov inequality at
+    # t = 1/2, and its excess-lower-tnc bound exceeded the disagreement itself
+    dist = hb.make_distribution(family, d)
+    report = hb.verify_lemma_suite(dist, fixed_truth(d, seed=41), np.random.default_rng(42),
+                                   noise=hb.geometric_tsybakov(2.0, 0.8), samples=10**4)
+    failed = [c["check"] for c in report["checks"] if not c["passed"]]
+    assert failed == []
+    for c in report["checks"]:
+        if c["check"] == "excess-lower-tnc":
+            assert c["bound"] < c["setting"]["disagreement"]
 
 
 BALL4 = hb.make_distribution("uniform_ball", 4)
@@ -525,9 +588,9 @@ def test_estimators_memory_stays_below_one_batch_array(monkeypatch):
                 f"{family} {name} peaked at {large / 1e6:.1f} MB at n=16 CHUNK, "
                 f"{small / 1e6:.1f} MB at n=2 CHUNK")
 
-    # at Gaussian d=50 a whole (n, d) float64 batch is 105 MB; streamed, the lemma suite's
-    # shared batch holds a few CHUNK-row arrays. Its nine psi estimates are measured
-    # above, so inside the suite estimate_psi draws 2 rows
+    # the lemma suite draws no whole point, so it holds the same rule: its excess
+    # estimates read plane coordinates CHUNK rows at a time. Its nine psi estimates are
+    # measured above, so inside the suite estimate_psi draws 2 rows
     psi = diagnostics.estimate_psi
     monkeypatch.setattr(diagnostics, "estimate_psi", lambda *args: psi(*args[:5], 2, args[6]))
 
@@ -537,9 +600,10 @@ def test_estimators_memory_stays_below_one_batch_array(monkeypatch):
         return _traced_peak(lambda: hb.verify_lemma_suite(dist, truth,
                                                           np.random.default_rng(46), samples=n))
 
-    n, d = 4 * CHUNK, 50
-    peak = suite_peak(d, n)
-    assert peak < n * d * 8, f"verify_lemma_suite peaked at {peak / 1e6:.1f} MB"
+    n = 4 * CHUNK
+    at_5, at_50 = suite_peak(5, n), suite_peak(50, n)
+    assert at_50 <= 1.5 * at_5, (
+        f"verify_lemma_suite peaked at {at_50 / 1e6:.1f} MB at d=50, {at_5 / 1e6:.1f} MB at d=5")
     small, large = suite_peak(5, 2 * CHUNK), suite_peak(5, 16 * CHUNK)
     assert large <= 1.5 * small, (
         f"verify_lemma_suite peaked at {large / 1e6:.1f} MB at n=16 CHUNK, "

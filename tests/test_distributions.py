@@ -195,6 +195,46 @@ def test_uniform_ball_projected_density_at_origin():
     assert density == pytest.approx(dist.U, rel=0.05)
 
 
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_uniform_ball_projected_density_vanishes_outside_its_support(d):
+    # at d = 2 the density's power is 0, and 0 ** 0 is 1: outside the disk it must still be 0
+    dist = hb.make_distribution("uniform_ball", d)
+    rho = dist.radius
+    inside = dists.projected_density_2d(dist, np.array([[0.0, 0.0], [0.5 * rho, 0.0]]))
+    assert np.all(inside > 0.0)
+    outside = dists.projected_density_2d(dist, np.array([[1.01 * rho, 0.0], [5.0 * rho, 3.0]]))
+    assert outside.tolist() == [0.0, 0.0]
+    if d == 2:  # uniform on the disk: 1 / (pi rho^2) up to its edge
+        assert inside.tolist() == pytest.approx([1.0 / (math.pi * rho**2)] * 2, rel=1e-12)
+    # certification evaluates the density at |z| = R: an R past the support fails
+    report = hb.certify_parameters(
+        hb.make_distribution("uniform_ball", d, params=(dist.L, 10.0, dist.U, 1.0)),
+        np.random.default_rng(21), samples=200)
+    (lower,) = [c for c in report["checks"] if c["check"] == "projected-density-lower"]
+    assert not lower["passed"] and lower["detail"]["min_density"] == 0.0
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
+def test_certify_density_checks_are_exact_at_the_extremes(family):
+    # the projected density is evaluated at |z| = R and 0, so an L raised or a U lowered
+    # by 1e-7 relative fails on every seed, where sampled points let both pass
+    dist = hb.make_distribution(family, 10)
+    raised = dataclasses.replace(dist, L=dist.L * (1.0 + 1e-7))
+    lowered = dataclasses.replace(dist, U=dist.U * (1.0 - 1e-7))
+    for seed in range(10):
+        for bad, name in ((raised, "projected-density-lower"),
+                          (lowered, "projected-density-upper")):
+            report = hb.certify_parameters(bad, np.random.default_rng((78, seed)), samples=200)
+            (check,) = [c for c in report["checks"] if c["check"] == name]
+            assert not check["passed"] and check["margin"] < 0.0, (seed, name)
+    report = hb.certify_parameters(dist, np.random.default_rng(79), samples=200)
+    detail = {c["check"]: c["detail"] for c in report["checks"]}
+    assert detail["projected-density-lower"]["min_density"] == float(
+        dists.projected_density_2d(dist, np.array([dist.R, 0.0])))
+    assert detail["projected-density-upper"]["max_density"] == float(
+        dists.projected_density_2d(dist, np.zeros(2)))
+
+
 def test_gaussian_tail_bound_beta_one():
     # P(|<w,x>| >= t) = 2(1 - Phi(t)) <= e^{1-t} on the grid
     for t in np.arange(0.5, 6.5, 0.5):

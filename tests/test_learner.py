@@ -756,7 +756,10 @@ def test_a_cgroup_cpu_quota_caps_the_usable_cores(monkeypatch, tmp_path, forks, 
     # on a larger host must not split its warm start, and no quota keeps the mask's count
     cpu_max, v1 = tmp_path / "cpu.max", tmp_path / "cpu"
     v1.mkdir()
-    monkeypatch.setattr(learner, "_CGROUP_CPU_MAX", str(cpu_max))
+    proc = tmp_path / "proc_self_cgroup"
+    proc.write_text("1:cpu,cpuacct:/\n0::/\n")  # the process sits at both mount roots
+    monkeypatch.setattr(learner, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(learner, "_CGROUP_V2", str(tmp_path))
     monkeypatch.setattr(learner, "_CGROUP_V1_CPU", str(v1))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
@@ -782,6 +785,56 @@ def test_a_cgroup_cpu_quota_caps_the_usable_cores(monkeypatch, tmp_path, forks, 
                           hb.QueryLedger())
         assert len(forks) == splits
     assert_reaped(forks)
+
+
+@pytest.mark.parametrize("layout", ["v2", "v1"])
+def test_a_nested_cgroup_quota_caps_the_usable_cores(monkeypatch, tmp_path, forks, layout):
+    # the quota is read at the process's own cgroup, named in /proc/self/cgroup, and at
+    # each ancestor up to the mount root; the smallest cap wins. A v1 line counts only
+    # when its controller list names cpu itself, not cpuset or cpuacct
+    path, mount, proc = "/jobs/runner/task", tmp_path / layout, tmp_path / "proc_self_cgroup"
+    proc.write_text(f"0::{path}\n" if layout == "v2" else
+                    f"2:cpu,cpuacct:{path}\n4:cpuset:/elsewhere\n3:cpuacct:/other\n")
+    monkeypatch.setattr(learner, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(learner, "_CGROUP_V2", str(tmp_path / "v2"))
+    monkeypatch.setattr(learner, "_CGROUP_V1_CPU", str(tmp_path / "v1"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    groups = {g: mount.joinpath(*g.strip("/").split("/")) for g in
+              ("/", "/jobs", "/jobs/runner", path)}
+    for group in groups.values():
+        group.mkdir(parents=True, exist_ok=True)
+
+    def set_quota(group, quota, period=100_000):
+        if layout == "v2":
+            (groups[group] / "cpu.max").write_text(f"{quota} {period}\n")
+        else:
+            (groups[group] / "cpu.cfs_quota_us").write_text(f"{quota}\n")
+            (groups[group] / "cpu.cfs_period_us").write_text(f"{period}\n")
+
+    unlimited = "max" if layout == "v2" else -1
+    assert learner._usable_cores() == 4  # no quota file anywhere
+    set_quota("/", unlimited)
+    set_quota(path, 50_000)  # half a CPU in the process's own, nested group
+    assert learner._usable_cores() == 1
+    sched = small_warm_start(GAUSS5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(76))
+    monkeypatch.setattr(learner, "_SPLIT_MIN_LABELS", 0)
+    warm_start_trials(sched, GAUSS5, NOISE, truth, np.random.default_rng(77).spawn(sched.N),
+                      hb.QueryLedger())
+    assert forks == []
+    set_quota(path, 300_000)
+    set_quota("/jobs", 200_000)  # a tighter ancestor wins
+    assert learner._usable_cores() == 2
+    set_quota("/jobs/runner", 100_000)
+    assert learner._usable_cores() == 1
+    for group in ("/jobs", "/jobs/runner"):
+        set_quota(group, unlimited)
+    assert learner._usable_cores() == 3
+    (groups[path] / ("cpu.max" if layout == "v2" else "cpu.cfs_quota_us")).write_text("junk\n")
+    assert learner._usable_cores() == 4  # a file without its numbers sets no cap
+    proc.write_text("not a cgroup line\n")  # unreadable: the mount roots alone
+    set_quota("/", 200_000)
+    assert learner._usable_cores() == 2
 
 
 def test_the_one_process_cases_do_not_fork(monkeypatch):

@@ -11,6 +11,7 @@ from lockstep_reads import lockstep_draws
 from scipy.stats import kstest, norm
 
 import halfband as hb
+from halfband import distributions as dists
 from halfband import oracles
 from halfband.errors import BandTooThinError, InvalidInputError
 
@@ -371,11 +372,27 @@ def test_lockstep_sampler_wide_gaussian_band():
 
 
 def test_exact_tsybakov_a_gaussian():
-    # 2 f0 (1/B)^(alpha/(1-alpha)) with f0 the margin density at zero
-    value = hb.exact_tsybakov_A(1.0, 0.75, GAUSS)
-    assert value == pytest.approx(2.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
-    assert hb.exact_tsybakov_A(2.0, 0.5, GAUSS) == pytest.approx(
-        2.0 / math.sqrt(2.0 * math.pi) * 0.5, rel=1e-12)
+    # max(2 f0 (1/B)^k, 2^k), k = alpha/(1-alpha), with f0 the margin density at zero
+    two_f0 = 2.0 / math.sqrt(2.0 * math.pi)
+    assert hb.exact_tsybakov_A(1.0, 0.75, GAUSS) == 8.0  # 2^3 > 2 f0 = 0.798
+    assert hb.exact_tsybakov_A(2.0, 0.5, GAUSS) == 2.0  # 2^1 > 2 f0 / 2
+    assert hb.exact_tsybakov_A(0.1, 0.5, GAUSS) == pytest.approx(two_f0 * 10.0, rel=1e-12)
+    assert hb.exact_tsybakov_A(0.25, 0.75, GAUSS) == pytest.approx(two_f0 * 64.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("family, d", [("gaussian", 10), ("uniform_ball", 10), ("uniform_ball", 3)])
+@pytest.mark.parametrize("B, alpha", [(1.0, 0.75), (2.0, 0.8), (2.0, 0.75), (1.5, 0.9),
+                                      (0.5, 0.6), (0.1, 0.5)])
+def test_exact_tsybakov_a_holds_up_to_one_half(family, d, B, alpha):
+    # P(1/2 - eta <= t) <= A t^k on all of (0, 1/2], k = alpha/(1-alpha): below 1/2 it is
+    # the band mass at (t/B)^k, and at t = 1/2 it is 1
+    dist = hb.make_distribution(family, d)
+    A = hb.exact_tsybakov_A(B, alpha, dist)
+    k = alpha / (1.0 - alpha)
+    for t in np.linspace(0.01, 0.5, 50):
+        z = (t / B) ** k
+        mass = 1.0 if t == 0.5 else dists.band_probability(dist, z)
+        assert mass <= A * t**k * (1.0 + 1e-12), (t, mass, A * t**k)
 
 
 def test_effective_tsybakov_a_bounds_noise_tail():

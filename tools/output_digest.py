@@ -17,7 +17,9 @@ which outputs a change moved. The items:
 - `halfband sweep` on each of its six axes: sweep.csv and sweep_summary.json;
 - `halfband preview-schedule` at the criterion-3 config, and under each regime
   (MNC, TNC, GTNC) at multipliers.c_eps = 3 and dist.params.beta = 1.5;
-- `halfband verify` at Gaussian d = 10, seed 62;
+- `halfband verify` at Gaussian d = 10, seed 62, under the default noise and
+  under geometric Tsybakov noise at (B, alpha) = (2, 0.8). A verify that
+  exits 1 (a failed check) still writes its report, which is digested;
 - one dense "average" epoch, scalar (`optimize`) and as a one-row block
   (`optimize_block`), on both families and under each noise kind: output,
   ledger and generator state after the epoch. The two lines of a pair match;
@@ -95,14 +97,17 @@ def ledger_text(ledger):
     return repr((ledger.ex_calls, ledger.label_calls, ledger.max_feasibility_gap))
 
 
-def cli_files(command, cfg, names, extra=()):
-    """Run one CLI command on cfg in a fresh directory; the bytes of the named files it wrote."""
+def cli_files(command, cfg, names, extra=(), codes=(0,)):
+    """Run one CLI command on cfg in a fresh directory; the bytes of the named files it wrote.
+
+    The command must exit with one of codes.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(dict(cfg, out=str(Path(tmp) / "out"))))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([command, "--config", str(path), *extra])
-        if code != 0:
+        if code not in codes:
             raise SystemExit(f"halfband {command} exited with {code}")
         return [(Path(tmp) / "out" / name).read_bytes() for name in names]
 
@@ -185,6 +190,9 @@ def items():
             *cli_files("preview-schedule", cfg, ("preview_schedule.json",)))
     verify = {"seed": 62, "dist": {"family": "gaussian", "d": 10}}
     yield "verify gaussian d=10 seed 62", sha(*cli_files("verify", verify, ("verify_report.json",)))
+    steep = dict(verify, noise={"kind": "geometric_tsybakov", "B": 2.0, "alpha": 0.8})
+    yield "verify gaussian d=10 seed 62 geometric (2, 0.8)", sha(
+        *cli_files("verify", steep, ("verify_report.json",), codes=(0, 1)))
     dists = {"gaussian": hb.make_distribution("gaussian", 10),
              "uniform_ball": hb.make_distribution("uniform_ball", 50)}
     for i, (family, dist) in enumerate(dists.items()):
