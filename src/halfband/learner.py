@@ -14,6 +14,8 @@ ndarray.dot for one vector and np.vecdot row by row for a block, so a trial
 returns the same bits alone, in a block of any size, or as a scalar epoch.
 That is what lets a dense warm start run half its trials in a forked child
 process where two cores are usable (warm_start_trials), to the same bits.
+The scalar loop leaves out only clip tests that a rounding-safe bound on the
+iterate's distance proves would not clip (optimize).
 """
 
 import math
@@ -36,6 +38,7 @@ from .oracles import (
     QueryLedger,
     block_labels,
     checked_band_probability,
+    complete_band_point,
     halfspace_labels,
     make_ground_truth,
     query_label,
@@ -45,6 +48,9 @@ from .schedules import PROFILES, Profile, proximity, schedule_for
 from .sparse import SparseConstraint, bregman_step, mirror_p, project_intersection
 
 AGGREGATIONS = ("average", "random")
+
+# the scalar epoch's relative rounding slack per dimension plus 8: s = 16 (d + 8) eps (optimize)
+_CLIP_SLACK = 16.0 * float(np.finfo(float).eps)
 
 
 def step_size(r, b, T, d, dist, delta, profile, sparse_s=None):
@@ -127,11 +133,33 @@ def optimize(
     A sparse or a "random" epoch runs as optimize_block(w1[None], ..., [rng],
     ...)[0]: a mirror step costs milliseconds, so the one-row block's overhead
     is lost in it, and no package code asks for a "random" scalar epoch. A
-    dense "average" epoch runs the scalar loop below, which costs less than
-    half the one-row block per label. It reads rng block by block, as the
-    one-row block reads its one stream, and returns the same bits. w1 must be
-    a finite (d,) vector, T an integer and sparse_s None or an integer in
-    [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
+    dense "average" epoch runs the scalar loop below, which costs about half
+    the one-row block per label. It reads rng block by block, as the one-row
+    block reads its one stream, and returns the same bits. Its vectors are
+    made once per epoch, and every scalar that scales a vector goes into the
+    ufunc as one 0-d array (complete_band_point).
+
+    The loop skips the clip test where a bound proves it cannot fire. With
+    u = eps/2 the unit roundoff, a step moves w by alpha |x| to within
+    u (|w| + alpha |x|), and |w| <= |w1| + 4r while the test is skipped. Every
+    point of a sampler block has |x| <= q (1 + O(d u)): q is
+    sqrt(max(|z|^2 + m^2)) on the Gaussian, since x = z + (m - <z,w_hat>) w_hat
+    has |x|^2 = |z|^2 - <z,w_hat>^2 + m^2 for a unit w_hat, and max(|m| + radial)
+    on the ball. The O(d u) gathers w_hat's norm, 1 to within (d/2 + 2) u, a
+    d-term dot product's d u and a few u from elementwise rounding; it is at
+    most (2d + 10) u. So with s = 16 (d + 8) eps, over four times that, a
+    running bound on |w - w1| grows by alpha q (1 + s)^2 + s (|w1| + 8r) per
+    step, its own additions' rounding included. While it stays at most
+    4r (1 - s), the computed |w - w1|^2, within (d + 3) u of its true value,
+    is at most fl((4r)^2) and the test would not clip; past that, the exact
+    test runs as before and resets the bound to its distance times 1 + s.
+    A skipped test is one that would not have clipped, so the iterates, the
+    feasibility gap and every bit are those of the one-row block, which tests
+    every step. After a ladder's first epoch most steps skip it.
+
+    w1 must be a finite (d,) vector, T an integer and sparse_s None or an
+    integer in [1, d]; InvalidInputError otherwise, before anything is drawn
+    or charged.
     """
     w1, T, alpha = _check_epoch(w1, 1, r, b, T, agg, dist, truth, delta, profile, sparse_s)
     if sparse_s is not None or agg == "random":
@@ -141,25 +169,49 @@ def optimize(
     sampler = BandSampler(dist, b, rng, ledger, steps=T)
     radius = 4.0 * r
     rad_sq = radius * radius
+    slack = _CLIP_SLACK * (d + 8)
+    edge = radius * (1.0 - slack)  # while bound <= edge, |w - w1|^2 computes to <= rad_sq
+    drift = slack * (math.sqrt(float(w1.dot(w1))) + 2.0 * radius)
     w = w1.copy()
     out = np.zeros(d)
+    w_hat, x, diff, S, c = np.empty(d), np.empty(d), np.empty(d), np.empty(d), np.empty(())
+    bound = 0.0  # bounds |w - w1| from above
     max_gap = 0.0
-    for _ in range(T):
-        nw = math.sqrt(float(w.dot(w)))
-        if nw == 0.0:
-            w_hat = np.zeros(d)
-            w_hat[0] = 1.0
+    add, multiply, divide, subtract = np.add, np.multiply, np.divide, np.subtract
+    complete = complete_band_point
+    for n in sampler.blocks():
+        Z = sampler.Z[:, 0]
+        margins = sampler.margins.ravel()
+        if sampler.radial is None:
+            radials = [None] * n
+            reach = math.sqrt(float(np.max(np.vecdot(Z, Z) + margins * margins)))
         else:
-            w_hat = w / nw
-        out += w_hat
-        x, u = sampler.draw(w_hat)
-        w = w + (alpha * query_label(noise, truth, x, u, ledger)) * x
-        diff = w - w1
-        dd = float(diff.dot(diff))
-        if dd > rad_sq:  # clip back into ball2(w1, 4r)
-            w = w1 + (radius / math.sqrt(dd)) * diff
-            moved = w - w1
-            max_gap = max(max_gap, math.sqrt(float(moved.dot(moved))) - radius)
+            radial = sampler.radial.ravel()
+            reach = float(np.max(np.abs(margins) + radial))
+            radials = radial.tolist()
+        step = alpha * reach * (1.0 + slack) ** 2 + drift  # bounds one step's move of w
+        for z, m, rad, u in zip(Z, margins.tolist(), radials, sampler.flips.ravel().tolist()):
+            nw = math.sqrt(w.dot(w))
+            if nw == 0.0:
+                w_hat.fill(0.0)
+                w_hat[0] = 1.0
+            else:
+                c[()] = nw
+                divide(w, c, w_hat)
+            add(out, w_hat, out)
+            complete(w_hat, m, z, rad, x, S, c)
+            c[()] = alpha * query_label(noise, truth, x, u, ledger)
+            add(w, multiply(x, c, x), w)
+            bound += step
+            if bound <= edge:
+                continue
+            dd = float(subtract(w, w1, diff).dot(diff))
+            if dd > rad_sq:  # clip back into ball2(w1, 4r)
+                c[()] = radius / math.sqrt(dd)
+                add(w1, multiply(diff, c, diff), w)
+                dd = float(subtract(w, w1, diff).dot(diff))
+                max_gap = max(max_gap, math.sqrt(dd) - radius)
+            bound = math.sqrt(dd) * (1.0 + slack)
 
     ledger.max_feasibility_gap = max(ledger.max_feasibility_gap, max_gap)
     return out / T

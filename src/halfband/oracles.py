@@ -16,12 +16,12 @@ does not depend on the direction is made ahead of it: the lockstep sampler
 generates the attempt counts, margins, isotropic completions, uniform-ball
 radial factors and label-flip uniforms of up to BLOCK steps at a time, laid
 out step-major so a step reads contiguous rows, and a lockstep epoch reads it
-block by block through blocks(). BandSampler is its one-stream case, read one
-draw at a time, so a scalar epoch and a one-row lockstep epoch read the same
-values from their generator. The lockstep code takes its row-wise dot
-products with np.vecdot, row by row the kernel of ndarray.dot that the
-one-point code uses, so a row's point and label have the same bits as the
-one-point draw's.
+block by block through blocks(). BandSampler is its one-stream case, read
+block by block by the scalar epoch or one draw at a time, so a scalar epoch
+and a one-row lockstep epoch read the same values from their generator. The
+lockstep code takes its row-wise dot products with np.vecdot, row by row the
+kernel of ndarray.dot that the one-point code uses, so a row's point and
+label have the same bits as the one-point draw's.
 """
 
 import math
@@ -276,27 +276,37 @@ def checked_band_probability(dist, b, rows):
     return p
 
 
-def _complete_band_point(w_hat, m, z, radial):
-    """Assemble x with <w_hat,x> = m from isotropic z.
+def complete_band_point(w_hat, m, z, radial, out, S, c):
+    """Assemble x with <w_hat,x> = m from isotropic z, written into out; returns out.
 
     radial is None for the Gaussian, else the uniform ball's length of the part
-    of x orthogonal to w_hat (distributions.ball_radial).
+    of x orthogonal to w_hat (distributions.ball_radial). S is a (d,) and c a
+    0-d scratch array. Each scalar that scales a vector is passed as c: a ufunc
+    call on a short vector costs about half as much with a 0-d array as with
+    a Python float it must convert, for the same IEEE operation.
     """
     zw = z.dot(w_hat)
     if radial is None:
-        # orthogonal part of a standard normal stays standard normal
-        return z + (m - zw) * w_hat
-    # uniform ball: given the margin, the rest is uniform in a (d-1)-ball
-    z_perp = z - zw * w_hat
-    z_perp /= math.sqrt(z_perp.dot(z_perp))
-    return m * w_hat + radial * z_perp
+        # orthogonal part of a standard normal stays standard normal: z + (m - zw) w_hat
+        c[()] = m - zw
+        return np.add(z, np.multiply(w_hat, c, out), out)
+    # uniform ball: given the margin, the rest is uniform in a (d-1)-ball;
+    # x = m w_hat + radial z_perp / |z_perp| with z_perp = z - zw w_hat
+    c[()] = zw
+    z_perp = np.subtract(z, np.multiply(w_hat, c, out), out)
+    c[()] = math.sqrt(z_perp.dot(z_perp))
+    np.divide(z_perp, c, z_perp)
+    c[()] = radial
+    np.multiply(z_perp, c, z_perp)
+    c[()] = m
+    return np.add(np.multiply(w_hat, c, S), z_perp, out)
 
 
 def _complete_band_points(W_hat, m, Z, radial, out, S, c):
-    """_complete_band_point applied row by row to (K, d) directions and completions.
+    """complete_band_point applied row by row to (K, d) directions and completions.
 
     m and radial are (K, 1) columns; writes the points into out and returns it.
-    np.vecdot takes each row's dot product as _complete_band_point's .dot does,
+    np.vecdot takes each row's dot product as complete_band_point's .dot does,
     so a row gets the same bits as it would alone. S is a (K, d) and c a (K, 1)
     scratch array. A column that scales the rows is first copied across out or
     S, so each ufunc runs on two (K, d) arrays: a ufunc that broadcasts a
@@ -413,13 +423,15 @@ class BandSampler(LockstepBandSampler):
     at None, `steps` is unbounded; a draw past it raises InvalidInputError. A
     draw takes one step of the current block and charges that step's EX
     calls. It reads its scalars from the block as Python numbers and completes
-    the point on 1-d vectors, which costs less than the lockstep epoch's row
-    operations on a single row.
+    the point on 1-d vectors (complete_band_point), which costs less than the
+    lockstep epoch's row operations on a single row. An epoch that takes every
+    step reads the blocks through blocks() instead, as optimize does.
     """
 
     def __init__(self, dist, b, rng, ledger, steps=None):
         super().__init__(dist, b, [rng], ledger, steps)
         self.pos = self.n = 0  # next step to read, and the current block's step count
+        self.c = np.empty(())  # complete_band_point's 0-d scratch
 
     def draw(self, w_hat):
         """One point x ~ D given |<w_hat, x>| <= b, plus its flip uniform: (x, u)."""
@@ -432,7 +444,8 @@ class BandSampler(LockstepBandSampler):
         self.pos += 1
         self.ledger.ex_calls += self.step_ex[i]
         radial = None if self.radial is None else self.radial.item(i)
-        x = _complete_band_point(w_hat, self.margins.item(i), self.Z[i, 0], radial)
+        x = complete_band_point(w_hat, self.margins.item(i), self.Z[i, 0], radial,
+                                np.empty(self.dist.d), self.scratch[0][0], self.c)
         return x, self.flips.item(i)
 
 

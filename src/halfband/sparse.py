@@ -364,11 +364,16 @@ class _Step:
         a known x1 > x0 with f(x1) <= 0. The Newton steps are _newton's, on
         the secular form when radius (the l2 ball's) is given. Steps that
         leave the bracket become bisections, or doublings while no point with
-        f <= 0 is known. Returns the point once |f| <= ftol. When the bracket
-        or the step reaches rounding first, f can still jump between its ends:
-        for p > 2, |z_i| grows like |tau_i|^(1/(p-1)), steep where tau_i
-        crosses 0. Both end points are then stationary to rounding, and the
-        point returned is the one on the segment between them where gap(z) is 0.
+        f <= 0 is known. A step shorter than 2 eps x inside a bracket is
+        lengthened to 2 eps x, so the bracket closes on x: Newton's step
+        reaches rounding near a root while the bracket's other end may still
+        lie far off, and a blend toward that end would take its multiplier.
+        Returns the point once |f| <= ftol. When the bracket reaches rounding
+        first, f can still jump between its ends: for p > 2, |z_i| grows like
+        |tau_i|^(1/(p-1)), steep where tau_i crosses 0. Both end points, a few
+        ulps apart, are then stationary to rounding, and the point returned is
+        the one on the segment between them where gap(z) is 0. A step that
+        reaches rounding before any point with f <= 0 is known returns its point.
         """
         lo, f, slope, at_lo = start
         hi, at_hi = upper or (math.inf, None)
@@ -377,6 +382,8 @@ class _Step:
             cand = _newton(x, f, slope, radius)
             if not lo < cand < hi:
                 cand = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo if lo > 0.0 else 1.0)
+            elif at_hi is not None and abs(cand - x) < 2.0 * EPS * x:
+                cand = x + math.copysign(2.0 * EPS * x, f)  # toward the root
             moved = abs(cand - x)
             x = cand
             f, slope, pt = at(x)
@@ -389,7 +396,7 @@ class _Step:
             if at_hi is None:
                 if moved <= 4.0 * EPS * x:
                     return pt
-            elif moved <= 4.0 * EPS * x or hi - lo <= 4.0 * EPS * hi:
+            elif hi - lo <= 4.0 * EPS * hi:
                 return _blend(at_lo, at_hi, gap)
         raise NumericalError("multiplier search of the mirror step did not converge")
 

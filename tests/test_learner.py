@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -64,18 +65,19 @@ def test_optimize_single_step_average_is_normalized_start():
 
 
 def record_directions(monkeypatch):
-    """List that collects the unit direction of every BandSampler.draw, in order.
+    """List that collects the unit direction of every band point optimize completes, in order.
 
-    optimize samples around, aggregates and returns exactly these directions.
+    optimize's scalar epoch samples around, aggregates and returns exactly
+    these directions; it completes each point through learner.complete_band_point.
     """
     seen = []
-    draw = hb.BandSampler.draw
+    complete = learner.complete_band_point
 
-    def recording_draw(self, w_hat):
+    def recording_complete(w_hat, *rest):
         seen.append(w_hat.copy())
-        return draw(self, w_hat)
+        return complete(w_hat, *rest)
 
-    monkeypatch.setattr(hb.BandSampler, "draw", recording_draw)
+    monkeypatch.setattr(learner, "complete_band_point", recording_complete)
     return seen
 
 
@@ -514,22 +516,43 @@ def test_dense_epoch_peak_memory_is_one_block_and_a_half(family):
 @pytest.mark.parametrize("agg", ["average", "random"])
 @pytest.mark.parametrize("noise", EPOCH_NOISES, ids=lambda noise: noise.kind)
 @pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
-def test_scalar_epoch_matches_one_row_block(family, noise, agg, d):
+def test_scalar_epoch_matches_one_row_block(monkeypatch, family, noise, agg, d):
     # optimize(w1, ..., rng) and optimize_block(w1[None], ..., [rng]) read the same
-    # values from rng and take every dot product with the same kernel: the same bits
+    # values from rng and take every dot product with the same kernel: the same bits.
+    # The one-row block tests for a clip on every step; the scalar epoch skips the
+    # test where its bound proves no clip, as it does on most steps at the desk step
+    # size from the first two starts. From -0.3 w*, 1.3 from w*, the iterate is pushed
+    # onto the edge of ball2(w1, 4r) and rides it: the bound trips on most steps and
+    # many of them clip, at either step size
     dist = hb.make_distribution(family, d)
     truth = hb.make_ground_truth(d, np.random.default_rng(60))
     T = LockstepBandSampler.BLOCK + 88
-    for w1 in (np.zeros(d), 0.2 * np.random.default_rng(61).standard_normal(d)):
+    clipped = []
+
+    def counting_step(W1, r, alpha, sparse_s):
+        W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
+
+        def counted(W, y, X):
+            clipped.append(float(np.linalg.norm(W[0] + alpha * y[0] * X[0] - W1[0])) > 4.0 * r)
+            return step(W, y, X)
+
+        return W, counted, max_gap
+
+    monkeypatch.setattr(learner, "_projected_step", counting_step)
+    starts = (np.zeros(d), 0.2 * np.random.default_rng(61).standard_normal(d), -0.3 * truth.w_star)
+    for profile, w1 in itertools.product((STRONG, DESK), starts):
         scalar_ledger, block_ledger = hb.QueryLedger(), hb.QueryLedger()
         scalar_rng, block_rng = np.random.default_rng(62), np.random.default_rng(62)
         out = hb.optimize(w1, 1 / 16, 0.3, T, agg, dist, noise, truth, scalar_rng,
-                          scalar_ledger, 0.05, STRONG)
+                          scalar_ledger, 0.05, profile)
+        clipped.clear()
         block = optimize_block(w1[None], 1 / 16, 0.3, T, agg, dist, noise, truth,
-                               [block_rng], block_ledger, 0.05, STRONG)
+                               [block_rng], block_ledger, 0.05, profile)
         assert out.tobytes() == block[0].tobytes()
         assert scalar_ledger == block_ledger and block_ledger.label_calls == T
         assert scalar_rng.bit_generator.state == block_rng.bit_generator.state
+        if w1 is starts[-1]:
+            assert len(clipped) == T and sum(clipped) > T // 3
 
 
 def test_optimize_block_random_aggregation_unit_rows():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from admm_reference import admm_bregman_step
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import halfband as hb
@@ -522,6 +522,12 @@ def test_exact_step_matches_admm_reference_on_learner_instances():
     euclidean=st.booleans(),
     shifted=st.booleans(),
 )
+# mirror steps at d = 3 whose l1 multiplier search once stopped on a Newton step within
+# rounding while its bracket was still wide, and returned the far end's lam
+@example(seed=3160111144, d=3, euclidean=False, shifted=False)
+@example(seed=961, d=3, euclidean=False, shifted=False)
+@example(seed=2343, d=3, euclidean=False, shifted=False)
+@example(seed=3035, d=3, euclidean=False, shifted=False)
 def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted):
     rng = np.random.default_rng(seed)
     p = 2.0 if euclidean else mirror_p(d)
