@@ -227,28 +227,31 @@ def _projected_step(W1, r, alpha, sparse_s):
     """Start block and update rule of optimize_block's epoch over a (K, d) block.
 
     Returns (W, step, max_gap): step(W, y, X) returns the new W, and max_gap()
-    the largest feasibility gap of the steps so far. Dense rows update W in
-    place and clip back into ball2(W1[k], 4r) in one vectorized update, with
-    scratch arrays made once per epoch. A (K, 1) column that scales the rows
-    is copied across a (K, d) scratch array first, so no ufunc broadcasts it
-    (the same bits as the broadcast, at less cost). A clipped step keeps its
-    rows and clip mask in a window of _GAP_WINDOW steps, and the window's gaps
-    are taken together when it is full and when max_gap() is called: one
-    np.vecdot, whose rows are the one-step np.vecdot's, and one masked max,
-    which does not depend on order, so the gap has the same bits as one taken
-    step by step. Sparse row k starts at W1[k] projected onto its own
-    SparseConstraint, ball2(W1[k], 4r) and ball1(HT_s(W1[k]), 8r*sqrt(2s)),
-    and takes bregman_step in the p-norm mirror geometry, one row at a time.
-    Each sparse step's search for its l2 multiplier starts from the row's own
-    last step's, which moves the row's bits only within rounding and keeps
-    them independent of the others.
+    the largest feasibility gap of the steps so far. A dense step takes for y
+    the rows' signed step sizes alpha * y_k (K,), which block_labels forms;
+    a sparse step takes the labels y_k and scales by alpha itself. Dense rows
+    update W in place and clip back into ball2(W1[k], 4r) in one vectorized
+    update, with scratch arrays made once per epoch, and the clip's scalars
+    go into its ufuncs as 0-d arrays, which cost less than Python floats. A
+    (K, 1) column that scales the rows is copied across a (K, d) scratch array
+    first, so no ufunc broadcasts it (the same bits as the broadcast, at less
+    cost). A clipped step keeps its rows and clip mask in a window of
+    _GAP_WINDOW steps, and the window's gaps are taken together when it is
+    full and when max_gap() is called: one np.vecdot, whose rows are the
+    one-step np.vecdot's, and one masked max, which does not depend on order,
+    so the gap has the same bits as one taken step by step. Sparse row k
+    starts at W1[k] projected onto its own SparseConstraint, ball2(W1[k], 4r)
+    and ball1(HT_s(W1[k]), 8r*sqrt(2s)), and takes bregman_step in the p-norm
+    mirror geometry, one row at a time. Each sparse step's search for its l2
+    multiplier starts from the row's own last step's, which moves the row's
+    bits only within rounding and keeps them independent of the others.
     """
     radius = 4.0 * r
     if sparse_s is None:
-        rad_sq = radius * radius
+        rad_sq, radius_0d = np.array(radius * radius), np.array(radius)
         K = W1.shape[0]
-        ay, dd, diff = np.empty(K), np.empty((K, 1)), np.empty(W1.shape)
-        ay_col = ay[:, None]
+        dd, diff = np.empty((K, 1)), np.empty(W1.shape)
+        dd_flat = dd[:, 0]  # np.vecdot writes here at less cost than into dd with keepdims
         # the window: each clipped step's rows after the clip, and its clip mask
         rows = np.empty((_GAP_WINDOW, *W1.shape))
         clips = np.empty((_GAP_WINDOW, K, 1), dtype=bool)
@@ -265,19 +268,18 @@ def _projected_step(W1, r, alpha, sparse_s):
                 held = 0
             return best
 
-        def ball_step(W, y, X):
+        def ball_step(W, ay, X):
             nonlocal held
-            np.multiply(alpha, y, out=ay)
-            np.copyto(diff, ay_col)  # diff and the window's next slot serve as scratch
+            diff[...] = ay[:, None]  # diff and the window's next slot serve as scratch
             W += np.multiply(diff, X, out=diff)
             np.subtract(W, W1, out=diff)
-            np.vecdot(diff, diff, keepdims=True, out=dd)
+            np.vecdot(diff, diff, out=dd_flat)
             clip = np.greater(dd, rad_sq, out=clips[held])
             if not np.count_nonzero(clip):  # np.count_nonzero costs a quarter of clip.any()
                 return W
             np.maximum(dd, rad_sq, out=dd)
             clipped = rows[held]
-            np.copyto(clipped, np.divide(radius, np.sqrt(dd, out=dd), out=dd))
+            clipped[...] = np.divide(radius_0d, np.sqrt(dd, out=dd), out=dd)
             np.add(W1, np.multiply(clipped, diff, out=clipped), out=clipped)
             np.copyto(W, clipped, where=clip)
             held += 1
@@ -333,12 +335,18 @@ def optimize_block(
     optimize_block(w1[None], ..., [rng]) are equal. A step's (K, d) results go
     into arrays made once per epoch, and work that does not read the step's
     points (EX and label charges, Massart noise's flip tests) is done once per
-    block of the sampler. Most of a dense step's cost does not grow with K, so
-    it is kept low: no ufunc broadcasts a (K, 1) column across a (K, d) array
-    (the column is copied across a (K, d) scratch array first, the same bits),
-    and the clipped steps' feasibility gaps are taken a window at a time
-    (_projected_step). Every sparse epoch runs here, optimize's as a one-row
-    block. W1 must be a finite (K, d) array and sparse_s None or an integer in
+    block of the sampler. Most of a dense step's cost is numpy calls on short
+    arrays, which does not grow with K, so the calls are few: each row's
+    signed step alpha * y comes from block_labels as one pick between two
+    per-block values, exact since y is +-1, so no step multiplies alpha by y;
+    np.vecdot writes into the (K,) view of a (K, 1) buffer, not with keepdims;
+    scalar operands are 0-d arrays; no ufunc broadcasts a (K, 1) column across
+    a (K, d) array (the column is copied across a (K, d) scratch array first,
+    by slice assignment, which skips np.copyto's dispatch); and the clipped
+    steps' feasibility gaps are taken a window at a time (_projected_step).
+    Each of these gives the same bits. Every sparse epoch
+    runs here, optimize's as a one-row block; its step takes plain labels.
+    W1 must be a finite (K, d) array and sparse_s None or an integer in
     [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
     W1, T, alpha = _check_epoch(W1, 2, r, b, T, agg, dist, truth, delta, profile, sparse_s)
@@ -351,18 +359,21 @@ def optimize_block(
         sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
     sampler = LockstepBandSampler(dist, b, streams, ledger, T)
     W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
+    scale = 1.0 if sparse_s is not None else np.array(alpha)  # a dense step takes alpha * y
     out = np.zeros((K, d))
     W_hat, X, nw = np.empty((K, d)), np.empty((K, d)), np.empty((K, 1))
+    nw_flat = nw[:, 0]
     t = 0
     for n in sampler.blocks():
-        label = block_labels(noise, truth, sampler.flips, ledger)
+        label = block_labels(noise, truth, sampler.flips, ledger, scale)
         for i in range(n):
-            np.sqrt(np.vecdot(W, W, keepdims=True, out=nw), out=nw)
+            np.vecdot(W, W, out=nw_flat)
+            np.sqrt(nw, out=nw)
             zero = None
             if np.count_nonzero(nw) != K:  # a zero row's direction is e_1
                 zero = nw[:, 0] == 0.0
                 nw[zero] = 1.0
-            np.copyto(X, nw)  # X is scratch until the step's points fill it
+            X[...] = nw  # X is scratch until the step's points fill it
             np.divide(W, X, out=W_hat)
             if zero is not None:
                 W_hat[zero, 0] = 1.0

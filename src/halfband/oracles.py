@@ -183,9 +183,15 @@ def query_label(model, truth, x, u, ledger):
     """One labeling-oracle call: sign(<w*,x>) (sign(0) = +1), flipped when u < eta(x).
 
     A uniform u ~ Unif[0,1) gives the flip probability eta(x); BandSampler.draw
-    returns one with each point. Increments ledger.label_calls by exactly 1.
+    returns one with each point. Increments ledger.label_calls by exactly 1; a
+    point x that is not a (d,) vector for w* of length d raises
+    InvalidInputError, with nothing charged.
     """
-    m = float(truth.w_star.dot(x))
+    try:  # costs nothing on the scalar epoch's path, where no point is malformed
+        m = float(truth.w_star.dot(x))
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(
+            f"query_label: x must be a point of shape {truth.w_star.shape}: {exc}") from exc
     y = 1.0 if m >= 0.0 else -1.0
     ledger.label_calls += 1
     if u < _flip_rate(model, m):
@@ -193,44 +199,69 @@ def query_label(model, truth, x, u, ledger):
     return y
 
 
-def _label_rule(m, flip):
-    """Labels at margins m = <w*,x>: sign(m) with sign(0) = +1, negated where flip."""
-    return np.where((m >= 0.0) != flip, 1.0, -1.0)
+def _label_rule(m, flip, s=1.0):
+    """s times the labels at margins m = <w*,x>: sign(m) with sign(0) = +1, negated where flip."""
+    return np.where((m >= 0.0) != flip, s, -s)
 
 
 def query_labels(model, truth, X, u, ledger):
     """Labeling-oracle calls for the rows of X; query_label for a batch.
 
     Row i is labeled sign(<w*,x_i>) (sign(0) = +1), flipped when u[i] < eta(x_i),
-    so uniforms u ~ Unif[0,1) give each row its flip probability. Increments
-    ledger.label_calls by exactly len(X). The one-step case of block_labels.
+    so uniforms u ~ Unif[0,1) give each row its flip probability. X must be an
+    (n, d) array for w* of length d, and u one uniform or n of them;
+    InvalidInputError otherwise, with nothing charged. Increments
+    ledger.label_calls by exactly n. The one-step case of block_labels.
     """
-    X = np.asarray(X, dtype=float)
-    u = np.broadcast_to(u, X.shape[:1])
-    return block_labels(model, truth, u[None], ledger)(0, X)
+    d = truth.w_star.shape[0]
+    try:
+        X = np.asarray(X, dtype=float)
+        u = np.asarray(u, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidInputError(f"query_labels: X and u must be arrays of numbers: {exc}") from exc
+    if X.ndim != 2 or X.shape[1] != d:
+        raise InvalidInputError(f"query_labels: X must be an (n, {d}) array, got shape {X.shape}")
+    if u.shape not in ((), X.shape[:1]):
+        raise InvalidInputError(
+            f"query_labels: u must be one uniform or {len(X)} of them, got shape {u.shape}")
+    u = np.array(np.broadcast_to(u, X.shape[:1]), ndmin=2)  # block_labels may write into it
+    return block_labels(model, truth, u, ledger)(0, X)
 
 
-def block_labels(model, truth, u, ledger):
-    """Labels for every step of one lockstep block whose flip uniforms are u (steps, K).
+def block_labels(model, truth, u, ledger, s=1.0):
+    """Signed labels for every step of one lockstep block whose flip uniforms are u (steps, K).
 
-    Returns label(i, X), the labels of step i's rows X. The block's labels are
-    charged here, all at once, for an epoch that takes every step of it, and
-    Massart noise's flip test, which does not read x, runs here for the whole
-    block. np.vecdot takes each row's dot product with w* as query_label's .dot
-    does, so a row's label does not depend on the row count.
+    Returns label(i, X): s times the labels of step i's rows X, a new (K,)
+    array. The lockstep dense epoch passes its step size as s, a 0-d array, so
+    label returns each row's signed step alpha * y; as y is +-1 that product
+    is exact, the bits the step would get from multiplying. The block's labels
+    are charged here, all at once, for an epoch that takes every step of it.
+    Massart noise's flips do not read x, so the value each row takes at
+    m >= 0 (s, or -s where it flips) and its negation are formed here for the
+    whole block, the negation in u's own memory: the block's uniforms are
+    spent once read, and a third (steps, K) array would set the epoch's peak
+    memory. A step then takes np.vecdot, one comparison and one np.where. The
+    other kinds test their flips step by step and leave u as it is. np.vecdot
+    takes each row's dot product with w* as query_label's .dot does, so a
+    row's label does not depend on the row count.
     """
     ledger.label_calls += u.size
     w_star = truth.w_star
+    m = np.empty(u.shape[1])
     if model.kind == "massart":
-        flips = u < model.eta
+        up = _label_rule(0.0, u < model.eta, s)  # the signed label at m >= 0
+        down = np.negative(up, out=u)
+        nonneg = np.empty(u.shape[1], dtype=bool)
+        zero = np.zeros(())  # on a short array, a 0-d operand costs less than the float 0.0
 
         def label(i, X):
-            return _label_rule(np.vecdot(X, w_star), flips[i])
+            np.greater_equal(np.vecdot(X, w_star, out=m), zero, out=nonneg)
+            return np.where(nonneg, up[i], down[i])
     else:
 
         def label(i, X):
-            m = np.vecdot(X, w_star)
-            return _label_rule(m, u[i] < eta_of_margin(model, m))
+            np.vecdot(X, w_star, out=m)
+            return _label_rule(m, u[i] < eta_of_margin(model, m), s)
 
     return label
 
@@ -302,30 +333,33 @@ def complete_band_point(w_hat, m, z, radial, out, S, c):
     return np.add(np.multiply(w_hat, c, S), z_perp, out)
 
 
-def _complete_band_points(W_hat, m, Z, radial, out, S, c):
+def _complete_band_points(W_hat, m, Z, radial, out, S, c, c_flat):
     """complete_band_point applied row by row to (K, d) directions and completions.
 
     m and radial are (K, 1) columns; writes the points into out and returns it.
     np.vecdot takes each row's dot product as complete_band_point's .dot does,
     so a row gets the same bits as it would alone. S is a (K, d) and c a (K, 1)
-    scratch array. A column that scales the rows is first copied across out or
-    S, so each ufunc runs on two (K, d) arrays: a ufunc that broadcasts a
-    column costs more than the copy and the same-shape call together, for the
-    same elementwise operation and so the same bits.
+    scratch array, and c_flat c's (K,) view, into which np.vecdot writes at
+    less cost than into c with keepdims. A column that scales the rows is
+    first copied across out or S by slice assignment, so each ufunc runs on
+    two (K, d) arrays: a ufunc that broadcasts a column costs more than the
+    copy and the same-shape call together, for the same elementwise operation
+    and so the same bits.
     """
-    zw = np.vecdot(Z, W_hat, keepdims=True, out=c)
+    np.vecdot(Z, W_hat, out=c_flat)  # c holds <z_k, w_hat_k>
     if radial is None:
-        np.copyto(out, np.subtract(m, zw, out=c))
+        out[...] = np.subtract(m, c, out=c)
         np.multiply(out, W_hat, out=out)
         return np.add(Z, out, out=out)
-    np.copyto(out, zw)
+    out[...] = c
     np.multiply(out, W_hat, out=out)
     Z_perp = np.subtract(Z, out, out=out)
-    np.copyto(S, np.sqrt(np.vecdot(Z_perp, Z_perp, keepdims=True, out=c), out=c))
+    np.vecdot(Z_perp, Z_perp, out=c_flat)
+    S[...] = np.sqrt(c, out=c)
     Z_perp /= S
-    np.copyto(S, radial)
+    S[...] = radial
     Z_perp *= S
-    np.copyto(S, m)
+    S[...] = m
     return np.add(np.multiply(S, W_hat, out=S), Z_perp, out=out)
 
 
@@ -359,7 +393,8 @@ class LockstepBandSampler:
         self.ledger = ledger
         self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated
         K = len(self.streams)
-        self.scratch = np.empty((K, dist.d)), np.empty((K, 1))  # for points()
+        c = np.empty((K, 1))
+        self.scratch = np.empty((K, dist.d)), c, c[:, 0]  # for points()
 
     def _refill(self):
         n = min(self.BLOCK, self.left)

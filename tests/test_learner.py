@@ -383,7 +383,7 @@ def test_ball_step_matches_rowwise_projection():
     W = W1 + 0.2 * rng.standard_normal((16, 5))
     y = rng.choice([-1.0, 1.0], size=16)
     X = rng.standard_normal((16, 5))
-    new = step(W.copy(), y, X)  # the dense step updates the W it is given in place
+    new = step(W.copy(), alpha * y, X)  # the dense step takes signed step sizes and updates W in place
     gap = max_gap()
     for k in range(16):
         ref = project_l2_ball(W[k] + alpha * y[k] * X[k], W1[k], 4.0 * r)
@@ -444,12 +444,12 @@ def test_warm_start_shaped_epoch_bit_identical_to_reference(monkeypatch, profile
     def counting_step(W1, r, alpha, sparse_s):
         W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
 
-        def counted(W, y, X):
-            reach = np.linalg.norm(W + (alpha * y)[:, None] * X - W1, axis=1)
+        def counted(W, ay, X):  # a dense step takes the rows' signed step sizes alpha * y
+            reach = np.linalg.norm(W + ay[:, None] * X - W1, axis=1)
             rows = np.count_nonzero(reach > 4.0 * r)
             clipped.append(rows > 0)
             mixed.append(0 < rows < K)
-            return step(W, y, X)
+            return step(W, ay, X)
 
         return W, counted, max_gap
 
@@ -476,7 +476,7 @@ def test_ball_step_gap_window_keeps_the_stepwise_gap():
         W, step, max_gap = _projected_step(W1, r, alpha, None)
         ref, ref_gap, clipped_steps = W1.copy(), 0.0, 0
         for y, X in steps[:n]:
-            W = step(W, y, X)
+            W = step(W, alpha * y, X)
             ref = ref + (alpha * y)[:, None] * X
             diff = ref - W1
             dd = np.vecdot(diff, diff)
@@ -532,9 +532,9 @@ def test_scalar_epoch_matches_one_row_block(monkeypatch, family, noise, agg, d):
     def counting_step(W1, r, alpha, sparse_s):
         W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
 
-        def counted(W, y, X):
-            clipped.append(float(np.linalg.norm(W[0] + alpha * y[0] * X[0] - W1[0])) > 4.0 * r)
-            return step(W, y, X)
+        def counted(W, ay, X):  # a dense step takes the rows' signed step sizes alpha * y
+            clipped.append(float(np.linalg.norm(W[0] + ay[0] * X[0] - W1[0])) > 4.0 * r)
+            return step(W, ay, X)
 
         return W, counted, max_gap
 

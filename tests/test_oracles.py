@@ -153,24 +153,76 @@ def test_scalar_flip_rate_equals_eta_of_margin_exactly(model):
     assert [oracles._flip_rate(model, m) for m in margins] == rates.tolist()
 
 
-@pytest.mark.parametrize("B,alpha", [(1.0, 0.75), (2.0, 0.3)])
-def test_labels_agree_at_ulp_boundary_uniforms(B, alpha):
+def assert_labels_agree_at_ulp_boundary_uniforms(model, m):
     # a flip uniform equal to a margin's rate r, or one ulp below it, reads r's last bit:
     # query_label, query_labels and a one-row lockstep epoch, which labels step i through
-    # block_labels' label(i, X) on its (steps, 1) uniforms, must agree on every margin
-    model = hb.geometric_tsybakov(B, alpha)
+    # block_labels' label(i, X) on its (steps, 1) uniforms, must agree on every margin m;
+    # the dense epoch's pick, label(i, X) at s = alpha, must be alpha times that label.
+    # Under Massart noise block_labels writes into the uniforms it is given: pass copies
     truth = hb.GroundTruth(w_star=np.array([1.0, 0.0]))
-    m = np.random.default_rng(0).standard_normal(100_000)
     X = np.column_stack((m, np.zeros_like(m)))  # <w*, x> = m, exactly
     rates = hb.eta_of_margin(model, m)
+    alpha = 0.0123
     for u in (rates, np.nextafter(rates, 0.0)):
         ledger = hb.QueryLedger()
         batch = oracles.query_labels(model, truth, X, u, ledger).tolist()
         scalar = [oracles.query_label(model, truth, x, uk, ledger) for x, uk in zip(X, u.tolist())]
-        label = oracles.block_labels(model, truth, u[:, None], ledger)
+        label = oracles.block_labels(model, truth, u[:, None].copy(), ledger)
         one_row = [label(i, X[i : i + 1]).item() for i in range(len(m))]
         assert batch == scalar == one_row
-        assert ledger.label_calls == 3 * len(m)
+        step = oracles.block_labels(model, truth, u[:, None].copy(), ledger, np.array(alpha))
+        assert [step(i, X[i : i + 1]).item() for i in range(len(m))] == [
+            alpha * y for y in batch]
+        assert ledger.label_calls == 4 * len(m)
+
+
+@pytest.mark.parametrize("B,alpha", [(1.0, 0.75), (2.0, 0.3)])
+def test_labels_agree_at_ulp_boundary_uniforms(B, alpha):
+    m = np.random.default_rng(0).standard_normal(100_000)
+    assert_labels_agree_at_ulp_boundary_uniforms(hb.geometric_tsybakov(B, alpha), m)
+
+
+@pytest.mark.parametrize("model", [hb.massart(0.2), hb.massart_band(0.2, 0.3)],
+                         ids=lambda model: model.kind)
+def test_massart_labels_agree_at_ulp_boundary_uniforms(model):
+    # u = eta and one ulp below it, at margins of exactly +-0.0, at the band's edges +-tau
+    # and their neighbours, and at 100,000 normal margins
+    edges = [0.0, -0.0]
+    for edge in (model.tau, -model.tau):
+        edges += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+    for e in (0.0, -0.0):
+        edges += [math.nextafter(e, math.inf), math.nextafter(e, -math.inf)]
+    m = np.concatenate((edges, np.random.default_rng(0).standard_normal(100_000)))
+    assert_labels_agree_at_ulp_boundary_uniforms(model, m)
+
+
+def test_label_oracles_reject_a_malformed_point_before_charging():
+    # a point of the wrong width, a block of one point given as a 1-d array, or the wrong
+    # number of uniforms is an InvalidInputError, and no label is charged
+    truth = hb.GroundTruth(w_star=np.array([0.6, 0.8, 0.0]))
+    model = hb.massart(0.2)
+    ledger = hb.QueryLedger(label_calls=7, ex_calls=3)
+    before = dataclasses.replace(ledger)
+    for X, u in [
+        (np.ones((4, 2)), np.zeros(4)),
+        (np.ones((4, 4)), np.zeros(4)),
+        (np.ones(3), np.zeros(3)),
+        (np.ones((2, 2, 3)), np.zeros(2)),
+        (np.ones((4, 3)), np.zeros(3)),
+        (np.ones((4, 3)), np.zeros((4, 1))),
+        ([["a", "b", "c"]], np.zeros(1)),
+    ]:
+        with pytest.raises(InvalidInputError):
+            oracles.query_labels(model, truth, X, u, ledger)
+        assert ledger == before
+    for x in (np.ones(2), np.ones(4), np.ones((3, 2)), np.ones((1, 3)), "abc", None):
+        with pytest.raises(InvalidInputError):
+            hb.query_label(model, truth, x, 0.5, ledger)
+        assert ledger == before
+    # well-formed calls charge as before: one label per row, or one per point
+    assert oracles.query_labels(model, truth, np.ones((4, 3)), 0.5, ledger).tolist() == [1.0] * 4
+    assert hb.query_label(model, truth, np.ones(3), 0.5, ledger) == 1.0
+    assert ledger.label_calls == before.label_calls + 5
 
 
 def test_query_label_flip_rate_binomial():
