@@ -13,14 +13,14 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, finite_array, integer, normalize, real
+from .geometry import angle, finite_array, generator, integer, normalize, real
 from .oracles import (
     eta_of_margin,
     exact_tsybakov_A,
     geometric_tsybakov,
     massart,
 )
-from .schedules import excess_lower_bound, psi_lower_bound, regime_for_noise
+from .schedules import excess_lower_bound, psi_lower_bound, regime_for_noise, regime_params
 
 
 # Rows each Monte Carlo batch draws and reduces at a time (_moments), so memory stays
@@ -105,10 +105,11 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
     for the ball (3 at d = 2), and is reduced with its chunk (_moments), so memory
     is O(CHUNK) for any n; std_error is the sample standard error, 0 at n = 1.
-    n must be an integer at least 1 (geometry.integer) and b a positive real
-    number (geometry.real).
+    n must be an integer at least 1 (geometry.integer), b a positive real
+    number (geometry.real) and rng a numpy Generator (geometry.generator).
     """
     n = integer("estimate_psi needs at least one sample: n", n, 1)
+    generator("estimate_psi: rng", rng)
     b = real("estimate_psi: bandwidth b", b)
     if not b > 0.0:
         raise InvalidInputError("bandwidth b must be positive")
@@ -171,7 +172,8 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
 
     "exact" uses the closed form (1 - 2*eta) * angle/pi, valid only for
     constant flip rate (every family is spherically symmetric);
-    "mc" averages (1 - 2*eta(x)) over the disagreement region on n >= 1 rows from rng.
+    "mc" averages (1 - 2*eta(x)) over the disagreement region on n >= 1 rows from rng,
+    a numpy Generator (geometry.generator).
     """
     v = finite_array("v", v, (dist.d,))
     w_star = finite_array("truth.w_star", truth.w_star, (dist.d,))
@@ -187,6 +189,7 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     if rng is None or n is None:
         raise InvalidInputError("Monte Carlo excess needs rng and n")
     n = integer("Monte Carlo excess needs at least one sample: n", n, 1)
+    generator("Monte Carlo excess: rng", rng)
     value, _ = _excess_mc(v, w_star, dist, noise, rng, n)
     return value
 
@@ -249,10 +252,11 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     plane coordinates, so memory is O(CHUNK) for any samples and d. Returns a
     JSON-serializable report; passed means every check held within three
     standard errors. Needs an integer samples >= 2, so that every standard
-    error is defined, and a band-potential bandwidth inside the support
-    (suite_bandwidth).
+    error is defined, a band-potential bandwidth inside the support
+    (suite_bandwidth) and a numpy Generator rng (geometry.generator).
     """
     samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2)
+    generator("the lemma suite: rng", rng)
     # extreme constants or noise parameters overflow or underflow a bound, which
     # Python float arithmetic raises; like an unbuildable schedule, that is bad input
     try:
@@ -290,12 +294,8 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     gt = noise if regime == "GTNC" else geometric_tsybakov(1.0, 0.75)
     tnc = gt if 0.5 < gt.alpha < 1.0 else geometric_tsybakov(1.0, 0.75)
     by_regime = {"MNC": mnc, "TNC": tnc, "GTNC": gt}
-    # each regime's bound parameters, as make_schedule takes them
-    params = {
-        "MNC": {"eta": mnc.eta},
-        "TNC": {"A": exact_tsybakov_A(tnc.B, tnc.alpha, dist), "alpha": tnc.alpha},
-        "GTNC": {"B": gt.B, "alpha": gt.alpha},
-    }
+    A = exact_tsybakov_A(tnc.B, tnc.alpha, dist)
+    params = {regime: regime_params(regime, model, A) for regime, model in by_regime.items()}
 
     checks = []
 

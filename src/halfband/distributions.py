@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError
-from .geometry import angle, integer, real
+from .geometry import angle, generator, integer, real
 
 # Every family is rotation invariant: diagnostics' Monte Carlo estimators draw only the
 # two coordinates of x in the plane they read. A family that is not rotation invariant
@@ -98,8 +98,13 @@ def make_distribution(family, d, params=None):
 
 
 def sample(dist, rng, n):
-    """Draw n i.i.d. points as an (n, d) array; n must be an integer at least 0. No ledger."""
+    """Draw n i.i.d. points as an (n, d) array; no ledger.
+
+    n must be an integer at least 0 (geometry.integer) and rng a numpy Generator
+    (geometry.generator).
+    """
     n = integer("sample: n", n, 0)
+    generator("sample: rng", rng)
     if dist.family == "gaussian":
         return rng.standard_normal((n, dist.d))
     z = rng.standard_normal((n, dist.d))
@@ -213,9 +218,11 @@ def certify_parameters(dist, rng, samples=10**5):
     Returns a report dict (never raises on failure). All but isotropy-ks are
     exact: the projected density at its extremes on the radius-R disk (|z| = R
     and 0), the closed-form tail and band mass. isotropy-ks tests the sampler on
-    samples points (an integer >= 1) drawn from rng, a numpy Generator.
+    samples points (an integer >= 1) drawn from rng, a numpy Generator
+    (geometry.generator).
     """
     samples = integer("certify_parameters needs at least one sample: samples", samples, 1)
+    generator("certify_parameters: rng", rng)
     # scipy.stats costs most of the package's import time; only this check needs it
     from scipy import stats
 

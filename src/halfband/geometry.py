@@ -1,4 +1,4 @@
-"""Argument checks (arrays, integers, reals), normalization, angles, hard thresholding."""
+"""Argument checks (arrays, numbers, generators), normalization, angles, hard thresholding."""
 
 import math
 import numbers
@@ -67,6 +67,23 @@ def real(name, value):
         return float(value)
     except OverflowError as exc:
         raise InvalidInputError(f"{name} must be a real number within float range: {exc}") from exc
+
+
+def per_row(name, value, n):
+    """A finite (n,) float array (finite_array): n values, or one real number (real) n times."""
+    if isinstance(value, numbers.Real):
+        value = np.full(n, real(name, value))
+    return finite_array(name, value, (n,))
+
+
+def generator(name, rng):
+    """rng itself; InvalidInputError unless it is a numpy Generator (np.random.default_rng).
+
+    Called before a draw, so a wrong rng leaves every other stream and the ledger as they were.
+    """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"{name} must be a numpy Generator, got {_shown(rng)}")
+    return rng
 
 
 def normalize(w):

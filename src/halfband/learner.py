@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, InvariantError
-from .geometry import angle, finite_array, hard_threshold, integer, normalize, real
+from .geometry import angle, finite_array, generator, hard_threshold, integer, normalize, real
 from .oracles import (
     BandSampler,
     GroundTruth,
@@ -354,10 +354,10 @@ def optimize_block(
     if len(streams) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")
 
+    sampler = LockstepBandSampler(dist, b, streams, ledger, T)  # checks streams, draws nothing
     if agg == "random":  # which step's iterate each row returns, and its sign
         pick = np.array([g.integers(T) for g in streams])
         sign = np.array([1.0 if g.random() < 0.5 else -1.0 for g in streams])
-    sampler = LockstepBandSampler(dist, b, streams, ledger, T)
     W, step, max_gap = _projected_step(W1, r, alpha, sparse_s)
     scale = 1.0 if sparse_s is not None else np.array(alpha)  # a dense step takes alpha * y
     out = np.zeros((K, d))
@@ -585,9 +585,9 @@ def initialize(schedule, dist, noise, truth, rng, ledger):
     """Warm start: N descent trials from zero, then empirical risk selection.
 
     Trial k draws from child k of rng.spawn(N); the selection sample and its
-    labels come from rng itself.
+    labels come from rng itself, a numpy Generator (geometry.generator).
     """
-    streams = rng.spawn(schedule.N)
+    streams = generator("initialize: rng", rng).spawn(schedule.N)
     candidates = warm_start_trials(schedule, dist, noise, truth, streams, ledger)
     X = dists.sample(dist, rng, schedule.m)
     ledger.ex_calls += schedule.m
@@ -639,12 +639,11 @@ def _checked_seed(seed):
     return [integer(f"seed[{i}]", v, 0) for i, v in enumerate(seed)]
 
 
-def learn(config, truth=None):
-    """Run both stages; returns the unit-vector hypothesis and full accounting."""
+def learn(config):
+    """Run both stages; returns the hypothesis and full accounting, or raises InvariantError."""
     schedule = config.schedule()  # checks the config, and then its seed, before any draw
     rng = np.random.default_rng(_checked_seed(config.seed))
-    if truth is None:
-        truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
+    truth = make_ground_truth(config.dist.d, rng, s=config.sparse_s)
     ledger = QueryLedger()
     trace = []
 
@@ -678,4 +677,6 @@ def learn(config, truth=None):
         raise InvariantError(
             f"label ledger shows {ledger.label_calls} calls, schedule predicts {expected}"
         )
+    if ledger.max_feasibility_gap > 1e-9:
+        raise InvariantError(f"iterate feasibility violated by {ledger.max_feasibility_gap:g}")
     return LearnResult(v=normalize(v), ledger=ledger, schedule=schedule, truth=truth, trace=trace)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import BandTooThinError, InvalidInputError
-from .geometry import integer, normalize, real
+from .geometry import finite_array, generator, integer, normalize, per_row, real
 
 
 @dataclass
@@ -56,9 +56,11 @@ def make_ground_truth(d, rng, s=None):
 
     Sparse mode places s nonzeros of equal magnitude and random sign at
     seeded random coordinates. d in [1, _MAX_D] and s in [1, d] are
-    integers, checked before any draw; a d that memory cannot hold raises MemoryError.
+    integers and rng a numpy Generator, checked before any draw; a d that
+    memory cannot hold raises MemoryError.
     """
     d = integer("make_ground_truth: dimension d", d, 1, _MAX_D)
+    generator("make_ground_truth: rng", rng)
     if s is None:
         return GroundTruth(normalize(rng.standard_normal(d)))
     s = integer("make_ground_truth: sparse support size s", s, 1, d)
@@ -137,9 +139,10 @@ def geometric_tsybakov(B, alpha):
 def eta_of_margin(model, m):
     """Flip rate as a function of the ground-truth margin <w*,x>; vectorized.
 
-    A new array of m's shape, 0-d for one margin. The package's one power of a
-    margin: one in-place array kernel for every shape, so a rate has the same
-    bits alone or among other margins, and is 0, silently, where B|m|^e overflows.
+    A new array of m's shape, 0-d for one margin. One in-place array kernel for
+    every shape, so a rate has the same bits alone or among other margins, and
+    is 0, silently, where B|m|^e overflows. _flip_rate, the scalar label's
+    rate, takes its own np.power on a float, with the same bits (tested).
     """
     m = np.asarray(m, dtype=float)
     if model.kind == "massart":
@@ -184,14 +187,18 @@ def query_label(model, truth, x, u, ledger):
 
     A uniform u ~ Unif[0,1) gives the flip probability eta(x); BandSampler.draw
     returns one with each point. Increments ledger.label_calls by exactly 1; a
-    point x that is not a (d,) vector for w* of length d raises
-    InvalidInputError, with nothing charged.
+    point x that is not a (d,) vector for w* of length d, or whose margin is
+    not finite, raises InvalidInputError, with nothing charged. A non-finite x
+    always has a non-finite margin, so one float test on the margin refuses it
+    without a per-coordinate check on the scalar epoch's path.
     """
     try:  # costs nothing on the scalar epoch's path, where no point is malformed
         m = float(truth.w_star.dot(x))
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(
             f"query_label: x must be a point of shape {truth.w_star.shape}: {exc}") from exc
+    if m - m != 0.0:  # m is nan or +-inf
+        raise InvalidInputError(f"query_label: x must be finite, its margin is {m}")
     y = 1.0 if m >= 0.0 else -1.0
     ledger.label_calls += 1
     if u < _flip_rate(model, m):
@@ -208,24 +215,14 @@ def query_labels(model, truth, X, u, ledger):
     """Labeling-oracle calls for the rows of X; query_label for a batch.
 
     Row i is labeled sign(<w*,x_i>) (sign(0) = +1), flipped when u[i] < eta(x_i),
-    so uniforms u ~ Unif[0,1) give each row its flip probability. X must be an
-    (n, d) array for w* of length d, and u one uniform or n of them;
-    InvalidInputError otherwise, with nothing charged. Increments
-    ledger.label_calls by exactly n. The one-step case of block_labels.
+    so uniforms u ~ Unif[0,1) give each row its flip probability. X must be a
+    finite (n, d) array for w* of length d, u one finite uniform or n of them
+    (geometry.finite_array, per_row); InvalidInputError otherwise, with nothing
+    charged. Increments ledger.label_calls by exactly n. The one-step case of block_labels.
     """
-    d = truth.w_star.shape[0]
-    try:
-        X = np.asarray(X, dtype=float)
-        u = np.asarray(u, dtype=float)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise InvalidInputError(f"query_labels: X and u must be arrays of numbers: {exc}") from exc
-    if X.ndim != 2 or X.shape[1] != d:
-        raise InvalidInputError(f"query_labels: X must be an (n, {d}) array, got shape {X.shape}")
-    if u.shape not in ((), X.shape[:1]):
-        raise InvalidInputError(
-            f"query_labels: u must be one uniform or {len(X)} of them, got shape {u.shape}")
-    u = np.array(np.broadcast_to(u, X.shape[:1]), ndmin=2)  # block_labels may write into it
-    return block_labels(model, truth, u, ledger)(0, X)
+    X = finite_array("query_labels: X", X, (None, truth.w_star.shape[0]))
+    u = per_row("query_labels: u", u, len(X))
+    return block_labels(model, truth, u[None].copy(), ledger)(0, X)  # it may write into u
 
 
 def block_labels(model, truth, u, ledger, s=1.0):
@@ -366,7 +363,8 @@ def _complete_band_points(W_hat, m, Z, radial, out, S, c, c_flat):
 class LockstepBandSampler:
     """One band-conditional draw per trial and step for K trials run side by side.
 
-    Trial k draws only from streams[k]. Its attempt counts, margins, isotropic
+    Trial k draws only from streams[k], a numpy Generator (geometry.generator,
+    checked before any draw). Its attempt counts, margins, isotropic
     completions and label-flip uniforms are generated in blocks of at most
     BLOCK steps laid out by the integer step count alone (None: unbounded), so trial
     k's draws do not depend on the other trials or on K. Each row has the law
@@ -386,7 +384,7 @@ class LockstepBandSampler:
     BLOCK = 512
 
     def __init__(self, dist, b, streams, ledger, steps):
-        self.streams = list(streams)
+        self.streams = [generator(f"band sampler: stream {k}", g) for k, g in enumerate(streams)]
         self.b = real("band sampler: b", b)
         self.p = checked_band_probability(dist, self.b, len(self.streams))
         self.dist = dist

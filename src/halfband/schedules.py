@@ -314,6 +314,14 @@ def regime_for_noise(noise):
 REGIME_FIELDS = {"MNC": ("eta",), "TNC": ("alpha",), "GTNC": ("B", "alpha")}
 
 
+def regime_params(regime, noise, A=None):
+    """A regime's make_schedule parameters: noise's REGIME_FIELDS, plus A for TNC."""
+    params = {f: getattr(noise, f) for f in REGIME_FIELDS[regime]}
+    if regime == "TNC":
+        params["A"] = A
+    return params
+
+
 def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None, A=None):
     """Schedule for a noise model; regime override needs A for plain-Tsybakov runs."""
     regime = regime or regime_for_noise(noise)
@@ -325,7 +333,5 @@ def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=Non
         raise InvalidInputError(
             f"{regime} schedule needs noise of kind {' or '.join(kinds)}, got {noise.kind!r}"
         )
-    params = {f: getattr(noise, f) for f in needs}
-    if regime == "TNC":
-        params["A"] = A
-    return make_schedule(regime, dist, epsilon, delta, profile, sparse_s=sparse_s, **params)
+    return make_schedule(regime, dist, epsilon, delta, profile, sparse_s=sparse_s,
+                         **regime_params(regime, noise, A))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from halfband import cli
+from halfband import cli, learner
 from halfband.cli import CSV_COLUMNS, main
 from halfband.distributions import FAMILIES
 from halfband.errors import InvalidInputError, InvariantError, NumericalError
@@ -340,14 +340,18 @@ def test_number_too_long_to_convert_exits_2_with_one_line(tmp_path, capsys):
 
 
 def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
-    learn = cli.learn
+    # a main-stage epoch that reports a gap past 1e-9 stands in for one that leaves its
+    # ball: learn itself raises, so a library caller gets the InvariantError too
+    optimize = learner.optimize
 
-    def infeasible(config):
-        result = learn(config)
-        result.ledger.max_feasibility_gap = 1e-6
-        return result
+    def infeasible(*args, **kwargs):
+        out = optimize(*args, **kwargs)
+        args[9].max_feasibility_gap = 1e-6  # the ledger
+        return out
 
-    monkeypatch.setattr(cli, "learn", infeasible)
+    monkeypatch.setattr(learner, "optimize", infeasible)
+    with pytest.raises(InvariantError, match="iterate feasibility violated by 1e-06"):
+        learner.learn(cli.parse_spec(TINY, "run").replicate(0))
     cfg = dict(TINY, out=str(tmp_path / "out"))
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err.splitlines()

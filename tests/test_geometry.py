@@ -207,3 +207,53 @@ def test_int_too_large_for_a_float_is_a_typed_error_naming_the_argument():
         with pytest.raises(InvalidInputError) as caught:
             call()
         assert str(caught.value).startswith(name + " must be")
+
+
+def _rng_entries():
+    """Each public entry that draws, called with `bad` where it takes a generator.
+
+    An entry that takes a block of streams gets [good, bad], so a draw from good
+    before the check would show.
+    """
+    dist = hb.make_distribution("gaussian", 5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(0))
+    noise = hb.massart(0.2)
+    desk = hb.PROFILES["desk"]
+    w = truth.w_star
+    epoch = (1 / 16, 0.3, 5)
+    return {
+        "optimize": lambda bad, good, ledger: hb.optimize(
+            np.zeros(5), *epoch, "average", dist, noise, truth, bad, ledger, 0.05, desk),
+        "optimize_block": lambda bad, good, ledger: hb.learner.optimize_block(
+            np.zeros((2, 5)), *epoch, "random", dist, noise, truth, [good, bad], ledger, 0.05,
+            desk),
+        "initialize": lambda bad, good, ledger: hb.initialize(
+            hb.schedule_for(noise, dist, 0.45, 0.05, desk), dist, noise, truth, bad, ledger),
+        "BandSampler": lambda bad, good, ledger: hb.BandSampler(dist, 0.3, bad, ledger),
+        "LockstepBandSampler": lambda bad, good, ledger: hb.oracles.LockstepBandSampler(
+            dist, 0.3, [good, bad], ledger, 5),
+        "make_ground_truth": lambda bad, good, ledger: hb.make_ground_truth(5, bad),
+        "sample": lambda bad, good, ledger: hb.sample(dist, bad, 3),
+        "estimate_psi": lambda bad, good, ledger: hb.estimate_psi(
+            w, 0.3, dist, noise, truth, 10, bad),
+        "excess_error": lambda bad, good, ledger: hb.excess_error(
+            w, dist, noise, truth, rng=bad, n=10, method="mc"),
+        "certify_parameters": lambda bad, good, ledger: hb.certify_parameters(dist, bad, 10),
+        "verify_lemma_suite": lambda bad, good, ledger: hb.verify_lemma_suite(
+            dist, truth, bad, samples=10),
+    }
+
+
+@pytest.mark.parametrize("bad", [None, 7, np.random.RandomState(0)],
+                         ids=["None", "int", "RandomState"])
+@pytest.mark.parametrize("entry", sorted(_rng_entries()))
+def test_non_generator_rng_is_a_typed_error_before_any_draw(entry, bad):
+    # geometry.generator: an rng that is not a numpy Generator is an InvalidInputError,
+    # raised before any draw or charge
+    good = np.random.default_rng(5)
+    state = good.bit_generator.state
+    ledger = hb.QueryLedger(label_calls=7, ex_calls=3)
+    with pytest.raises(InvalidInputError):
+        _rng_entries()[entry](bad, good, ledger)
+    assert ledger == hb.QueryLedger(label_calls=7, ex_calls=3)
+    assert good.bit_generator.state == state

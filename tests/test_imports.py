@@ -7,7 +7,11 @@ No module imports an underscore name from another module of the package: a
 name one module shares with another is public where it is defined. Only
 geometry.py imports numbers or calls isinstance with int or float: what
 counts as an integer or a real argument is decided there alone
-(geometry.integer and geometry.real), config values included.
+(geometry.integer and geometry.real), config values included. Likewise only
+geometry.py reads an array's .ndim (or np.ndim) or tests isinstance against a numpy
+Generator: what a well-formed array or generator is (finite_array, generator)
+is decided there too. Only learner.py raises InvariantError: a run's
+invariants are checked in learn, for every caller.
 """
 
 import ast
@@ -154,3 +158,58 @@ def test_only_geometry_tests_for_int_or_float():
         for line in int_or_float_isinstance_calls(path.read_text())
     }
     assert found == set()
+
+
+def shape_or_generator_tests(source):
+    """Line numbers in `source` that name an attribute ndim (np.ndim too) or a Generator type."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "ndim")
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any("Generator" in (getattr(n, "attr", None), getattr(n, "id", None))
+                    for n in ast.walk(node.args[1])))
+    )
+
+
+def test_shape_or_generator_tests_detected():
+    source = (
+        "if X.ndim != 2:\n    pass\nisinstance(rng, np.random.Generator)\nnp.ndim(X)\n"
+        "isinstance(g, (Generator, int))\nisinstance(x, np.ndarray)\nn = a.shape[0]\n"
+    )
+    assert shape_or_generator_tests(source) == [1, 3, 4, 5]
+
+
+def test_only_geometry_tests_shapes_or_generators():
+    found = {
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geometry.py"
+        for line in shape_or_generator_tests(path.read_text())
+    }
+    assert found == set()
+
+
+def invariant_raises(source):
+    """Line numbers of the raise statements in `source` whose exception names InvariantError."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any("InvariantError" in (getattr(n, "attr", None), getattr(n, "id", None))
+                for n in ast.walk(node.exc))
+    ]
+
+
+def test_invariant_raises_detected():
+    source = (
+        "raise InvariantError('gap')\nraise errors.InvariantError\nraise ValueError('x')\n"
+        "try:\n    pass\nexcept InvariantError:\n    raise\n"
+    )
+    assert invariant_raises(source) == [1, 2]
+
+
+def test_only_learner_raises_invariant_errors():
+    found = {path.name for path in PACKAGE.glob("*.py") if invariant_raises(path.read_text())}
+    assert found == {"learner.py"}

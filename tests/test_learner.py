@@ -513,7 +513,7 @@ def test_dense_epoch_peak_memory_is_one_block_and_a_half(family):
 
 
 @pytest.mark.parametrize("d", [6, 50])
-@pytest.mark.parametrize("agg", ["average", "random"])
+@pytest.mark.parametrize("agg", ["average"])  # optimize runs a "random" epoch as the block
 @pytest.mark.parametrize("noise", EPOCH_NOISES, ids=lambda noise: noise.kind)
 @pytest.mark.parametrize("family", ["gaussian", "uniform_ball"])
 def test_scalar_epoch_matches_one_row_block(monkeypatch, family, noise, agg, d):

@@ -197,13 +197,18 @@ def test_massart_labels_agree_at_ulp_boundary_uniforms(model):
 
 
 def test_label_oracles_reject_a_malformed_point_before_charging():
-    # a point of the wrong width, a block of one point given as a 1-d array, or the wrong
-    # number of uniforms is an InvalidInputError, and no label is charged
+    # a point of the wrong width, a block of one point given as a 1-d array, the wrong
+    # number of uniforms, or a point or uniform that is nan or +-inf is an
+    # InvalidInputError, and no label is charged
     truth = hb.GroundTruth(w_star=np.array([0.6, 0.8, 0.0]))
     model = hb.massart(0.2)
     ledger = hb.QueryLedger(label_calls=7, ex_calls=3)
     before = dataclasses.replace(ledger)
+    non_finite = [np.array([v, 1.0, 0.0]) for v in (math.nan, math.inf, -math.inf)]
     for X, u in [
+        *((np.vstack((np.ones(3), x)), np.zeros(2)) for x in non_finite),
+        (np.ones((4, 3)), np.full(4, math.nan)),
+        (np.ones((4, 3)), math.inf),
         (np.ones((4, 2)), np.zeros(4)),
         (np.ones((4, 4)), np.zeros(4)),
         (np.ones(3), np.zeros(3)),
@@ -215,7 +220,7 @@ def test_label_oracles_reject_a_malformed_point_before_charging():
         with pytest.raises(InvalidInputError):
             oracles.query_labels(model, truth, X, u, ledger)
         assert ledger == before
-    for x in (np.ones(2), np.ones(4), np.ones((3, 2)), np.ones((1, 3)), "abc", None):
+    for x in (np.ones(2), np.ones(4), np.ones((3, 2)), np.ones((1, 3)), "abc", None, *non_finite):
         with pytest.raises(InvalidInputError):
             hb.query_label(model, truth, x, 0.5, ledger)
         assert ledger == before
