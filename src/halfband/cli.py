@@ -19,7 +19,7 @@ import numpy as np
 from . import distributions as dists
 from .diagnostics import excess_error, suite_bandwidth, verify_lemma_suite
 from .errors import BandTooThinError, InvalidInputError, InvariantError, NumericalError
-from .geometry import angle, integer, real
+from .geometry import angle, choice, integer, real
 from .learner import LearnerConfig, learn
 from .oracles import NoiseModel, make_ground_truth, noise_fields
 from .schedules import PROFILES, REGIMES, Profile, iteration_count
@@ -68,15 +68,15 @@ SWEEP_COLUMNS = [
     "eps0",
 ]
 
-# sweep axis -> (config section it edits, None for top level; key; value type; lower
-# bound of an integer value; the fit's x-value of a grid value)
+# sweep axis -> (config section it edits, None for top level; key; the fit's x-value of a
+# grid value). A grid value is read by its key's own rule, in its point's config.
 SWEEP_AXES = {
-    "eta": ("noise", "eta", float, None, lambda v: 1.0 / (1.0 - 2.0 * v)),
-    "epsilon": (None, "epsilon", float, None, lambda v: 1.0 / v),
-    "alpha": ("noise", "alpha", float, None, float),
-    "B": ("noise", "B", float, None, float),
-    "d": ("dist", "d", int, 2, math.log),
-    "s": (None, "sparse_s", int, 1, float),
+    "eta": ("noise", "eta", lambda v: 1.0 / (1.0 - 2.0 * v)),
+    "epsilon": (None, "epsilon", lambda v: 1.0 / v),
+    "alpha": ("noise", "alpha", float),
+    "B": ("noise", "B", float),
+    "d": ("dist", "d", math.log),
+    "s": (None, "sparse_s", float),
 }
 
 # every top-level key a config may hold
@@ -95,8 +95,11 @@ def _read(value, kind, name, lo=None, hi=None):
     """value checked as `kind`; errors name the dotted key `name`.
 
     An int is geometry.integer's, in [lo, hi]; a float is geometry.real's and
-    finite, since Python's json reads NaN and Infinity.
+    finite, since Python's json reads NaN and Infinity; a table of names (a
+    dict or tuple) takes one of them (geometry.choice).
     """
+    if isinstance(kind, (dict, tuple)):
+        return choice(name, value, kind)
     if kind is int:
         return integer(name, value, lo, hi)
     if kind is float:
@@ -135,8 +138,7 @@ def noise_from_config(raw):
 def dist_from_config(raw):
     _known(raw, ("family", "d", "params"), "dist.")
     family = _get(raw, "family", str, "gaussian", where="dist.")
-    # 2^53: the schedules and uniform_ball constants take d as a float
-    d = _get(raw, "d", int, REQUIRED, lo=2, hi=2**53, where="dist.")
+    d = _get(raw, "d", int, REQUIRED, lo=2, hi=dists.MAX_D, where="dist.")
     params = _get(raw, "params", dict, where="dist.")
     if params is not None:
         # named overrides merged onto the family defaults, canonical order
@@ -150,9 +152,7 @@ def dist_from_config(raw):
 
 
 def profile_from_config(cfg):
-    name = _get(cfg, "profile", str, "desk")
-    if name not in PROFILES:
-        raise InvalidInputError(f"unknown profile {name!r}; choose from {sorted(PROFILES)}")
+    name = _get(cfg, "profile", PROFILES, "desk")
     override = _get(cfg, "multipliers", dict, {})
     _known(override, [f.name for f in dataclasses.fields(Profile)], "multipliers.")
     values = {k: _get(override, k, float, where="multipliers.") for k in override}
@@ -163,18 +163,21 @@ def profile_from_config(cfg):
 def sweep_from_config(raw, noise, cfg):
     """(axis, ((value, RunSpec, its schedule without sparse_s or None), ...)) of cfg's sweep."""
     _known(raw, ("axis", "values"), "sweep.")
-    axis = _get(raw, "axis", str, REQUIRED, where="sweep.")
-    if axis not in SWEEP_AXES:
-        raise InvalidInputError(f"sweep.axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    section, key, kind, lo, _ = SWEEP_AXES[axis]
+    axis = _get(raw, "axis", SWEEP_AXES, REQUIRED, where="sweep.")
+    section, key, _ = SWEEP_AXES[axis]
     if section == "noise" and key not in noise_fields(noise.kind):
         raise InvalidInputError(f"sweep.axis {axis!r} is not a field of noise kind {noise.kind!r}")
     values = _get(raw, "values", list, REQUIRED, where="sweep.")
     if not values:
         raise InvalidInputError("sweep.values must be a nonempty list")
+    points = []
     for i, value in enumerate(values):
-        _read(value, kind, f"sweep.values[{i}]", lo)
-    points = [parse_spec(_sweep_point_config(cfg, axis, v), "preview-schedule") for v in values]
+        if value is None:  # in its point's config, a null would leave the key at its default
+            raise InvalidInputError(f"sweep.values[{i}] must not be null")
+        try:
+            points.append(parse_spec(_sweep_point_config(cfg, axis, value), "preview-schedule"))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sweep.values[{i}]: {exc}") from exc
     dense = [p.learner.sparse_s and dataclasses.replace(p.learner, sparse_s=None).schedule()
              for p in points]
     return axis, tuple(zip(values, points, dense))
@@ -210,9 +213,7 @@ def parse_spec(cfg, command):
     noise = _get(cfg, "noise", dict, None if command == "verify" else REQUIRED)
     noise = None if noise is None else noise_from_config(noise)
     profile_name, profile = profile_from_config(cfg)
-    regime = _get(cfg, "regime", str)
-    if regime is not None and regime not in REGIMES:
-        raise InvalidInputError(f"regime must be one of {REGIMES}, got {regime!r}")
+    regime = _get(cfg, "regime", REGIMES)
     learner = LearnerConfig(
         dist=dist,
         noise=noise,

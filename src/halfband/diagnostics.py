@@ -13,7 +13,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, finite_array, generator, integer, normalize, real
+from .geometry import angle, choice, finite_array, generator, integer, normalize, real
 from .oracles import (
     eta_of_margin,
     exact_tsybakov_A,
@@ -178,14 +178,12 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
     v = finite_array("v", v, (dist.d,))
     w_star = finite_array("truth.w_star", truth.w_star, (dist.d,))
     exact_ok = noise.kind == "massart"
-    if method == "auto":
+    if choice("excess method", method, ("auto", "exact", "mc")) == "auto":
         method = "exact" if exact_ok else "mc"
     if method == "exact":
         if not exact_ok:
             raise UnsupportedRegimeError("closed-form excess needs a constant flip rate")
         return (1.0 - 2.0 * noise.eta) * angle(v, w_star) / math.pi
-    if method != "mc":
-        raise InvalidInputError(f"unknown excess method {method!r}")
     if rng is None or n is None:
         raise InvalidInputError("Monte Carlo excess needs rng and n")
     n = integer("Monte Carlo excess needs at least one sample: n", n, 1)

@@ -20,19 +20,19 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError
-from .geometry import angle, generator, integer, real
+from .geometry import angle, choice, generator, integer, real
 
 # Every family is rotation invariant: diagnostics' Monte Carlo estimators draw only the
 # two coordinates of x in the plane they read. A family that is not rotation invariant
 # needs a d-dimensional path in those estimators.
 FAMILIES = ("gaussian", "uniform_ball")
+MAX_D = 2**53  # d's cap: the schedules and the uniform ball's constants take d as a float
 
 
 def _check_family_and_d(family, d):
-    """d as an int; InvalidInputError unless family is known and d is an integer >= 2."""
-    if family not in FAMILIES:
-        raise InvalidInputError(f"unknown family {family!r}")
-    return integer("dimension", d, 2)
+    """d as an int; InvalidInputError unless family is a choice and d an integer in [2, MAX_D]."""
+    choice("family", family, FAMILIES)
+    return integer("dimension", d, 2, MAX_D)
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,16 @@ PARAM_RANGE = (1e-100, 1e100)
 
 
 def make_distribution(family, d, params=None):
-    """Family at integer dimension d >= 2, with real params (L, R, U, beta) or the defaults."""
+    """Family at an integer d in [2, MAX_D], with four real params (L, R, U, beta) or defaults."""
     d = _check_family_and_d(family, d)
     if params is None:
         params = default_params(family, d)
+    try:
+        four = len(params) == 4
+    except TypeError:  # a number, or a 0-d array
+        four = False
+    if not four:
+        raise InvalidInputError("params must be a sequence of four values (L, R, U, beta)")
     L, R, U, beta = (real(f"params[{i}]", v) for i, v in enumerate(params))
     lo, hi = PARAM_RANGE
     if not all(lo <= v <= hi for v in (L, R, U, beta)):

@@ -1,4 +1,4 @@
-"""Argument checks (arrays, numbers, generators), normalization, angles, hard thresholding."""
+"""Argument checks (arrays, numbers, choices, rngs), normalization, angles, hard thresholding."""
 
 import math
 import numbers
@@ -69,6 +69,13 @@ def real(name, value):
         raise InvalidInputError(f"{name} must be a real number within float range: {exc}") from exc
 
 
+def choice(name, value, table):
+    """value; InvalidInputError unless it is a str naming a row of table (a dict or tuple)."""
+    if isinstance(value, str) and value in table:
+        return value
+    raise InvalidInputError(f"unknown {name} {_shown(value)}; choose from {', '.join(table)}")
+
+
 def per_row(name, value, n):
     """A finite (n,) float array (finite_array): n values, or one real number (real) n times."""
     if isinstance(value, numbers.Real):
@@ -84,6 +91,14 @@ def generator(name, rng):
     if not isinstance(rng, np.random.Generator):
         raise InvalidInputError(f"{name} must be a numpy Generator, got {_shown(rng)}")
     return rng
+
+
+def generators(name, streams):
+    """streams as a list; InvalidInputError unless it is a list or tuple of numpy Generators."""
+    if not isinstance(streams, (list, tuple)):
+        raise InvalidInputError(f"{name} must be a list or tuple of numpy Generators, "
+                                f"got {_shown(streams)}")
+    return [generator(f"{name}[{k}]", g) for k, g in enumerate(streams)]
 
 
 def normalize(w):

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, InvariantError
-from .geometry import angle, finite_array, generator, hard_threshold, integer, normalize, real
+from .geometry import (angle, choice, finite_array, generator, generators, hard_threshold, integer,
+                       normalize, real)
 from .oracles import (
     BandSampler,
     GroundTruth,
@@ -94,8 +95,7 @@ def _check_epoch(start, ndim, r, b, T, agg, dist, truth, delta, profile, sparse_
     T = integer("iteration count T", T, 1)
     if sparse_s is not None:
         integer("sparse_s", sparse_s, 1, d)
-    if agg not in AGGREGATIONS:
-        raise InvalidInputError(f"aggregation must be one of {AGGREGATIONS}")
+    choice("aggregation", agg, AGGREGATIONS)
     try:
         alpha = step_size(r, b, T, d, dist, delta, profile, sparse_s=sparse_s)
     except ZeroDivisionError:  # the log's argument or the log itself is 0 in floats
@@ -346,12 +346,13 @@ def optimize_block(
     steps' feasibility gaps are taken a window at a time (_projected_step).
     Each of these gives the same bits. Every sparse epoch
     runs here, optimize's as a one-row block; its step takes plain labels.
-    W1 must be a finite (K, d) array and sparse_s None or an integer in
+    W1 must be a finite (K, d) array, streams a list or tuple of K numpy
+    Generators (geometry.generators) and sparse_s None or an integer in
     [1, d]; InvalidInputError otherwise, before anything is drawn or charged.
     """
     W1, T, alpha = _check_epoch(W1, 2, r, b, T, agg, dist, truth, delta, profile, sparse_s)
     K, d = W1.shape
-    if len(streams) != K:
+    if len(generators("optimize_block: streams", streams)) != K:
         raise InvalidInputError("optimize_block needs one stream per row of W1")
 
     sampler = LockstepBandSampler(dist, b, streams, ledger, T)  # checks streams, draws nothing

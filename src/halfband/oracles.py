@@ -31,7 +31,8 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import BandTooThinError, InvalidInputError
-from .geometry import finite_array, generator, integer, normalize, per_row, real
+from .geometry import (choice, finite_array, generator, generators, integer, normalize, per_row,
+                       real)
 
 
 @dataclass
@@ -70,19 +71,17 @@ def make_ground_truth(d, rng, s=None):
     return GroundTruth(w)
 
 
-# noise kind -> (its fields, in constructor order; the schedule regime it defaults to)
+# noise kind -> its fields, in constructor order
 NOISE_KINDS = {
-    "massart": (("eta",), "MNC"),
-    "massart_band": (("eta", "tau"), "MNC"),
-    "geometric_tsybakov": (("B", "alpha"), "GTNC"),
+    "massart": ("eta",),
+    "massart_band": ("eta", "tau"),
+    "geometric_tsybakov": ("B", "alpha"),
 }
 
 
 def noise_fields(kind):
-    """Fields of noise kind `kind`, in constructor order; InvalidInputError on an unknown kind."""
-    if kind not in NOISE_KINDS:
-        raise InvalidInputError(f"unknown noise kind {kind!r}; choose from {sorted(NOISE_KINDS)}")
-    return NOISE_KINDS[kind][0]
+    """Fields of noise kind `kind`, in constructor order; kind is a choice (geometry.choice)."""
+    return NOISE_KINDS[choice("noise kind", kind, NOISE_KINDS)]
 
 
 @dataclass(frozen=True)
@@ -190,11 +189,13 @@ def query_label(model, truth, x, u, ledger):
     point x that is not a (d,) vector for w* of length d, or whose margin is
     not finite, raises InvalidInputError, with nothing charged. A non-finite x
     always has a non-finite margin, so one float test on the margin refuses it
-    without a per-coordinate check on the scalar epoch's path.
+    without a per-coordinate check on the scalar epoch's path. An inf times a
+    zero of w* makes the dot warn first; where warnings are raised as errors,
+    that RuntimeWarning is refused the same way (elsewhere it prints).
     """
     try:  # costs nothing on the scalar epoch's path, where no point is malformed
         m = float(truth.w_star.dot(x))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RuntimeWarning) as exc:
         raise InvalidInputError(
             f"query_label: x must be a point of shape {truth.w_star.shape}: {exc}") from exc
     if m - m != 0.0:  # m is nan or +-inf
@@ -363,11 +364,12 @@ def _complete_band_points(W_hat, m, Z, radial, out, S, c, c_flat):
 class LockstepBandSampler:
     """One band-conditional draw per trial and step for K trials run side by side.
 
-    Trial k draws only from streams[k], a numpy Generator (geometry.generator,
-    checked before any draw). Its attempt counts, margins, isotropic
-    completions and label-flip uniforms are generated in blocks of at most
-    BLOCK steps laid out by the integer step count alone (None: unbounded), so trial
-    k's draws do not depend on the other trials or on K. Each row has the law
+    Trial k draws only from streams[k]; streams is a list or tuple of numpy
+    Generators (geometry.generators, checked before any draw). Its attempt
+    counts, margins, isotropic completions and label-flip uniforms are
+    generated in blocks of at most BLOCK steps laid out by the integer step
+    count alone (None: unbounded), so trial k's draws do not depend on the
+    other trials or on K. Each row has the law
     of literal rejection sampling (module docstring), and the EX charges are
     those of the K draws made one after another.
 
@@ -384,7 +386,7 @@ class LockstepBandSampler:
     BLOCK = 512
 
     def __init__(self, dist, b, streams, ledger, steps):
-        self.streams = [generator(f"band sampler: stream {k}", g) for k, g in enumerate(streams)]
+        self.streams = generators("band sampler: streams", streams)
         self.b = real("band sampler: b", b)
         self.p = checked_band_probability(dist, self.b, len(self.streams))
         self.dist = dist

@@ -11,10 +11,13 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import integer, real
+from .geometry import choice, integer, real
 from .oracles import NOISE_KINDS
 
-REGIMES = ("MNC", "TNC", "GTNC")
+# regime -> (the noise fields its make_schedule parameters read, TNC's A aside; the noise
+# kinds it is the default of). A regime applies to the noise kinds with all of its fields.
+REGIMES = {"MNC": (("eta",), ("massart", "massart_band")), "TNC": (("alpha",), ()),
+           "GTNC": (("B", "alpha"), ("geometric_tsybakov",))}
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,7 @@ def make_schedule(
         raise InvalidInputError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 0.1:
         raise InvalidInputError("delta must lie in (0, 1/10)")
-    if regime not in REGIMES:
-        raise InvalidInputError(f"unknown regime {regime!r}")
-    if regime == "MNC":
+    if choice("regime", regime, REGIMES) == "MNC":
         if eta is None or not 0.0 <= eta < 0.5:
             raise InvalidInputError("MNC schedule needs eta in [0, 1/2)")
         params = {"eta": eta}
@@ -306,17 +307,12 @@ def make_schedule(
 
 def regime_for_noise(noise):
     """Default schedule regime implied by a noise model."""
-    return NOISE_KINDS[noise.kind][1]
-
-
-# regime -> the noise fields its make_schedule parameters read (TNC also takes A);
-# a regime applies to the noise kinds that have all of them
-REGIME_FIELDS = {"MNC": ("eta",), "TNC": ("alpha",), "GTNC": ("B", "alpha")}
+    return next(regime for regime, (_, kinds) in REGIMES.items() if noise.kind in kinds)
 
 
 def regime_params(regime, noise, A=None):
-    """A regime's make_schedule parameters: noise's REGIME_FIELDS, plus A for TNC."""
-    params = {f: getattr(noise, f) for f in REGIME_FIELDS[regime]}
+    """A regime's make_schedule parameters: noise's fields in REGIMES, plus A for TNC."""
+    params = {f: getattr(noise, f) for f in REGIMES[regime][0]}
     if regime == "TNC":
         params["A"] = A
     return params
@@ -324,11 +320,9 @@ def regime_params(regime, noise, A=None):
 
 def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None, A=None):
     """Schedule for a noise model; regime override needs A for plain-Tsybakov runs."""
-    regime = regime or regime_for_noise(noise)
-    if regime not in REGIME_FIELDS:
-        raise InvalidInputError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    needs = REGIME_FIELDS[regime]
-    kinds = [k for k, (k_fields, _) in NOISE_KINDS.items() if set(needs) <= set(k_fields)]
+    regime = regime_for_noise(noise) if regime is None else choice("regime", regime, REGIMES)
+    needs = REGIMES[regime][0]
+    kinds = [k for k, k_fields in NOISE_KINDS.items() if set(needs) <= set(k_fields)]
     if noise.kind not in kinds:
         raise InvalidInputError(
             f"{regime} schedule needs noise of kind {' or '.join(kinds)}, got {noise.kind!r}"

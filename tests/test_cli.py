@@ -147,6 +147,23 @@ def test_sweep_bad_axis_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values, words", [
+    ("eta", [0.1, "x", 0.3], ["sweep.values[1]: ", "noise.eta must be a real number"]),
+    ("d", [3, 2**53 + 1], ["sweep.values[1]: ", "dist.d must be an integer in [2, 90071992547"]),
+    ("s", [1, 2.5, 3], ["sweep.values[1]: ", "sparse_s must be an integer"]),
+    ("epsilon", [0.1, 0.2, None], ["sweep.values[2] must not be null"]),
+], ids=["string-eta", "d-above-2**53", "fractional-s", "null-epsilon"])
+def test_bad_sweep_value_is_read_by_its_key_and_named_by_index(tmp_path, capsys, axis, values,
+                                                               words):
+    # each grid value is read by its key's own rule, in its point's config, and the
+    # error names the value's place in sweep.values
+    cfg = dict(TINY, sweep={"axis": axis, "values": values}, out=str(tmp_path / "out"))
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert all(word in err[0] for word in words), err[0]
+
+
 def test_verify_passes_and_writes_report(tmp_path):
     cfg = {
         "seed": 5,

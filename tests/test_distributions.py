@@ -45,26 +45,41 @@ def test_default_params_uniform_ball():
     assert dist.L <= dist.U
 
 
+DIMENSION = r"dimension must be an integer in \[2, 9007199254740992\]"  # [2, 2^53]
+
+
 def test_make_distribution_validation():
     with pytest.raises(InvalidInputError):
         hb.make_distribution("triangle", 3)
     with pytest.raises(InvalidInputError, match="unknown family 'laplace'"):
         hb.make_distribution("laplace", 5, params=(0.05, 1.0, 0.16, 1.0))
     for family, d in (("gaussian", 0), ("uniform_ball", 1), ("uniform_ball", -2)):
-        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+        with pytest.raises(InvalidInputError, match=DIMENSION):
             hb.make_distribution(family, d)
     # the type checks d itself, so dataclasses.replace cannot get round it
-    with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+    with pytest.raises(InvalidInputError, match=DIMENSION):
         dataclasses.replace(hb.make_distribution("uniform_ball", 3), d=1)
-    with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+    with pytest.raises(InvalidInputError, match=DIMENSION):
         dataclasses.replace(hb.make_distribution("gaussian", 3), d=0)
     for d in (2.5, True, "3"):
-        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+        with pytest.raises(InvalidInputError, match=DIMENSION):
             dataclasses.replace(hb.make_distribution("gaussian", 3), d=d)
     # d is checked before it is used, with or without params; a bool is not a real parameter
     for params in (None, (0.05, 1.0, 0.16, 1.0)):
-        with pytest.raises(InvalidInputError, match="dimension must be an integer at least 2"):
+        with pytest.raises(InvalidInputError, match=DIMENSION):
             hb.make_distribution("gaussian", 10.5, params=params)
+    # d is capped at 2^53, where the schedules and the ball's constants take it as a float
+    for family in ("gaussian", "uniform_ball"):
+        hb.make_distribution(family, 2**53)
+        for d in (2**53 + 1, 10**400):
+            with pytest.raises(InvalidInputError, match=DIMENSION):
+                hb.make_distribution(family, d)
+            with pytest.raises(InvalidInputError, match=DIMENSION):
+                dataclasses.replace(hb.make_distribution(family, 3), d=d)
+    # params are four values: not a number, a 0-d array, three values or five
+    for params in (5.0, np.array(5.0), (1, 1, 1), (0.05, 1.0, 0.16, 1.0, 1.0)):
+        with pytest.raises(InvalidInputError, match=r"params must be a sequence of four values"):
+            hb.make_distribution("gaussian", 3, params=params)
     for params in (("0.05", "1", "0.2", "1"), (0.05, True, 0.16, 1.0)):
         with pytest.raises(InvalidInputError, match=r"params\[[0-3]\] must be a real number"):
             hb.make_distribution("gaussian", 3, params=params)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfband as hb
+from halfband.cli import parse_spec
 from halfband.errors import InvalidInputError
 
 RNG = np.random.default_rng(90210)
@@ -227,6 +228,11 @@ def _rng_entries():
         "optimize_block": lambda bad, good, ledger: hb.learner.optimize_block(
             np.zeros((2, 5)), *epoch, "random", dist, noise, truth, [good, bad], ledger, 0.05,
             desk),
+        # the streams container itself: bad in place of the list, or one bare Generator
+        "optimize_block_streams": lambda bad, good, ledger: hb.learner.optimize_block(
+            np.zeros((1, 5)), *epoch, "random", dist, noise, truth, bad, ledger, 0.05, desk),
+        "optimize_block_bare_stream": lambda bad, good, ledger: hb.learner.optimize_block(
+            np.zeros((1, 5)), *epoch, "random", dist, noise, truth, good, ledger, 0.05, desk),
         "initialize": lambda bad, good, ledger: hb.initialize(
             hb.schedule_for(noise, dist, 0.45, 0.05, desk), dist, noise, truth, bad, ledger),
         "BandSampler": lambda bad, good, ledger: hb.BandSampler(dist, 0.3, bad, ledger),
@@ -257,3 +263,43 @@ def test_non_generator_rng_is_a_typed_error_before_any_draw(entry, bad):
         _rng_entries()[entry](bad, good, ledger)
     assert ledger == hb.QueryLedger(label_calls=7, ex_calls=3)
     assert good.bit_generator.state == state
+
+
+def _choice_sites():
+    """Each argument that names a row of a table, called with a list in place of the name."""
+    dist = hb.make_distribution("gaussian", 5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(0))
+    noise = hb.massart(0.2)
+    desk = hb.PROFILES["desk"]
+    cfg = {"seed": 1, "dist": {"family": "gaussian", "d": 5},
+           "noise": {"kind": "massart", "eta": 0.2}}
+    return {  # site -> (the argument's name in the message, the call)
+        "make_distribution": ("family", lambda: hb.make_distribution(["gaussian"], 5)),
+        "NoiseModel": ("noise kind", lambda: hb.NoiseModel(["massart"], eta=0.2)),
+        "optimize": ("aggregation", lambda: hb.optimize(
+            np.zeros(5), 1 / 16, 0.3, 5, ["average"], dist, noise, truth,
+            np.random.default_rng(1), hb.QueryLedger(), 0.05, desk)),
+        "excess_error": ("excess method", lambda: hb.excess_error(
+            truth.w_star, dist, noise, truth, method=["exact"])),
+        "config_regime": ("regime", lambda: parse_spec({**cfg, "regime": ["MNC"]},
+                                                       "preview-schedule")),
+        "make_schedule": ("regime", lambda: hb.make_schedule(["MNC"], dist, 0.1, 0.05, desk,
+                                                             eta=0.2)),
+        "schedule_for": ("regime", lambda: hb.schedule_for(noise, dist, 0.1, 0.05, desk,
+                                                           regime=["MNC"])),
+        "config_profile": ("profile", lambda: parse_spec({**cfg, "profile": ["desk"]},
+                                                         "preview-schedule")),
+        "config_sweep_axis": ("sweep.axis", lambda: parse_spec(
+            {**cfg, "sweep": {"axis": ["eta"], "values": [0.1, 0.2, 0.3]}}, "sweep")),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_choice_sites()))
+def test_a_choice_that_is_not_a_name_is_a_typed_error_naming_the_argument(site):
+    # geometry.choice: a value that is not a str naming one of the table's rows (here a
+    # list, which no dict lookup can hash) is an InvalidInputError in one format
+    name, call = _choice_sites()[site]
+    with pytest.raises(InvalidInputError) as caught:
+        call()
+    message = str(caught.value)
+    assert message.startswith(f"unknown {name} [") and "; choose from " in message

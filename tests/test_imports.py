@@ -11,10 +11,13 @@ counts as an integer or a real argument is decided there alone
 geometry.py reads an array's .ndim (or np.ndim) or tests isinstance against a numpy
 Generator: what a well-formed array or generator is (finite_array, generator)
 is decided there too. Only learner.py raises InvariantError: a run's
-invariants are checked in learn, for every caller.
+invariants are checked in learn, for every caller. Outside geometry.py no `in`
+or `not in` test has an ALL-CAPS module table on its right: whether a value
+names a row of a table is geometry.choice's one rule.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfband"
@@ -213,3 +216,37 @@ def test_invariant_raises_detected():
 def test_only_learner_raises_invariant_errors():
     found = {path.name for path in PACKAGE.glob("*.py") if invariant_raises(path.read_text())}
     assert found == {"learner.py"}
+
+
+def table_membership_tests(source):
+    """Line numbers of the in / not in tests in `source` against an ALL-CAPS name (X.NAME too)."""
+    def table(node):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        return name is not None and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name) is not None
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) and table(right)
+                for op, right in zip(node.ops, node.comparators))
+    ]
+
+
+def test_table_membership_tests_detected():
+    source = (
+        "if kind not in NOISE_KINDS:\n    pass\nok = family in dists.FAMILIES\n"
+        "ok = kind in kinds\nfor k in REGIMES:\n    pass\nok = 'x' in d and a in _MAX_2\n"
+        "ok = x in TABLE[0]\nok = B in kinds\n"
+    )
+    assert table_membership_tests(source) == [1, 3, 7]
+
+
+def test_only_geometry_tests_table_membership():
+    found = {
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geometry.py"
+        for line in table_membership_tests(path.read_text())
+    }
+    assert found == set()

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import halfband as hb
 from halfband.errors import InvalidInputError, UnsupportedRegimeError
+from halfband.oracles import NOISE_KINDS
 from halfband.schedules import (
     PROFILES,
+    REGIMES,
     Profile,
     bandwidth,
     initial_target,
@@ -204,6 +206,10 @@ def test_regime_for_noise_mapping():
     assert regime_for_noise(hb.massart(0.1)) == "MNC"
     assert regime_for_noise(hb.massart_band(0.1, 1.0)) == "MNC"
     assert regime_for_noise(hb.geometric_tsybakov(1.0, 0.75)) == "GTNC"
+    # REGIMES names each noise kind's default regime once; NOISE_KINDS holds only fields
+    defaults = [kind for _, kinds in REGIMES.values() for kind in kinds]
+    assert sorted(defaults) == sorted(NOISE_KINDS)
+    assert {f for fields in NOISE_KINDS.values() for f in fields} == {"eta", "tau", "B", "alpha"}
 
 
 def test_schedule_for_regime_override():
