@@ -19,7 +19,7 @@ import numpy as np
 from . import distributions as dists
 from .diagnostics import excess_error, suite_bandwidth, verify_lemma_suite
 from .errors import BandTooThinError, InvalidInputError, InvariantError, NumericalError
-from .geometry import angle, choice, integer, real
+from .geometry import MAX_COUNT, angle, choice, integer, real
 from .learner import LearnerConfig, learn
 from .oracles import NoiseModel, make_ground_truth, noise_fields
 from .schedules import PROFILES, REGIMES, Profile, iteration_count
@@ -233,9 +233,9 @@ def parse_spec(cfg, command):
         trace=_get(cfg, "trace", bool, False),
         profile_name=profile_name,
         out=_get(cfg, "out", str) or None,
-        excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1),
-        certify_samples=_get(cfg, "certify_samples", int, 10**5, lo=1),
-        verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=2),
+        excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1, hi=MAX_COUNT),
+        certify_samples=_get(cfg, "certify_samples", int, 10**5, lo=1, hi=MAX_COUNT),
+        verify_samples=_get(cfg, "verify_samples", int, 10**6, lo=2, hi=MAX_COUNT),
         schedule=learner.schedule() if command in ("run", "preview-schedule") else None,
         sweep=sweep_from_config(sweep, noise, cfg) if command == "sweep" else None,
     )

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .geometry import angle, choice, finite_array, generator, integer, normalize, real
+from .geometry import (MAX_COUNT, angle, choice, finite_array, generator, integer, normalize,
+                       real)
 from .oracles import (
     eta_of_margin,
     exact_tsybakov_A,
@@ -105,10 +106,10 @@ def estimate_psi(w, b, dist, noise, truth, n, rng):
     (_plane): its band margin and one more, 2 numbers for the Gaussian and 4
     for the ball (3 at d = 2), and is reduced with its chunk (_moments), so memory
     is O(CHUNK) for any n; std_error is the sample standard error, 0 at n = 1.
-    n must be an integer at least 1 (geometry.integer), b a positive real
+    n must be an integer in [1, 2^53] (geometry.integer), b a positive real
     number (geometry.real) and rng a numpy Generator (geometry.generator).
     """
-    n = integer("estimate_psi needs at least one sample: n", n, 1)
+    n = integer("estimate_psi needs at least one sample: n", n, 1, MAX_COUNT)
     generator("estimate_psi: rng", rng)
     b = real("estimate_psi: bandwidth b", b)
     if not b > 0.0:
@@ -186,7 +187,7 @@ def excess_error(v, dist, noise, truth, rng=None, n=None, method="auto"):
         return (1.0 - 2.0 * noise.eta) * angle(v, w_star) / math.pi
     if rng is None or n is None:
         raise InvalidInputError("Monte Carlo excess needs rng and n")
-    n = integer("Monte Carlo excess needs at least one sample: n", n, 1)
+    n = integer("Monte Carlo excess needs at least one sample: n", n, 1, MAX_COUNT)
     generator("Monte Carlo excess: rng", rng)
     value, _ = _excess_mc(v, w_star, dist, noise, rng, n)
     return value
@@ -249,11 +250,11 @@ def verify_lemma_suite(dist, truth, rng, noise=None, samples=10**6):
     (estimate_psi) and the excess under other noise (_excess_mc) are sampled, from
     plane coordinates, so memory is O(CHUNK) for any samples and d. Returns a
     JSON-serializable report; passed means every check held within three
-    standard errors. Needs an integer samples >= 2, so that every standard
+    standard errors. Needs an integer samples in [2, 2^53], so that every standard
     error is defined, a band-potential bandwidth inside the support
     (suite_bandwidth) and a numpy Generator rng (geometry.generator).
     """
-    samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2)
+    samples = integer("the lemma suite needs at least 2 samples: samples", samples, 2, MAX_COUNT)
     generator("the lemma suite: rng", rng)
     # extreme constants or noise parameters overflow or underflow a bound, which
     # Python float arithmetic raises; like an unbuildable schedule, that is bad input

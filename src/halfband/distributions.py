@@ -20,13 +20,13 @@ import numpy as np
 from scipy import special
 
 from .errors import InvalidInputError
-from .geometry import angle, choice, generator, integer, real
+from .geometry import MAX_COUNT, angle, choice, generator, integer, real
 
 # Every family is rotation invariant: diagnostics' Monte Carlo estimators draw only the
 # two coordinates of x in the plane they read. A family that is not rotation invariant
 # needs a d-dimensional path in those estimators.
 FAMILIES = ("gaussian", "uniform_ball")
-MAX_D = 2**53  # d's cap: the schedules and the uniform ball's constants take d as a float
+MAX_D = MAX_COUNT  # d's cap: the schedules and the uniform ball's constants take d as a float
 
 
 def _check_family_and_d(family, d):
@@ -106,10 +106,10 @@ def make_distribution(family, d, params=None):
 def sample(dist, rng, n):
     """Draw n i.i.d. points as an (n, d) array; no ledger.
 
-    n must be an integer at least 0 (geometry.integer) and rng a numpy Generator
+    n must be an integer in [0, 2^53] (geometry.integer) and rng a numpy Generator
     (geometry.generator).
     """
-    n = integer("sample: n", n, 0)
+    n = integer("sample: n", n, 0, MAX_COUNT)
     generator("sample: rng", rng)
     if dist.family == "gaussian":
         return rng.standard_normal((n, dist.d))
@@ -224,10 +224,11 @@ def certify_parameters(dist, rng, samples=10**5):
     Returns a report dict (never raises on failure). All but isotropy-ks are
     exact: the projected density at its extremes on the radius-R disk (|z| = R
     and 0), the closed-form tail and band mass. isotropy-ks tests the sampler on
-    samples points (an integer >= 1) drawn from rng, a numpy Generator
+    samples points (an integer in [1, 2^53]) drawn from rng, a numpy Generator
     (geometry.generator).
     """
-    samples = integer("certify_parameters needs at least one sample: samples", samples, 1)
+    samples = integer("certify_parameters needs at least one sample: samples", samples, 1,
+                      MAX_COUNT)
     generator("certify_parameters: rng", rng)
     # scipy.stats costs most of the package's import time; only this check needs it
     from scipy import stats

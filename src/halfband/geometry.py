@@ -7,6 +7,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+# The cap of every count an argument gives (a dimension, a sample count, an iteration
+# count): the largest n below which a float64 holds every integer exactly. Counts are
+# merged and scaled as floats (diagnostics._moments, the schedules).
+MAX_COUNT = 2**53
+
 
 def finite_array(name, a, shape):
     """a as a float array; InvalidInputError unless it is finite with this shape.

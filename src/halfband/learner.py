@@ -29,8 +29,8 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import InvalidInputError, InvariantError
-from .geometry import (angle, choice, finite_array, generator, generators, hard_threshold, integer,
-                       normalize, real)
+from .geometry import (MAX_COUNT, angle, choice, finite_array, generator, generators,
+                       hard_threshold, integer, normalize, real)
 from .oracles import (
     BandSampler,
     GroundTruth,
@@ -78,7 +78,7 @@ def _check_epoch(start, ndim, r, b, T, agg, dist, truth, delta, profile, sparse_
     start is optimize's w1 (ndim 1), a finite (d,) vector, or optimize_block's
     W1 (ndim 2), a finite (K, d) array, with d = dist.d; truth.w_star is a
     finite (d,) vector, r, b and delta real numbers (geometry.real) in (0, 1/4],
-    (0, R/2] and (0, 1), T an integer >= 1 and sparse_s None or an integer in
+    (0, R/2] and (0, 1), T an integer in [1, 2^53] and sparse_s None or an integer in
     [1, d]. The step size must come out finite and positive, which extreme
     structure constants can prevent.
     """
@@ -92,7 +92,7 @@ def _check_epoch(start, ndim, r, b, T, agg, dist, truth, delta, profile, sparse_
         raise InvalidInputError("bandwidth b must lie in (0, R/2]")
     if not 0.0 < real("confidence delta", delta) < 1.0:
         raise InvalidInputError("confidence delta must lie in (0, 1)")
-    T = integer("iteration count T", T, 1)
+    T = integer("iteration count T", T, 1, MAX_COUNT)
     if sparse_s is not None:
         integer("sparse_s", sparse_s, 1, d)
     choice("aggregation", agg, AGGREGATIONS)

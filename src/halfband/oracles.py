@@ -31,8 +31,8 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import BandTooThinError, InvalidInputError
-from .geometry import (choice, finite_array, generator, generators, integer, normalize, per_row,
-                       real)
+from .geometry import (MAX_COUNT, choice, finite_array, generator, generators, integer, normalize,
+                       per_row, real)
 
 
 @dataclass
@@ -391,7 +391,8 @@ class LockstepBandSampler:
         self.p = checked_band_probability(dist, self.b, len(self.streams))
         self.dist = dist
         self.ledger = ledger
-        self.left = math.inf if steps is None else integer("steps", steps, 0)  # not yet generated
+        # steps not yet generated
+        self.left = math.inf if steps is None else integer("steps", steps, 0, MAX_COUNT)
         K = len(self.streams)
         c = np.empty((K, 1))
         self.scratch = np.empty((K, dist.d)), c, c[:, 0]  # for points()

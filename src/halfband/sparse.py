@@ -21,7 +21,12 @@ S = ||z||_p^(2-p)/(p-1) is fixed: coordinate i sits at the l1 kink b_i or
 solves S sign(z)|z|^(p-1) + mu*z = tau_i, a convex scalar equation in a
 suitable power of |z_i|. S must then reproduce itself; in log S that
 equation is monotone with slope between min(1, 1/(p-1)) and max(1, 1/(p-1)),
-so a safeguarded Newton finds it to rounding. The multiplier searches take
+so a safeguarded Newton finds it to rounding. Each S iterate solves the d
+scalar equations together by Newton (_magnitudes), from the last iterate's
+answer, and keeps the power of |z_i| that Newton's last step formed. Where S
+does not move the targets tau_i (at lam = 0, and wherever the l1 center is
+u1, as on every step of the sparse epoch) they are formed once per solve,
+not once per S iterate. The multiplier searches take
 Newton steps whose slopes come from differentiating the same equations, a
 system diagonal in z and bordered by S, solved in O(d). The search for mu
 steps on the secular form 1/r2 - 1/||z - a||_2 of its gap (More & Sorensen
@@ -47,6 +52,11 @@ from .errors import EmptyConstraintError, InvalidInputError, NumericalError
 
 EPS = float(np.finfo(float).eps)
 ROOT_STEPS = 200  # safeguarded Newton converges long before this; reaching it is a fault
+FOUR_EPS = np.array(4.0 * EPS)  # _magnitudes' settling tolerance, relative, as a 0-d operand
+# Newton steps a warm _magnitudes takes before it caps by the cold start's bound too: its
+# calls settle in at most 6 on sparse-epoch-d50 and the d = 20 warm start, and a warm
+# start far below the root at d = 3 took up to 67 steps without the second cap (15 with it)
+WARM_STEPS = 8
 
 
 def _l1_distance_to_ball2(v, radius):
@@ -128,33 +138,48 @@ def mirror_p(d):
 def _magnitudes(lin_coef, pow_coef, gamma, target, y):
     """Elementwise root y >= 0 of lin_coef*y + pow_coef*y^gamma = target, gamma >= 1.
 
-    The left side is convex and increasing in y, so a Newton step from any
-    start lands at or above the root and the steps then fall to it
-    monotonically. Starts at the warm guess y (None for none), capped by
-    the root's upper bound. Returns (y, y^(gamma-1)).
+    Returns (y, y^(gamma-1)). gamma = 1, lin_coef = 0 and pow_coef = 0 have
+    closed forms. Otherwise Newton: the left side is convex and increasing
+    in y, so a step from any start y >= 0 lands at or above the root and the
+    steps then fall to it monotonically. The loop stops at the first iterate
+    whose own step is within 4 eps y on every coordinate and returns it with
+    the power that step was formed from, so no power is taken twice. A cold
+    start (y None) begins at the root's upper bound min(target/lin_coef,
+    (target/pow_coef)^(1/gamma)), which also caps the iterates. A warm y is
+    capped by target/lin_coef alone, which spares the cold start's power,
+    until WARM_STEPS steps have passed unsettled: a warm coordinate far below
+    its root overshoots to near target/lin_coef, and falls from there by a
+    factor of only about 1 - 1/gamma a step (gamma = 10.1 at d = 3), so the
+    loop then takes the power cap too. The loop's scalars are 0-d arrays,
+    which cost its ufuncs less than Python floats, with the same bits.
     """
     if gamma == 1.0:
         return target / (lin_coef + pow_coef), np.ones_like(target)
-    cap = target / lin_coef if lin_coef > 0.0 else np.full_like(target, np.inf)
-    if pow_coef > 0.0:
-        cap = np.minimum(cap, (target / pow_coef) ** (1.0 / gamma))
-    if lin_coef == 0.0 or pow_coef == 0.0:
-        y = cap
+    gm1 = np.array(gamma - 1.0)
+    if pow_coef == 0.0:
+        y = target / lin_coef
+        return y, y**gm1
+    if lin_coef == 0.0 or y is None:
+        root_cap = (target / pow_coef) ** (1.0 / gamma)
+        if lin_coef == 0.0:
+            return root_cap, root_cap**gm1
+        y = cap = np.minimum(target / lin_coef, root_cap)
+        tighten = -1  # the cap holds both bounds already
     else:
-        y = cap if y is None else np.minimum(y, cap)
-        for _ in range(ROOT_STEPS):
-            yg1 = y ** (gamma - 1.0)
-            step = (lin_coef * y + pow_coef * y * yg1 - target) / (
-                lin_coef + (pow_coef * gamma) * yg1)
-            y_new = np.minimum(y - step, cap)
-            # count_nonzero skips numpy's Python wrapper around ndarray.all; NaN never settles
-            if np.count_nonzero(abs(y_new - y) <= 4.0 * EPS * y_new) == y.size:
-                y = y_new
-                break
-            y = y_new
-        else:
-            raise NumericalError("coordinate magnitudes of the mirror step did not settle")
-    return y, y ** (gamma - 1.0)
+        cap = target / lin_coef
+        y = np.minimum(y, cap)
+        tighten = WARM_STEPS  # the step after which the cap takes the power bound too
+    lin, pw, pwg = np.array(lin_coef), np.array(pow_coef), np.array(pow_coef * gamma)
+    for k in range(ROOT_STEPS):
+        yg1 = y**gm1
+        step = (lin * y + pw * y * yg1 - target) / (lin + pwg * yg1)
+        # count_nonzero skips numpy's Python wrapper around ndarray.all; NaN never settles
+        if np.count_nonzero(abs(step) <= FOUR_EPS * y) == y.size:
+            return y, yg1
+        if k == tighten:
+            cap = np.minimum(cap, (target / pow_coef) ** (1.0 / gamma))
+        y = np.minimum(y - step, cap)
+    raise NumericalError("coordinate magnitudes of the mirror step did not settle")
 
 
 @dataclasses.dataclass
@@ -190,32 +215,53 @@ class _Step:
         self.log_s = 0.0 if p == 2.0 else None
         self.y = None
 
-    def _coords(self, S, lam, mu, c_hat):
-        """Coordinatewise minimizer at fixed S: (z, free, sigma, m, t, y^(gamma-1)).
+    def _kink_slopes(self, S, mu, c_hat):
+        """h: the derivative of each coordinate's smooth part at its l1 kink b_i."""
+        return c_hat + S * self.b_grad + mu * self.b if self.shifted else c_hat
 
-        h_i is the derivative of coordinate i's smooth part at the kink b_i;
-        the coordinate stays on the kink while |h_i| <= lam, and otherwise
-        its target tau_i moves with lam in the direction sigma_i = sign(h_i).
+    def _targets(self, S, lam, mu, c_hat):
+        """Coordinate targets at fixed S: (free, sigma, |tau|, sign(tau)).
+
+        A coordinate stays on its kink while |h_i| <= lam, and otherwise its
+        target tau_i moves with lam in the direction sigma_i = sign(h_i). At
+        lam = 0 none is held (free None) and tau = -c_hat; sigma is then None,
+        formed by solve for the point it returns alone. S is read only at
+        lam > 0 with a shifted l1 center (_kink_slopes).
         """
-        h = c_hat + S * self.b_grad + mu * self.b if self.shifted else c_hat
-        sigma = np.sign(h)
-        if lam > 0.0:
+        if lam == 0.0:
+            free = sigma = None
+            tau = -c_hat
+        else:
+            h = self._kink_slopes(S, mu, c_hat)
+            sigma = np.sign(h)
             free = np.abs(h) > lam
             tau = np.where(free, lam * sigma - c_hat, 0.0)
-        else:
-            free = None
-            tau = -c_hat
+        return free, sigma, np.abs(tau), np.sign(tau)
+
+    def _coords(self, S, mu, free, target, sign):
+        """Coordinatewise minimizer at fixed S on _targets' targets: (z, m, t, y^(gamma-1)).
+
+        One S iterate of solve. The magnitudes start from the last iterate's,
+        and _magnitudes takes S and mu into its Newton loop as 0-d arrays.
+        """
         lin_coef, pow_coef = (S, mu) if self.small_p else (mu, S)
-        y, yg1 = _magnitudes(lin_coef, pow_coef, self.gamma, np.abs(tau), self.y)
+        y, yg1 = _magnitudes(lin_coef, pow_coef, self.gamma, target, self.y)
         self.y = y
         m, t = (y * yg1, y) if self.small_p else (y, y * yg1)
-        z = np.sign(tau) * m
+        z = sign * m
         if free is not None and self.shifted:
             z = np.where(free, z, self.b)
-        return z, free, sigma, m, t, yg1
+        return z, m, t, yg1
 
     def solve(self, lam, mu):
-        """The minimizer at multipliers (lam, mu), with S found by safeguarded Newton in log S."""
+        """The minimizer at multipliers (lam, mu), with S found by safeguarded Newton in log S.
+
+        Each S iterate is one _coords call. Where tau does not move with S
+        (lam = 0, where tau = -c_hat, or an l1 center at u1, where h = c_hat)
+        |tau| and sign(tau) are formed once, before the loop, not once per S
+        iterate; at lam = 0, h and sigma are formed once, for the point
+        returned. Either way the bits are those of forming them per iterate.
+        """
         c_hat = self.lin - mu * self.a if mu else self.lin
         if self.log_s is None:  # first call: S of the dual-map step on the unpinned targets
             theta = np.abs(c_hat)
@@ -225,16 +271,23 @@ class _Step:
                 (self.p - 1.0) * nrm) if nrm > 0.0 else math.log(self.inv)
         s, lo, hi = self.log_s, -math.inf, math.inf
         p = self.p
+        fixed = lam == 0.0 or not self.shifted  # _targets does not read S
+        targets = self._targets(None, lam, mu, c_hat) if fixed else None
+
+        def point(r, kappa, border):
+            sig = sigma if lam else np.sign(self._kink_slopes(S, mu, c_hat))
+            return _Point(lam, mu, z, free, sig, t, r, np.sign(z), kappa, border)
+
         for it in range(ROOT_STEPS):
             S = math.exp(s)
-            z, free, sigma, m, t, yg1 = self._coords(S, lam, mu, c_hat)
+            free, sigma, target, sign = targets or self._targets(S, lam, mu, c_hat)
+            z, m, t, yg1 = self._coords(S, mu, free, target, sign)
             mt = m * t
             n_sum = float(mt.sum())
             if free is not None and self.shifted:
                 n_sum = float(np.where(free, mt, self.b_pow).sum())
             if n_sum == 0.0 and p != 2.0:  # z = 0, where S is immaterial
-                r = np.zeros_like(z)
-                return _Point(lam, mu, z, free, sigma, t, r, np.sign(z), 0.0, 1.0)
+                return point(np.zeros_like(z), 0.0, 1.0)
             if self.small_p:
                 r = yg1 / (S * (p - 1.0) + mu * yg1)
             else:
@@ -271,10 +324,22 @@ class _Step:
         else:
             raise NumericalError("the p-norm scalar of the mirror step did not settle")
         self.log_s = s
-        return _Point(lam, mu, z, free, sigma, t, r, np.sign(z), kappa, border)
+        return point(r, kappa, border)
 
     def dz(self, pt, v):
-        """Derivative of z when the free targets tau move by v, S following (O(d))."""
+        """Derivative of z when the free targets tau move by v, S following (O(d)).
+
+        For p > 2 a free coordinate at 0 has r = inf and t = 0: z moves there
+        like |tau|^(1/(p-1)), with no finite slope, and the derivative comes out
+        NaN, which the multiplier searches take as no slope (_newton).
+        """
+        if self.small_p:
+            return self._dz(pt, v)
+        with np.errstate(invalid="ignore"):
+            return self._dz(pt, v)
+
+    @staticmethod
+    def _dz(pt, v):
         u = pt.sgn * pt.t * pt.r
         dS = pt.kappa * float(u @ v) / pt.border
         return pt.r * v - u * dS

@@ -265,6 +265,61 @@ def test_non_generator_rng_is_a_typed_error_before_any_draw(entry, bad):
     assert good.bit_generator.state == state
 
 
+def _size_entries():
+    """Each public entry that takes a count of samples or steps, called with `big` there.
+
+    `good` is the entry's generator (a block's one stream) and `ledger` its ledger,
+    where it takes them.
+    """
+    dist = hb.make_distribution("gaussian", 5)
+    truth = hb.make_ground_truth(5, np.random.default_rng(0))
+    noise = hb.massart(0.2)
+    desk = hb.PROFILES["desk"]
+    w = truth.w_star
+    cfg = {"seed": 1, "dist": {"family": "gaussian", "d": 5},
+           "noise": {"kind": "massart", "eta": 0.2}}
+    return {
+        "estimate_psi_n": lambda big, good, ledger: hb.estimate_psi(
+            w, 0.3, dist, noise, truth, big, good),
+        "excess_error_n": lambda big, good, ledger: hb.excess_error(
+            w, dist, noise, truth, rng=good, n=big, method="mc"),
+        "sample_n": lambda big, good, ledger: hb.sample(dist, good, big),
+        "certify_parameters_samples": lambda big, good, ledger: hb.certify_parameters(
+            dist, good, big),
+        "verify_lemma_suite_samples": lambda big, good, ledger: hb.verify_lemma_suite(
+            dist, truth, good, samples=big),
+        "optimize_T": lambda big, good, ledger: hb.optimize(
+            np.zeros(5), 1 / 16, 0.3, big, "average", dist, noise, truth, good, ledger, 0.05,
+            desk),
+        "optimize_block_T": lambda big, good, ledger: hb.learner.optimize_block(
+            np.zeros((1, 5)), 1 / 16, 0.3, big, "random", dist, noise, truth, [good], ledger,
+            0.05, desk),
+        "BandSampler_steps": lambda big, good, ledger: hb.BandSampler(
+            dist, 0.3, good, ledger, steps=big),
+        "LockstepBandSampler_steps": lambda big, good, ledger: hb.oracles.LockstepBandSampler(
+            dist, 0.3, [good], ledger, big),
+        "config_verify_samples": lambda big, good, ledger: parse_spec(
+            {**cfg, "verify_samples": big}, "verify"),
+        "config_excess_mc_samples": lambda big, good, ledger: parse_spec(
+            {**cfg, "excess_mc_samples": big}, "run"),
+    }
+
+
+@pytest.mark.parametrize("big", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+@pytest.mark.parametrize("entry", sorted(_size_entries()))
+def test_a_count_above_the_float_exact_cap_is_a_typed_error_before_any_draw(entry, big):
+    # geometry.MAX_COUNT = 2^53 caps every count, as distributions.MAX_D caps d: a larger
+    # one would only run until stopped (estimate_psi at n = 10**400 walks n / CHUNK chunks)
+    assert hb.geometry.MAX_COUNT == hb.distributions.MAX_D == 2**53
+    good = np.random.default_rng(5)
+    state = good.bit_generator.state
+    ledger = hb.QueryLedger(label_calls=7, ex_calls=3)
+    with pytest.raises(InvalidInputError, match=r"in \[\d, 9007199254740992\]"):
+        _size_entries()[entry](big, good, ledger)
+    assert ledger == hb.QueryLedger(label_calls=7, ex_calls=3)
+    assert good.bit_generator.state == state
+
+
 def _choice_sites():
     """Each argument that names a row of a table, called with a list in place of the name."""
     dist = hb.make_distribution("gaussian", 5)

@@ -539,13 +539,16 @@ def test_band_sampler_bandwidth_must_be_a_real_number(b):
     assert ledger == hb.QueryLedger() and rng.bit_generator.state == state
 
 
+STEPS = r"steps must be an integer in \[0, 9007199254740992\]"
+
+
 @pytest.mark.parametrize("steps", [2.5, True, np.float64(3.0), "4", -1])
 def test_band_sampler_steps_must_be_an_integer(steps):
     rng, ledger = np.random.default_rng(20), hb.QueryLedger()
     state = rng.bit_generator.state
-    with pytest.raises(InvalidInputError, match="steps must be an integer at least 0"):
+    with pytest.raises(InvalidInputError, match=STEPS):
         hb.BandSampler(GAUSS, 0.1, rng, ledger, steps=steps)
-    with pytest.raises(InvalidInputError, match="steps must be an integer at least 0"):
+    with pytest.raises(InvalidInputError, match=STEPS):
         oracles.LockstepBandSampler(GAUSS, 0.1, [rng], ledger, steps)
     assert ledger == hb.QueryLedger() and rng.bit_generator.state == state
     # an np.int64 step count is an integer: two draws, and a third is past it

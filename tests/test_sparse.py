@@ -62,6 +62,50 @@ def test_mirror_exponent_values():
             mirror_p(d)
 
 
+def magnitude_cases():
+    """(lin_coef, pow_coef, gamma, target) as _Step._coords passes them, by p and by mu.
+
+    For p < 2 (d = 50) lin_coef is S and pow_coef mu; for p > 2 (d = 5, and
+    d = 3 at gamma = 10.1) the reverse; p = 2 has gamma = 1. mu = 0 leaves one
+    coefficient 0.
+    """
+    rng = np.random.default_rng(12)
+    for d, p in ((50, mirror_p(50)), (5, mirror_p(5)), (3, mirror_p(3)), (8, 2.0)):
+        gamma = max(1.0 / (p - 1.0), p - 1.0)
+        target = np.abs(rng.standard_normal(d)) * 10.0 ** rng.uniform(-3, 1, d)
+        target[:2] = 0.0  # coordinates on the l1 kink
+        for S in (0.05, 1.0, 7.0):
+            for mu in (0.0, 1e-12, 1e-6, 0.3, 40.0):
+                yield (S, mu, gamma, target) if p < 2.0 else (mu, S, gamma, target)
+
+
+def assert_settled(lin, pw, gamma, target, y, power):
+    """power is y ** (gamma - 1) bit for bit, y is 0 where target is, and Newton's next
+    step from y is within 4 eps y elsewhere (at a 0 target with lin = 0 it is 0/0)."""
+    assert np.array_equal(power, y ** (gamma - 1.0))
+    assert not y[target == 0.0].any()
+    on = target > 0.0
+    y, power, target = y[on], power[on], target[on]
+    step = (lin * y + pw * y * power - target) / (lin + pw * gamma * power)
+    assert np.all(np.abs(step) <= 4.0 * sparse.EPS * y)
+
+
+def test_magnitudes_return_a_settled_root_and_its_own_power():
+    # Newton stops at the first iterate whose own step is within 4 eps y, and returns it
+    # with the power that step was formed from; a warm start lands on the cold answer
+    for lin, pw, gamma, target in magnitude_cases():
+        cold, power = sparse._magnitudes(lin, pw, gamma, target, None)
+        assert_settled(lin, pw, gamma, target, cold, power)
+        # warm starts: near the root, far above it, and at 0, far below it, where the
+        # first step lands near target/lin_coef: at d = 3 and mu = 1e-12 a fall from there
+        # at a factor 1 - 1/gamma a step would take more than ROOT_STEPS steps
+        for start in (cold * (1.0 + 1e-3 * np.cos(np.arange(len(cold)))), 10.0 * cold + 1.0,
+                      np.zeros_like(cold)):
+            warm, power = sparse._magnitudes(lin, pw, gamma, target, start)
+            assert_settled(lin, pw, gamma, target, warm, power)
+            assert np.all(np.abs(warm - cold) <= 8.0 * sparse.EPS * cold)
+
+
 def test_l1_projection_inside_is_identity():
     rng = np.random.default_rng(41)
     center = rng.standard_normal(6)
@@ -528,6 +572,9 @@ def test_exact_step_matches_admm_reference_on_learner_instances():
 @example(seed=961, d=3, euclidean=False, shifted=False)
 @example(seed=2343, d=3, euclidean=False, shifted=False)
 @example(seed=3035, d=3, euclidean=False, shifted=False)
+# a mirror step at d = 3 where a free coordinate sits at 0 (r = inf, t = 0), whose
+# slope once raised numpy's invalid-value warning
+@example(seed=28, d=3, euclidean=False, shifted=True)
 def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted):
     rng = np.random.default_rng(seed)
     p = 2.0 if euclidean else mirror_p(d)

@@ -26,6 +26,8 @@ which outputs a change moved. The items:
 - one sparse epoch under each noise kind, digested the same way;
 - one `dense-ladder-ball-d50` unit of the benchmark (perfbench/workloads.py)
   at seed (1, 0): output, ledger and truth;
+- one `sparse-epoch-d50` unit of the benchmark at seed (1, 0): its three
+  epochs' outputs, the ledger and the three truths;
 - one lockstep epoch of 22 rows (Gaussian d = 10, Massart noise) at ten
   times the desk step size, where most steps clip rows back into their ball:
   output, ledger (its feasibility gap included) and generator states.
@@ -51,7 +53,7 @@ import halfband as hb
 from halfband import cli, learner
 from halfband.learner import optimize_block
 from halfband.schedules import PROFILES
-from perfbench.workloads import DenseLadder
+from perfbench.workloads import DenseLadder, SparseEpoch
 
 DESK = PROFILES["desk"]
 STRONG = dataclasses.replace(DESK, c_alpha=10.0 * DESK.c_alpha)  # most steps clip
@@ -157,6 +159,25 @@ def ladder_item():
     return sha(v.tobytes(), ledger_text(ledger), truth.w_star.tobytes())
 
 
+def sparse_unit_item():
+    unit = SparseEpoch()
+    truths, make = [], hb.make_ground_truth
+
+    def recording(*args, **kwargs):  # the unit draws its truths and does not return them
+        truths.append(make(*args, **kwargs))
+        return truths[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        unit.prepare(1, Path(tmp))
+        hb.make_ground_truth = recording
+        try:
+            outs, ledger = unit.call(0)
+        finally:
+            hb.make_ground_truth = make
+    return sha(*(out.tobytes() for out in outs), ledger_text(ledger),
+               *(truth.w_star.tobytes() for truth in truths))
+
+
 def lockstep_item(K=22, d=10, T=2000):
     rng = np.random.default_rng(33)
     truth = hb.make_ground_truth(d, rng)
@@ -206,6 +227,7 @@ def items():
         yield f"sparse epoch gaussian d=20 s=2 {kind}", epoch_item(sparse, noise, (32, j), True,
                                                                    sparse_s=2, T=32)
     yield "dense-ladder-ball-d50 unit seed (1, 0)", ladder_item()
+    yield "sparse-epoch-d50 unit seed (1, 0)", sparse_unit_item()
     yield "lockstep epoch gaussian d=10 K=22 strong massart", lockstep_item()
 
 
