@@ -82,7 +82,7 @@ SWEEP_AXES = {
 # every top-level key a config may hold
 CONFIG_KEYS = (
     "seed", "dist", "noise", "epsilon", "delta", "profile", "multipliers", "replicates",
-    "sparse_s", "regime", "tsybakov_A", "trace", "excess_mc_samples", "out", "sweep",
+    "sparse_s", "regime", "trace", "excess_mc_samples", "out", "sweep",
     "certify_samples", "verify_samples",
 )
 
@@ -213,7 +213,6 @@ def parse_spec(cfg, command):
     noise = _get(cfg, "noise", dict, None if command == "verify" else REQUIRED)
     noise = None if noise is None else noise_from_config(noise)
     profile_name, profile = profile_from_config(cfg)
-    regime = _get(cfg, "regime", REGIMES)
     learner = LearnerConfig(
         dist=dist,
         noise=noise,
@@ -221,9 +220,7 @@ def parse_spec(cfg, command):
         delta=_get(cfg, "delta", float, 0.05),
         seed=seed,
         sparse_s=_get(cfg, "sparse_s", int, lo=1),
-        regime=regime,
-        # plain-Tsybakov schedules need an explicit coefficient; default 1.0
-        A=_get(cfg, "tsybakov_A", float, 1.0 if regime == "TNC" else None),
+        regime=_get(cfg, "regime", REGIMES),
         profile=profile,
     )
     sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
@@ -274,7 +271,7 @@ def run_one(spec, replicate):
         s="" if config.sparse_s is None else config.sparse_s,
         noise_kind=config.noise.kind,
         **{f: getattr(config.noise, f) for f in noise_fields(config.noise.kind)},
-        A="" if config.A is None else config.A,
+        A=spec.schedule.params.get("A", ""),
         regime=spec.schedule.regime,
         epsilon=config.epsilon,
         delta=config.delta,

@@ -17,7 +17,6 @@ from .geometry import (MAX_COUNT, angle, choice, finite_array, generator, intege
                        real)
 from .oracles import (
     eta_of_margin,
-    exact_tsybakov_A,
     geometric_tsybakov,
     massart,
 )
@@ -293,8 +292,7 @@ def _lemma_checks(dist, truth, rng, noise, samples):
     gt = noise if regime == "GTNC" else geometric_tsybakov(1.0, 0.75)
     tnc = gt if 0.5 < gt.alpha < 1.0 else geometric_tsybakov(1.0, 0.75)
     by_regime = {"MNC": mnc, "TNC": tnc, "GTNC": gt}
-    A = exact_tsybakov_A(tnc.B, tnc.alpha, dist)
-    params = {regime: regime_params(regime, model, A) for regime, model in by_regime.items()}
+    params = {regime: regime_params(regime, model, dist) for regime, model in by_regime.items()}
 
     checks = []
 

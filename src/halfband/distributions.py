@@ -208,9 +208,9 @@ def margin_density_at_zero(dist):
     """Peak density of the 1-d margin <w,x>; P(|<w,x>| <= z) <= 2 * peak * z."""
     if dist.family == "gaussian":
         return float(1.0 / np.sqrt(2.0 * np.pi))
-    d = dist.d
-    c = special.gamma(d / 2.0 + 1.0) / (np.sqrt(np.pi) * special.gamma((d + 1) / 2.0))
-    return float(c / dist.radius)
+    # the ball's margin density at 0 is Gamma(d/2 + 1) / (sqrt(pi) Gamma((d+1)/2)) / radius, that
+    # is 1 / (B(1/2, (d+1)/2) radius); the Gamma ratio overflows past d = 341, the Beta does not
+    return float(1.0 / (special.beta(0.5, (dist.d + 1) / 2.0) * dist.radius))
 
 
 def exact_disagreement(dist, u, v):

@@ -605,7 +605,6 @@ class LearnerConfig:
     seed: object  # an integer >= 0, or a nonempty sequence of them for substreams
     sparse_s: int | None = None
     regime: str | None = None  # override the regime implied by the noise
-    A: float | None = None  # plain-Tsybakov coefficient, for regime="TNC"
     profile: Profile = PROFILES["desk"]
 
     def schedule(self):
@@ -618,7 +617,6 @@ class LearnerConfig:
             self.profile,
             sparse_s=self.sparse_s,
             regime=self.regime,
-            A=self.A,
         )
 
 

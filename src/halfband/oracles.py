@@ -486,17 +486,29 @@ class BandSampler(LockstepBandSampler):
 
 
 def exact_tsybakov_A(B, alpha, dist):
-    """A plain-Tsybakov A of the geometric generator under this margin law.
+    """The least A with which geometric noise meets the TNC condition under this margin law.
 
-    It must give P(1/2 - eta(x) <= t) <= A t^k on (0, 1/2], k = alpha/(1-alpha).
+    The condition is P(1/2 - eta(x) <= t) <= A t^k on (0, 1/2], k = alpha/(1-alpha).
     Below 1/2 that is P(|<w*,x>| <= (t/B)^k) <= 2 f0 (t/B)^k, the margin CDF
     being f0-Lipschitz at 0 (f0 = margin_density_at_zero); at t = 1/2 it is 1.
     So A = max(2 f0 B^-k, 2^k) holds on all of (0, 1/2], and the TNC bounds'
-    t* = (q/(2A))^(1/k) stays in it for every q <= 1. Used by diagnostics.
+    t* = (q/(2A))^(1/k) stays in it for every q <= 1. B and alpha must be real
+    numbers (geometry.real); an A beyond the float range is an InvalidInputError
+    naming both. The schedules' regime_params is its one caller.
     """
+    B, alpha = real("exact_tsybakov_A: B", B), real("exact_tsybakov_A: alpha", alpha)
     if not B > 0:
         raise InvalidInputError("exact_tsybakov_A: B must be positive")
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError("exact_tsybakov_A: alpha must lie in (0, 1)")
     k = alpha / (1.0 - alpha)
-    return max(2.0 * dists.margin_density_at_zero(dist) * (1.0 / B) ** k, 2.0**k)
+    try:
+        A = max(2.0 * dists.margin_density_at_zero(dist) * (1.0 / B) ** k, 2.0**k)
+    except OverflowError:
+        A = math.inf
+    if not math.isfinite(A):
+        raise InvalidInputError(
+            f"exact_tsybakov_A: A = max(2 f0 B^-k, 2^k), k = alpha/(1-alpha), is beyond the float"
+            f" range at B = {B!r}, alpha = {alpha!r}"
+        )
+    return A

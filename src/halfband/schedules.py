@@ -12,11 +12,11 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .geometry import choice, integer, real
-from .oracles import NOISE_KINDS
+from .oracles import NOISE_KINDS, exact_tsybakov_A
 
-# regime -> (the noise fields its make_schedule parameters read, TNC's A aside; the noise
+# regime -> (the noise fields regime_params reads its make_schedule parameters from; the noise
 # kinds it is the default of). A regime applies to the noise kinds with all of its fields.
-REGIMES = {"MNC": (("eta",), ("massart", "massart_band")), "TNC": (("alpha",), ()),
+REGIMES = {"MNC": (("eta",), ("massart", "massart_band")), "TNC": (("B", "alpha"), ()),
            "GTNC": (("B", "alpha"), ("geometric_tsybakov",))}
 
 
@@ -310,16 +310,20 @@ def regime_for_noise(noise):
     return next(regime for regime, (_, kinds) in REGIMES.items() if noise.kind in kinds)
 
 
-def regime_params(regime, noise, A=None):
-    """A regime's make_schedule parameters: noise's fields in REGIMES, plus A for TNC."""
-    params = {f: getattr(noise, f) for f in REGIMES[regime][0]}
+def regime_params(regime, noise, dist):
+    """A regime's make_schedule parameters, from noise's fields in REGIMES.
+
+    TNC's A is exact_tsybakov_A's on dist (README, "The TNC constant A"). At alpha = 1 no
+    finite A meets the TNC condition, but every power of A has exponent 0: A = 1 stands in.
+    """
     if regime == "TNC":
-        params["A"] = A
-    return params
+        A = 1.0 if noise.alpha == 1.0 else exact_tsybakov_A(noise.B, noise.alpha, dist)
+        return {"A": A, "alpha": noise.alpha}
+    return {f: getattr(noise, f) for f in REGIMES[regime][0]}
 
 
-def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None, A=None):
-    """Schedule for a noise model; regime override needs A for plain-Tsybakov runs."""
+def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=None):
+    """Schedule for a noise model, under its default regime or the one given."""
     regime = regime_for_noise(noise) if regime is None else choice("regime", regime, REGIMES)
     needs = REGIMES[regime][0]
     kinds = [k for k, k_fields in NOISE_KINDS.items() if set(needs) <= set(k_fields)]
@@ -328,4 +332,4 @@ def schedule_for(noise, dist, epsilon, delta, profile, sparse_s=None, regime=Non
             f"{regime} schedule needs noise of kind {' or '.join(kinds)}, got {noise.kind!r}"
         )
     return make_schedule(regime, dist, epsilon, delta, profile, sparse_s=sparse_s,
-                         **regime_params(regime, noise, A))
+                         **regime_params(regime, noise, dist))

@@ -226,6 +226,46 @@ def test_preview_schedule_prints_payload(tmp_path, capsys):
     )
 
 
+CRITERION2 = {  # tests/test_acceptance.py's criterion-2 sweep config, without its sweep
+    "seed": 1,
+    "dist": {"family": "gaussian", "d": 10},
+    "noise": {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.75},
+    "delta": 0.05,
+    "profile": "desk",
+    "regime": "TNC",
+}
+
+
+# 1 - 0.8 rounds below 0.2, so k = alpha/(1-alpha) and A = 2^k land just above 4 and 16
+@pytest.mark.parametrize("B, alpha, A", [(1.0, 0.75, 8.0), (1.0, 0.8, 2.0**4.000000000000001)],
+                         ids=["criterion-2", "digest"])
+def test_preview_and_verify_read_one_tnc_constant(tmp_path, capsys, B, alpha, A):
+    # schedules.regime_params decides TNC's A for both: max(2 f0 B^-k, 2^k), k = alpha/(1-alpha)
+    cfg = dict(CRITERION2, noise=dict(CRITERION2["noise"], B=B, alpha=alpha),
+               certify_samples=500, verify_samples=500, out=str(tmp_path / "out"))
+    path = write_config(tmp_path, cfg)
+    assert main(["preview-schedule", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"A": A, "alpha": alpha}
+    assert main(["verify", "--config", path]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+    tnc = [c for c in report["lemmas"]["checks"] if c["check"] == "excess-lower-tnc"]
+    assert len(tnc) == 3
+    for c in tnc:  # the bound is (1/(2A))^((1-alpha)/alpha) q^(1/alpha) at disagreement q
+        q = c["setting"]["disagreement"]
+        read = 0.5 * (q ** (1.0 / alpha) / c["bound"]) ** (alpha / (1.0 - alpha))
+        assert read == pytest.approx(A, rel=1e-9)
+
+
+def test_run_row_reports_the_tnc_constant(tmp_path):
+    # the A column is the schedule's A under TNC, blank under the other regimes
+    tiny_budget = {"c_T": 1e-10, "c_S": 1e-3}
+    for name, change, A in [("tnc", {"noise": CRITERION2["noise"], "regime": "TNC"}, "8.0"),
+                            ("gtnc", {"noise": CRITERION2["noise"]}, ""), ("mnc", {}, "")]:
+        cfg = dict(TINY, multipliers=tiny_budget, out=str(tmp_path / name), **change)
+        assert main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+        assert read_rows(tmp_path / name)[0]["A"] == A
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     cfg = {k: v for k, v in TINY.items() if k != "seed"}
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
@@ -268,9 +308,13 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         ("preview-schedule", {"multipliers": {"c_T": 1e308}}),
         ("preview-schedule", {"noise": {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.4},
                               "regime": "TNC"}),
+        # TNC's A = 2 f0 B^-3 overflows: a traceback from exact_tsybakov_A before
+        ("preview-schedule", {"noise": {"kind": "geometric_tsybakov", "B": 1e-300,
+                                        "alpha": 0.75}, "regime": "TNC"}),
         ("sweep", {"sweep": "eta"}),
         ("sweep", {"sweep": {"axis": "eta", "values": 5}}),
         ("preview-schedule", {"epsilion": 0.01}),
+        ("run", {"tsybakov_A": 8.0}),  # TNC's A is derived from the noise, not set
         ("preview-schedule", {"regime": "XYZ"}),
         ("preview-schedule", {"dist": {"d": 5.5}}),
         ("preview-schedule", {"multipliers": {"c_T": -1}}),
@@ -309,9 +353,11 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         "number-out",
         "overflowing-c_T",
         "tnc-alpha-0.4",
+        "tnc-A-beyond-floats",
         "string-sweep",
         "number-sweep-values",
         "unknown-key",
+        "tsybakov-A-key",
         "unknown-regime",
         "fractional-d",
         "negative-c_T",
@@ -341,6 +387,10 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, comma
     assert len(err) == 1 and err[0].startswith("error:")
     if cfg.get("regime") == "XYZ":  # exited 2 before, but blamed the GTNC noise check
         assert "regime" in err[0]
+    if cfg["noise"].get("B") == 1e-300:
+        assert err[0].endswith("at B = 1e-300, alpha = 0.75")
+    if "tsybakov_A" in cfg:
+        assert err[0] == "error: unknown config keys ['tsybakov_A']"
     if change == {"dist": {"family": "uniform_ball", "d": 3, "params": {"R": 100}}}:
         # exited 2 before, after certify_parameters ran and out was made, naming neither
         assert "b = 0.1*R = 10" in err[0] and "R = 100" in err[0]

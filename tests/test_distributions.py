@@ -313,6 +313,27 @@ def test_margin_density_at_zero():
     assert dists.margin_density_at_zero(ball) == pytest.approx(expected, rel=1e-12)
 
 
+def test_ball_margin_density_stays_finite_at_high_d():
+    # Gamma(d/2 + 1) overflows from d = 342 on and Gamma((d+1)/2) from d = 343; their ratio, as
+    # a Beta, does not. The ball's margin tends to N(0, 1), so its density at 0 rises to the
+    # Gaussian's
+    gauss = 1.0 / math.sqrt(2.0 * math.pi)
+    values = [dists.margin_density_at_zero(hb.make_distribution("uniform_ball", d))
+              for d in (340, 342, 343, 345, 400, 10**6)]
+    assert all(math.isfinite(v) for v in values)
+    assert values == sorted(values) and values[-1] < gauss
+    assert values[-1] == pytest.approx(gauss, rel=1e-6)
+    # the closed forms agree where the Gammas are finite
+    d = 340
+    expected = math.gamma(d / 2 + 1) / (math.sqrt(math.pi) * math.gamma((d + 1) / 2))
+    assert values[0] == pytest.approx(expected / math.sqrt(d + 2), rel=1e-12)
+    # so the lemma suite's TNC bounds, which read it through A, stay finite on such a ball
+    report = hb.verify_lemma_suite(hb.make_distribution("uniform_ball", 400),
+                                   hb.make_ground_truth(400, np.random.default_rng(0)),
+                                   np.random.default_rng(1), samples=2000)
+    assert all(math.isfinite(c["bound"]) for c in report["checks"])
+
+
 def test_isotropy_ks_across_directions():
     rng = np.random.default_rng(17)
     dist = hb.make_distribution("gaussian", 6)

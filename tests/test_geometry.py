@@ -198,6 +198,7 @@ def test_int_too_large_for_a_float_is_a_typed_error_naming_the_argument():
         "eta": lambda: hb.massart(huge),
         "params[0]": lambda: hb.make_distribution("gaussian", 5, params=(huge, 1, 1, 1)),
         "multipliers.c_T": lambda: hb.Profile(c_T=huge),
+        "exact_tsybakov_A: B": lambda: hb.exact_tsybakov_A(huge, 0.75, gauss5),
         "w": lambda: hb.estimate_psi([huge, 0, 0, 0, 0], 0.1, gauss5, hb.massart(0.2), truth,
                                      10, np.random.default_rng(1)),
         "real: x": lambda: hb.geometry.real("real: x", huge),

@@ -13,7 +13,9 @@ Generator: what a well-formed array or generator is (finite_array, generator)
 is decided there too. Only learner.py raises InvariantError: a run's
 invariants are checked in learn, for every caller. Outside geometry.py no `in`
 or `not in` test has an ALL-CAPS module table on its right: whether a value
-names a row of a table is geometry.choice's one rule.
+names a row of a table is geometry.choice's one rule. Only schedules.py calls
+exact_tsybakov_A: which A a TNC run uses and the lemma suite checks at is
+decided in schedules.regime_params alone.
 """
 
 import ast
@@ -250,3 +252,27 @@ def test_only_geometry_tests_table_membership():
         for line in table_membership_tests(path.read_text())
     }
     assert found == set()
+
+
+def exact_tsybakov_a_calls(source):
+    """Line numbers of the calls in `source` to a function named exact_tsybakov_A."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "exact_tsybakov_A" in (getattr(node.func, "attr", None),
+                                   getattr(node.func, "id", None))
+    ]
+
+
+def test_exact_tsybakov_a_calls_detected():
+    source = (
+        "A = exact_tsybakov_A(B, alpha, dist)\nf = exact_tsybakov_A\n"
+        "A = oracles.exact_tsybakov_A(1.0, 0.75, dist)\nA = exact_A(B, alpha, dist)\n"
+    )
+    assert exact_tsybakov_a_calls(source) == [1, 3]
+
+
+def test_only_schedules_calls_exact_tsybakov_a():
+    found = {path.name for path in PACKAGE.glob("*.py") if exact_tsybakov_a_calls(path.read_text())}
+    assert found == {"schedules.py"}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import halfband as hb
 from halfband import distributions as dists
 from halfband import oracles
 from halfband.errors import BandTooThinError, InvalidInputError
+from halfband.schedules import regime_params
 
 GAUSS = hb.make_distribution("gaussian", 5)
 
@@ -58,6 +60,10 @@ def test_massart_validation():
     (hb.massart, ("0.2",), "eta"), (hb.massart, (False,), "eta"),
     (hb.massart_band, ("0.1", 1.0), "eta"), (hb.massart_band, (0.1, True), "tau"),
     (hb.geometric_tsybakov, (True, 0.5), "B"), (hb.geometric_tsybakov, (1.0, True), "alpha"),
+    # the TNC constant of the geometric generator reads B and alpha by the same rule
+    (lambda B, alpha: hb.exact_tsybakov_A(B, alpha, GAUSS), ("x", 0.75), "exact_tsybakov_A: B"),
+    (lambda B, alpha: hb.exact_tsybakov_A(B, alpha, GAUSS), (1.0, "a"), "exact_tsybakov_A: alpha"),
+    (lambda B, alpha: hb.exact_tsybakov_A(B, alpha, GAUSS), (True, 0.75), "exact_tsybakov_A: B"),
 ])
 def test_noise_factories_take_only_real_numbers(factory, args, name):
     with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
@@ -445,14 +451,34 @@ def test_exact_tsybakov_a_gaussian():
                                       (0.5, 0.6), (0.1, 0.5)])
 def test_exact_tsybakov_a_holds_up_to_one_half(family, d, B, alpha):
     # P(1/2 - eta <= t) <= A t^k on all of (0, 1/2], k = alpha/(1-alpha): below 1/2 it is
-    # the band mass at (t/B)^k, and at t = 1/2 it is 1
+    # the band mass at (t/B)^k, and at t = 1/2 it is 1. A is regime_params', the one TNC
+    # schedules run at and the lemma suite checks at
     dist = hb.make_distribution(family, d)
-    A = hb.exact_tsybakov_A(B, alpha, dist)
+    A = regime_params("TNC", hb.geometric_tsybakov(B, alpha), dist)["A"]
+    assert A == hb.exact_tsybakov_A(B, alpha, dist)
     k = alpha / (1.0 - alpha)
-    for t in np.linspace(0.01, 0.5, 50):
+    for t in [*np.geomspace(1e-6, 0.01, 8, endpoint=False), *np.linspace(0.01, 0.5, 50)]:
         z = (t / B) ** k
         mass = 1.0 if t == 0.5 else dists.band_probability(dist, z)
         assert mass <= A * t**k * (1.0 + 1e-12), (t, mass, A * t**k)
+
+
+@pytest.mark.parametrize("B, alpha", [(1e-300, 0.75), (1e-200, 0.9), (1.0, 0.9991)])
+def test_exact_tsybakov_a_beyond_floats_is_a_typed_error_before_any_draw(B, alpha):
+    # (1/B)^k, or 2^k at k = 1110, overflows: an InvalidInputError naming B and alpha, raised
+    # as well where a TNC schedule or the lemma suite reads A, before anything is drawn
+    message = re.escape(f"at B = {B!r}, alpha = {alpha!r}") + "$"
+    with pytest.raises(InvalidInputError, match="exact_tsybakov_A: .*" + message):
+        hb.exact_tsybakov_A(B, alpha, GAUSS)
+    noise = hb.geometric_tsybakov(B, alpha)
+    with pytest.raises(InvalidInputError, match=message):
+        hb.schedule_for(noise, GAUSS, 0.1, 0.05, hb.PROFILES["desk"], regime="TNC")
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidInputError, match=message):
+        hb.verify_lemma_suite(GAUSS, hb.make_ground_truth(5, np.random.default_rng(0)), rng,
+                              noise=noise, samples=10)
+    assert rng.bit_generator.state == state
 
 
 def test_effective_tsybakov_a_bounds_noise_tail():

@@ -20,6 +20,7 @@ from halfband.schedules import (
     iteration_count,
     proximity,
     regime_for_noise,
+    regime_params,
 )
 
 GAUSS5 = hb.make_distribution("gaussian", 5)
@@ -191,6 +192,13 @@ def test_tnc_alpha_domain():
         hb.make_schedule("TNC", GAUSS5, 0.1, 0.05, PROFILES["desk"], A=1.0, alpha=0.3)
     sched = hb.make_schedule("TNC", GAUSS5, 0.1, 0.05, PROFILES["desk"], A=1.0, alpha=1.0)
     assert sched.k_eps >= 1
+    # every power of A in the TNC formulas has an exponent with the factor 1 - alpha, so at
+    # alpha = 1 regime_params' stand-in A = 1 builds the schedule any other A builds
+    assert hb.schedule_for(hb.geometric_tsybakov(2.0, 1.0), GAUSS5, 0.1, 0.05,
+                           PROFILES["desk"], regime="TNC") == sched
+    for A in (8.0, 1e300):
+        other = hb.make_schedule("TNC", GAUSS5, 0.1, 0.05, PROFILES["desk"], A=A, alpha=1.0)
+        assert dataclasses.replace(other, params=sched.params) == sched
 
 
 def test_epsilon_delta_domains():
@@ -214,12 +222,11 @@ def test_regime_for_noise_mapping():
 
 def test_schedule_for_regime_override():
     sched = hb.schedule_for(
-        hb.geometric_tsybakov(1.0, 0.75), GAUSS5, 0.1, 0.05, PROFILES["desk"],
-        regime="TNC", A=1.0)
+        hb.geometric_tsybakov(1.0, 0.75), GAUSS5, 0.1, 0.05, PROFILES["desk"], regime="TNC")
     assert sched.regime == "TNC"
-    with pytest.raises(InvalidInputError):
-        hb.schedule_for(hb.geometric_tsybakov(1.0, 0.75), GAUSS5, 0.1, 0.05,
-                        PROFILES["desk"], regime="TNC")  # A missing
+    # TNC's A is derived from the noise, as the lemma suite's: 2^3 > 2 f0 at (B, alpha) = (1, 0.75)
+    assert sched.params == {"A": 8.0, "alpha": 0.75}
+    assert regime_params("TNC", hb.geometric_tsybakov(1.0, 0.75), GAUSS5) == sched.params
     with pytest.raises(InvalidInputError):
         hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"],
                         regime="GTNC")
@@ -229,8 +236,7 @@ def test_schedule_for_names_the_regime_it_rejects():
     with pytest.raises(InvalidInputError, match="unknown regime 'XYZ'"):
         hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"], regime="XYZ")
     with pytest.raises(InvalidInputError, match="TNC schedule needs noise of kind"):
-        hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"],
-                        regime="TNC", A=1.0)
+        hb.schedule_for(hb.massart(0.1), GAUSS5, 0.1, 0.05, PROFILES["desk"], regime="TNC")
     assert issubclass(UnsupportedRegimeError, InvalidInputError)
 
 

@@ -77,7 +77,7 @@ SWEEPS = {
 GEOMETRIC = {"kind": "geometric_tsybakov", "B": 1.0, "alpha": 0.8}
 REGIME_PREVIEWS = {
     "MNC": {"noise": {"kind": "massart", "eta": 0.2}},
-    "TNC": {"noise": GEOMETRIC, "regime": "TNC", "tsybakov_A": 2.0},
+    "TNC": {"noise": GEOMETRIC, "regime": "TNC"},
     "GTNC": {"noise": GEOMETRIC},
 }
 NOISES = {
