@@ -1,6 +1,7 @@
 """Experiment driver: runs, schedule sweeps, verification, previews.
 
-Configs are JSON; command-line flags override file values. Every replicate
+Configs are JSON. The flags --seed and --out override the file's values
+and are read by the same rules: argparse reads no value. Every replicate
 gets the substream default_rng((seed, replicate)), so reruns are
 bit-for-bit identical except wall-clock columns.
 """
@@ -82,13 +83,13 @@ SWEEP_AXES = {
 # every top-level key a config may hold
 CONFIG_KEYS = (
     "seed", "dist", "noise", "epsilon", "delta", "profile", "multipliers", "replicates",
-    "sparse_s", "regime", "trace", "excess_mc_samples", "out", "sweep",
+    "sparse_s", "regime", "excess_mc_samples", "out", "sweep",
     "certify_samples", "verify_samples",
 )
 
 REQUIRED = object()  # _get default for a key that must be present and non-null
 
-_KIND_NAMES = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
+_KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
 
 
 def _read(value, kind, name, lo=None, hi=None):
@@ -189,7 +190,6 @@ class RunSpec:
 
     learner: LearnerConfig  # at the base seed
     replicates: int
-    trace: bool  # whether run writes trace.jsonl
     profile_name: str
     out: str | None
     excess_mc_samples: int
@@ -226,8 +226,7 @@ def parse_spec(cfg, command):
     sweep = _get(cfg, "sweep", dict, REQUIRED if command == "sweep" else None)
     return RunSpec(
         learner=learner,
-        replicates=_get(cfg, "replicates", int, 1, lo=1),
-        trace=_get(cfg, "trace", bool, False),
+        replicates=_get(cfg, "replicates", int, 1, lo=1, hi=MAX_COUNT),
         profile_name=profile_name,
         out=_get(cfg, "out", str) or None,
         excess_mc_samples=_get(cfg, "excess_mc_samples", int, 200000, lo=1, hi=MAX_COUNT),
@@ -238,21 +237,27 @@ def parse_spec(cfg, command):
     )
 
 
+def _json(text, what):
+    """text read as JSON; InvalidInputError naming `what` if it is not JSON."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int too long, nesting too deep
+        raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path, overrides):
-    """The config file's JSON object with the non-null command-line overrides merged in."""
+    """The config file's JSON object with the command-line overrides merged in."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except ValueError as exc:  # bad JSON, text that is not UTF-8, an int too long to convert
+            text = fh.read()
+    except ValueError as exc:  # text that is not UTF-8
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    cfg = _json(text, f"config {path}")
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"config {path} must hold a JSON object")
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    return {**cfg, **overrides}
 
 
 def learner_config(cfg, replicate):
@@ -355,10 +360,9 @@ def cmd_run(spec, out_dir):
         "final_excess": _quantiles([r["final_excess"] for r in good]) if good else None,
     }
     _write_json(out_dir / "summary.json", summary)
-    if spec.trace:
-        with open(out_dir / "trace.jsonl", "w") as fh:
-            for line in traces:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+    with open(out_dir / "trace.jsonl", "w") as fh:
+        for line in traces:
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
     print(f"wrote {csv_path}")
     return 0
 
@@ -481,25 +485,17 @@ def build_parser():
     for name in ("run", "sweep", "verify", "preview-schedule"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--profile", default=None, choices=sorted(PROFILES))
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--trace", action="store_true", default=None,
-                       help="write a per-epoch JSONL trace")
+        p.add_argument("--seed", help="overrides the config seed; read as JSON")
+        p.add_argument("--out", help="overrides the config's output directory")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "profile": args.profile,
-        "replicates": args.replicates,
-        "trace": args.trace,
-        "out": args.out,
-    }
     try:
+        overrides = {} if args.out is None else {"out": args.out}
+        if args.seed is not None:  # checked by parse_spec, like the config's seed
+            overrides["seed"] = _json(args.seed, "--seed")
         spec = parse_spec(load_config(args.config, overrides), args.command)
         out_dir = Path(spec.out or "runs")
         try:

@@ -49,18 +49,16 @@ class GroundTruth:
     w_star: np.ndarray
 
 
-_MAX_D = np.iinfo(np.intp).max // 8  # the longest float64 array numpy can describe
-
-
 def make_ground_truth(d, rng, s=None):
     """Hidden optimum: a seeded uniformly random unit vector.
 
     Sparse mode places s nonzeros of equal magnitude and random sign at
-    seeded random coordinates. d in [1, _MAX_D] and s in [1, d] are
-    integers and rng a numpy Generator, checked before any draw; a d that
-    memory cannot hold raises MemoryError.
+    seeded random coordinates. d is an integer in [2, distributions.MAX_D],
+    the dimension rule of every distribution, s an integer in [1, d] and rng
+    a numpy Generator, checked before any draw; a d that memory cannot hold
+    raises MemoryError.
     """
-    d = integer("make_ground_truth: dimension d", d, 1, _MAX_D)
+    d = integer("make_ground_truth: dimension d", d, 2, dists.MAX_D)
     generator("make_ground_truth: rng", rng)
     if s is None:
         return GroundTruth(normalize(rng.standard_normal(d)))

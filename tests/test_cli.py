@@ -72,7 +72,7 @@ def test_run_label_calls_match_schedule_preview(tmp_path):
 def test_rerun_bytes_identical_except_wall_time(tmp_path):
     outs = []
     for name in ("a", "b"):
-        cfg = dict(TINY, replicates=2, trace=True, out=str(tmp_path / name))
+        cfg = dict(TINY, replicates=2, out=str(tmp_path / name))
         assert main(["run", "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
         outs.append(tmp_path / name)
 
@@ -86,16 +86,19 @@ def test_rerun_bytes_identical_except_wall_time(tmp_path):
     assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
 
 
-def test_trace_flag_writes_epoch_lines(tmp_path):
-    cfg = dict(TINY, replicates=1, out=str(tmp_path / "out"))
-    assert main(["run", "--config", write_config(tmp_path, cfg), "--trace"]) == 0
+def test_run_writes_each_replicates_trace(tmp_path):
+    # every run writes trace.jsonl: each replicate's LearnResult.trace, in order, with
+    # its replicate added
+    cfg = dict(TINY, replicates=2, out=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
     lines = [json.loads(s) for s in
              (tmp_path / "out" / "trace.jsonl").read_text().splitlines()]
-    assert lines
-    stages = {entry["stage"] for entry in lines}
-    assert stages == {"init", "main"}
+    spec = cli.parse_spec(cfg, "run")
+    expected = [dict(entry, replicate=r)
+                for r in range(2) for entry in learner.learn(spec.replicate(r)).trace]
+    assert lines == expected
+    assert {entry["stage"] for entry in lines} == {"init", "main"}
     for entry in lines:
-        assert entry["replicate"] == 0
         assert {"j", "labels", "ex_calls", "angle"} <= set(entry)
         if entry["stage"] == "main":
             assert {"r", "b", "T"} <= set(entry)
@@ -315,6 +318,7 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         ("sweep", {"sweep": {"axis": "eta", "values": 5}}),
         ("preview-schedule", {"epsilion": 0.01}),
         ("run", {"tsybakov_A": 8.0}),  # TNC's A is derived from the noise, not set
+        ("run", {"trace": True}),  # every run writes trace.jsonl
         ("preview-schedule", {"regime": "XYZ"}),
         ("preview-schedule", {"dist": {"d": 5.5}}),
         ("preview-schedule", {"multipliers": {"c_T": -1}}),
@@ -358,6 +362,7 @@ NO_CONFIG = None  # a change that leaves the --config path without a file
         "number-sweep-values",
         "unknown-key",
         "tsybakov-A-key",
+        "trace-key",
         "unknown-regime",
         "fractional-d",
         "negative-c_T",
@@ -391,6 +396,8 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, comma
         assert err[0].endswith("at B = 1e-300, alpha = 0.75")
     if "tsybakov_A" in cfg:
         assert err[0] == "error: unknown config keys ['tsybakov_A']"
+    if "trace" in cfg:
+        assert err[0] == "error: unknown config keys ['trace']"
     if change == {"dist": {"family": "uniform_ball", "d": 3, "params": {"R": 100}}}:
         # exited 2 before, after certify_parameters ran and out was made, naming neither
         assert "b = 0.1*R = 10" in err[0] and "R = 100" in err[0]
@@ -398,12 +405,14 @@ def test_config_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, comma
 
 
 def test_number_too_long_to_convert_exits_2_with_one_line(tmp_path, capsys):
-    # Python's json refuses to convert an integer of more than 4300 digits
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(TINY)[:-1] + ', "replicates": 1' + "0" * 5000 + "}")
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "not valid JSON" in err[0]
+    # Python's json refuses to convert an integer of more than 4300 digits, and raises
+    # RecursionError, not ValueError, on nesting this deep
+    for tail in ('"replicates": 1' + "0" * 5000, '"sweep": ' + "[" * 10**5):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TINY)[:-1] + ", " + tail + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not valid JSON" in err[0]
 
 
 def test_feasibility_violation_exits_3(tmp_path, capsys, monkeypatch):
@@ -537,6 +546,36 @@ def test_seed_override_changes_stream(tmp_path):
     assert second["seed"] == "405"
     assert first["final_angle"] != second["final_angle"]
     assert first["label_calls"] == second["label_calls"]  # schedule is seed-free
+    # the flag runs as the config's seed does: the same bytes but the wall-clock column
+    cfg3 = dict(cfg, seed=405, out=str(tmp_path / "z"))
+    assert main(["run", "--config", write_config(tmp_path, cfg3, "z.json")]) == 0
+    assert read_rows(tmp_path / "z")[0] | {"wall_time_s": ""} == second | {"wall_time_s": ""}
+    for name in ("summary.json", "trace.jsonl"):
+        assert (tmp_path / "z" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", ["7.0", "\u0663", "x", "-1", "true", '"7"', "null", "[" * 10**5,
+                                  "1" + "0" * 5000],
+                         ids=["float", "arabic-indic-3", "not-json", "negative", "bool", "string",
+                              "null", "deep-list", "5001-digits"])
+def test_seed_flag_is_read_by_the_config_seed_rule(tmp_path, capsys, text):
+    # argparse passes the text through; it is read as JSON, then as the config's seed
+    cfg = dict(TINY, out=str(tmp_path / "out"))
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--seed", text]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "seed" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--trace"], ["--profile", "desk"], ["--replicates", "2"]])
+def test_only_seed_and_out_are_flags(tmp_path, capsys, flag):
+    # profile and replicates are config keys, and every run writes its trace
+    cfg = dict(TINY, out=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", write_config(tmp_path, cfg), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # Fuzzed configs start from a valid sweep config and edit up to six keys,

@@ -303,6 +303,8 @@ def _size_entries():
             {**cfg, "verify_samples": big}, "verify"),
         "config_excess_mc_samples": lambda big, good, ledger: parse_spec(
             {**cfg, "excess_mc_samples": big}, "run"),
+        "config_replicates": lambda big, good, ledger: parse_spec(
+            {**cfg, "replicates": big}, "run"),
     }
 
 

@@ -15,7 +15,9 @@ invariants are checked in learn, for every caller. Outside geometry.py no `in`
 or `not in` test has an ALL-CAPS module table on its right: whether a value
 names a row of a table is geometry.choice's one rule. Only schedules.py calls
 exact_tsybakov_A: which A a TNC run uses and the lemma suite checks at is
-decided in schedules.regime_params alone.
+decided in schedules.regime_params alone. No add_argument call passes type=
+or choices=: argparse hands each flag's text through, and the CLI reads it by
+the config's rules.
 """
 
 import ast
@@ -276,3 +278,32 @@ def test_exact_tsybakov_a_calls_detected():
 def test_only_schedules_calls_exact_tsybakov_a():
     found = {path.name for path in PACKAGE.glob("*.py") if exact_tsybakov_a_calls(path.read_text())}
     assert found == {"schedules.py"}
+
+
+def typed_arguments(source):
+    """Line numbers of the add_argument calls in `source` that pass type= or choices=."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "add_argument" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and any(k.arg in ("type", "choices") for k in node.keywords)
+    ]
+
+
+def test_typed_arguments_detected():
+    source = (
+        "p.add_argument('--seed', type=int)\np.add_argument('--out')\n"
+        "p.add_argument('--profile', default=None, choices=['desk'])\nadd_argument(type=int)\n"
+        "p.add_option('--n', type=int)\n"
+    )
+    assert typed_arguments(source) == [1, 3, 4]
+
+
+def test_no_flag_is_read_by_argparse():
+    found = {
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in typed_arguments(path.read_text())
+    }
+    assert found == set()

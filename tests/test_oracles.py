@@ -520,10 +520,10 @@ def test_make_ground_truth_dense_and_sparse():
 
 
 @pytest.mark.parametrize("s", [None, 2])
-@pytest.mark.parametrize("d", [10**30, 2**62, np.iinfo(np.intp).max // 8 + 1])
+@pytest.mark.parametrize("d", [2**53 + 1, 10**30, 2**62, np.iinfo(np.intp).max // 8 + 1, 1])
 def test_make_ground_truth_caps_d_before_any_draw(d, s):
-    # past the longest float64 array numpy can describe, d is an input error, not
-    # numpy's raw ValueError
+    # d is read by every distribution's dimension rule, an integer in [2, MAX_D = 2^53]:
+    # past the cap it is an input error, not numpy's raw MemoryError or ValueError
     rng = np.random.default_rng(17)
     state = rng.bit_generator.state
     with pytest.raises(InvalidInputError, match="make_ground_truth: dimension d must be an integer"):
@@ -533,9 +533,9 @@ def test_make_ground_truth_caps_d_before_any_draw(d, s):
 
 @pytest.mark.parametrize("s", [None, 2])
 def test_make_ground_truth_beyond_memory_is_a_memory_error(s):
-    # the largest d numpy can describe asks for 8 EiB, which the allocator refuses at once
+    # the largest d the rule admits, 2^53, asks for 64 PiB, which the allocator refuses at once
     with pytest.raises(MemoryError):
-        hb.make_ground_truth(np.iinfo(np.intp).max // 8, np.random.default_rng(17), s=s)
+        hb.make_ground_truth(dists.MAX_D, np.random.default_rng(17), s=s)
 
 
 def test_tsybakov_flip_rate_keeps_the_formula_bits_and_its_input():

@@ -12,8 +12,10 @@ which outputs a change moved. The items:
   as it runs by default (its warm start split between two processes where two
   cores are usable) and with its warm start forced into one process. The two
   lines match;
-- `halfband run` at the criterion-3 config, 2 replicates, with --trace:
-  results.csv without its wall_time_s column, summary.json and trace.jsonl;
+- `halfband run` at the criterion-3 config with 2 replicates: results.csv
+  without its wall_time_s column, summary.json and trace.jsonl (every run
+  writes it; the item's label keeps the name of the --trace flag it once
+  needed, so that its line compares with older checkouts);
 - `halfband sweep` on each of its six axes: sweep.csv and sweep_summary.json;
 - `halfband preview-schedule` at the criterion-3 config, and under each regime
   (MNC, TNC, GTNC) at multipliers.c_eps = 3 and dist.params.beta = 1.5;
@@ -99,7 +101,7 @@ def ledger_text(ledger):
     return repr((ledger.ex_calls, ledger.label_calls, ledger.max_feasibility_gap))
 
 
-def cli_files(command, cfg, names, extra=(), codes=(0,)):
+def cli_files(command, cfg, names, codes=(0,)):
     """Run one CLI command on cfg in a fresh directory; the bytes of the named files it wrote.
 
     The command must exit with one of codes.
@@ -108,7 +110,7 @@ def cli_files(command, cfg, names, extra=(), codes=(0,)):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(dict(cfg, out=str(Path(tmp) / "out"))))
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([command, "--config", str(path), *extra])
+            code = cli.main([command, "--config", str(path)])
         if code not in codes:
             raise SystemExit(f"halfband {command} exited with {code}")
         return [(Path(tmp) / "out" / name).read_bytes() for name in names]
@@ -194,7 +196,7 @@ def items():
     yield "learn criterion-3 seed (2026, 0)", learn_item()
     yield "learn criterion-3 seed (2026, 0), one process", learn_item(one_process=True)
     names = ("results.csv", "summary.json", "trace.jsonl")
-    results, summary, trace = cli_files("run", CRITERION3, names, ("--replicates", "2", "--trace"))
+    results, summary, trace = cli_files("run", dict(CRITERION3, replicates=2), names)
     yield "run criterion-3, 2 replicates, --trace", sha(without_wall_time(results), summary, trace)
     for axis, (noise, sparse_s, values) in SWEEPS.items():
         cfg = dict(CRITERION3, noise=noise, sparse_s=sparse_s,
