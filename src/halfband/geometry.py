@@ -25,7 +25,7 @@ def finite_array(name, a, shape):
     if a.ndim != len(shape) or any(n is not None and n != m for n, m in zip(shape, a.shape)):
         want = str(tuple("K" if n is None else n for n in shape)).replace("'", "")
         raise InvalidInputError(f"{name} must be an array of shape {want}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():  # the method skips np.all's Python wrapper
         raise InvalidInputError(f"{name} must be finite")
     return a
 

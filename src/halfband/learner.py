@@ -263,7 +263,7 @@ def _projected_step(W1, r, alpha, sparse_s):
                 moved = np.subtract(rows[:held], W1, out=rows[:held])
                 dd_all = np.vecdot(moved, moved, keepdims=True)
                 # sqrt is monotone: the largest gap among the rows that hold their clipped iterate
-                top = np.max(dd_all, where=clips[:held], initial=0.0)
+                top = np.maximum.reduce(dd_all, axis=None, where=clips[:held], initial=0.0)
                 best = max(best, math.sqrt(top) - radius)
                 held = 0
             return best

@@ -36,6 +36,15 @@ row's step the l2 multiplier of that row's last step. The guess is solved
 first, and mu = 0 only when neither the guess nor one Newton step down from
 it shows where the root lies; the result moves only within rounding.
 
+The searches carry S and the magnitudes from trial to trial: each new trial
+starts from the last one's point moved to first order along the search's own
+direction (_Step.predict, by the bordered system's dz and dS), and within a
+solve the magnitudes follow each Newton step of log S. A trial mu solves S
+only as tightly as the next mu step needs (inexact Newton; Dembo, Eisenstat
+& Steihaug 1982), where the gap's sign is certain (_Step.solve's loose); any
+point a search returns is solved to the root of S (_Step.settle), so every
+answer is still the exact KKT point to rounding.
+
 The Euclidean projection onto K is the p = 2, lin = 0 case of the same
 solver. K itself can be empty; the smallest l1 distance from the l1 center
 to the l2 ball has a closed form, and a larger one than the l1 radius
@@ -49,6 +58,7 @@ import math
 import numpy as np
 
 from .errors import EmptyConstraintError, InvalidInputError, NumericalError
+from .geometry import MAX_COUNT, finite_array, integer, real
 
 EPS = float(np.finfo(float).eps)
 ROOT_STEPS = 200  # safeguarded Newton converges long before this; reaching it is a fault
@@ -77,12 +87,23 @@ def _l1_distance_to_ball2(v, radius):
     return float((u[k:] - theta).sum())
 
 
+def _bounded(name, value, lo, closed):
+    """real(value) (geometry.real); InvalidInputError unless finite and >= lo (> lo if open)."""
+    x = real(name, value)
+    if not (math.isfinite(x) and (x >= lo if closed else x > lo)):
+        raise InvalidInputError(f"{name} must be a finite real {'>=' if closed else '>'} {lo:g}, "
+                                f"got {x!r}")
+    return x
+
+
 @dataclasses.dataclass(frozen=True)
 class SparseConstraint:
     """Intersection of ball2(center2, radius2) and ball1(center1, radius1).
 
-    Raises EmptyConstraintError when built (dataclasses.replace included) if no
-    point lies in both balls.
+    The centers must be finite 1-d arrays of one length (geometry.finite_array,
+    stored as float arrays), radius2 a finite real > 0 and radius1 a finite
+    real >= 0; InvalidInputError otherwise. Raises EmptyConstraintError when
+    built (dataclasses.replace included) if no point lies in both balls.
     """
 
     center2: np.ndarray
@@ -91,6 +112,14 @@ class SparseConstraint:
     radius1: float
 
     def __post_init__(self):
+        center2 = finite_array("SparseConstraint: center2", self.center2, (None,))
+        object.__setattr__(self, "center2", center2)
+        object.__setattr__(self, "center1", finite_array(
+            "SparseConstraint: center1", self.center1, center2.shape))
+        object.__setattr__(self, "radius2", _bounded(
+            "SparseConstraint: radius2", self.radius2, 0.0, False))
+        object.__setattr__(self, "radius1", _bounded(
+            "SparseConstraint: radius1", self.radius1, 0.0, True))
         distance = _l1_distance_to_ball2(self.center1 - self.center2, self.radius2)
         if distance > self.radius1:
             raise EmptyConstraintError(distance, self.radius1)
@@ -129,9 +158,8 @@ def pnorm_sq_grad(z, p):
 
 
 def mirror_p(d):
-    """Mirror-map exponent for ambient dimension d."""
-    if d < 3:
-        raise InvalidInputError("mirror exponent needs d >= 3")
+    """Mirror-map exponent for ambient dimension d, an integer in [3, 2^53] (geometry.integer)."""
+    d = integer("mirror exponent: d", d, 3, MAX_COUNT)
     return math.log(d) / (math.log(d) - 1.0)
 
 
@@ -184,7 +212,12 @@ def _magnitudes(lin_coef, pow_coef, gamma, target, y):
 
 @dataclasses.dataclass
 class _Point:
-    """The exact minimizer z at fixed multipliers, with what its slopes need."""
+    """The minimizer z at fixed multipliers, with what its slopes and the predictor need.
+
+    Exact to rounding unless exact is False: then S stopped short of its
+    root (solve's loose), s holds the next Newton iterate of log S, and
+    settle resumes the solve from there.
+    """
 
     lam: float
     mu: float
@@ -196,6 +229,10 @@ class _Point:
     sgn: np.ndarray  # sign of z_i
     kappa: float  # d S / d(sum_i sign(z_i) t_i dz_i)
     border: float  # 1 + kappa * sum_i r_i t_i^2, the Schur complement of the bordered system
+    s: float  # log S
+    y: np.ndarray  # the magnitudes _magnitudes solved for
+    dy: np.ndarray  # d y_i / d|tau_i| at fixed S, zero on the kink
+    exact: bool
 
 
 class _Step:
@@ -253,14 +290,30 @@ class _Step:
             z = np.where(free, z, self.b)
         return z, m, t, yg1
 
-    def solve(self, lam, mu):
+    def solve(self, lam, mu, loose=False):
         """The minimizer at multipliers (lam, mu), with S found by safeguarded Newton in log S.
 
-        Each S iterate is one _coords call. Where tau does not move with S
-        (lam = 0, where tau = -c_hat, or an l1 center at u1, where h = c_hat)
-        |tau| and sign(tau) are formed once, before the loop, not once per S
-        iterate; at lam = 0, h and sigma are formed once, for the point
-        returned. Either way the bits are those of forming them per iterate.
+        Each S iterate is one _coords call, from log S and the magnitudes the
+        last solve or predict left. Where tau does not move with S (lam = 0,
+        where tau = -c_hat, or an l1 center at u1, where h = c_hat) |tau| and
+        sign(tau) are formed once, before the loop, not once per S iterate; at
+        lam = 0, h and sigma are formed once, for the point returned. Either
+        way the bits are those of forming them per iterate.
+
+        loose (a trial of ball2's search at mu > 0, targets fixed) lets the
+        loop stop short of the root of S, at the first iterate where the l2
+        gap's first-order move under the rest of the S correction,
+        S*step*<normal, sign*t*r>, is at most gap^2/r2: the gap of the next
+        trial is of order gap^2/r2 anyway (Newton's quadratic convergence in
+        mu), so such an error costs the search no trial. The point returned
+        then has z moved by that first-order correction, which leaves its gap
+        off by a second-order amount, and is marked inexact; settle finishes
+        it. Its gap must also have the exact point's sign, which sets the
+        bracket, for sure: rho's slope is at least slope_lo, so log S is
+        within |rho|/slope_lo of its root; at fixed targets
+        |d log m_i / d log S| <= 1/(p-1), so the exact z lies within
+        ||m|| expm1(|rho|/(slope_lo (p-1))) of the iterate's in l2, which,
+        with the correction's length, must be below |gap|.
         """
         c_hat = self.lin - mu * self.a if mu else self.lin
         if self.log_s is None:  # first call: S of the dual-map step on the unpinned targets
@@ -274,9 +327,12 @@ class _Step:
         fixed = lam == 0.0 or not self.shifted  # _targets does not read S
         targets = self._targets(None, lam, mu, c_hat) if fixed else None
 
-        def point(r, kappa, border):
+        def point(r, dy, kappa, border, s, exact=True):
             sig = sigma if lam else np.sign(self._kink_slopes(S, mu, c_hat))
-            return _Point(lam, mu, z, free, sig, t, r, np.sign(z), kappa, border)
+            if free is not None and self.small_p:
+                dy = np.where(free, dy, 0.0)
+            return _Point(lam, mu, z, free, sig, t, r, np.sign(z), kappa, border, s, self.y, dy,
+                          exact)
 
         for it in range(ROOT_STEPS):
             S = math.exp(s)
@@ -287,14 +343,18 @@ class _Step:
             if free is not None and self.shifted:
                 n_sum = float(np.where(free, mt, self.b_pow).sum())
             if n_sum == 0.0 and p != 2.0:  # z = 0, where S is immaterial
-                return point(np.zeros_like(z), 0.0, 1.0)
+                return point(np.zeros_like(z), np.zeros_like(z), 0.0, 1.0, s)
+            # dy = d y_i / d|tau_i| at fixed S, as _magnitudes' Newton step forms it
             if self.small_p:
-                r = yg1 / (S * (p - 1.0) + mu * yg1)
+                den = S * (p - 1.0) + mu * yg1
+                r, dy = yg1 / den, (p - 1.0) / den
             else:
                 with np.errstate(divide="ignore"):
                     r = 1.0 / (S * (p - 1.0) * yg1 + mu)
             if free is not None:
                 r = np.where(free, r, 0.0)
+            if not self.small_p:
+                dy = r
             if p == 2.0:  # S = 1/(p-1) whatever z is
                 kappa, border, rho = 0.0, 1.0, s
             else:
@@ -318,13 +378,31 @@ class _Step:
             resolution = 4.0 * EPS * max(1.0, abs(s))
             if abs(step) <= resolution or hi - lo <= resolution:
                 break
+            if loose and mu and fixed:
+                # the rest of the S correction, S*step to first order, moves z by S*step*u
+                u = sign * t * r  # -dz/dS at fixed targets
+                diff = z - self.a
+                nrm = math.sqrt(float(diff.dot(diff)))
+                log_err = abs(rho) / self.slope_lo * self.inv  # bounds |log m_i - log m_i*|
+                if log_err < 1.0 and abs(S * step * float(diff.dot(u))) <= nrm * (
+                        nrm - self.r2) ** 2 / self.r2:
+                    shift = (S * step) * u
+                    diff = diff + shift
+                    gap = math.sqrt(float(diff.dot(diff))) - self.r2
+                    if (math.sqrt(float(m.dot(m))) * math.expm1(log_err)
+                            + math.sqrt(float(shift.dot(shift))) < abs(gap)):
+                        z = z + shift
+                        self.log_s = s - step
+                        return point(r, dy, kappa, border, s - step, exact=False)
             s -= step
             if not lo < s < hi:
                 s = 0.5 * (lo + hi)
+            elif mu:  # the magnitudes follow S to first order: dy/dS = -t dy/d|tau|
+                self.y = np.maximum(self.y + (S * step) * t * dy, 0.0)
         else:
             raise NumericalError("the p-norm scalar of the mirror step did not settle")
         self.log_s = s
-        return point(r, kappa, border)
+        return point(r, dy, kappa, border, s)
 
     def dz(self, pt, v):
         """Derivative of z when the free targets tau move by v, S following (O(d)).
@@ -340,12 +418,34 @@ class _Step:
 
     @staticmethod
     def _dz(pt, v):
+        """(dz, dS): the bordered system's solution for the target move v."""
         u = pt.sgn * pt.t * pt.r
         dS = pt.kappa * float(u @ v) / pt.border
-        return pt.r * v - u * dS
+        return pt.r * v - u * dS, dS
 
-    def dz_dmu(self, pt):
-        return self.dz(pt, self.a - pt.z)
+    def predict(self, pt, v, dS, dx):
+        """Start the next solve from pt moved by dx to first order, the targets moving by v.
+
+        dS is S's rate along the move (dz). log S moves by dS/S*dx, and each
+        magnitude by its slope dy_i times the move of |tau_i| at fixed S,
+        sign(z_i) v_i - t_i dS (the bordered system's), clipped at 0. The
+        start stays as it is where log S would move by more than 1, where the
+        linear model is poor (a bisection or doubling step), where dS is not
+        finite (for p > 2, a free coordinate at 0), and at p = 2, where S is
+        fixed and the magnitudes closed-form.
+        """
+        ds = dS / math.exp(pt.s) * dx
+        if self.p == 2.0 or not abs(ds) <= 1.0:
+            return
+        self.log_s = pt.s + ds
+        self.y = np.maximum(pt.y + (pt.sgn * v - pt.t * dS) * pt.dy * dx, 0.0)
+
+    def settle(self, pt):
+        """pt solved to the root of S: pt itself when exact, else its solve resumed."""
+        if pt.exact:
+            return pt
+        self.log_s, self.y = pt.s, pt.y
+        return self.solve(pt.lam, pt.mu)
 
     def g2(self, z):
         """Gap of the l2 constraint at z, and its unit normal there."""
@@ -368,13 +468,23 @@ class _Step:
         > 0, brackets the root with the guess. Only otherwise is mu = 0
         solved: the answer when the ball is slack there, else the lower end of
         a search whose upper end is the smallest mu tried with a gap <= 0.
+
+        Each trial after the first starts from the last one's point moved to
+        first order along mu (predict; the targets move by a - z per unit mu),
+        and solves S loosely (solve); every point returned is settled.
         """
 
         def at(mu):
-            pt = self.solve(lam, mu)
+            if last:
+                self.predict(*last, mu - last[0].mu)
+            pt = self.solve(lam, mu, loose=True)
             gap, normal = self.g2(pt.z)
-            return gap, float(normal @ self.dz_dmu(pt)), pt
+            v = self.a - pt.z
+            dz, dS = self.dz(pt, v)
+            last[:] = pt, v, dS
+            return gap, float(normal @ dz), pt
 
+        last = []  # the last trial's point, its target move v and S's rate dS
         ftol = 8.0 * EPS * (self.r2 + math.sqrt(float(self.a.dot(self.a))))
         upper = None  # (mu, point) with gap <= 0
         if mu_guess is not None:
@@ -382,7 +492,7 @@ class _Step:
             if gap > 0.0:
                 return self._root(at, (mu_guess, gap, slope, pt), ftol, self.g2, self.r2)
             if gap >= -ftol:
-                return pt
+                return self.settle(pt)
             upper = (mu_guess, pt)
             mu = _newton(mu_guess, gap, slope, self.r2)
             if 0.0 < mu < mu_guess:
@@ -396,32 +506,43 @@ class _Step:
         return self._root(at, (0.0, gap, slope, pt), ftol, self.g2, self.r2, upper)
 
     def both(self, start):
-        """Point with lam at the root of the l1 constraint, mu following as in ball2."""
+        """Point with lam at the root of the l1 constraint, mu following as in ball2.
+
+        Each trial lam starts on the last one's tangent: the path along which
+        mu keeps the l2 gap at 0 (mu > 0) or stays 0. Its d mu / d lam gives
+        ball2 its guess, mu + (d mu / d lam) dlam (the last mu where that is
+        not positive), and predict moves S and the magnitudes along it.
+        """
 
         def slope(pt, sign):
-            dz = self.dz(pt, pt.sigma)
+            dz, dS = self.dz(pt, pt.sigma)
+            tangent[:] = pt, pt.sigma, dS, 0.0
             if pt.mu > 0.0:  # mu moves along with lam to keep the l2 ball tight
                 _, normal = self.g2(pt.z)
-                dz_mu = self.dz_dmu(pt)
+                v_mu = self.a - pt.z
+                dz_mu, dS_mu = self.dz(pt, v_mu)
                 along = float(normal @ dz_mu)
                 if along == 0.0:
                     return math.nan
-                dz = dz - (float(normal @ dz) / along) * dz_mu
+                rate = -float(normal @ dz) / along  # d mu / d lam
+                dz = dz + rate * dz_mu
+                tangent[:] = pt, pt.sigma + rate * v_mu, dS + rate * dS_mu, rate
             return float(sign @ dz)
 
         def at(lam):
-            pt = self.ball2(lam, last[0])
-            last[0] = pt.mu or None
+            pt, v, dS, rate = tangent
+            self.predict(pt, v, dS, lam - pt.lam)
+            guess = pt.mu + rate * (lam - pt.lam)
+            pt = self.ball2(lam, guess if guess > 0.0 else pt.mu or None)
             gap, sign = self.g1(pt.z)
             return gap, slope(pt, sign), pt
 
-        last = [start.mu or None]
+        tangent = []
         gap, sign = self.g1(start.z)
         ftol = 8.0 * EPS * (self.r1 + float(abs(self.b).sum()))
         return self._root(at, (0.0, gap, slope(start, sign), start), ftol, self.g1)
 
-    @staticmethod
-    def _root(at, start, ftol, gap, radius=None, upper=None):
+    def _root(self, at, start, ftol, gap, radius=None, upper=None):
         """Multiplier x > x0 where the constraint gap f(x) is 0, by safeguarded Newton.
 
         f is nonincreasing with f(x0) > 0. at(x) -> (f(x), f'(x), point);
@@ -429,7 +550,10 @@ class _Step:
         a known x1 > x0 with f(x1) <= 0. The Newton steps are _newton's, on
         the secular form when radius (the l2 ball's) is given. Steps that
         leave the bracket become bisections, or doublings while no point with
-        f <= 0 is known. A step shorter than 2 eps x inside a bracket is
+        f <= 0 is known, and so does a step longer than half the step before
+        last inside a bracket (rtsafe's rule in Numerical Recipes): where f is
+        steep between two multipliers, Newton steps from either end can land
+        near the other, each shrinking the bracket by a sliver. A step shorter than 2 eps x inside a bracket is
         lengthened to 2 eps x, so the bracket closes on x: Newton's step
         reaches rounding near a root while the bracket's other end may still
         lie far off, and a blend toward that end would take its multiplier.
@@ -439,17 +563,19 @@ class _Step:
         ulps apart, are then stationary to rounding, and the point returned is
         the one on the segment between them where gap(z) is 0. A step that
         reaches rounding before any point with f <= 0 is known returns its point.
+        A trial point may be loose (solve); each point returned is settled, and
+        a blend settles both its ends first.
         """
         lo, f, slope, at_lo = start
         hi, at_hi = upper or (math.inf, None)
-        x = lo
+        x, before, moved = lo, math.inf, math.inf  # the step before last, the last step
         for _ in range(ROOT_STEPS):
             cand = _newton(x, f, slope, radius)
-            if not lo < cand < hi:
+            if not lo < cand < hi or (hi < math.inf and abs(cand - x) > 0.5 * before):
                 cand = 0.5 * (lo + hi) if hi < math.inf else (2.0 * lo if lo > 0.0 else 1.0)
             elif at_hi is not None and abs(cand - x) < 2.0 * EPS * x:
                 cand = x + math.copysign(2.0 * EPS * x, f)  # toward the root
-            moved = abs(cand - x)
+            before, moved = moved, abs(cand - x)
             x = cand
             f, slope, pt = at(x)
             if f > 0.0:
@@ -457,12 +583,12 @@ class _Step:
             else:
                 hi, at_hi = x, pt
             if abs(f) <= ftol:
-                return pt
+                return self.settle(pt)
             if at_hi is None:
                 if moved <= 4.0 * EPS * x:
-                    return pt
+                    return self.settle(pt)
             elif hi - lo <= 4.0 * EPS * hi:
-                return _blend(at_lo, at_hi, gap)
+                return _blend(self.settle(at_lo), self.settle(at_hi), gap)
         raise NumericalError("multiplier search of the mirror step did not converge")
 
 
@@ -522,9 +648,21 @@ def _solve(lin, u1, p, constraint, guess=None):
     return w, pt.mu, pt.lam
 
 
+def _constraint(name, constraint):
+    """constraint itself; InvalidInputError unless it is a SparseConstraint."""
+    if not isinstance(constraint, SparseConstraint):
+        raise InvalidInputError(f"{name}: constraint must be a SparseConstraint, "
+                                f"got {type(constraint).__name__}")
+    return constraint
+
+
 def project_intersection(v, constraint):
-    """Euclidean projection of v onto K: the mirror step at p = 2 with no linear term."""
-    v = np.asarray(v, dtype=float)
+    """Euclidean projection of v onto K: the mirror step at p = 2 with no linear term.
+
+    v must be a finite array of the constraint's shape (geometry.finite_array).
+    """
+    constraint = _constraint("project_intersection", constraint)
+    v = finite_array("project_intersection: v", v, constraint.center2.shape)
     return _solve(np.zeros_like(v), v, 2.0, constraint)[0]
 
 
@@ -536,12 +674,21 @@ def bregman_step(u_t, g, alpha, constraint, u1, p, guess=None):
     of the l2 and the l1 ball; the next step of the same row can pass mu
     back as guess to seed its search for mu (_solve); without a guess it
     starts cold.
+
+    Every argument is checked before any solve, with InvalidInputError:
+    constraint a SparseConstraint; u_t, g and u1 finite arrays of its shape
+    (geometry.finite_array); alpha a finite real >= 0, p one > 1 and guess
+    None or one >= 0 (geometry.real).
     """
-    if not p > 1.0:
-        raise InvalidInputError("mirror exponent p must exceed 1")
-    u_t = np.asarray(u_t, dtype=float)
-    g = np.asarray(g, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
+    constraint = _constraint("bregman_step", constraint)
+    shape = constraint.center2.shape
+    u_t = finite_array("bregman_step: u_t", u_t, shape)
+    g = finite_array("bregman_step: g", g, shape)
+    u1 = finite_array("bregman_step: u1", u1, shape)
+    alpha = _bounded("bregman_step: alpha", alpha, 0.0, True)
+    p = _bounded("bregman_step: mirror exponent p", p, 1.0, False)
+    if guess is not None:
+        guess = _bounded("bregman_step: guess", guess, 0.0, True)
     step_dir = alpha * g
     if not step_dir.any() and constraint.violation(u_t) == 0.0:
         return u_t.copy(), 0.0, 0.0

@@ -271,6 +271,49 @@ def test_bregman_step_p_validation():
         bregman_step(np.zeros(3), np.ones(3), 0.1, constraint, np.zeros(3), 1.0)
 
 
+def _w1_constraint():
+    w1 = np.array([0.6, 0.8, 0.0])
+    return w1, SparseConstraint(w1, 0.5, w1, 1.0)
+
+
+# each entry at a valid call with one argument malformed; every case escaped as an untyped
+# error (a raw RuntimeWarning or ValueError, or NumericalError after solving) or was accepted
+MALFORMED = {
+    "constraint-radius2-nan": lambda w1, c: SparseConstraint(w1, math.nan, w1, 1.0),
+    "constraint-radius2-negative": lambda w1, c: SparseConstraint(w1, -1.0, w1, 1.0),
+    "step-alpha-inf": lambda w1, c: bregman_step(w1, np.ones(3), math.inf, c, w1, mirror_p(3)),
+    "step-guess-negative": lambda w1, c: bregman_step(w1, np.ones(3), 0.1, c, w1, mirror_p(3),
+                                                      guess=-1.0),
+    "step-g-shape": lambda w1, c: bregman_step(w1, np.ones(4), 0.1, c, w1, mirror_p(3)),
+    "step-guess-nan": lambda w1, c: bregman_step(w1, np.ones(3), 0.1, c, w1, mirror_p(3),
+                                                 guess=math.nan),
+    "step-g-nan": lambda w1, c: bregman_step(w1, np.array([1.0, math.nan, 0.0]), 0.1, c, w1,
+                                             mirror_p(3)),
+    "mirror-p-non-integer": lambda w1, c: mirror_p(3.5),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_sparse_entries_refuse_malformed_input_before_solving(case, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr(sparse, "_solve", no_solve)
+    w1, constraint = _w1_constraint()
+    with pytest.raises(InvalidInputError):
+        case(w1, constraint)
+
+
+def test_sparse_entries_take_valid_edge_values():
+    # alpha = 0, guess = 0, a zero l1 radius and an integer-valued numpy d are valid
+    w1, constraint = _w1_constraint()
+    assert mirror_p(np.int64(3)) == mirror_p(3)
+    w, mu, lam = bregman_step(w1, np.ones(3), 0.0, constraint, w1, mirror_p(3), guess=0.0)
+    assert np.array_equal(w, w1) and (mu, lam) == (0.0, 0.0)
+    point = SparseConstraint(w1, 0.5, w1, 0.0)
+    assert np.array_equal(project_intersection(np.ones(3), point), w1)
+
+
 def test_sparse_epoch_exact_labels_and_feasibility():
     d, s, T = 12, 3, 40
     dist = hb.make_distribution("gaussian", d)
@@ -544,10 +587,17 @@ def test_guessed_step_matches_cold_step_on_criterion8_instances():
     # criterion 8's instances bind every active set
     active_sets = set()
     for constraint, v1, v2, g, alpha, p in criterion8_instances():
-        u1 = project_intersection(v1, constraint)
-        u_t = project_intersection(v2, constraint)
-        active_sets.add(assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p))
+        active_sets.add(check_guessed_step_matches_cold_step(constraint, v1, v2, g, alpha, p))
     assert active_sets == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def check_guessed_step_matches_cold_step(constraint, v1, v2, g, alpha, p):
+    """The guessed-vs-cold test's body on one instance, u1 and u_t the projections of v1
+    and v2 into K; returns the cold step's active set (tools/seed_sweep.py runs it on the
+    KKT property test's draws)."""
+    u1 = project_intersection(v1, constraint)
+    u_t = project_intersection(v2, constraint)
+    return assert_guesses_reach_cold_step(constraint, u1, u_t, g, alpha, p)
 
 
 def test_exact_step_matches_admm_reference_on_learner_instances():
@@ -576,6 +626,15 @@ def test_exact_step_matches_admm_reference_on_learner_instances():
 # slope once raised numpy's invalid-value warning
 @example(seed=28, d=3, euclidean=False, shifted=True)
 def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted):
+    assume(check_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted))
+
+
+def kkt_draw(seed, d, euclidean, shifted):
+    """The step the KKT property test draws at these parameters.
+
+    Returns (center2, radius2, center1, radius1, u1, u_t, g, alpha, p) and the
+    l2 ball's l1 distance from center1, which decides whether K is empty.
+    """
     rng = np.random.default_rng(seed)
     p = 2.0 if euclidean else mirror_p(d)
     center2 = rng.standard_normal(d)
@@ -586,11 +645,20 @@ def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted)
     g = rng.standard_normal(d)
     alpha = float(rng.uniform(0.01, 1.0))
     distance = l1_distance_to_ball2(center2, radius2, center1)
-    assume(abs(distance - radius1) > 1e-9 * radius1)
+    return (center2, radius2, center1, radius1, u1, u_t, g, alpha, p), distance
+
+
+def check_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted):
+    """The KKT property test's body; False for a draw it skips, whose l1 radius lies
+    within 1e-9 of the l2 ball's l1 distance (tools/seed_sweep.py runs it over seeds)."""
+    (center2, radius2, center1, radius1, u1, u_t, g, alpha, p), distance = kkt_draw(
+        seed, d, euclidean, shifted)
+    if not abs(distance - radius1) > 1e-9 * radius1:
+        return False
     if distance > radius1:
         with pytest.raises(EmptyConstraintError):
             SparseConstraint(center2=center2, radius2=radius2, center1=center1, radius1=radius1)
-        return
+        return True
     constraint = SparseConstraint(
         center2=center2, radius2=radius2, center1=center1, radius1=radius1)
     # the projection is the step at p = 2 with no linear term, centered at the point
@@ -605,6 +673,15 @@ def test_exact_step_raises_iff_empty_else_kkt_point(seed, d, euclidean, shifted)
     assert np.array_equal(w, w_kkt) and (mu_step, lam_step) == (mu, lam)
     assert constraint.violation(w) <= 1e-12
     assert kkt_residual(w, mu, lam, lin, u1, p, constraint) <= 1e-9
+    return True
+
+
+@pytest.mark.parametrize("seed", [5649, 9392])
+def test_l1_search_bisects_where_newton_steps_stall(seed):
+    # d = 4, shifted: the l1 gap is steep between two nearby lam, and Newton steps from
+    # either end of the bracket landed near the other, shrinking it by a sliver each,
+    # until the search raised NumericalError after ROOT_STEPS trials
+    assert check_exact_step_raises_iff_empty_else_kkt_point(seed, 4, False, True)
 
 
 def test_kkt_holds_where_the_l1_gap_jumps_between_adjacent_multipliers():
@@ -649,12 +726,13 @@ def learner_shaped_steps(d, s, seed, count):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The mu of every _Step.solve call, in order; each call is one exact inner solve."""
+    """The mu of every _Step.solve call, in order; each call is one inner solve (a loose
+    trial and its settling are two)."""
     solve, mus = sparse._Step.solve, []
 
-    def recording(self, lam, mu):
+    def recording(self, lam, mu, loose=False):
         mus.append(mu)
-        return solve(self, lam, mu)
+        return solve(self, lam, mu, loose)
 
     monkeypatch.setattr(sparse._Step, "solve", recording)
     return mus
@@ -740,12 +818,29 @@ def sparse_warm_start_epoch0():
     return ledger.label_calls
 
 
+@pytest.fixture
+def iterates(monkeypatch):
+    """The number of S iterates so far: _Step._coords calls, one per iterate of a solve."""
+    coords, count = sparse._Step._coords, [0]
+
+    def counting(self, *args):
+        count[0] += 1
+        return coords(self, *args)
+
+    monkeypatch.setattr(sparse._Step, "_coords", counting)
+    return count
+
+
 # (inner solves before the guess-first secular search, after it): (54, 41) and (9241, 7006).
-# Both counts repeat exactly, so a bound between them catches a search that loses its cut.
-@pytest.mark.parametrize("run, steps, bound", [
-    (sparse_epoch_d50, 8, 47),
-    (sparse_warm_start_epoch0, 8 * 238, 8100),
+# (S iterates before the predictor and the loose inner solves, after them): (139, 77) and
+# (21091, 12328). Every count repeats exactly, so a bound between the two catches a
+# search that loses its cut.
+@pytest.mark.parametrize("run, steps, bound, iterate_bound", [
+    (sparse_epoch_d50, 8, 47, 108),
+    (sparse_warm_start_epoch0, 8 * 238, 8100, 16700),
 ], ids=["sparse-epoch-d50", "warm-start-epoch0"])
-def test_mirror_step_solver_work_stays_bounded(solves, run, steps, bound):
+def test_mirror_step_solver_work_stays_bounded(solves, iterates, run, steps, bound,
+                                               iterate_bound):
     assert run() == steps
     assert len(solves) <= bound
+    assert iterates[0] <= iterate_bound
