@@ -506,38 +506,26 @@ class _Step:
         return self._root(at, (0.0, gap, slope, pt), ftol, self.g2, self.r2, upper)
 
     def both(self, start):
-        """Point with lam at the root of the l1 constraint, mu following as in ball2.
-
-        Each trial lam starts on the last one's tangent: the path along which
-        mu keeps the l2 gap at 0 (mu > 0) or stays 0. Its d mu / d lam gives
-        ball2 its guess, mu + (d mu / d lam) dlam (the last mu where that is
-        not positive), and predict moves S and the magnitudes along it.
-        """
+        """Point with lam at the root of the l1 constraint, mu following as in ball2."""
 
         def slope(pt, sign):
-            dz, dS = self.dz(pt, pt.sigma)
-            tangent[:] = pt, pt.sigma, dS, 0.0
+            dz = self.dz(pt, pt.sigma)[0]
             if pt.mu > 0.0:  # mu moves along with lam to keep the l2 ball tight
                 _, normal = self.g2(pt.z)
-                v_mu = self.a - pt.z
-                dz_mu, dS_mu = self.dz(pt, v_mu)
+                dz_mu = self.dz(pt, self.a - pt.z)[0]
                 along = float(normal @ dz_mu)
                 if along == 0.0:
                     return math.nan
-                rate = -float(normal @ dz) / along  # d mu / d lam
-                dz = dz + rate * dz_mu
-                tangent[:] = pt, pt.sigma + rate * v_mu, dS + rate * dS_mu, rate
+                dz = dz - (float(normal @ dz) / along) * dz_mu
             return float(sign @ dz)
 
         def at(lam):
-            pt, v, dS, rate = tangent
-            self.predict(pt, v, dS, lam - pt.lam)
-            guess = pt.mu + rate * (lam - pt.lam)
-            pt = self.ball2(lam, guess if guess > 0.0 else pt.mu or None)
+            pt = self.ball2(lam, last[0])
+            last[0] = pt.mu or None
             gap, sign = self.g1(pt.z)
             return gap, slope(pt, sign), pt
 
-        tangent = []
+        last = [start.mu or None]
         gap, sign = self.g1(start.z)
         ftol = 8.0 * EPS * (self.r1 + float(abs(self.b).sum()))
         return self._root(at, (0.0, gap, slope(start, sign), start), ftol, self.g1)

@@ -3,7 +3,6 @@
 Run from the repository root:
 
     PYTHONPATH=src python tools/seed_sweep.py
-    PYTHONPATH=src python tools/seed_sweep.py --d 3 4 --seeds 2000
 
 For each dimension d, each of seeds 0 .. N-1 and each (euclidean, shifted)
 pair, it draws the step that tests/test_sparse.py's
@@ -24,13 +23,12 @@ skipped, as the test skips them. A RuntimeWarning is an error, as in the
 suite. Each failure prints one line (body, d, euclidean, shifted, seed and the
 error); a table follows of the draws run per (d, euclidean, shifted), of
 those whose set K is nonempty (the others must raise EmptyConstraintError)
-and of the failures. The exit code is 1 if anything failed. Without
-options it sweeps seeds 0-9,999 at d = 3 and 4 and seeds 0-999 at d = 8,
-20 and 50, in about 17 minutes on one core of an x86-64 host. The tests'
-own settings are not changed.
+and of the failures. The exit code is 1 if anything failed. It sweeps
+seeds 0-9,999 at d = 3 and 4 and seeds 0-999 at d = 8, 20 and 50, in about
+17 minutes on one core of an x86-64 host; sweep(d, seeds) runs one other
+range. The tests' own settings are not changed.
 """
 
-import argparse
 import itertools
 import sys
 import traceback
@@ -87,20 +85,12 @@ def sweep(d, seeds, out=sys.stdout):
     return table
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--d", type=int, nargs="+", help="dimensions (default: the fixed plan)")
-    parser.add_argument("--seeds", type=int, help="sweep seeds 0 .. N-1 (default: the plan's)")
-    args = parser.parse_args(argv)
-    plan = PLAN
-    if args.d or args.seeds:
-        counts = {d: n for ds, n in PLAN for d in ds}
-        plan = [((d,), args.seeds or counts.get(d, 1_000)) for d in (args.d or list(counts))]
+def main():
     warnings.simplefilter("error", RuntimeWarning)
     total = 0
     print(f"{'d':>3} {'euclidean':>9} {'shifted':>7} {'seeds':>6} {'draws':>6} {'nonempty':>8} "
           f"{'failures':>8}")
-    for dims, n in plan:
+    for dims, n in PLAN:
         for d in dims:
             for (euclidean, shifted), (draws, nonempty, failures) in sweep(d, range(n)).items():
                 total += failures
