@@ -67,6 +67,10 @@ FOUR_EPS = np.array(4.0 * EPS)  # _magnitudes' settling tolerance, relative, as 
 # calls settle in at most 6 on sparse-epoch-d50 and the d = 20 warm start, and a warm
 # start far below the root at d = 3 took up to 67 steps without the second cap (15 with it)
 WARM_STEPS = 8
+# log S stays at or below this, where S = e^700 is finite with room to spare. S outgrows
+# it only at p > 2 with every free |z_i| below about S^(-1/(p-1)) < 1e-30, z's limit 0 to
+# rounding, which the iterate at the cap then stands for.
+LOG_S_MAX = 700.0
 
 
 def _l1_distance_to_ball2(v, radius):
@@ -298,7 +302,8 @@ class _Step:
         where tau = -c_hat, or an l1 center at u1, where h = c_hat) |tau| and
         sign(tau) are formed once, before the loop, not once per S iterate; at
         lam = 0, h and sigma are formed once, for the point returned. Either
-        way the bits are those of forming them per iterate.
+        way the bits are those of forming them per iterate. log S is held at
+        or below LOG_S_MAX.
 
         loose (a trial of ball2's search at mu > 0, targets fixed) lets the
         loop stop short of the root of S, at the first iterate where the l2
@@ -322,7 +327,7 @@ class _Step:
             nrm = float((theta**q).sum()) ** (1.0 / q)
             self.log_s = math.log(self.inv) + (2.0 - self.p) * math.log(
                 (self.p - 1.0) * nrm) if nrm > 0.0 else math.log(self.inv)
-        s, lo, hi = self.log_s, -math.inf, math.inf
+        s, lo, hi = min(self.log_s, LOG_S_MAX), -math.inf, LOG_S_MAX
         p = self.p
         fixed = lam == 0.0 or not self.shifted  # _targets does not read S
         targets = self._targets(None, lam, mu, c_hat) if fixed else None
@@ -373,7 +378,7 @@ class _Step:
                 lo = s
             if it == 0:  # the slope is at least slope_lo, which bounds the root
                 reach = 1.01 * rho / self.slope_lo
-                lo, hi = (s - reach, hi) if rho > 0.0 else (lo, s - reach)
+                lo, hi = (s - reach, hi) if rho > 0.0 else (lo, min(hi, s - reach))
             step = rho / border if border > 0.0 and math.isfinite(border) else math.nan
             resolution = 4.0 * EPS * max(1.0, abs(s))
             if abs(step) <= resolution or hi - lo <= resolution:

@@ -684,6 +684,16 @@ def test_l1_search_bisects_where_newton_steps_stall(seed):
     assert check_exact_step_raises_iff_empty_else_kkt_point(seed, 4, False, True)
 
 
+def test_log_s_stays_finite_where_the_step_closes_on_u1():
+    # d = 3, p = 11.1, unshifted: u1 sits on both spheres and the step's answer is w = u1.
+    # As the l1 search closes on its lam, z shrinks toward 0 and log S grows like
+    # (p - 2) log(1/|z|); a Newton iterate of log S overshot e^709 and math.exp raised
+    # OverflowError (the cold step of the guessed-vs-cold body at seed 1764)
+    (center2, radius2, center1, radius1, u1, u_t, g, alpha, p), _ = kkt_draw(1764, 3, False, False)
+    constraint = SparseConstraint(center2, radius2, center1, radius1)
+    check_guessed_step_matches_cold_step(constraint, u1, u_t, g, alpha, p)
+
+
 def test_kkt_holds_where_the_l1_gap_jumps_between_adjacent_multipliers():
     # d=3, p=11.1, ball2 slack: a coordinate whose target crosses 0 moves like
     # |tau|^(1/(p-1)), so the l1 gap drops by about 1e-8 between adjacent floats of
